@@ -55,8 +55,11 @@ check: build vet race
 # What CI invokes; kept separate from `check` so CI-only steps can be
 # attached without changing the local gate. One race-instrumented suite
 # pass (inside check) covers kernelcheck and chaos; the CLI gates reuse
-# the binaries `tools` built.
+# the binaries `tools` built. The host-performance benchmark is a module
+# of its own (bench/go.mod), so `go test ./...` never builds it; its tests
+# run here, because its traced run rebuilds machines the way sim.New does.
 ci: check lint leakscan leaksearch conform
+	$(GO) -C bench test ./...
 
 # Resilience gate: the seeded chaos self-tests kill journaled bench,
 # leakage, and conformance campaigns at randomized checkpoint appends

@@ -12,17 +12,19 @@ package cache
 import "fmt"
 
 // Line is one cache line's tag and coherence metadata. State is owned by the
-// coherence protocol (package coherence defines the MESI encoding).
+// coherence protocol (package coherence defines the MESI encoding). Fields
+// are ordered by size so a line packs into 24 bytes: each LLC bank holds
+// tens of thousands of them, most of a built machine's heap.
 type Line struct {
 	LineNum uint64 // address >> log2(lineSize)
-	Valid   bool
-	Dirty   bool
-	State   uint8
 	// Sharers is used only by directory entries embedded in LLC lines: a
 	// bitmap of cores holding the line.
 	Sharers uint64
 	// Owner is the core that holds the line in E/M, or -1.
-	Owner int
+	Owner int32
+	Valid bool
+	Dirty bool
+	State uint8
 	// Prefetched marks an L1 line installed by the hardware prefetcher and
 	// not yet demand-touched (the trigger tag of a tagged next-line
 	// prefetcher).

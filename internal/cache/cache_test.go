@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestInsertLookup(t *testing.T) {
@@ -252,4 +253,13 @@ func TestMSHRFilePanicsOnZero(t *testing.T) {
 		}
 	}()
 	NewMSHRFile(0)
+}
+
+// TestLineStaysPacked guards Line's field order: every LLC bank holds tens
+// of thousands of lines, so a field that breaks the packing grows a built
+// machine's heap by a third.
+func TestLineStaysPacked(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 24 {
+		t.Fatalf("cache.Line is %d bytes, want 24", got)
+	}
 }

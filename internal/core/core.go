@@ -57,9 +57,10 @@ type Core struct {
 
 	now uint64
 
-	// Front end.
+	// Front end. fetchBuf is a window into fetchMem (see pushFetched).
 	pc            int
 	fetchBuf      []fetchedInst
+	fetchMem      []fetchedInst
 	fetchInFlight bool
 	fetchToken    uint64
 	fetchResumeAt uint64
@@ -72,6 +73,16 @@ type Core struct {
 	robCnt  int
 	rat     [isa.NumRegs]int // architectural reg -> producing ROB slot, or -1
 	regs    [isa.NumRegs]uint64
+
+	// State the stages keep about the ROB so that per-cycle work follows
+	// the instructions in flight rather than the ROB's capacity: age-ordered
+	// lists of physical slots (dispatched but not issued; executing in a
+	// functional unit; open fence-like entries and incomplete atomics), and
+	// the number of open fence-like entries. StructuralCheck recomputes each.
+	waiting    []int
+	executing  []int
+	barriers   []int
+	openFences int
 
 	lq     []lqEntry
 	lqHead int
@@ -144,10 +155,15 @@ func New(id int, run config.Run, prog *isa.Program, mem *isa.Memory,
 		st:       st,
 		bbLeader: prog.BlockLeaders(),
 		pc:       prog.Entry,
+		fetchMem: make([]fetchedInst, fetchBufLimit(cfg.FetchWidth)),
 		rob:      make([]robEntry, cfg.ROBEntries),
 		lq:       make([]lqEntry, cfg.LQEntries),
 		sq:       make([]sqEntry, cfg.SQEntries),
 	}
+	c.fetchBuf = c.fetchMem[:0]
+	c.waiting = make([]int, 0, cfg.ROBEntries)
+	c.executing = make([]int, 0, cfg.ROBEntries)
+	c.barriers = make([]int, 0, cfg.ROBEntries)
 	for i := range c.rat {
 		c.rat[i] = -1
 	}

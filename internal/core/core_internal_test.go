@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,7 +100,7 @@ func TestSquashRebuildsRAT(t *testing.T) {
 	c := newTestCore(t, config.Base)
 	// Dispatch three producers of r5 by hand.
 	for i := 0; i < 3; i++ {
-		c.insertEntry(fetchedInst{pc: i, inst: isa.Inst{Op: isa.OpLui, Rd: 5, Imm: int64(i)}})
+		c.insertEntry(&fetchedInst{pc: i, inst: isa.Inst{Op: isa.OpLui, Rd: 5, Imm: int64(i)}})
 	}
 	if c.rat[5] != c.robPhys(2) {
 		t.Fatalf("RAT points at %d, want youngest producer %d", c.rat[5], c.robPhys(2))
@@ -121,9 +122,9 @@ func TestSquashRebuildsRAT(t *testing.T) {
 
 func TestSquashFreesLSQEntries(t *testing.T) {
 	c := newTestCore(t, config.Base)
-	c.insertEntry(fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLoad, Rd: 1, Rs1: 2, Size: 8}})
-	c.insertEntry(fetchedInst{pc: 1, inst: isa.Inst{Op: isa.OpStore, Rs1: 2, Rs2: 3, Size: 8}})
-	c.insertEntry(fetchedInst{pc: 2, inst: isa.Inst{Op: isa.OpLoad, Rd: 4, Rs1: 2, Size: 8}})
+	c.insertEntry(&fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLoad, Rd: 1, Rs1: 2, Size: 8}})
+	c.insertEntry(&fetchedInst{pc: 1, inst: isa.Inst{Op: isa.OpStore, Rs1: 2, Rs2: 3, Size: 8}})
+	c.insertEntry(&fetchedInst{pc: 2, inst: isa.Inst{Op: isa.OpLoad, Rd: 4, Rs1: 2, Size: 8}})
 	if c.lqCnt != 2 || c.sqCnt != 1 {
 		t.Fatalf("lq=%d sq=%d", c.lqCnt, c.sqCnt)
 	}
@@ -209,7 +210,7 @@ func TestSquashRestoresBpredFromFetchBuf(t *testing.T) {
 	// Committed history: one real call on the stack.
 	c.bp.PushRAS(42)
 	// A snapshot-less ROB entry (say, the faulting load itself).
-	c.insertEntry(fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLoad, Rd: 1, Rs1: 2, Size: 8, Priv: true}})
+	c.insertEntry(&fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLoad, Rd: 1, Rs1: 2, Size: 8, Priv: true}})
 	// Fetch ran ahead: a call in the fetch buffer snapshotted the predictor
 	// and then pushed its return address, exactly as ifetchDone does.
 	snap := c.bp.Snapshot()
@@ -234,7 +235,7 @@ func TestSquashPrefersRobSnapshotOverFetchBuf(t *testing.T) {
 	c.bp.PushRAS(42)
 	robSnap := c.bp.Snapshot()
 	c.bp.PushRAS(100) // speculation by the ROB-resident branch
-	c.insertEntry(fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpCall, Rd: 3, Target: 5},
+	c.insertEntry(&fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpCall, Rd: 3, Target: 5},
 		predTaken: true, predTarget: 5})
 	c.robAt(0).hasSnap = true
 	c.robAt(0).snap = robSnap
@@ -248,5 +249,53 @@ func TestSquashPrefersRobSnapshotOverFetchBuf(t *testing.T) {
 
 	if got := c.bp.PopRAS(); got != 42 {
 		t.Fatalf("RAS top after squash = %d, want 42 from the ROB snapshot", got)
+	}
+}
+
+// TestStructuralCheckCatchesStageStateDrift corrupts, one at a time, each
+// counter and list the stages maintain about the ROB, and expects
+// StructuralCheck to report the mismatch with the ROB scan it replaces.
+func TestStructuralCheckCatchesStageStateDrift(t *testing.T) {
+	build := func() *Core {
+		c := newTestCore(t, config.Base)
+		c.run.Consistency = config.RC // acquires stay open under RC
+		c.insertEntry(&fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpLui, Rd: 5, Imm: 1}})
+		c.insertEntry(&fetchedInst{pc: 1, inst: isa.Inst{Op: isa.OpAdd, Rd: 6, Rs1: 5, Rs2: 5}})
+		c.insertEntry(&fetchedInst{pc: 2, inst: isa.Inst{Op: isa.OpAcquire}})
+		c.insertEntry(&fetchedInst{pc: 2, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
+		c.insertEntry(&fetchedInst{pc: 3, inst: isa.Inst{Op: isa.OpRMW, Rd: 7, Rs1: 6, Rs2: 5, Size: 8}})
+		c.insertEntry(&fetchedInst{pc: 4, inst: isa.Inst{Op: isa.OpMul, Rd: 8, Rs1: 6, Rs2: 6}})
+		c.now = 1
+		// The Lui enters a functional unit and the acquire issues; the
+		// acquire then holds back the synthetic fence and the atomic, and
+		// the multiply waits for the add.
+		c.issue()
+		if err := c.StructuralCheck(); err != nil {
+			t.Fatalf("consistent core rejected: %v", err)
+		}
+		if c.openFences != 2 || c.rob[c.robPhys(0)].consumers != 3 ||
+			len(c.waiting) != 4 || len(c.executing) != 1 || len(c.barriers) != 3 {
+			t.Fatalf("unexpected set-up: open=%d consumers=%d waiting=%v executing=%v barriers=%v",
+				c.openFences, c.rob[c.robPhys(0)].consumers, c.waiting, c.executing, c.barriers)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Core)
+		want    string
+	}{
+		{"open-fence count", func(c *Core) { c.openFences++ }, "open-fence count"},
+		{"consumer count", func(c *Core) { c.rob[c.robPhys(1)].consumers-- }, "consumer count"},
+		{"waiting entry lost", func(c *Core) { c.waiting = c.waiting[1:] }, "waiting list"},
+		{"executing entry leaked", func(c *Core) { c.executing = append(c.executing, c.robPhys(4)) }, "executing list"},
+		{"barriers out of order", func(c *Core) { c.barriers[0], c.barriers[1] = c.barriers[1], c.barriers[0] }, "barrier list"},
+	} {
+		c := build()
+		tc.corrupt(c)
+		err := c.StructuralCheck()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: StructuralCheck = %v, want an error about the %s", tc.name, err, tc.want)
+		}
 	}
 }

@@ -29,10 +29,8 @@ func (c *Core) fetch() {
 		return
 	}
 	// Stop fetching past a halt already in the buffer.
-	for _, fi := range c.fetchBuf {
-		if fi.inst.Op == isa.OpHalt {
-			return
-		}
+	if c.haltFetched() {
+		return
 	}
 	tok := c.token()
 	c.fetchToken = tok
@@ -47,6 +45,33 @@ func (c *Core) fetch() {
 		c.fetchInFlight = true
 		c.st.Fetched++ // line fetches, not instructions
 	}
+}
+
+// haltFetched reports whether the fetch buffer holds a halt.
+func (c *Core) haltFetched() bool {
+	for i := range c.fetchBuf {
+		if c.fetchBuf[i].inst.Op == isa.OpHalt {
+			return true
+		}
+	}
+	return false
+}
+
+// fetchBufLimit is the most instructions the fetch buffer holds: fetch
+// requests a line only below half of it, and ifetchDone stops decoding
+// once the buffer is full.
+func fetchBufLimit(fetchWidth int) int { return 4 * fetchWidth }
+
+// pushFetched appends a zeroed entry to the fetch buffer and returns it for
+// decode to fill in. The buffer is a window into fetchMem that dispatch
+// advances from the front; when the window reaches the end of the array,
+// its entries move back to the start instead of append reallocating.
+func (c *Core) pushFetched() *fetchedInst {
+	if n := len(c.fetchBuf); n == cap(c.fetchBuf) && n < len(c.fetchMem) {
+		c.fetchBuf = c.fetchMem[:copy(c.fetchMem, c.fetchBuf)]
+	}
+	c.fetchBuf = append(c.fetchBuf, fetchedInst{})
+	return &c.fetchBuf[len(c.fetchBuf)-1]
 }
 
 // exposeILine makes a retired instruction's line visible under
@@ -85,7 +110,8 @@ func (c *Core) ifetchDone(r memsys.Response) {
 	lineStart := c.pc - ((c.pc%per)+per)%per
 	for c.pc >= lineStart && c.pc < lineStart+per {
 		in := c.prog.At(c.pc)
-		fi := fetchedInst{pc: c.pc, inst: in, blockStart: c.isBlockStart(c.pc)}
+		fi := c.pushFetched()
+		fi.pc, fi.inst, fi.blockStart = c.pc, in, c.isBlockStart(c.pc)
 		next := c.pc + 1
 		switch {
 		case in.Op.IsCondBranch():
@@ -119,14 +145,12 @@ func (c *Core) ifetchDone(r memsys.Response) {
 				// BTB miss: fetch stalls until the jump resolves.
 				fi.predTarget = -1
 				fi.btbMiss = true
-				c.fetchBuf = append(c.fetchBuf, fi)
 				c.fetchStalled = true
 				return
 			}
 			fi.predTaken, fi.predTarget = true, tgt
 			next = tgt
 		}
-		c.fetchBuf = append(c.fetchBuf, fi)
 		c.pc = next
 		if in.Op == isa.OpHalt {
 			return
@@ -134,7 +158,7 @@ func (c *Core) ifetchDone(r memsys.Response) {
 		if in.Op.IsBranch() && (next < lineStart || next >= lineStart+per) {
 			return // redirected out of this line
 		}
-		if len(c.fetchBuf) >= 4*c.cfg.FetchWidth {
+		if len(c.fetchBuf) >= fetchBufLimit(c.cfg.FetchWidth) {
 			return
 		}
 	}

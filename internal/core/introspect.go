@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"invisispec/internal/config"
+	"invisispec/internal/isa"
 )
 
 // This file exposes read-only views of the core's in-flight state for the
@@ -71,6 +72,8 @@ func (c *Core) LastSquash() SquashInfo { return c.lastSquash }
 //     and sequence numbers are strictly increasing (squashes only ever
 //     remove a suffix, so holes or inversions indicate corruption);
 //   - ROB<->LQ/SQ cross-links agree in both directions;
+//   - the state the stages maintain about the ROB equals what a scan of the
+//     ROB derives (checkStageState);
 //   - under TSO, the write buffer drains FIFO: tokens strictly increase, at
 //     most one entry is in flight, and no performed entry lingers behind the
 //     head (performed heads are popped eagerly).
@@ -139,7 +142,76 @@ func (c *Core) StructuralCheck() error {
 			return fmt.Errorf("core%d: sq[%d] seq %d -> rob[%d] link broken", c.id, i, e.seq, e.robIdx)
 		}
 	}
+	if err := c.checkStageState(); err != nil {
+		return err
+	}
 	return c.checkWBFIFO()
+}
+
+// checkStageState recomputes, by scanning the ROB, each counter and list
+// the pipeline stages maintain incrementally, and reports the first that
+// disagrees: the open-fence count, every slot's rename-reference count,
+// and the waiting, executing and barrier lists (content and age order).
+func (c *Core) checkStageState() error {
+	open := 0
+	refs := make([]int, len(c.rob))
+	for i := 0; i < c.robCnt; i++ {
+		e := c.robAt(i)
+		for _, src := range [2]int{e.src1Rob, e.src2Rob} {
+			if src == noDep {
+				continue
+			}
+			if src < 0 || src >= len(c.rob) || c.robLogical(src) >= i {
+				return fmt.Errorf("core%d: rob[%d] seq %d reads slot %d, not an older entry", c.id, i, e.seq, src)
+			}
+			refs[src]++
+		}
+		if isFenceLike(e) && !e.fenceDone {
+			open++
+		}
+	}
+	if open != c.openFences {
+		return fmt.Errorf("core%d: open-fence count %d, ROB holds %d open fences", c.id, c.openFences, open)
+	}
+	for i := 0; i < c.robCnt; i++ {
+		if phys := c.robPhys(i); c.rob[phys].consumers != refs[phys] {
+			return fmt.Errorf("core%d: rob[%d] seq %d consumer count %d, younger entries hold %d references",
+				c.id, i, c.rob[phys].seq, c.rob[phys].consumers, refs[phys])
+		}
+	}
+	if err := c.checkSlotList("waiting", c.waiting, func(e *robEntry) bool {
+		return e.st == stDispatched
+	}); err != nil {
+		return err
+	}
+	if err := c.checkSlotList("executing", c.executing, func(e *robEntry) bool {
+		return e.st == stExecuting
+	}); err != nil {
+		return err
+	}
+	return c.checkSlotList("barrier", c.barriers, func(e *robEntry) bool {
+		return (isFenceLike(e) && !e.fenceDone) || (e.inst.Op == isa.OpRMW && e.st != stCompleted)
+	})
+}
+
+// checkSlotList verifies that list holds exactly the physical slots of the
+// ROB entries for which member holds, oldest first.
+func (c *Core) checkSlotList(name string, list []int, member func(*robEntry) bool) error {
+	k := 0
+	for i := 0; i < c.robCnt; i++ {
+		if !member(c.robAt(i)) {
+			continue
+		}
+		if k >= len(list) || list[k] != c.robPhys(i) {
+			return fmt.Errorf("core%d: %s list %v, want slot %d (rob[%d]) at position %d",
+				c.id, name, list, c.robPhys(i), i, k)
+		}
+		k++
+	}
+	if k != len(list) {
+		return fmt.Errorf("core%d: %s list %v has %d entries, ROB has %d", c.id, name, list, len(list), k)
+	}
+	return nil
 }
 
 // checkWBFIFO audits write-buffer ordering. Both models require strictly

@@ -88,7 +88,7 @@ type wbEntry struct {
 }
 
 func (c *Core) allocLQ(seq uint64, robIdx int, in isa.Inst) int {
-	phys := (c.lqHead + c.lqCnt) % len(c.lq)
+	phys := ringAdd(c.lqHead, c.lqCnt, len(c.lq))
 	c.lqCnt++
 	c.lq[phys] = lqEntry{
 		valid:     true,
@@ -107,15 +107,15 @@ func (c *Core) allocLQ(seq uint64, robIdx int, in isa.Inst) int {
 }
 
 func (c *Core) allocSQ(seq uint64, robIdx int, in isa.Inst) int {
-	phys := (c.sqHead + c.sqCnt) % len(c.sq)
+	phys := ringAdd(c.sqHead, c.sqCnt, len(c.sq))
 	c.sqCnt++
 	c.sq[phys] = sqEntry{valid: true, seq: seq, robIdx: robIdx, size: in.Size}
 	return phys
 }
 
-func (c *Core) lqAt(i int) *lqEntry { return &c.lq[(c.lqHead+i)%len(c.lq)] }
-func (c *Core) lqPhys(i int) int    { return (c.lqHead + i) % len(c.lq) }
-func (c *Core) sqAt(i int) *sqEntry { return &c.sq[(c.sqHead+i)%len(c.sq)] }
+func (c *Core) lqAt(i int) *lqEntry { return &c.lq[ringAdd(c.lqHead, i, len(c.lq))] }
+func (c *Core) lqPhys(i int) int    { return ringAdd(c.lqHead, i, len(c.lq)) }
+func (c *Core) sqAt(i int) *sqEntry { return &c.sq[ringAdd(c.sqHead, i, len(c.sq))] }
 
 func overlaps(a1 uint64, s1 uint8, a2 uint64, s2 uint8) bool {
 	return a1 < a2+uint64(s2) && a2 < a1+uint64(s1)
@@ -240,7 +240,6 @@ func (c *Core) tryIssueLoad(i int, e *lqEntry) bool {
 		}
 		e.stallUntilStore = 0
 	}
-	rl := c.robLogical(e.robIdx)
 	for j := c.sqCnt - 1; j >= 0; j-- {
 		s := c.sqAt(j)
 		if s.seq >= e.seq {
@@ -274,7 +273,6 @@ func (c *Core) tryIssueLoad(i int, e *lqEntry) bool {
 		e.stallUntilStore = w.token
 		return false
 	}
-	_ = rl
 	// No forwarding: go to memory.
 	if c.sch.UsesInvisibleLoads() && !c.loadSafeNow(i, e) {
 		c.issueUSL(i, e)
@@ -448,7 +446,7 @@ func (c *Core) findLQByToken(tok uint64) *lqEntry {
 // overlapping address without forwarding from this store read stale data
 // and must be squashed (Table I: "address alias between a load and an
 // earlier store"). Returns true if a squash happened.
-func (c *Core) storeAliasSquash(storeLogical int, s *sqEntry) bool {
+func (c *Core) storeAliasSquash(s *sqEntry) bool {
 	for i := 0; i < c.lqCnt; i++ {
 		e := c.lqAt(i)
 		if !e.valid || e.seq <= s.seq || !(e.performed || e.issued) {
@@ -539,6 +537,7 @@ func (c *Core) exclusiveArrived(r memsys.Response) {
 			c.mem.Write(addr, e.inst.Size, old+e.src2Val)
 			e.destVal = old
 			e.st = stCompleted
+			c.barriers = dropSlot(c.barriers, c.robHead)
 		}
 	}
 }

@@ -112,20 +112,22 @@ func (c *Core) popHead() {
 	// Materialize the retiring producer's value into any consumer still
 	// holding a rename reference: the slot is about to be recycled.
 	head := c.robHead
-	val := c.rob[head].destVal
-	for i := 1; i < c.robCnt; i++ {
+	h := &c.rob[head]
+	for i := 1; h.consumers > 0 && i < c.robCnt; i++ {
 		e := c.robAt(i)
 		if e.src1Rob == head {
 			e.src1Rob = noDep
-			e.src1Val = val
+			e.src1Val = h.destVal
+			h.consumers--
 		}
 		if e.src2Rob == head {
 			e.src2Rob = noDep
-			e.src2Val = val
+			e.src2Val = h.destVal
+			h.consumers--
 		}
 	}
-	c.rob[head].valid = false
-	c.robHead = (c.robHead + 1) % len(c.rob)
+	h.valid = false
+	c.robHead = ringAdd(head, 1, len(c.rob))
 	c.robCnt--
 }
 
@@ -138,7 +140,7 @@ func (c *Core) freeHeadLQ(e *robEntry) {
 	if e.lqIdx != c.lqHead {
 		panic("core: retiring load is not the LQ head")
 	}
-	c.lqHead = (c.lqHead + 1) % len(c.lq)
+	c.lqHead = ringAdd(c.lqHead, 1, len(c.lq))
 	c.lqCnt--
 }
 
@@ -148,6 +150,6 @@ func (c *Core) freeHeadSQ(e *robEntry) {
 	if e.sqIdx != c.sqHead {
 		panic("core: retiring store is not the SQ head")
 	}
-	c.sqHead = (c.sqHead + 1) % len(c.sq)
+	c.sqHead = ringAdd(c.sqHead, 1, len(c.sq))
 	c.sqCnt--
 }

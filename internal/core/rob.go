@@ -19,45 +19,53 @@ const (
 
 const noDep = -1
 
-// robEntry is one in-flight dynamic instruction.
+// robEntry is one in-flight dynamic instruction. The fields issue reads for
+// every waiting entry each cycle come first, so they share a cache line or
+// two, and the flags are packed together.
 type robEntry struct {
-	valid     bool
-	seq       uint64
-	pc        int
-	inst      isa.Inst
-	synthetic bool // defense fence injected at decode (Table V)
-	st        stage
-
-	execDoneAt uint64
+	seq  uint64
+	inst isa.Inst
 
 	// Operand capture: srcNRob is the producing ROB slot or noDep when the
 	// value is already in srcNVal.
 	src1Rob int
 	src2Rob int
-	src1Val uint64
-	src2Val uint64
-	destVal uint64
+
+	st        stage
+	valid     bool
+	synthetic bool // defense fence injected at decode (Table V)
+
+	// Fence-like ops.
+	fenceDone bool
 
 	// Control flow.
 	predTaken    bool
-	predTarget   int
 	btbMiss      bool // the indirect jump fetch is stalled on
 	hasSnap      bool
-	snap         bpred.State
 	resolved     bool
 	actualTaken  bool
-	actualTarget int
 	mispredicted bool
-
-	// Memory.
-	lqIdx int // physical LQ slot or -1
-	sqIdx int // physical SQ slot or -1
 
 	// RMW progress.
 	rmwIssued bool
 
-	// Fence-like ops.
-	fenceDone bool
+	execDoneAt uint64
+
+	src1Val uint64
+	src2Val uint64
+	destVal uint64
+	// consumers counts the src1Rob/src2Rob references younger entries
+	// still hold to this slot; popHead materializes them at retirement.
+	consumers int
+
+	pc           int
+	predTarget   int
+	actualTarget int
+	snap         bpred.State
+
+	// Memory.
+	lqIdx int // physical LQ slot or -1
+	sqIdx int // physical SQ slot or -1
 }
 
 func needsSrc1(op isa.Op) bool {
@@ -80,21 +88,52 @@ func needsSrc2(op isa.Op) bool {
 	return false
 }
 
+// ringAdd returns (i+n) mod size for 0 <= i < size and 0 <= n <= size. A %
+// by a size that is not a constant compiles to a division; every ROB, LQ
+// and SQ index goes through this compare-and-subtract instead.
+func ringAdd(i, n, size int) int {
+	i += n
+	if i >= size {
+		i -= size
+	}
+	return i
+}
+
 // robAt returns the entry at logical position i (0 = oldest).
 func (c *Core) robAt(i int) *robEntry {
-	return &c.rob[(c.robHead+i)%len(c.rob)]
+	return &c.rob[ringAdd(c.robHead, i, len(c.rob))]
 }
 
 // robPhys returns the physical index of logical position i.
-func (c *Core) robPhys(i int) int { return (c.robHead + i) % len(c.rob) }
+func (c *Core) robPhys(i int) int { return ringAdd(c.robHead, i, len(c.rob)) }
 
-// robLogical returns the logical position of a physical slot (O(ROB)).
+// robLogical returns the logical position of a physical slot.
 func (c *Core) robLogical(phys int) int {
 	l := phys - c.robHead
 	if l < 0 {
 		l += len(c.rob)
 	}
 	return l
+}
+
+// dropSlot removes phys from an age-ordered slot list.
+func dropSlot(list []int, phys int) []int {
+	for i, p := range list {
+		if p == phys {
+			return append(list[:i], list[i+1:]...)
+		}
+	}
+	return list
+}
+
+// truncSlots drops the entries at logical position L and younger from an
+// age-ordered slot list (they are a suffix of it).
+func (c *Core) truncSlots(list []int, L int) []int {
+	n := len(list)
+	for n > 0 && c.robLogical(list[n-1]) >= L {
+		n--
+	}
+	return list[:n]
 }
 
 // dispatch renames and inserts instructions from the fetch buffer into the
@@ -107,7 +146,7 @@ func (c *Core) dispatch() {
 		if c.haltSeen {
 			return
 		}
-		fi := c.fetchBuf[0]
+		fi := &c.fetchBuf[0]
 		op := fi.inst.Op
 		// The scheme may refuse to dispatch past a basic-block boundary
 		// while older control flow is unresolved. The stall is transient:
@@ -135,7 +174,7 @@ func (c *Core) dispatch() {
 			return
 		}
 		if fenceBefore {
-			c.insertEntry(fetchedInst{pc: fi.pc, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
+			c.insertEntry(&fetchedInst{pc: fi.pc, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
 			n++
 		}
 		c.fetchBuf = c.fetchBuf[1:]
@@ -145,11 +184,11 @@ func (c *Core) dispatch() {
 			// dispatched (it would execute speculatively past the end of
 			// the program, polluting the caches).
 			c.haltSeen = true
-			c.fetchBuf = c.fetchBuf[:0]
+			c.fetchBuf = c.fetchMem[:0]
 			return
 		}
 		if fenceAfter {
-			c.insertEntry(fetchedInst{pc: fi.pc, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
+			c.insertEntry(&fetchedInst{pc: fi.pc, inst: isa.Inst{Op: isa.OpFence}, synthetic: true})
 			n++
 		}
 	}
@@ -162,7 +201,7 @@ func isBranchNeedingFence(op isa.Op) bool {
 // insertEntry allocates and renames one ROB entry. Callers have verified
 // space. A synthetic fetchedInst (defense fence) consumes no fetch-buffer
 // slot.
-func (c *Core) insertEntry(fi fetchedInst) {
+func (c *Core) insertEntry(fi *fetchedInst) {
 	phys := c.robPhys(c.robCnt)
 	c.robCnt++
 	e := &c.rob[phys]
@@ -188,6 +227,7 @@ func (c *Core) insertEntry(fi fetchedInst) {
 	if needsSrc1(op) {
 		if p := c.rat[fi.inst.Rs1]; p >= 0 {
 			e.src1Rob = p
+			c.rob[p].consumers++
 		} else {
 			e.src1Val = c.regs[fi.inst.Rs1]
 		}
@@ -195,6 +235,7 @@ func (c *Core) insertEntry(fi fetchedInst) {
 	if needsSrc2(op) {
 		if p := c.rat[fi.inst.Rs2]; p >= 0 {
 			e.src2Rob = p
+			c.rob[p].consumers++
 		} else {
 			e.src2Val = c.regs[fi.inst.Rs2]
 		}
@@ -216,6 +257,15 @@ func (c *Core) insertEntry(fi fetchedInst) {
 			e.fenceDone = true
 		}
 	}
+	if e.st == stDispatched {
+		c.waiting = append(c.waiting, phys)
+	}
+	if isFenceLike(e) && !e.fenceDone {
+		c.openFences++
+		c.barriers = append(c.barriers, phys)
+	} else if op == isa.OpRMW {
+		c.barriers = append(c.barriers, phys)
+	}
 }
 
 // srcReady pulls a source operand if its producer has completed, and reports
@@ -230,6 +280,7 @@ func (c *Core) srcReady(rob *int, val *uint64) bool {
 	}
 	*val = p.destVal
 	*rob = noDep
+	p.consumers--
 	return true
 }
 
@@ -240,93 +291,175 @@ func (c *Core) operandsReady(e *robEntry) bool {
 }
 
 // issue selects up to IssueWidth ready instructions, oldest first, honouring
-// functional-unit counts and fence blocking.
+// functional-unit counts and fence blocking. It walks the dispatched
+// entries only; issueGate applies the ordering rules.
 func (c *Core) issue() {
 	slots := c.cfg.IssueWidth
-	alus := c.cfg.IntALUs
-	muldivs := c.cfg.MulDivUnits
-	agus := c.cfg.L1D.Ports
-	blockedAll := false // incomplete synthetic (defense) fence seen
-	blockedMem := false // incomplete memory fence / acquire seen
-	for i := 0; i < c.robCnt && slots > 0; i++ {
-		e := c.robAt(i)
-		op := e.inst.Op
-		if e.st == stDispatched {
-			if blockedAll {
-				continue
-			}
-			if blockedMem && (op.IsMem() || op == isa.OpFence) {
-				continue
-			}
-			if !c.operandsReady(e) {
-				goto trackFences
-			}
-			switch {
-			case op == isa.OpCycle:
-				if alus == 0 {
-					goto trackFences
-				}
-				alus--
-				e.st = stExecuting
-				e.execDoneAt = c.now + 1
-			case op == isa.OpMul:
-				if muldivs == 0 {
-					goto trackFences
-				}
-				muldivs--
-				e.st = stExecuting
-				e.execDoneAt = c.now + uint64(c.cfg.LatMul)
-			case op == isa.OpDiv || op == isa.OpDivS || op == isa.OpRemU:
-				if muldivs == 0 {
-					goto trackFences
-				}
-				muldivs--
-				e.st = stExecuting
-				e.execDoneAt = c.now + uint64(c.cfg.LatDiv)
-			case op.IsALU():
-				if alus == 0 {
-					goto trackFences
-				}
-				alus--
-				e.st = stExecuting
-				e.execDoneAt = c.now + uint64(c.cfg.LatALU)
-			case op.IsBranch():
-				if alus == 0 {
-					goto trackFences
-				}
-				alus--
-				e.st = stExecuting
-				e.execDoneAt = c.now + 1
-			case op.IsMem():
-				// Address generation.
-				if agus == 0 {
-					goto trackFences
-				}
-				agus--
-				e.st = stExecuting
-				e.execDoneAt = c.now + 1
-			case op == isa.OpFence || op == isa.OpAcquire || op == isa.OpRelease:
-				// Fences occupy no FU; completion is tracked separately.
-				e.st = stWaitMem
-			default:
-				e.st = stCompleted
-			}
+	fu := fuBudget{alus: c.cfg.IntALUs, muldivs: c.cfg.MulDivUnits, agus: c.cfg.L1D.Ports}
+	g := c.issueGate()
+	list := c.waiting
+	kept, r := 0, 0
+	for ; r < len(list) && slots > 0; r++ {
+		phys := list[r]
+		e := &c.rob[phys]
+		if g.closed(e) {
+			break
+		}
+		if g.holds(e) {
+			list[kept] = phys
+			kept++
+			continue
+		}
+		if c.operandsReady(e) && c.startExec(phys, e, &fu) {
 			slots--
+		} else {
+			list[kept] = phys
+			kept++
 		}
-	trackFences:
-		if isFenceLike(e) && !e.fenceDone {
-			if e.synthetic {
-				blockedAll = true
-			} else if op == isa.OpFence || op == isa.OpAcquire {
-				blockedMem = true
+		g.consider(e)
+	}
+	kept += copy(list[kept:], list[r:])
+	c.waiting = list[:kept]
+}
+
+// fuBudget is the functional units issue has left this cycle.
+type fuBudget struct{ alus, muldivs, agus int }
+
+// startExec issues e if a functional unit of the kind it needs is free, and
+// reports whether it did. Fences occupy no unit.
+func (c *Core) startExec(phys int, e *robEntry, fu *fuBudget) bool {
+	op := e.inst.Op
+	var lat uint64
+	switch {
+	case op == isa.OpCycle:
+		if fu.alus == 0 {
+			return false
+		}
+		fu.alus--
+		lat = 1
+	case op == isa.OpMul:
+		if fu.muldivs == 0 {
+			return false
+		}
+		fu.muldivs--
+		lat = uint64(c.cfg.LatMul)
+	case op == isa.OpDiv || op == isa.OpDivS || op == isa.OpRemU:
+		if fu.muldivs == 0 {
+			return false
+		}
+		fu.muldivs--
+		lat = uint64(c.cfg.LatDiv)
+	case op.IsALU():
+		if fu.alus == 0 {
+			return false
+		}
+		fu.alus--
+		lat = uint64(c.cfg.LatALU)
+	case op.IsBranch():
+		if fu.alus == 0 {
+			return false
+		}
+		fu.alus--
+		lat = 1
+	case op.IsMem():
+		// Address generation.
+		if fu.agus == 0 {
+			return false
+		}
+		fu.agus--
+		lat = 1
+	case op == isa.OpFence || op == isa.OpAcquire || op == isa.OpRelease:
+		// Fences occupy no FU; completion is tracked separately.
+		e.st = stWaitMem
+		return true
+	default:
+		e.st = stCompleted
+		return true
+	}
+	e.st = stExecuting
+	e.execDoneAt = c.now + lat
+	c.insertExecuting(phys)
+	return true
+}
+
+// insertExecuting adds a slot to the age-ordered executing list.
+func (c *Core) insertExecuting(phys int) {
+	seq := c.rob[phys].seq
+	l := append(c.executing, phys)
+	i := len(l) - 1
+	for ; i > 0 && c.rob[l[i-1]].seq > seq; i-- {
+		l[i] = l[i-1]
+	}
+	l[i] = phys
+	c.executing = l
+}
+
+// Barrier kinds, by what they hold back at issue.
+const (
+	barrierNone = iota
+	barrierMem  // younger memory operations and fences wait
+	barrierAll  // every younger instruction waits
+)
+
+// barrierOf classifies e as an ordering point for issue. An incomplete
+// synthetic (defense) fence holds back everything younger; an incomplete
+// full fence or acquire holds back younger memory operations and fences.
+// So does an incomplete atomic: it has fence semantics, and younger loads
+// have no forwarding path from it, so letting them read around it would
+// break program order.
+func barrierOf(e *robEntry) int {
+	op := e.inst.Op
+	switch {
+	case isFenceLike(e) && !e.fenceDone:
+		if e.synthetic {
+			return barrierAll
+		}
+		if op == isa.OpFence || op == isa.OpAcquire {
+			return barrierMem
+		}
+	case op == isa.OpRMW && e.st != stCompleted:
+		return barrierMem
+	}
+	return barrierNone
+}
+
+// issueGate applies issue's ordering rules to a walk of the waiting list,
+// oldest first: all and mem are the sequence numbers of the oldest barriers
+// of each kind seen so far (^0 when none).
+type issueGate struct{ all, mem uint64 }
+
+// issueGate starts a walk from the oldest open barriers that have already
+// issued. A dispatched barrier joins only once the walk considers it, so
+// one that is itself held back holds back nothing younger.
+func (c *Core) issueGate() issueGate {
+	g := issueGate{all: ^uint64(0), mem: ^uint64(0)}
+	for _, phys := range c.barriers {
+		if e := &c.rob[phys]; e.st != stDispatched {
+			g.consider(e)
+			if g.all == e.seq {
+				break // nothing younger issues
 			}
 		}
-		// An incomplete atomic blocks younger memory operations: it has
-		// fence semantics, and younger loads have no forwarding path from
-		// it, so letting them read around it would break program order.
-		if op == isa.OpRMW && e.st != stCompleted {
-			blockedMem = true
-		}
+	}
+	return g
+}
+
+// closed reports whether e, and so every younger entry, is held back.
+func (g *issueGate) closed(e *robEntry) bool { return e.seq > g.all }
+
+// holds reports whether e waits for an older memory barrier.
+func (g *issueGate) holds(e *robEntry) bool {
+	op := e.inst.Op
+	return e.seq > g.mem && (op.IsMem() || op == isa.OpFence)
+}
+
+// consider adds e to the barriers that hold back younger entries.
+func (g *issueGate) consider(e *robEntry) {
+	switch barrierOf(e) {
+	case barrierAll:
+		g.all = e.seq
+	case barrierMem:
+		g.mem = min(g.mem, e.seq)
 	}
 }
 
@@ -339,13 +472,17 @@ func isFenceLike(e *robEntry) bool {
 }
 
 // completeExec moves instructions whose functional-unit latency has elapsed
-// into the completed state, resolving branches and store addresses.
+// into the completed state, oldest first, resolving branches and store
+// addresses.
 func (c *Core) completeExec() {
-	for i := 0; i < c.robCnt; i++ {
-		e := c.robAt(i)
-		if e.st != stExecuting || e.execDoneAt > c.now {
+	for r := 0; r < len(c.executing); {
+		phys := c.executing[r]
+		e := &c.rob[phys]
+		if e.execDoneAt > c.now {
+			r++
 			continue
 		}
+		c.executing = append(c.executing[:r], c.executing[r+1:]...)
 		op := e.inst.Op
 		switch {
 		case op == isa.OpCycle:
@@ -355,7 +492,7 @@ func (c *Core) completeExec() {
 			e.destVal = isa.EvalALU(op, e.src1Val, e.src2Val, e.inst.Imm)
 			e.st = stCompleted
 		case op.IsBranch():
-			if c.resolveBranch(i, e) {
+			if c.resolveBranch(c.robLogical(phys), e) {
 				return // squash invalidated the scan
 			}
 		case op == isa.OpLoad || op == isa.OpPrefetch:
@@ -373,7 +510,7 @@ func (c *Core) completeExec() {
 			sq.data = e.src2Val
 			sq.dataReady = true
 			e.st = stCompleted
-			if c.storeAliasSquash(i, sq) {
+			if c.storeAliasSquash(sq) {
 				return
 			}
 		case op == isa.OpRMW, op == isa.OpFlush:
@@ -459,14 +596,25 @@ func (c *Core) resolveBranch(logical int, e *robEntry) bool {
 // older store in the ROB and an empty write buffer); an acquire requires all
 // older loads performed; a release requires older loads performed and older
 // stores performed.
-func (c *Core) updateFenceCompletion() {
+func (c *Core) updateFenceCompletion() { c.scanFences(true) }
+
+// scanFences evaluates the open fences' completion conditions, oldest first.
+// With complete set it completes each fence whose condition holds (younger
+// fences then see it done) and reports whether any did; otherwise it
+// changes nothing and reports whether some condition holds. The walk ends
+// at the youngest open fence, or at the first unperformed load, past which
+// no condition can hold; with no fence open it does not start.
+func (c *Core) scanFences(complete bool) bool {
+	open := c.openFences
+	any := false
 	allOlderDone := true
 	olderLoadsPerformed := true
 	olderStorePresent := false
-	for i := 0; i < c.robCnt; i++ {
+	for i := 0; open > 0 && olderLoadsPerformed && i < c.robCnt; i++ {
 		e := c.robAt(i)
 		op := e.inst.Op
 		if isFenceLike(e) && !e.fenceDone {
+			open--
 			done := false
 			switch {
 			case e.synthetic:
@@ -479,8 +627,11 @@ func (c *Core) updateFenceCompletion() {
 				done = olderLoadsPerformed && !olderStorePresent && len(c.wb) == 0
 			}
 			if done {
-				e.fenceDone = true
-				e.st = stCompleted
+				if !complete {
+					return true
+				}
+				c.completeFence(c.robPhys(i), e)
+				any = true
 			}
 		}
 		if e.st != stCompleted {
@@ -499,4 +650,16 @@ func (c *Core) updateFenceCompletion() {
 			allOlderDone = false
 		}
 	}
+	return any
+}
+
+// completeFence completes the open fence-like entry e in slot phys.
+func (c *Core) completeFence(phys int, e *robEntry) {
+	if e.st == stDispatched {
+		c.waiting = dropSlot(c.waiting, phys)
+	}
+	e.fenceDone = true
+	e.st = stCompleted
+	c.openFences--
+	c.barriers = dropSlot(c.barriers, phys)
 }

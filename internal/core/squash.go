@@ -40,8 +40,8 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 			// snapshot, or stale entries survive the squash: a deep
 			// CALL-nest squashed this way leaves rasTop wrapped into
 			// garbage and every return after re-fetch mispredicts.
-			for _, fi := range c.fetchBuf {
-				if fi.hasSnap {
+			for i := range c.fetchBuf {
+				if fi := &c.fetchBuf[i]; fi.hasSnap {
 					c.bp.Restore(fi.snap)
 					break
 				}
@@ -62,8 +62,20 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 			c.sq[e.sqIdx].valid = false
 			c.sqCnt--
 		}
+		if e.src1Rob != noDep {
+			c.rob[e.src1Rob].consumers--
+		}
+		if e.src2Rob != noDep {
+			c.rob[e.src2Rob].consumers--
+		}
+		if isFenceLike(e) && !e.fenceDone {
+			c.openFences--
+		}
 		e.valid = false
 	}
+	c.waiting = c.truncSlots(c.waiting, L)
+	c.executing = c.truncSlots(c.executing, L)
+	c.barriers = c.truncSlots(c.barriers, L)
 	// Squash-time defense cleanup (e.g. SpecBox flushes the labels of the
 	// speculative loads the squash invalidated).
 	c.sch.OnSquash(c.st, specFlushed)
@@ -81,7 +93,7 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 		}
 	}
 	c.epoch++
-	c.fetchBuf = c.fetchBuf[:0]
+	c.fetchBuf = c.fetchMem[:0]
 	c.fetchInFlight = false
 	c.fetchToken = 0
 	c.fetchStalled = false

@@ -166,54 +166,10 @@ func (c *Core) wbWantsIssue() bool {
 	return false
 }
 
-// fenceWouldComplete mirrors updateFenceCompletion: true when some
-// fence-like entry's completion condition already holds, so the next tick
-// would complete it.
-func (c *Core) fenceWouldComplete() bool {
-	allOlderDone := true
-	olderLoadsPerformed := true
-	olderStorePresent := false
-	for i := 0; i < c.robCnt; i++ {
-		e := c.robAt(i)
-		op := e.inst.Op
-		if isFenceLike(e) && !e.fenceDone {
-			switch {
-			case e.synthetic:
-				if allOlderDone {
-					return true
-				}
-			case op == isa.OpFence:
-				if allOlderDone && !olderStorePresent && len(c.wb) == 0 {
-					return true
-				}
-			case op == isa.OpAcquire:
-				if olderLoadsPerformed {
-					return true
-				}
-			case op == isa.OpRelease:
-				if olderLoadsPerformed && !olderStorePresent && len(c.wb) == 0 {
-					return true
-				}
-			}
-		}
-		if e.st != stCompleted {
-			allOlderDone = false
-		}
-		if op == isa.OpLoad {
-			if e.lqIdx >= 0 && !c.lq[e.lqIdx].performed {
-				olderLoadsPerformed = false
-				allOlderDone = false
-			}
-		}
-		if op == isa.OpStore {
-			olderStorePresent = true
-		}
-		if isFenceLike(e) && !e.fenceDone {
-			allOlderDone = false
-		}
-	}
-	return false
-}
+// fenceWouldComplete reports whether the next tick's updateFenceCompletion
+// would complete some fence-like entry: the same walk, run without
+// completing anything.
+func (c *Core) fenceWouldComplete() bool { return c.scanFences(false) }
 
 // headMemWouldAct mirrors flushStep and rmwStep: both act only on the ROB
 // head once it reaches stWaitMem.
@@ -231,49 +187,36 @@ func (c *Core) headMemWouldAct() bool {
 	return false
 }
 
-// robWake mirrors issue and completeExec over the ROB window: it reports
-// busy when a dispatched entry is ready and unblocked (issue would fire),
-// and otherwise collects the earliest functional-unit completion as a wake
+// robWake reads issue's and completeExec's lists: it reports busy when a
+// dispatched entry is unblocked with its operands available (issue would
+// fire), and otherwise the earliest functional-unit completion as a wake
 // hint (completeExec compares execDoneAt for equality-or-past, so the jump
 // must land exactly on it — OpCycle reads the landing cycle as its value).
 func (c *Core) robWake() (uint64, bool) {
+	g := c.issueGate()
+	for _, phys := range c.waiting {
+		e := &c.rob[phys]
+		if g.closed(e) {
+			break
+		}
+		if g.holds(e) {
+			continue
+		}
+		if c.srcAvail(e.src1Rob) && c.srcAvail(e.src2Rob) {
+			return 0, true
+		}
+		g.consider(e)
+	}
 	wake := NeverWake
-	blockedAll := false // incomplete synthetic (defense) fence seen
-	blockedMem := false // incomplete memory fence / acquire / atomic seen
-	for i := 0; i < c.robCnt; i++ {
-		e := c.robAt(i)
-		op := e.inst.Op
-		if e.st == stExecuting && e.execDoneAt < wake {
-			wake = e.execDoneAt
-		}
-		if e.st == stDispatched {
-			// Mirror issue()'s skip structure: entries suppressed by an older
-			// fence do not track their own fence flags this cycle either.
-			if blockedAll {
-				continue
-			}
-			if blockedMem && (op.IsMem() || op == isa.OpFence) {
-				continue
-			}
-			ready := (e.src1Rob == noDep || c.rob[e.src1Rob].st == stCompleted) &&
-				(e.src2Rob == noDep || c.rob[e.src2Rob].st == stCompleted)
-			if ready {
-				return 0, true
-			}
-		}
-		if isFenceLike(e) && !e.fenceDone {
-			if e.synthetic {
-				blockedAll = true
-			} else if op == isa.OpFence || op == isa.OpAcquire {
-				blockedMem = true
-			}
-		}
-		if op == isa.OpRMW && e.st != stCompleted {
-			blockedMem = true
-		}
+	for _, phys := range c.executing {
+		wake = min(wake, c.rob[phys].execDoneAt)
 	}
 	return wake, false
 }
+
+// srcAvail reports whether a source operand renamed to ROB slot p (or
+// noDep) can be read: operandsReady without the capture.
+func (c *Core) srcAvail(p int) bool { return p == noDep || c.rob[p].st == stCompleted }
 
 // lqWake mirrors memStep's per-entry progression: deferred-TLB loads that
 // have reached visibility, reuse waiters whose source resolved, and loads
@@ -377,10 +320,8 @@ func (c *Core) fetchWake(now uint64) (uint64, bool) {
 	if len(c.fetchBuf) >= 2*c.cfg.FetchWidth {
 		return NeverWake, false
 	}
-	for _, fi := range c.fetchBuf {
-		if fi.inst.Op == isa.OpHalt {
-			return NeverWake, false
-		}
+	if c.haltFetched() {
+		return NeverWake, false
 	}
 	if c.fetchResumeAt > now+1 {
 		return c.fetchResumeAt, false

@@ -44,12 +44,12 @@ func dirEntryOf(line *cache.Line) coherence.DirEntry {
 	if line == nil {
 		return coherence.DirEntry{Owner: coherence.NoOwner}
 	}
-	return coherence.DirEntry{Present: true, Sharers: line.Sharers, Owner: line.Owner}
+	return coherence.DirEntry{Present: true, Sharers: line.Sharers, Owner: int(line.Owner)}
 }
 
 func storeDirEntry(line *cache.Line, e coherence.DirEntry) {
 	line.Sharers = e.Sharers
-	line.Owner = e.Owner
+	line.Owner = int32(e.Owner)
 }
 
 // sendToBank routes a demand GetS/GetX to the line's home bank.

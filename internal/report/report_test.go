@@ -1,7 +1,9 @@
 package report
 
 import (
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -80,17 +82,49 @@ func TestRenderJobBench(t *testing.T) {
 	}
 }
 
+// writeHistoryFixture writes two synthetic history points, BENCH_a.json and
+// BENCH_b.json, plus a wrong-schema BENCH_c.json that LoadHistory must skip.
+func writeHistoryFixture(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for i, name := range []string{"BENCH_a.json", "BENCH_b.json"} {
+		b := &runner.Bench{Schema: runner.BenchSchema, Name: name, Warmup: 10, Measure: 100}
+		for _, w := range []string{"mcf", "sjeng"} {
+			b.Runs = append(b.Runs,
+				runner.BenchRun{Workload: w, Defense: "Base", Consistency: "TSO", NormalizedTime: 1},
+				runner.BenchRun{Workload: w, Defense: "IS-Fu", Consistency: "TSO", NormalizedTime: 1.1 + 0.1*float64(i)},
+				runner.BenchRun{Workload: w, Defense: "IS-Fu", Consistency: "RC", NormalizedTime: 9})
+		}
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := runner.WriteBenchJSON(f, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_c.json"), []byte(`{"schema":"other"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
 func TestLoadHistoryAndRenderTrends(t *testing.T) {
-	hist, err := LoadHistory("../..")
+	hist, err := LoadHistory(writeHistoryFixture(t))
 	if err != nil {
 		t.Fatalf("LoadHistory: %v", err)
 	}
-	if len(hist) == 0 {
-		t.Skip("no committed BENCH_*.json history")
+	if len(hist) != 2 || hist[0].File != "BENCH_a.json" || hist[1].File != "BENCH_b.json" {
+		t.Fatalf("history = %+v, want BENCH_a.json then BENCH_b.json", hist)
 	}
-	for _, h := range hist {
-		if len(h.Defenses) == 0 || h.Avg[h.Defenses[0]] == 0 {
-			t.Errorf("history point %s has no averages", h.File)
+	for i, want := range []float64{1.1, 1.2} {
+		h := hist[i]
+		if len(h.Defenses) != 2 || h.Avg["Base"] != 1 || math.Abs(h.Avg["IS-Fu"]-want) > 1e-9 {
+			t.Errorf("history point %s: defenses %v, averages %v; want Base 1 and TSO-only IS-Fu %v",
+				h.File, h.Defenses, h.Avg, want)
 		}
 	}
 	var sb strings.Builder
