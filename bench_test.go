@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"testing"
 
+	"invisispec/internal/campaign"
 	"invisispec/internal/config"
 	"invisispec/internal/engine"
 	"invisispec/internal/harness"
@@ -44,43 +45,42 @@ func reportRun(b *testing.B, r harness.Result) {
 }
 
 // benchSuite runs workload x defense sub-benchmarks for one suite. Each
-// sub-benchmark goes through the experiment runner (a one-job matrix), the
-// same path cmd/benchtable uses, so the benches exercise what the figures
-// measure.
-func benchSuite(b *testing.B, names []string, parsec bool) {
+// sub-benchmark measures one matrix cell with harness.MeasureWorkload, the
+// measurement every campaign.Sweep cell makes, so the benches exercise what
+// the figures measure.
+func benchSuite(b *testing.B, names []string) {
 	for _, name := range names {
 		for _, d := range config.AllDefenses() {
 			b.Run(fmt.Sprintf("%s/%s", name, d), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					jobs := []runner.Job{{
-						Workload: name, Parsec: parsec, Defense: d,
-						Consistency: config.TSO,
-						Warmup:      benchWarmup, Measure: benchMeasure,
-					}}
-					results := runner.Run(context.Background(), jobs, runner.Options{Jobs: 1})
-					if err := runner.FirstError(results); err != nil {
+					r, err := harness.MeasureWorkload(name, d, config.TSO, benchWarmup, benchMeasure)
+					if err != nil {
 						b.Fatal(err)
 					}
-					reportRun(b, results[0].Result)
+					reportRun(b, r)
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkRunnerFig4 runs the full Figure-4 TSO matrix (all SPEC kernels x
-// every registered defense) through the worker pool. Host time is the metric: run with
-// -cpu 1,4,8 to see the pool's wall-clock scaling on the exact workload the
-// figure generator shards (the ISSUE-2 acceptance measurement).
-func BenchmarkRunnerFig4(b *testing.B) {
+// BenchmarkSweepFig4 runs the full Figure-4 TSO matrix (all SPEC kernels x
+// every registered defense) through campaign.Sweep, the path cmd/benchtable
+// takes. Host time is the metric: run with -cpu 1,4,8 to see the pool's
+// wall-clock scaling on the exact workload the figure generator shards.
+func BenchmarkSweepFig4(b *testing.B) {
 	jobs := runner.Matrix(workload.SPECNames(), false,
 		[]config.Consistency{config.TSO}, config.AllDefenses(), nil,
 		benchWarmup, benchMeasure)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results := runner.Run(context.Background(), jobs, runner.Options{Jobs: runtime.GOMAXPROCS(0)})
-		if err := runner.FirstError(results); err != nil {
+		_, bench, err := campaign.Sweep(context.Background(), "fig4", jobs, engine.KernelFast,
+			campaign.Options{Workers: runtime.GOMAXPROCS(0)}, nil)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if len(bench.Degraded) > 0 {
+			b.Fatalf("%d cells degraded: %s", len(bench.Degraded), bench.Degraded[0].Error)
 		}
 	}
 	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
@@ -90,13 +90,13 @@ func BenchmarkRunnerFig4(b *testing.B) {
 // under the five Table V configurations (TSO). The same runs yield the
 // Figure 6 traffic metrics.
 func BenchmarkFig4SPECTime(b *testing.B) {
-	benchSuite(b, workload.SPECNames(), false)
+	benchSuite(b, workload.SPECNames())
 }
 
 // BenchmarkFig7PARSECTime regenerates Figure 7 (and Figure 8's traffic
 // metrics): the nine PARSEC-like kernels on the 8-core machine.
 func BenchmarkFig7PARSECTime(b *testing.B) {
-	benchSuite(b, workload.PARSECNames(), true)
+	benchSuite(b, workload.PARSECNames())
 }
 
 // BenchmarkFig5Attack regenerates Figure 5: the Spectre PoC's probe-latency
@@ -135,7 +135,7 @@ func BenchmarkTable6Characterization(b *testing.B) {
 		for _, d := range []config.Defense{config.ISSpectre, config.ISFuture} {
 			b.Run(fmt.Sprintf("%s/%s", name, d), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					r, err := harness.MeasureSPEC(name, d, config.TSO, benchWarmup, benchMeasure)
+					r, err := harness.MeasureWorkload(name, d, config.TSO, benchWarmup, benchMeasure)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -10,7 +10,7 @@
 //	benchtable -table 7    L1-SB / LLC-SB hardware overhead
 //
 // -measure scales the per-run instruction budget. The experiment matrix is
-// sharded across -jobs workers (default: all host CPUs) by internal/runner;
+// swept by campaign.Sweep across -jobs workers (default: all host CPUs);
 // each run is an isolated single-goroutine machine, and the aggregated
 // output is byte-identical to a -jobs 1 run. -benchjson additionally writes
 // the schema-versioned BENCH artifact that cmd/benchdiff gates CI with.
@@ -196,122 +196,104 @@ func reproFor(name string, j runner.Job) string {
 	return cmd
 }
 
-// runMatrix shards the jobs across the campaign layer (checkpoint journal,
+// runMatrix sweeps the jobs through campaign.Sweep (checkpoint journal,
 // typed retries, optional isolation — see the -journal/-resume/-retries/
 // -isolate flags), records every measurement in the CSV and bench-JSON
 // sinks, and degrades gracefully: cells that fail permanently land in the
 // artifact's degraded block with a repro command and the sweep exits
 // non-zero after writing everything, instead of aborting on first error.
+//
+// -comparekernels is the CI-level half of the kernel-equivalence oracle
+// (the unit-level half is internal/sim's TestKernelEquivalence): a second
+// pass of the same campaign sweeps the matrix under the cycle-by-cycle
+// reference stepper, sharing the first pass's journal, and the sweep fails
+// unless the deterministic bench payload — every counter of every run — is
+// byte-identical to the fast kernel's. Both passes' wall times land in the
+// artifact's quarantined host block, so benchdiff trajectories record the
+// fast-forward speedup without gating on it.
 func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
+	artName := name
+	if *bjName != "" {
+		artName = *bjName
+	}
+	repro := func(j runner.Job) string { return reproFor(name, j) }
 	copts := campaignFlags()
 	copts.Workers = *jobsN
 	if !*quiet {
 		copts.Progress = os.Stderr
 	}
 	start := time.Now()
-	outcomes, err := campaign.Run(context.Background(), "benchtable-"+name,
-		campaign.JobCells(jobs, engine.KernelFast, 0), copts)
-	if err != nil {
-		fail(err)
-	}
-	results, err := campaign.JobResults(jobs, outcomes)
+	results, b, err := campaign.Sweep(context.Background(), artName, jobs, engine.KernelFast, copts, repro)
 	if err != nil {
 		fail(err)
 	}
 	wall := time.Since(start)
-	degraded := campaign.Degraded(outcomes, func(o campaign.Outcome) string {
-		return reproFor(name, jobs[o.Index])
-	})
 	for _, r := range results {
 		if r.Err == nil {
 			csvRow(r)
 		}
 	}
-	var kernelWall map[string]time.Duration
-	if *cmpK {
-		if len(degraded) > 0 {
-			fail(fmt.Errorf("-comparekernels: %d cell(s) degraded, cannot certify kernel equivalence", len(degraded)))
-		}
-		opts := runner.Options{Jobs: *jobsN}
-		if !*quiet {
-			opts.Progress = os.Stderr
-		}
-		kernelWall = compareKernels(jobs, results, wall, opts)
+	if *bjHost {
+		b.WithHost(wall, *jobsN, results)
 	}
-	writeBenchJSON(results, name, degraded, wall, kernelWall)
+	if *cmpK {
+		if len(b.Degraded) > 0 {
+			fail(fmt.Errorf("-comparekernels: %d cell(s) degraded, cannot certify kernel equivalence", len(b.Degraded)))
+		}
+		// One journal checkpoints both passes: the stepped pass must
+		// resume from it, not truncate the fast pass's cells.
+		if copts.Journal != "" {
+			copts.Resume = true
+		}
+		start = time.Now()
+		_, stepped, err := campaign.Sweep(context.Background(), artName, jobs, engine.KernelStepped, copts, repro)
+		if err != nil {
+			fail(fmt.Errorf("stepped-kernel rerun: %w", err))
+		}
+		steppedWall := time.Since(start)
+		if campaign.PrintDegraded(os.Stderr, "benchtable", stepped.Degraded) {
+			fail(fmt.Errorf("stepped-kernel rerun: %d cell(s) degraded", len(stepped.Degraded)))
+		}
+		fastPayload, err := b.DeterministicPayload()
+		if err != nil {
+			fail(err)
+		}
+		steppedPayload, err := stepped.DeterministicPayload()
+		if err != nil {
+			fail(err)
+		}
+		if !bytes.Equal(fastPayload, steppedPayload) {
+			fail(fmt.Errorf("kernel equivalence violated: stepped and fast payloads differ over %d jobs\n--- fast ---\n%s\n--- stepped ---\n%s",
+				len(jobs), fastPayload, steppedPayload))
+		}
+		if !*quiet {
+			fmt.Fprintf(os.Stderr, "kernels: %d jobs byte-identical; fast %s vs stepped %s (%.2fx)\n",
+				len(jobs), wall.Round(time.Millisecond), steppedWall.Round(time.Millisecond),
+				float64(steppedWall)/float64(wall))
+		}
+		if *bjHost {
+			b.WithKernelWall(engine.KernelFast.String(), wall)
+			b.WithKernelWall(engine.KernelStepped.String(), steppedWall)
+		}
+	}
+	if *bjPath != "" {
+		if err := artifact.Write(*bjPath, func(w io.Writer) error {
+			return runner.WriteBenchJSON(w, b)
+		}); err != nil {
+			fail(err)
+		}
+	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "runner: %d jobs in %s at -jobs %d\n",
 			len(jobs), wall.Round(time.Millisecond), *jobsN)
 	}
-	if campaign.PrintDegraded(os.Stderr, "benchtable", degraded) {
+	if campaign.PrintDegraded(os.Stderr, "benchtable", b.Degraded) {
 		// The artifact and CSV are complete (minus the degraded cells);
 		// the human-readable tables would just divide by missing baselines.
 		csvClose()
 		os.Exit(1)
 	}
 	return results
-}
-
-// compareKernels is the CI-level half of the kernel-equivalence oracle (the
-// unit-level half is internal/sim's TestKernelEquivalence): it re-runs the
-// exact job matrix under the cycle-by-cycle reference stepper and fails the
-// sweep unless the deterministic bench payload — every counter of every run —
-// is byte-identical to the fast kernel's. On success it returns both sweeps'
-// wall times for the artifact's quarantined host block, so benchdiff
-// trajectories record the fast-forward speedup without gating on it.
-func compareKernels(jobs []runner.Job, fast []runner.JobResult, fastWall time.Duration, opts runner.Options) map[string]time.Duration {
-	opts.Harness = append([]harness.Option{}, opts.Harness...)
-	opts.Harness = append(opts.Harness, harness.WithKernel(engine.KernelStepped))
-	start := time.Now()
-	stepped := runner.Run(context.Background(), jobs, opts)
-	steppedWall := time.Since(start)
-	if err := runner.FirstError(stepped); err != nil {
-		fail(fmt.Errorf("stepped-kernel rerun: %w", err))
-	}
-	fastPayload, err := runner.NewBench("kernelcheck", *warmup, *measure, fast).DeterministicPayload()
-	if err != nil {
-		fail(err)
-	}
-	steppedPayload, err := runner.NewBench("kernelcheck", *warmup, *measure, stepped).DeterministicPayload()
-	if err != nil {
-		fail(err)
-	}
-	if !bytes.Equal(fastPayload, steppedPayload) {
-		fail(fmt.Errorf("kernel equivalence violated: stepped and fast payloads differ over %d jobs\n--- fast ---\n%s\n--- stepped ---\n%s",
-			len(jobs), fastPayload, steppedPayload))
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "kernels: %d jobs byte-identical; fast %s vs stepped %s (%.2fx)\n",
-			len(jobs), fastWall.Round(time.Millisecond), steppedWall.Round(time.Millisecond),
-			float64(steppedWall)/float64(fastWall))
-	}
-	return map[string]time.Duration{
-		engine.KernelFast.String():    fastWall,
-		engine.KernelStepped.String(): steppedWall,
-	}
-}
-
-// writeBenchJSON emits the -benchjson artifact, if requested.
-func writeBenchJSON(results []runner.JobResult, name string, degraded []artifact.DegradedCell, wall time.Duration, kernelWall map[string]time.Duration) {
-	if *bjPath == "" {
-		return
-	}
-	if *bjName != "" {
-		name = *bjName
-	}
-	b := runner.NewBench(name, *warmup, *measure, results)
-	b.Degraded = degraded
-	if *bjHost {
-		b.WithHost(wall, *jobsN, results)
-		for k, w := range kernelWall {
-			b.WithKernelWall(k, w)
-		}
-	}
-	if err := artifact.Write(*bjPath, func(w io.Writer) error {
-		return runner.WriteBenchJSON(w, b)
-	}); err != nil {
-		fail(err)
-	}
 }
 
 // seedAxis parses -faultseeds. Empty means the fault-free single-seed

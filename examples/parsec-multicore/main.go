@@ -21,7 +21,7 @@ func main() {
 		"config", "mdl", "CPI", "squash/Mi", "validations", "exposures", "early-sq")
 	for _, cm := range []config.Consistency{config.TSO, config.RC} {
 		for _, d := range config.AllDefenses() {
-			r, err := harness.MeasurePARSEC(kernel, d, cm, 10000, 40000)
+			r, err := harness.MeasureWorkload(kernel, d, cm, 10000, 40000)
 			if err != nil {
 				panic(err)
 			}

@@ -1,10 +1,11 @@
 package campaign
 
-// Bench adapter: turns the runner's experiment-matrix jobs into campaign
+// Bench sweeps: turns the runner's experiment-matrix jobs into campaign
 // cells whose content key is the (workload, defense, consistency, seed,
-// budget, kernel) tuple, and maps campaign outcomes back into the JobResult
-// shape the figure generators and bench-JSON writer consume. cmd/benchtable
-// runs its whole matrix through this.
+// budget, kernel) tuple, maps campaign outcomes back into the JobResult
+// shape the figure generators consume, and assembles the bench-JSON
+// artifact. Sweep is the one path cmd/benchtable (both kernels of
+// -comparekernels) and the simulation server's sweep jobs run through.
 
 import (
 	"context"
@@ -63,19 +64,16 @@ func RunJobSpec(ctx context.Context, s JobSpec) (harness.Result, error) {
 	return harness.MeasureWorkload(s.Workload, s.Defense, s.Consistency, s.Warmup, s.Measure, opts...)
 }
 
-// JobCells wraps an experiment matrix as campaign cells under one kernel.
+// JobCells wraps an experiment matrix as campaign cells under one kernel,
+// each attempt bounded by timeout (0 = Options.CellTimeout).
 func JobCells(jobs []runner.Job, kernel engine.Kernel, timeout time.Duration) []Cell {
 	cells := make([]Cell, len(jobs))
 	for i, j := range jobs {
 		spec := SpecForJob(j, kernel)
-		perCell := j.Timeout
-		if perCell == 0 {
-			perCell = timeout
-		}
 		cells[i] = Cell{
 			Name:    j.String(),
 			Spec:    spec,
-			Timeout: perCell,
+			Timeout: timeout,
 			Run: func(ctx context.Context) (any, error) {
 				return RunJobSpec(ctx, spec)
 			},
@@ -102,4 +100,37 @@ func JobResults(jobs []runner.Job, outcomes []Outcome) ([]runner.JobResult, erro
 		}
 	}
 	return results, nil
+}
+
+// Sweep runs a bench matrix under one kernel as the campaign
+// "sweep-<name>" and assembles the bench artifact called name: JobCells,
+// Run, JobResults, runner.NewBench, and the degraded block, whose repro
+// commands come from repro (nil leaves them empty). The artifact's budget
+// is the matrix's, which every job of it shares. The artifact carries no
+// host block; callers that want one attach it.
+//
+// Sweeping the same matrix under both kernels into one journal needs
+// Resume on the second pass, or it truncates the first pass's
+// checkpoints: cell keys differ by kernel, so the passes never collide.
+func Sweep(ctx context.Context, name string, jobs []runner.Job, kernel engine.Kernel, opts Options, repro func(runner.Job) string) ([]runner.JobResult, *runner.Bench, error) {
+	outcomes, err := Run(ctx, "sweep-"+name, JobCells(jobs, kernel, 0), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := JobResults(jobs, outcomes)
+	if err != nil {
+		return nil, nil, err
+	}
+	var warmup, measure uint64
+	if len(jobs) > 0 {
+		warmup, measure = jobs[0].Warmup, jobs[0].Measure
+	}
+	b := runner.NewBench(name, warmup, measure, results)
+	b.Degraded = Degraded(outcomes, func(o Outcome) string {
+		if repro == nil {
+			return ""
+		}
+		return repro(jobs[o.Index])
+	})
+	return results, b, nil
 }

@@ -143,8 +143,10 @@ func TestChaosBenchKillResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := runner.FirstError(results); err != nil {
-			t.Fatal(err)
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
 		}
 		p, err := runner.NewBench("chaos", 500, 2000, results).DeterministicPayload()
 		if err != nil {

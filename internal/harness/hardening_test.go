@@ -15,7 +15,7 @@ import (
 // windows) run twice serializes to byte-identical results.
 func TestMeasureDeterministic(t *testing.T) {
 	measure := func() string {
-		r, err := MeasureSPEC("libquantum", config.ISSpectre, config.TSO, 3000, 8000)
+		r, err := MeasureWorkload("libquantum", config.ISSpectre, config.TSO, 3000, 8000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestMeasureDeterministic(t *testing.T) {
 // identical perturbed runs.
 func TestMeasureDeterministicUnderFaults(t *testing.T) {
 	measure := func(seed int64) string {
-		r, err := MeasureSPEC("libquantum", config.ISSpectre, config.TSO, 3000, 8000,
+		r, err := MeasureWorkload("libquantum", config.ISSpectre, config.TSO, 3000, 8000,
 			WithFaultSeed(seed), WithChecking(invariant.Options{Interval: 1024}))
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func TestMeasureErrorContext(t *testing.T) {
 	// window exhausts deterministically.
 	budgetPerInstruction = 1
 	defer func() { budgetPerInstruction = 600 }()
-	_, err := MeasureSPEC("hmmer", config.FenceFuture, config.TSO, 5000, 0)
+	_, err := MeasureWorkload("hmmer", config.FenceFuture, config.TSO, 5000, 0)
 	if err == nil {
 		t.Fatal("starved budget did not exhaust")
 	}
@@ -82,7 +82,7 @@ func TestMeasureWindowAnnotatesCheckerErrors(t *testing.T) {
 	// An interval of 1 with a tiny watchdog trips instantly on any kernel
 	// with a startup stall longer than K cycles; pick K below the L1-miss
 	// round trip so the very first miss trips it during warmup.
-	_, err := MeasureSPEC("libquantum", config.Base, config.TSO, 5000, 5000,
+	_, err := MeasureWorkload("libquantum", config.Base, config.TSO, 5000, 5000,
 		WithChecking(invariant.Options{Interval: 1, WatchdogK: 1}))
 	if err == nil {
 		t.Skip("no stall long enough to trip a 1-cycle watchdog")
@@ -100,7 +100,7 @@ func TestMeasureWindowAnnotatesCheckerErrors(t *testing.T) {
 func TestMeasurePanicRecovery(t *testing.T) {
 	testPanicHook = func() { panic("seeded test panic") }
 	defer func() { testPanicHook = nil }()
-	_, err := MeasureSPEC("hmmer", config.Base, config.TSO, 100, 100)
+	_, err := MeasureWorkload("hmmer", config.Base, config.TSO, 100, 100)
 	if err == nil {
 		t.Fatal("panic did not surface as an error")
 	}
@@ -114,11 +114,11 @@ func TestMeasurePanicRecovery(t *testing.T) {
 
 // Checking enabled on a healthy measurement must not change its result.
 func TestCheckingDoesNotPerturbMeasurement(t *testing.T) {
-	plain, err := MeasureSPEC("sjeng", config.ISFuture, config.TSO, 3000, 8000)
+	plain, err := MeasureWorkload("sjeng", config.ISFuture, config.TSO, 3000, 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := MeasureSPEC("sjeng", config.ISFuture, config.TSO, 3000, 8000,
+	checked, err := MeasureWorkload("sjeng", config.ISFuture, config.TSO, 3000, 8000,
 		WithChecking(invariant.Options{Interval: 512}))
 	if err != nil {
 		t.Fatal(err)

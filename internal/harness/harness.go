@@ -105,23 +105,18 @@ func (r Result) TotalTraffic() uint64 {
 	return t
 }
 
-// Measure runs progs under run for warmup+measure retired instructions and
-// returns the measured-window deltas. Every error (and recovered panic) is
-// annotated with the workload name, the run configuration, and which window
-// — warmup or measure — it happened in, so a failing sweep pinpoints the
-// offending run without rerunning. A panic inside the simulator is converted
-// into an error carrying the cycle number and the full machine dump.
-func Measure(run config.Run, name string, progs []*isa.Program, warmup, measure uint64, opts ...Option) (res Result, err error) {
+// setup is the machine construction Measure, Complete and Record share: it
+// applies the options, builds the machine, selects its kernel, seeds fault
+// injection and enables checking, and returns the context its run loops
+// poll (context.Background() when none was given).
+func setup(run config.Run, name string, progs []*isa.Program, opts []Option) (*sim.Machine, context.Context, error) {
 	var mo measureOpts
 	for _, o := range opts {
 		o(&mo)
 	}
-	ctx := func(window string) string {
-		return fmt.Sprintf("%s [%v/%v] %s window", name, run.Defense, run.Consistency, window)
-	}
 	m, err := sim.New(run, progs)
 	if err != nil {
-		return Result{}, fmt.Errorf("%s [%v/%v] setup: %w", name, run.Defense, run.Consistency, err)
+		return nil, nil, fmt.Errorf("%s setup: %w", label(name, run), err)
 	}
 	if mo.kernel != nil {
 		m.SetKernel(*mo.kernel)
@@ -132,25 +127,52 @@ func Measure(run config.Run, name string, progs []*isa.Program, warmup, measure 
 	if mo.check != nil {
 		m.EnableChecking(*mo.check)
 	}
+	ctx := mo.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return m, ctx, nil
+}
+
+// label names a run in errors: "name [defense/consistency]".
+func label(name string, run config.Run) string {
+	return fmt.Sprintf("%s [%v/%v]", name, run.Defense, run.Consistency)
+}
+
+// panicError converts a panic recovered from m's run into an error carrying
+// the cycle it happened at and the full machine dump; where prefixes it.
+func panicError(m *sim.Machine, run config.Run, where string, r any) error {
+	t := &invariant.Target{Cycle: m.Cycle(), Run: run, Cores: m.Cores, Hier: m.Hier}
+	t.FFJumps, t.FFSkipped = m.FastForwardStats()
+	return fmt.Errorf("%s: panic at cycle %d: %v\n%s", where, t.Cycle, r, invariant.Dump(t))
+}
+
+// Measure runs progs under run for warmup+measure retired instructions and
+// returns the measured-window deltas. Every error (and recovered panic) is
+// annotated with the workload name, the run configuration, and which window
+// — warmup or measure — it happened in, so a failing sweep pinpoints the
+// offending run without rerunning. A panic inside the simulator is converted
+// into an error carrying the cycle number and the full machine dump.
+func Measure(run config.Run, name string, progs []*isa.Program, warmup, measure uint64, opts ...Option) (res Result, err error) {
+	m, runCtx, err := setup(run, name, progs, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	where := func(window string) string {
+		return label(name, run) + " " + window + " window"
+	}
 	window := "warmup"
 	defer func() {
 		if r := recover(); r != nil {
-			t := &invariant.Target{Cycle: m.Cycle(), Run: run, Cores: m.Cores, Hier: m.Hier}
-			t.FFJumps, t.FFSkipped = m.FastForwardStats()
-			dump := invariant.Dump(t)
-			err = fmt.Errorf("%s: panic at cycle %d: %v\n%s", ctx(window), m.Cycle(), r, dump)
+			err = panicError(m, run, where(window), r)
 		}
 	}()
 	if testPanicHook != nil {
 		testPanicHook()
 	}
-	runCtx := mo.ctx
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
 	budget := (warmup + measure) * budgetPerInstruction
 	if err := m.RunInstructionsCtx(runCtx, warmup, budget); err != nil {
-		return Result{}, fmt.Errorf("%s: %w", ctx("warmup"), err)
+		return Result{}, fmt.Errorf("%s: %w", where("warmup"), err)
 	}
 	startCycles := m.Cycle()
 	startCore := m.Stats.Sum()
@@ -158,7 +180,7 @@ func Measure(run config.Run, name string, progs []*isa.Program, warmup, measure 
 	startDRAM := m.Stats.DRAMReads
 	window = "measure"
 	if err := m.RunInstructionsCtx(runCtx, warmup+measure, budget); err != nil {
-		return Result{}, fmt.Errorf("%s: %w", ctx("measure"), err)
+		return Result{}, fmt.Errorf("%s: %w", where("measure"), err)
 	}
 	r := Result{
 		Run:      run,
@@ -185,42 +207,20 @@ func Measure(run config.Run, name string, progs []*isa.Program, warmup, measure 
 // leakage scanner (internal/leakage) reads the attacker's per-probe-line
 // latencies this way.
 func Complete(run config.Run, name string, progs []*isa.Program, maxCycles uint64, opts ...Option) (m *sim.Machine, err error) {
-	var mo measureOpts
-	for _, o := range opts {
-		o(&mo)
-	}
-	m, err = sim.New(run, progs)
+	m, runCtx, err := setup(run, name, progs, opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s [%v/%v] setup: %w", name, run.Defense, run.Consistency, err)
-	}
-	if mo.kernel != nil {
-		m.SetKernel(*mo.kernel)
-	}
-	if mo.faultSeed != nil {
-		m.SeedFaults(*mo.faultSeed)
-	}
-	if mo.check != nil {
-		m.EnableChecking(*mo.check)
+		return nil, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			cycle := m.Cycle()
-			t := &invariant.Target{Cycle: cycle, Run: run, Cores: m.Cores, Hier: m.Hier}
-			t.FFJumps, t.FFSkipped = m.FastForwardStats()
-			dump := invariant.Dump(t)
-			m = nil
-			err = fmt.Errorf("%s [%v/%v]: panic at cycle %d: %v\n%s", name, run.Defense, run.Consistency, cycle, r, dump)
+			m, err = nil, panicError(m, run, label(name, run), r)
 		}
 	}()
 	if testPanicHook != nil {
 		testPanicHook()
 	}
-	runCtx := mo.ctx
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
 	if err := m.RunToCompletionCtx(runCtx, maxCycles); err != nil {
-		return nil, fmt.Errorf("%s [%v/%v]: %w", name, run.Defense, run.Consistency, err)
+		return nil, fmt.Errorf("%s: %w", label(name, run), err)
 	}
 	return m, nil
 }
@@ -232,31 +232,13 @@ func Complete(run config.Run, name string, progs []*isa.Program, maxCycles uint6
 // cycles are kernel-independent only because the equivalence oracle makes
 // them so; Record under both kernels is how the trace tests check that.
 func Record(run config.Run, name string, progs []*isa.Program, n uint64, opts ...Option) (t *trace.Trace, err error) {
-	var mo measureOpts
-	for _, o := range opts {
-		o(&mo)
-	}
-	m, err := sim.New(run, progs)
+	m, runCtx, err := setup(run, name, progs, opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s [%v/%v] setup: %w", name, run.Defense, run.Consistency, err)
-	}
-	if mo.kernel != nil {
-		m.SetKernel(*mo.kernel)
-	}
-	if mo.faultSeed != nil {
-		m.SeedFaults(*mo.faultSeed)
-	}
-	if mo.check != nil {
-		m.EnableChecking(*mo.check)
+		return nil, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			cycle := m.Cycle()
-			tg := &invariant.Target{Cycle: cycle, Run: run, Cores: m.Cores, Hier: m.Hier}
-			tg.FFJumps, tg.FFSkipped = m.FastForwardStats()
-			dump := invariant.Dump(tg)
-			t = nil
-			err = fmt.Errorf("%s [%v/%v]: panic at cycle %d: %v\n%s", name, run.Defense, run.Consistency, cycle, r, dump)
+			t, err = nil, panicError(m, run, label(name, run), r)
 		}
 	}()
 	events := make([][]trace.Event, len(progs))
@@ -272,15 +254,11 @@ func Record(run config.Run, name string, progs []*isa.Program, n uint64, opts ..
 			}
 		})
 	}
-	runCtx := mo.ctx
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
 	// Constant headroom on top of the per-instruction budget so very short
 	// recordings (conformance reproducers) still cover pipeline fill.
 	budget := 100_000 + n*uint64(len(progs))*budgetPerInstruction
 	if err := m.RunInstructionsCtx(runCtx, n*uint64(len(progs)), budget); err != nil {
-		return nil, fmt.Errorf("%s [%v/%v] record: %w", name, run.Defense, run.Consistency, err)
+		return nil, fmt.Errorf("%s record: %w", label(name, run), err)
 	}
 	// Unbalanced multi-core progress can leave some cores short of n while
 	// the retired total is already met; top off one milestone at a time.
@@ -289,7 +267,7 @@ func Record(run config.Run, name string, progs []*isa.Program, n uint64, opts ..
 			break
 		}
 		if err := m.RunInstructionsCtx(runCtx, m.Stats.TotalRetired()+1, budget); err != nil {
-			return nil, fmt.Errorf("%s [%v/%v] record: %w", name, run.Defense, run.Consistency, err)
+			return nil, fmt.Errorf("%s record: %w", label(name, run), err)
 		}
 	}
 	return &trace.Trace{Name: name, Programs: progs, Events: events}, nil
@@ -298,8 +276,9 @@ func Record(run config.Run, name string, progs []*isa.Program, n uint64, opts ..
 // MeasureWorkload measures any registered workload on its default machine
 // size: 1 core for the SPEC kernels and attack programs, 8 for PARSEC,
 // the recorded width for imported traces. It is the single resolution
-// path the runner, campaign executor, and CLIs share — the per-matrix
-// SPEC/PARSEC dispatch lives in the registry now, not at call sites.
+// path the campaign executor, CLIs, examples and benches share — the
+// per-matrix SPEC/PARSEC dispatch lives in the registry, not at call
+// sites.
 func MeasureWorkload(name string, d config.Defense, cm config.Consistency, warmup, measure uint64, opts ...Option) (Result, error) {
 	w, err := workload.Lookup(name)
 	if err != nil {
@@ -312,49 +291,6 @@ func MeasureWorkload(name string, d config.Defense, cm config.Consistency, warmu
 	}
 	run := config.Run{Machine: config.Default(cores), Defense: d, Consistency: cm}
 	return Measure(run, name, progs, warmup, measure, opts...)
-}
-
-// MeasureSPEC measures one SPEC-like kernel on the 1-core machine.
-func MeasureSPEC(name string, d config.Defense, cm config.Consistency, warmup, measure uint64, opts ...Option) (Result, error) {
-	prog, err := workload.SPEC(name)
-	if err != nil {
-		return Result{}, err
-	}
-	run := config.Run{Machine: config.Default(1), Defense: d, Consistency: cm}
-	return Measure(run, name, []*isa.Program{prog}, warmup, measure, opts...)
-}
-
-// MeasurePARSEC measures one PARSEC-like kernel on the 8-core machine.
-func MeasurePARSEC(name string, d config.Defense, cm config.Consistency, warmup, measure uint64, opts ...Option) (Result, error) {
-	progs, err := workload.PARSEC(name, 8)
-	if err != nil {
-		return Result{}, err
-	}
-	run := config.Run{Machine: config.Default(8), Defense: d, Consistency: cm}
-	return Measure(run, name, progs, warmup, measure, opts...)
-}
-
-// Sweep runs one workload under every registered defense scheme for a
-// consistency model and returns results keyed by defense.
-//
-// Sweep is the serial reference implementation: it runs one job at a time in
-// defense order on the calling goroutine. The figure generators and benches
-// go through internal/runner instead, which shards the same jobs across a
-// worker pool; runner's determinism tests assert its aggregated output is
-// byte-identical to what this function produces.
-// The parsec flag is identity metadata only (it names the figure axis in
-// artifacts and journals); the registry decides the machine size.
-func Sweep(name string, parsec bool, cm config.Consistency, warmup, measure uint64) (map[config.Defense]Result, error) {
-	_ = parsec
-	out := make(map[config.Defense]Result, len(config.AllDefenses()))
-	for _, d := range config.AllDefenses() {
-		r, err := MeasureWorkload(name, d, cm, warmup, measure)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", name, d, err)
-		}
-		out[d] = r
-	}
-	return out, nil
 }
 
 // NormalizedTime returns each defense's execution-time slowdown relative to

@@ -1,15 +1,33 @@
 package harness_test
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"invisispec/internal/config"
 	"invisispec/internal/harness"
 	"invisispec/internal/stats"
 )
 
+// sweep measures one workload under every registered defense, keyed by
+// defense, the way the figures group a row.
+func sweep(t *testing.T, name string, warmup, measure uint64) map[config.Defense]harness.Result {
+	t.Helper()
+	out := make(map[config.Defense]harness.Result)
+	for _, d := range config.AllDefenses() {
+		r, err := harness.MeasureWorkload(name, d, config.TSO, warmup, measure)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", name, d, err)
+		}
+		out[d] = r
+	}
+	return out
+}
+
 func TestMeasureDeltasExcludeWarmup(t *testing.T) {
-	r, err := harness.MeasureSPEC("hmmer", config.Base, config.TSO, 5000, 10000)
+	r, err := harness.MeasureWorkload("hmmer", config.Base, config.TSO, 5000, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +48,7 @@ func TestMeasureDeltasExcludeWarmup(t *testing.T) {
 func TestSweepShape(t *testing.T) {
 	// The paper's headline ordering on a single kernel: Base is fastest;
 	// InvisiSpec beats the corresponding fence design.
-	res, err := harness.Sweep("sjeng", false, config.TSO, 5000, 15000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm := harness.NormalizedTime(res)
+	norm := harness.NormalizedTime(sweep(t, "sjeng", 5000, 15000))
 	if norm[config.Base] != 1.0 {
 		t.Fatalf("Base normalizes to %f", norm[config.Base])
 	}
@@ -48,10 +62,7 @@ func TestSweepShape(t *testing.T) {
 	}
 	// Traffic shape on a memory-intensive kernel: InvisiSpec produces
 	// Spec-GetS and expose/validate traffic above the baseline.
-	mres, err := harness.Sweep("libquantum", false, config.TSO, 5000, 15000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mres := sweep(t, "libquantum", 5000, 15000)
 	is := mres[config.ISFuture]
 	if is.Traffic[stats.TrafficSpecLoad] == 0 {
 		t.Error("IS-Fu produced no Spec-GetS traffic")
@@ -69,10 +80,14 @@ func TestSweepShape(t *testing.T) {
 	}
 }
 
+// TestMeasurePARSEC: a PARSEC kernel resolves to the 8-core machine.
 func TestMeasurePARSEC(t *testing.T) {
-	r, err := harness.MeasurePARSEC("canneal", config.ISSpectre, config.TSO, 8000, 16000)
+	r, err := harness.MeasureWorkload("canneal", config.ISSpectre, config.TSO, 8000, 16000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Run.Machine.Cores != 8 {
+		t.Fatalf("canneal ran on %d cores, want 8", r.Run.Machine.Cores)
 	}
 	if r.Instructions < 16000-100 { // retire-width overshoot at the warmup boundary
 		t.Fatalf("measured %d instructions", r.Instructions)
@@ -85,10 +100,23 @@ func TestMeasurePARSEC(t *testing.T) {
 }
 
 func TestUnknownWorkload(t *testing.T) {
-	if _, err := harness.MeasureSPEC("nope", config.Base, config.TSO, 10, 10); err == nil {
+	if _, err := harness.MeasureWorkload("nope", config.Base, config.TSO, 10, 10); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	if _, err := harness.MeasurePARSEC("nope", config.Base, config.TSO, 10, 10); err == nil {
-		t.Fatal("unknown workload accepted")
+}
+
+// TestMeasureContextDeadline drives a real simulator into a host deadline:
+// an expired WithContext surfaces context.DeadlineExceeded from inside the
+// simulation loop, and the same run without it succeeds.
+func TestMeasureContextDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	_, err := harness.MeasureWorkload("sjeng", config.Base, config.TSO, 2000, 4000, harness.WithContext(ctx))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired context: err = %v, want DeadlineExceeded", err)
+	}
+	if _, err := harness.MeasureWorkload("sjeng", config.Base, config.TSO, 2000, 4000); err != nil {
+		t.Fatalf("same run without a deadline failed: %v", err)
 	}
 }

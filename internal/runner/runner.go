@@ -1,19 +1,20 @@
-// Package runner is the parallel experiment engine behind the figure
-// generators and benches: it shards an arbitrary (workload x defense x
-// consistency x fault-seed) job matrix across a bounded worker pool, runs
-// each job in its own isolated sim.Machine via harness.Measure, and
-// aggregates results in job-index order so parallel output is byte-identical
-// to serial output.
+// Package runner holds the experiment matrix and the worker pool every
+// campaign runs on. Matrix builds the (workload x defense x consistency x
+// fault-seed) job list the figures print; RunTasks (task.go) shards any
+// slice of tasks across a bounded pool and aggregates results in task-index
+// order, so parallel output is byte-identical to serial output; bench.go
+// turns measured jobs into the bench-JSON artifact and diff.go compares two
+// of them. Executing a job matrix — journal, retries, isolation — is
+// internal/campaign's job (campaign.Sweep), which builds on this pool.
 //
-// Each simulated Machine is single-goroutine and fully deterministic, so the
-// matrix is embarrassingly parallel: workers share nothing but the job queue
-// and the results slice (disjoint slots). Determinism of the aggregate
-// therefore reduces to ordering, which the index-addressed results slice
-// pins regardless of completion order.
+// Each simulated Machine is single-goroutine and fully deterministic, so a
+// matrix is embarrassingly parallel: workers share nothing but the task
+// queue and the results slice (disjoint slots). Determinism of the
+// aggregate therefore reduces to ordering, which the index-addressed
+// results slice pins regardless of completion order.
 package runner
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -36,11 +37,6 @@ type Job struct {
 	// FaultSeed, when non-zero, enables deterministic fault injection with
 	// this seed (harness.WithFaultSeed).
 	FaultSeed int64
-	// Timeout, when non-zero, bounds the job's host wall-clock time. The
-	// deadline is enforced cooperatively inside the simulation loop (layered
-	// on the cycle-budget watchdog, which already bounds simulated time), so
-	// a timed-out job returns on the worker's own stack — no goroutine leaks.
-	Timeout time.Duration
 }
 
 // String names the job the way the figures label their bars.
@@ -53,10 +49,9 @@ type JobResult struct {
 	Job    Job
 	Index  int // position in the submitted matrix
 	Result harness.Result
-	// Err is the job's failure, if any: a measurement error (including
-	// sim.BudgetError), a context cancellation/timeout, or a recovered
-	// panic. A failed job never kills the pool; the rest of the matrix
-	// completes.
+	// Err is the job's terminal failure, if any: a measurement error
+	// (including sim.BudgetError), a context cancellation/timeout, or a
+	// recovered panic. A failed job never stops the rest of the matrix.
 	Err error
 	// HostNS is the job's host wall-clock duration in nanoseconds. It is the
 	// one nondeterministic field; the bench-JSON writer quarantines it in
@@ -64,15 +59,12 @@ type JobResult struct {
 	HostNS int64
 }
 
-// Options tunes a Run.
+// Options tunes a RunTasks pool.
 type Options struct {
 	// Jobs is the worker count. Zero or negative means runtime.GOMAXPROCS(0);
-	// the pool never exceeds the job count.
+	// the pool never exceeds the task count.
 	Jobs int
-	// Timeout is a default per-job wall-clock timeout applied to jobs that
-	// do not set their own. Zero means no timeout.
-	Timeout time.Duration
-	// Progress, when non-nil, receives one line per completed job with
+	// Progress, when non-nil, receives one line per completed task with
 	// completed/total counts and an ETA extrapolated from throughput so far.
 	// Callers that also write artifacts to stdout should point this at
 	// stderr (or io.Discard) so progress lines never interleave with
@@ -84,15 +76,9 @@ type Options struct {
 	// the callback fires after the line is written, under the same lock, so
 	// events arrive in completion order.
 	OnProgress func(ProgressEvent)
-	// Extra harness options applied to every job (e.g. harness.WithChecking).
-	Harness []harness.Option
-
-	// measure replaces the harness call for tests (panic/fault injection at
-	// the pool layer). nil means measureJob.
-	measure func(ctx context.Context, j Job, extra []harness.Option) (harness.Result, error)
 }
 
-// workers resolves the pool size for n jobs.
+// workers resolves the pool size for n tasks.
 func (o Options) workers(n int) int {
 	w := o.Jobs
 	if w <= 0 {
@@ -107,66 +93,8 @@ func (o Options) workers(n int) int {
 	return w
 }
 
-// Run executes the job matrix on a bounded worker pool and returns one
-// JobResult per job, in job order. It always returns len(jobs) results:
-// per-job failures (errors, timeouts, recovered panics) are recorded in the
-// job's slot without stopping the pool, and a cancelled context fails the
-// not-yet-started jobs with ctx.Err() while in-flight jobs abort at their
-// next context poll. All workers have exited by the time Run returns.
-//
-// Run is an adapter over the generic RunTasks pool (task.go): each job
-// becomes a Task wrapping harness.Measure, so the pool mechanics —
-// ordering, timeouts, panic isolation, cancellation — live in one place.
-func Run(ctx context.Context, jobs []Job, opts Options) []JobResult {
-	measure := opts.measure
-	if measure == nil {
-		measure = measureJob
-	}
-	tasks := make([]Task, len(jobs))
-	for i := range jobs {
-		j := jobs[i]
-		tasks[i] = Task{
-			Name:    j.String(),
-			Timeout: j.Timeout,
-			Run: func(ctx context.Context) (any, error) {
-				// harness.Measure recovers panics inside the simulator
-				// itself; the pool's own recovery additionally guards the
-				// rest of the job path (workload construction, option
-				// plumbing, test hooks).
-				res, err := measure(ctx, j, opts.Harness)
-				if err != nil {
-					return nil, err
-				}
-				return res, nil
-			},
-		}
-	}
-	taskResults := RunTasks(ctx, tasks, opts)
-	results := make([]JobResult, len(jobs))
-	for i, tr := range taskResults {
-		results[i] = JobResult{Job: jobs[i], Index: i, Err: tr.Err, HostNS: tr.HostNS}
-		if tr.Err == nil && tr.Value != nil {
-			results[i].Result = tr.Value.(harness.Result)
-		}
-	}
-	return results
-}
-
-// measureJob is the production measurement path: harness.Measure on a fresh
-// machine, with the workload registry resolving the name and machine size
-// (j.Parsec is identity metadata in artifacts, not a dispatch input).
-func measureJob(ctx context.Context, j Job, extra []harness.Option) (harness.Result, error) {
-	opts := make([]harness.Option, 0, len(extra)+2)
-	opts = append(opts, extra...)
-	opts = append(opts, harness.WithContext(ctx))
-	if j.FaultSeed != 0 {
-		opts = append(opts, harness.WithFaultSeed(j.FaultSeed))
-	}
-	return harness.MeasureWorkload(j.Workload, j.Defense, j.Consistency, j.Warmup, j.Measure, opts...)
-}
-
 // ProgressEvent is one completed unit of work, as reported to
-// Options.OnProgress. Counters are cumulative across the Run/RunTasks call.
+// Options.OnProgress. Counters are cumulative across the RunTasks call.
 type ProgressEvent struct {
 	Name      string        // the task/job that just finished
 	Err       error         // its failure, nil on success
@@ -249,32 +177,4 @@ func Matrix(workloads []string, parsec bool, cms []config.Consistency, defenses 
 		}
 	}
 	return jobs
-}
-
-// Sweep is the parallel counterpart of harness.Sweep: one workload under
-// every registered defense for one consistency model, sharded across the pool, results
-// keyed by defense. The aggregated map is identical to harness.Sweep's (the
-// runner tests assert this), just computed opts.Jobs-wide.
-func Sweep(ctx context.Context, name string, parsec bool, cm config.Consistency, warmup, measure uint64, opts Options) (map[config.Defense]harness.Result, error) {
-	jobs := Matrix([]string{name}, parsec, []config.Consistency{cm}, config.AllDefenses(), nil, warmup, measure)
-	results := Run(ctx, jobs, opts)
-	out := make(map[config.Defense]harness.Result, len(results))
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", name, r.Job.Defense, r.Err)
-		}
-		out[r.Job.Defense] = r.Result
-	}
-	return out, nil
-}
-
-// FirstError returns the first failed job's error in matrix order (nil if
-// every job succeeded). Deterministic regardless of completion order.
-func FirstError(results []JobResult) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }

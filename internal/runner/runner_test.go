@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"invisispec/internal/config"
 	"invisispec/internal/harness"
@@ -19,6 +18,31 @@ import (
 func testMatrix() []Job {
 	return Matrix([]string{"sjeng", "libquantum"}, false,
 		[]config.Consistency{config.TSO}, config.AllDefenses(), nil, 2000, 4000)
+}
+
+// matrixTasks wraps matrix jobs as pool tasks that measure on a real
+// simulator under the task's context.
+func matrixTasks(jobs []Job) []Task {
+	tasks := make([]Task, len(jobs))
+	for i, j := range jobs {
+		tasks[i] = Task{Name: j.String(), Run: func(ctx context.Context) (any, error) {
+			return harness.MeasureWorkload(j.Workload, j.Defense, j.Consistency,
+				j.Warmup, j.Measure, harness.WithContext(ctx))
+		}}
+	}
+	return tasks
+}
+
+// jobResults maps pool results back onto the jobs that built the tasks.
+func jobResults(jobs []Job, results []TaskResult) []JobResult {
+	out := make([]JobResult, len(results))
+	for i, r := range results {
+		out[i] = JobResult{Job: jobs[i], Index: r.Index, Err: r.Err, HostNS: r.HostNS}
+		if r.Err == nil {
+			out[i].Result = r.Value.(harness.Result)
+		}
+	}
+	return out
 }
 
 // stripHost zeroes the one intentionally nondeterministic field so result
@@ -32,72 +56,60 @@ func stripHost(results []JobResult) []JobResult {
 	return out
 }
 
-// TestRunnerDeterminism is the acceptance gate: a 4-worker sweep produces
-// byte-identical aggregated results — including the BENCH_*.json artifact
-// bytes — to a 1-worker sweep over the same matrix, even though the 4-worker
-// completion order is scheduler-dependent.
+// TestRunnerDeterminism pins the pool's aggregation contract on a real
+// matrix: a 4-worker run produces results — and BENCH_*.json artifact
+// bytes — identical to a 1-worker run, even though the 4-worker completion
+// order is scheduler-dependent.
 func TestRunnerDeterminism(t *testing.T) {
 	jobs := testMatrix()
-	serial := Run(context.Background(), jobs, Options{Jobs: 1})
-	parallel := Run(context.Background(), jobs, Options{Jobs: 4})
-	if err := FirstError(serial); err != nil {
-		t.Fatal(err)
+	run := func(workers int) ([]JobResult, []byte) {
+		t.Helper()
+		results := jobResults(jobs, RunTasks(context.Background(), matrixTasks(jobs), Options{Jobs: workers}))
+		for _, r := range results {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteBenchJSON(&buf, NewBench("determinism", 2000, 4000, results)); err != nil {
+			t.Fatal(err)
+		}
+		return stripHost(results), buf.Bytes()
 	}
-	if err := FirstError(parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripHost(serial), stripHost(parallel)) {
+	serial, bs := run(1)
+	parallel, bp := run(4)
+	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("4-worker results differ from 1-worker results")
 	}
-	var bs, bp bytes.Buffer
-	if err := WriteBenchJSON(&bs, NewBench("determinism", 2000, 4000, serial)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBenchJSON(&bp, NewBench("determinism", 2000, 4000, parallel)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bs.Bytes(), bp.Bytes()) {
-		t.Fatalf("bench JSON differs between 1-worker and 4-worker runs:\n--- serial ---\n%s\n--- parallel ---\n%s", bs.Bytes(), bp.Bytes())
+	if !bytes.Equal(bs, bp) {
+		t.Fatalf("bench JSON differs between 1-worker and 4-worker runs:\n--- serial ---\n%s\n--- parallel ---\n%s", bs, bp)
 	}
 }
 
-// TestSweepMatchesSerialSweep pins the rewiring: runner.Sweep must aggregate
-// to exactly what the serial reference harness.Sweep computes.
+// TestSweepMatchesSerialSweep: one workload swept across every defense on
+// the pool aggregates to exactly what a serial loop of direct measurements
+// computes.
 func TestSweepMatchesSerialSweep(t *testing.T) {
-	want, err := harness.Sweep("sjeng", false, config.TSO, 2000, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Sweep(context.Background(), "sjeng", false, config.TSO, 2000, 4000, Options{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel Sweep disagrees with serial harness.Sweep")
+	jobs := Matrix([]string{"sjeng"}, false, []config.Consistency{config.TSO},
+		config.AllDefenses(), nil, 2000, 4000)
+	got := jobResults(jobs, RunTasks(context.Background(), matrixTasks(jobs), Options{Jobs: 4}))
+	for i, j := range jobs {
+		want, err := harness.MeasureWorkload(j.Workload, j.Defense, j.Consistency, j.Warmup, j.Measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Err != nil {
+			t.Fatalf("%s: %v", j, got[i].Err)
+		}
+		if !reflect.DeepEqual(got[i].Result, want) {
+			t.Fatalf("%s: parallel sweep disagrees with the serial measurement", j)
+		}
 	}
 }
 
-// waitForGoroutines polls until the goroutine count drops back to at most
-// base (plus runtime slack) or the deadline passes.
-func waitForGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= base+2 { // slack for runtime-internal goroutines
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d running, started with %d\n%s",
-				n, base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRunnerCancellationNoLeaks cancels mid-sweep and asserts (a) every job
-// slot reports a deterministic outcome, (b) all pool goroutines exit.
+// TestRunnerCancellationNoLeaks cancels mid-matrix and asserts (a) every job
+// slot reports context.Canceled — in-flight jobs from inside the simulation
+// loop, the rest from the pool — and (b) all pool goroutines exit.
 func TestRunnerCancellationNoLeaks(t *testing.T) {
 	base := runtime.NumGoroutine()
 	jobs := make([]Job, 32)
@@ -106,21 +118,22 @@ func TestRunnerCancellationNoLeaks(t *testing.T) {
 			Warmup: 2000, Measure: 4000}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	started := make(chan struct{}, len(jobs))
-	opts := Options{
-		Jobs: 4,
-		measure: func(ctx context.Context, j Job, extra []harness.Option) (harness.Result, error) {
+	tasks := matrixTasks(jobs)
+	for i := range tasks {
+		measure := tasks[i].Run
+		tasks[i].Run = func(ctx context.Context) (any, error) {
 			started <- struct{}{}
-			<-ctx.Done() // a job that only finishes when cancelled
-			return harness.Result{}, ctx.Err()
-		},
+			<-ctx.Done() // hold the job until the matrix is cancelled
+			return measure(ctx)
+		}
 	}
 	go func() {
 		<-started // at least one job is in flight
 		cancel()
 	}()
-	results := Run(ctx, jobs, opts)
-	cancel()
+	results := RunTasks(ctx, tasks, Options{Jobs: 4})
 	canceled := 0
 	for _, r := range results {
 		if r.Err == nil {
@@ -136,22 +149,15 @@ func TestRunnerCancellationNoLeaks(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
-// TestRunnerPanicIsolation seeds a panic into one job and asserts it is
-// reported as that job's error while the rest of the matrix completes.
+// TestRunnerPanicIsolation seeds a panic into one job of a real matrix and
+// asserts it is reported as that job's error while the rest of the matrix
+// completes.
 func TestRunnerPanicIsolation(t *testing.T) {
 	jobs := testMatrix()
 	victim := 3
-	opts := Options{
-		Jobs: 4,
-		measure: func(ctx context.Context, j Job, extra []harness.Option) (harness.Result, error) {
-			if j == jobs[victim] {
-				panic("seeded test panic")
-			}
-			return measureJob(ctx, j, extra)
-		},
-	}
-	results := Run(context.Background(), jobs, opts)
-	for _, r := range results {
+	tasks := matrixTasks(jobs)
+	tasks[victim].Run = func(context.Context) (any, error) { panic("seeded test panic") }
+	for _, r := range jobResults(jobs, RunTasks(context.Background(), tasks, Options{Jobs: 4})) {
 		if r.Index == victim {
 			if r.Err == nil || !strings.Contains(r.Err.Error(), "seeded test panic") {
 				t.Fatalf("victim job error = %v, want seeded panic", r.Err)
@@ -164,65 +170,5 @@ func TestRunnerPanicIsolation(t *testing.T) {
 		if r.Result.Instructions == 0 {
 			t.Fatalf("job %d produced an empty measurement", r.Index)
 		}
-	}
-}
-
-// TestRunnerTimeout drives the production path: a vanishingly small per-job
-// wall-clock budget must surface as that job's DeadlineExceeded error from
-// inside the simulation loop, on the worker's own stack.
-func TestRunnerTimeout(t *testing.T) {
-	base := runtime.NumGoroutine()
-	jobs := []Job{
-		{Workload: "sjeng", Defense: config.Base, Consistency: config.TSO,
-			Warmup: 2000, Measure: 4000, Timeout: time.Nanosecond},
-		{Workload: "sjeng", Defense: config.Base, Consistency: config.TSO,
-			Warmup: 2000, Measure: 4000},
-	}
-	results := Run(context.Background(), jobs, Options{Jobs: 2})
-	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("timed-out job error = %v, want DeadlineExceeded", results[0].Err)
-	}
-	if results[1].Err != nil {
-		t.Fatalf("untimed job failed: %v", results[1].Err)
-	}
-	waitForGoroutines(t, base)
-}
-
-// TestBenchJSONRoundTrip checks schema validation and the normalized-time
-// grouping.
-func TestBenchJSONRoundTrip(t *testing.T) {
-	results := Run(context.Background(), testMatrix(), Options{Jobs: 4})
-	if err := FirstError(results); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBench("roundtrip", 2000, 4000, results).WithHost(time.Second, 4, results)
-	var buf bytes.Buffer
-	if err := WriteBenchJSON(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Runs) != len(results) {
-		t.Fatalf("round-trip kept %d runs, want %d", len(got.Runs), len(results))
-	}
-	if got.Host == nil || got.Host.Jobs != 4 || len(got.Host.PerRunMS) != len(results) {
-		t.Fatal("host block did not round-trip")
-	}
-	byKey := got.RunsByKey()
-	for _, r := range got.Runs {
-		if r.Defense == config.Base.String() && r.NormalizedTime != 1.0 {
-			t.Fatalf("Base run %s normalizes to %v, want 1", r.RunKey(), r.NormalizedTime)
-		}
-		if r.NormalizedTime <= 0 {
-			t.Fatalf("run %s has no normalized time", r.RunKey())
-		}
-	}
-	if len(byKey) != len(results) {
-		t.Fatalf("run keys collide: %d unique for %d runs", len(byKey), len(results))
-	}
-	if _, err := ReadBenchJSON(strings.NewReader(`{"schema":"bogus/v0"}`)); err == nil {
-		t.Fatal("wrong schema accepted")
 	}
 }

@@ -1,13 +1,11 @@
 package runner
 
-// This file generalizes the worker pool beyond the harness.Measure job
-// matrix: a Task is an arbitrary unit of work identified by name, and
-// RunTasks shards a slice of them across the same bounded pool with the
-// same guarantees Run gives jobs — index-addressed deterministic
-// aggregation, per-task wall-clock timeouts enforced through the task's
-// context, panic isolation, and fail-fast-free cancellation. Run is now a
-// thin adapter over RunTasks; the leakage scanner (internal/leakage) is the
-// second client.
+// The worker pool: a Task is an arbitrary unit of work identified by name,
+// and RunTasks shards a slice of them across a bounded pool with
+// index-addressed deterministic aggregation, per-task wall-clock timeouts
+// enforced through the task's context, panic isolation, and
+// fail-fast-free cancellation. internal/campaign runs every bench,
+// leakage and conformance cell through it.
 
 import (
 	"context"
@@ -48,7 +46,8 @@ type TaskResult struct {
 // results: per-task failures are recorded in the task's slot without
 // stopping the pool, and a cancelled context fails the not-yet-started
 // tasks with ctx.Err() while in-flight tasks abort at their next context
-// poll. All workers have exited by the time RunTasks returns.
+// poll. No task starts once the context is cancelled. All workers have
+// exited by the time RunTasks returns.
 func RunTasks(ctx context.Context, tasks []Task, opts Options) []TaskResult {
 	results := make([]TaskResult, len(tasks))
 	for i := range results {
@@ -69,8 +68,14 @@ func RunTasks(ctx context.Context, tasks []Task, opts Options) []TaskResult {
 			defer wg.Done()
 			for i := range queue {
 				r := &results[i]
+				// The feed loop's select may hand a waiting worker a task
+				// after the context died; it must not start.
+				if err := ctx.Err(); err != nil {
+					r.Err = notStarted(tasks[i], err)
+					continue
+				}
 				start := time.Now()
-				r.Value, r.Err = runOneTask(ctx, tasks[i], opts)
+				r.Value, r.Err = runOneTask(ctx, tasks[i])
 				r.HostNS = time.Since(start).Nanoseconds()
 				prog.done(tasks[i].Name, r.Err)
 			}
@@ -84,7 +89,7 @@ feed:
 			// Fail everything not yet handed to a worker; workers abort
 			// their in-flight task at the next cooperative context poll.
 			for j := i; j < len(tasks); j++ {
-				results[j].Err = fmt.Errorf("runner: %s not started: %w", tasks[j].Name, ctx.Err())
+				results[j].Err = notStarted(tasks[j], ctx.Err())
 			}
 			break feed
 		}
@@ -94,16 +99,17 @@ feed:
 	return results
 }
 
+// notStarted is the error of a task the pool never ran.
+func notStarted(t Task, err error) error {
+	return fmt.Errorf("runner: %s not started: %w", t.Name, err)
+}
+
 // runOneTask executes a single task with its timeout applied and panics
 // converted to errors.
-func runOneTask(ctx context.Context, t Task, opts Options) (v any, err error) {
-	timeout := t.Timeout
-	if timeout == 0 {
-		timeout = opts.Timeout
-	}
-	if timeout > 0 {
+func runOneTask(ctx context.Context, t Task) (v any, err error) {
+	if t.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, t.Timeout)
 		defer cancel()
 	}
 	defer func() {

@@ -211,6 +211,53 @@ func TestRunTasksCancellationNoLeaks(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
+// TestRunTasksDeadContextStartsNothing stresses the hand-off between the
+// feed loop and a worker already waiting on the queue: on a cancelled
+// context no task may start, even one the feed loop's select hands over
+// instead of noticing the cancellation. The tasks never poll their
+// context, so one that starts runs to success.
+func TestRunTasksDeadContextStartsNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := 0
+	for round := 0; round < 2000; round++ {
+		tasks := make([]Task, 8)
+		for i := range tasks {
+			tasks[i] = Task{Name: fmt.Sprintf("t%d", i), Run: func(context.Context) (any, error) { return i, nil }}
+		}
+		for _, r := range RunTasks(ctx, tasks, Options{Jobs: len(tasks)}) {
+			switch {
+			case r.Err == nil:
+				ran++
+			case !errors.Is(r.Err, context.Canceled) || !strings.Contains(r.Err.Error(), "not started"):
+				t.Fatalf("slot %d: err = %v, want a not-started context.Canceled", r.Index, r.Err)
+			}
+		}
+	}
+	if ran > 0 {
+		t.Fatalf("%d tasks ran under a cancelled context", ran)
+	}
+}
+
+// waitForGoroutines polls until the goroutine count drops back to at most
+// base (plus runtime slack) or the deadline passes.
+func waitForGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base+2 { // slack for runtime-internal goroutines
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d running, started with %d\n%s",
+				n, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestRunTasksEmpty(t *testing.T) {
 	if got := RunTasks(context.Background(), nil, Options{}); len(got) != 0 {
 		t.Fatalf("got %d results for empty input", len(got))

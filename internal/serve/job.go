@@ -5,11 +5,10 @@ package serve
 // server's memoized campaign Exec hook, so all three job types share the
 // content-addressed cache and the global compute-slot pool.
 //
-// The sweep executor replicates cmd/benchtable's artifact assembly exactly
-// — same matrix order, same campaign cells under the same kernel, same
-// bench-JSON writer, no host block — which is what makes an HTTP-fetched
-// sweep artifact byte-identical to `benchtable -benchjson -benchhost=false`
-// over the same matrix.
+// The sweep executor and cmd/benchtable both assemble their artifact with
+// campaign.Sweep over the same runner.Matrix, which is what makes an
+// HTTP-fetched sweep artifact byte-identical to `benchtable -benchjson
+// -benchhost=false` over the same matrix.
 
 import (
 	"bytes"
@@ -269,19 +268,9 @@ func (s *Server) execute(ctx context.Context, job *Job) (art, verdict []byte, er
 	return art, nil, err
 }
 
-// interruption inspects campaign outcomes for drain-refused cells.
-func interruption(outcomes []campaign.Outcome) error {
-	for _, o := range outcomes {
-		if o.Class == campaign.ClassCancelled {
-			return errInterrupted
-		}
-	}
-	return nil
-}
-
-// runSweep executes a bench matrix and assembles the bench-JSON artifact,
-// byte-identically to cmd/benchtable's -benchjson path (same matrix order,
-// same kernel, no host block).
+// runSweep executes a bench matrix through campaign.Sweep — the path
+// cmd/benchtable's -benchjson takes, without its host block — and returns
+// the bench-JSON artifact and its baseline verdict.
 func (s *Server) runSweep(ctx context.Context, job *Job) (art, verdict []byte, err error) {
 	req := job.Req
 	defs, _ := parseDefenseList(req.Defenses)
@@ -297,31 +286,22 @@ func (s *Server) runSweep(ctx context.Context, job *Job) (art, verdict []byte, e
 		return nil, nil, err
 	}
 	jobs := runner.Matrix(req.Workloads, req.Parsec, cms, defs, req.Seeds, req.Warmup, req.Measure)
-	cells := campaign.JobCells(jobs, kernel, 0)
-	s.setTotal(job, len(cells))
-	outcomes, err := campaign.Run(ctx, "simserver-"+job.ID, cells, s.campaignOpts(job))
+	s.setTotal(job, len(jobs))
+	_, b, err := campaign.Sweep(ctx, req.Name, jobs, kernel, s.campaignOpts(job), nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := interruption(outcomes); err != nil {
-		return nil, nil, err
+	if job.cancelled.Load() > 0 {
+		return nil, nil, errInterrupted
 	}
-	results, err := campaign.JobResults(jobs, outcomes)
-	if err != nil {
-		return nil, nil, err
-	}
-	degraded := campaign.Degraded(outcomes, nil)
-	b := runner.NewBench(req.Name, req.Warmup, req.Measure, results)
-	b.Degraded = degraded
 	var buf bytes.Buffer
 	if err := runner.WriteBenchJSON(&buf, b); err != nil {
 		return nil, nil, err
 	}
 	s.mu.Lock()
-	job.degraded = len(degraded)
+	job.degraded = len(b.Degraded)
 	s.mu.Unlock()
-	verdict = s.sweepVerdict(b)
-	return buf.Bytes(), verdict, nil
+	return buf.Bytes(), s.sweepVerdict(b), nil
 }
 
 // sweepVerdict gates a finished sweep against the configured baseline and

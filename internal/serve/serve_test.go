@@ -33,8 +33,10 @@ func smallSweep() JobRequest {
 	}
 }
 
-// referenceSweep assembles the same artifact the server should produce, via
-// the exact cmd/benchtable chain, with no serve-layer machinery at all.
+// referenceSweep assembles the same artifact the server should produce,
+// with campaign.Sweep over the request's matrix (the path cmd/benchtable
+// takes) and no serve-layer machinery at all: no memo store, no compute
+// slots, no HTTP.
 func referenceSweep(t *testing.T, req JobRequest) []byte {
 	t.Helper()
 	if err := req.normalize(); err != nil {
@@ -56,17 +58,10 @@ func referenceSweep(t *testing.T, req JobRequest) []byte {
 		t.Fatal(err)
 	}
 	jobs := runner.Matrix(req.Workloads, req.Parsec, cms, defs, req.Seeds, req.Warmup, req.Measure)
-	cells := campaign.JobCells(jobs, kernel, 0)
-	outcomes, err := campaign.Run(context.Background(), "ref", cells, campaign.Options{Workers: 2})
+	_, b, err := campaign.Sweep(context.Background(), req.Name, jobs, kernel, campaign.Options{Workers: 2}, nil)
 	if err != nil {
-		t.Fatalf("reference campaign: %v", err)
+		t.Fatalf("reference sweep: %v", err)
 	}
-	results, err := campaign.JobResults(jobs, outcomes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := runner.NewBench(req.Name, req.Warmup, req.Measure, results)
-	b.Degraded = campaign.Degraded(outcomes, nil)
 	var buf bytes.Buffer
 	if err := runner.WriteBenchJSON(&buf, b); err != nil {
 		t.Fatal(err)

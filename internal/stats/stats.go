@@ -4,7 +4,10 @@
 // and speculative-buffer hit rates (Table VI).
 package stats
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // SquashReason classifies why a pipeline squash happened (Table I sources).
 type SquashReason int
@@ -218,37 +221,7 @@ func (m *Machine) AddTraffic(class TrafficClass, nbytes uint64) {
 func (m *Machine) Sum() Core {
 	var s Core
 	for i := range m.Cores {
-		c := &m.Cores[i]
-		s.Cycles += c.Cycles
-		s.Retired += c.Retired
-		s.Fetched += c.Fetched
-		s.Squashed += c.Squashed
-		for r := 0; r < int(NumSquashReasons); r++ {
-			s.Squashes[r] += c.Squashes[r]
-		}
-		s.CondBranches += c.CondBranches
-		s.Mispredicts += c.Mispredicts
-		s.LoadsRetired += c.LoadsRetired
-		s.StoresRetired += c.StoresRetired
-		s.USLsIssued += c.USLsIssued
-		s.Exposures += c.Exposures
-		s.ValidationsL1Hit += c.ValidationsL1Hit
-		s.ValidationsL1Miss += c.ValidationsL1Miss
-		s.ValidationFailures += c.ValidationFailures
-		s.ValidationStall += c.ValidationStall
-		s.SBReuseHits += c.SBReuseHits
-		s.SBReuseMisses += c.SBReuseMisses
-		s.LLCSBHits += c.LLCSBHits
-		s.LLCSBMisses += c.LLCSBMisses
-		s.InterruptsDelayed += c.InterruptsDelayed
-		s.PrefetchesInvisible += c.PrefetchesInvisible
-		s.SpecLabelsCleared += c.SpecLabelsCleared
-		s.SpecLabelsFlushed += c.SpecLabelsFlushed
-		s.TLBHits += c.TLBHits
-		s.TLBMisses += c.TLBMisses
-		s.TLBWalksDelayed += c.TLBWalksDelayed
-		s.L1DHits += c.L1DHits
-		s.L1DMisses += c.L1DMisses
+		s.combine(&m.Cores[i], add)
 	}
 	return s
 }
@@ -256,36 +229,29 @@ func (m *Machine) Sum() Core {
 // Sub returns c minus prev, element-wise: the counters accumulated between
 // two snapshots (used to exclude warmup from measurements).
 func (c Core) Sub(prev Core) Core {
-	r := c
-	r.Cycles -= prev.Cycles
-	r.Retired -= prev.Retired
-	r.Fetched -= prev.Fetched
-	r.Squashed -= prev.Squashed
-	for i := range r.Squashes {
-		r.Squashes[i] -= prev.Squashes[i]
+	c.combine(&prev, sub)
+	return c
+}
+
+func add(a, b uint64) uint64 { return a + b }
+func sub(a, b uint64) uint64 { return a - b }
+
+// combine sets every counter of c to op(counter, the same counter of o),
+// walking Core's fields in declaration order: each uint64 field and each
+// element of a uint64-array field (Core holds nothing else). Sum and Sub are
+// this one walk, so a counter added to Core is summed and differenced
+// without either being edited.
+func (c *Core) combine(o *Core, op func(a, b uint64) uint64) {
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for i := 0; i < cv.NumField(); i++ {
+		cf, of := cv.Field(i), ov.Field(i)
+		if cf.Kind() != reflect.Array {
+			cf.SetUint(op(cf.Uint(), of.Uint()))
+			continue
+		}
+		for k := 0; k < cf.Len(); k++ {
+			ce := cf.Index(k)
+			ce.SetUint(op(ce.Uint(), of.Index(k).Uint()))
+		}
 	}
-	r.CondBranches -= prev.CondBranches
-	r.Mispredicts -= prev.Mispredicts
-	r.LoadsRetired -= prev.LoadsRetired
-	r.StoresRetired -= prev.StoresRetired
-	r.USLsIssued -= prev.USLsIssued
-	r.Exposures -= prev.Exposures
-	r.ValidationsL1Hit -= prev.ValidationsL1Hit
-	r.ValidationsL1Miss -= prev.ValidationsL1Miss
-	r.ValidationFailures -= prev.ValidationFailures
-	r.ValidationStall -= prev.ValidationStall
-	r.SBReuseHits -= prev.SBReuseHits
-	r.SBReuseMisses -= prev.SBReuseMisses
-	r.LLCSBHits -= prev.LLCSBHits
-	r.LLCSBMisses -= prev.LLCSBMisses
-	r.InterruptsDelayed -= prev.InterruptsDelayed
-	r.PrefetchesInvisible -= prev.PrefetchesInvisible
-	r.SpecLabelsCleared -= prev.SpecLabelsCleared
-	r.SpecLabelsFlushed -= prev.SpecLabelsFlushed
-	r.TLBHits -= prev.TLBHits
-	r.TLBMisses -= prev.TLBMisses
-	r.TLBWalksDelayed -= prev.TLBWalksDelayed
-	r.L1DHits -= prev.L1DHits
-	r.L1DMisses -= prev.L1DMisses
-	return r
 }

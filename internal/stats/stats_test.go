@@ -1,6 +1,10 @@
 package stats
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 func TestCoreRates(t *testing.T) {
 	c := Core{Cycles: 1000, Retired: 2000, CondBranches: 100, Mispredicts: 7}
@@ -28,16 +32,63 @@ func TestValidationsSum(t *testing.T) {
 	}
 }
 
+// counters returns pointers to every counter of c — each uint64 field and
+// each element of a uint64-array field, in declaration order — failing on
+// any field that is not a counter.
+func counters(t *testing.T, c *Core) []*uint64 {
+	t.Helper()
+	v := reflect.ValueOf(c).Elem()
+	var out []*uint64
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch {
+		case f.Kind() == reflect.Uint64:
+			out = append(out, f.Addr().Interface().(*uint64))
+		case f.Kind() == reflect.Array && f.Type().Elem().Kind() == reflect.Uint64:
+			for k := 0; k < f.Len(); k++ {
+				out = append(out, f.Index(k).Addr().Interface().(*uint64))
+			}
+		default:
+			t.Fatalf("Core.%s is a %s, not a uint64 counter", v.Type().Field(i).Name, f.Type())
+		}
+	}
+	return out
+}
+
+// fill sets counter k of c to base + step*k, so every counter differs.
+func fill(t *testing.T, c *Core, base, step uint64) {
+	t.Helper()
+	for k, p := range counters(t, c) {
+		*p = base + step*uint64(k)
+	}
+}
+
+// TestMachineAggregation fills every counter of every core with a distinct
+// value and checks Sum adds each one, without allocating.
 func TestMachineAggregation(t *testing.T) {
-	m := NewMachine(2)
-	m.Cores[0] = Core{Retired: 10, Exposures: 1, TLBMisses: 2}
-	m.Cores[1] = Core{Retired: 32, Exposures: 4, TLBMisses: 8}
-	if m.TotalRetired() != 42 {
-		t.Errorf("TotalRetired = %d", m.TotalRetired())
+	m := NewMachine(3)
+	for i := range m.Cores {
+		fill(t, &m.Cores[i], uint64(1000*(i+1)), 1)
 	}
 	s := m.Sum()
-	if s.Retired != 42 || s.Exposures != 5 || s.TLBMisses != 10 {
-		t.Errorf("Sum = %+v", s)
+	got := counters(t, &s)
+	if want := int(unsafe.Sizeof(Core{}) / 8); len(got) != want {
+		t.Fatalf("walked %d counters, Core holds %d words", len(got), want)
+	}
+	for k, p := range got {
+		// Counter k of core i holds 1000(i+1)+k.
+		if want := 6000 + 3*uint64(k); *p != want {
+			t.Errorf("summed counter %d = %d, want %d", k, *p, want)
+		}
+	}
+	if s.Cycles != 6000 || s.Retired != 6003 || s.L1DMisses != 6000+3*uint64(len(got)-1) {
+		t.Errorf("Sum misplaced named counters: %+v", s)
+	}
+	if m.TotalRetired() != s.Retired {
+		t.Errorf("TotalRetired = %d, Sum().Retired = %d", m.TotalRetired(), s.Retired)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s = m.Sum() }); allocs != 0 {
+		t.Errorf("Sum allocates %v times per call", allocs)
 	}
 	m.AddTraffic(TrafficSpecLoad, 100)
 	m.AddTraffic(TrafficNormal, 11)
@@ -46,17 +97,23 @@ func TestMachineAggregation(t *testing.T) {
 	}
 }
 
+// TestSubDeltas fills every counter of two snapshots with distinct values
+// and checks Sub differences each one, without allocating.
 func TestSubDeltas(t *testing.T) {
-	now := Core{Cycles: 100, Retired: 50, Mispredicts: 9, LLCSBHits: 4}
-	now.Squashes[SquashEarly] = 6
-	prev := Core{Cycles: 40, Retired: 20, Mispredicts: 2, LLCSBHits: 1}
-	prev.Squashes[SquashEarly] = 2
+	var now, prev Core
+	fill(t, &now, 5000, 1)
+	fill(t, &prev, 100, 2)
 	d := now.Sub(prev)
-	if d.Cycles != 60 || d.Retired != 30 || d.Mispredicts != 7 || d.LLCSBHits != 3 {
-		t.Errorf("Sub = %+v", d)
+	for k, p := range counters(t, &d) {
+		if want := 4900 - uint64(k); *p != want {
+			t.Errorf("counter %d delta = %d, want %d", k, *p, want)
+		}
 	}
-	if d.Squashes[SquashEarly] != 4 {
-		t.Errorf("Sub squashes = %d", d.Squashes[SquashEarly])
+	if d.Cycles != 4900 || d.Retired != 4899 || d.Squashes[SquashEarly] != 4900-4-uint64(SquashEarly) {
+		t.Errorf("Sub misplaced named counters: %+v", d)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d = now.Sub(prev) }); allocs != 0 {
+		t.Errorf("Sub allocates %v times per call", allocs)
 	}
 }
 
