@@ -74,10 +74,12 @@ bench:
 
 # Kernel-equivalence gate: the fast-forward scheduler must produce
 # byte-identical fingerprints to the cycle-by-cycle reference stepper across
-# the whole equivalence matrix (fault seeds, checking, interrupts included).
+# the whole equivalence matrix (fault seeds, checking, interrupts and every
+# 8-core PARSEC kernel included), and the wake audit must find no cycle the
+# fast kernel would skip on which a core's state changes.
 # (Also runs as part of `make race`.)
 kernelcheck:
-	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun' -count=1 ./internal/sim
+	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit' -count=1 ./internal/sim ./internal/core
 
 # Short-budget Figure-4 sweep producing the BENCH_smoke.json artifact the
 # CI regression gate compares against the committed baseline.

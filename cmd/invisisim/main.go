@@ -16,14 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"invisispec/internal/config"
-	"invisispec/internal/core"
 	"invisispec/internal/engine"
 	"invisispec/internal/harness"
 	"invisispec/internal/invariant"
-	"invisispec/internal/sim"
 	"invisispec/internal/stats"
 	"invisispec/internal/workload"
 )
@@ -100,12 +97,6 @@ func main() {
 	w, err := workload.Lookup(*name)
 	check(err)
 
-	if *traceN > 0 {
-		// The trace loop steps one cycle at a time by construction (it needs
-		// every commit event in order), so -kernel does not apply there.
-		check(traceRun(w, d, cm, *traceN, *doCheck, *checkEvery, *faultSeed, *timeout))
-		return
-	}
 	opts := []harness.Option{harness.WithKernel(kernel)}
 	if *doCheck {
 		opts = append(opts, harness.WithChecking(invariant.Options{Interval: *checkEvery}))
@@ -117,6 +108,10 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
 		opts = append(opts, harness.WithContext(ctx))
+	}
+	if *traceN > 0 {
+		check(printTrace(w, d, cm, uint64(*traceN), opts))
+		return
 	}
 	r, err := harness.MeasureWorkload(*name, d, cm, *warmup, *measure, opts...)
 	check(err)
@@ -145,66 +140,31 @@ func main() {
 	report(r)
 }
 
-// traceRun executes the workload printing core 0's first n committed
-// instructions — a quick way to see the architectural execution. The
-// hardening flags apply here too (a violation aborts the trace), as does
-// -timeout (the manual step loop polls the deadline at the same stride the
-// harness path does).
-func traceRun(w workload.Workload, d config.Defense, cm config.Consistency, n int, doCheck bool, checkEvery uint64, faultSeed int64, timeout time.Duration) error {
+// printTrace records the workload through the harness and prints core 0's
+// first n committed instructions — a quick way to see the architectural
+// execution. A run that fails still prints what it committed first.
+func printTrace(w workload.Workload, d config.Defense, cm config.Consistency, n uint64, opts []harness.Option) error {
 	cores := w.DefaultCores()
 	progs, err := w.Programs(cores)
 	if err != nil {
 		return err
 	}
 	run := config.Run{Machine: config.Default(cores), Defense: d, Consistency: cm}
-	m, err := sim.New(run, progs)
-	if err != nil {
+	t, err := harness.Record(run, w.Name(), progs, n, opts...)
+	if t == nil {
 		return err
 	}
-	if faultSeed != 0 {
-		m.SeedFaults(faultSeed)
-	}
-	stride := uint64(0)
-	if doCheck {
-		// The trace loop steps manually, so sweep at the registry's stride
-		// by hand (the run-loop helpers do this themselves).
-		stride = m.EnableChecking(invariant.Options{Interval: checkEvery}).Interval()
-	}
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	left := n
-	m.Cores[0].SetTracer(func(ev core.CommitEvent) {
-		if left <= 0 {
-			return
-		}
-		left--
-		w := ""
+	for seq, ev := range t.Events[0] {
+		reg := ""
 		if ev.WroteReg {
-			w = fmt.Sprintf("   r%d <- %#x", ev.Reg, ev.RegValue)
+			reg = fmt.Sprintf("   r%d <- %#x", ev.Reg, ev.RegValue)
 		}
 		if ev.Fault {
-			w = "   FAULT"
+			reg = "   FAULT"
 		}
-		fmt.Printf("cyc %8d  #%-6d pc %4d  %-28s%s"+"\n", ev.Cycle, ev.Seq, ev.PC, ev.Inst.String(), w)
-	})
-	for left > 0 && !m.Done() && m.Cycle() < 10_000_000 {
-		m.Step()
-		if m.Cycle()%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("trace aborted at cycle %d: %w", m.Cycle(), err)
-			}
-		}
-		if stride > 0 && m.Cycle()%stride == 0 {
-			if err := m.CheckNow(); err != nil {
-				return err
-			}
-		}
+		fmt.Printf("cyc %8d  #%-6d pc %4d  %-28s%s\n", ev.Cycle, seq, ev.PC, progs[0].At(ev.PC).String(), reg)
 	}
-	return nil
+	return err
 }
 
 func check(err error) {

@@ -436,11 +436,14 @@ func TestJournalLaterDuplicateWins(t *testing.T) {
 func TestJournalFreshTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	cells := synthCells("fresh", 2, nil)
-	if _, err := Run(context.Background(), "fresh", cells, Options{Journal: path}); err != nil {
+	// One worker: the journal lists cells in completion order, so the two
+	// files compare equal only when the cells finish in the same order.
+	opts := Options{Journal: path, Workers: 1}
+	if _, err := Run(context.Background(), "fresh", cells, opts); err != nil {
 		t.Fatal(err)
 	}
 	first, _ := os.ReadFile(path)
-	if _, err := Run(context.Background(), "fresh", cells, Options{Journal: path}); err != nil {
+	if _, err := Run(context.Background(), "fresh", cells, opts); err != nil {
 		t.Fatal(err)
 	}
 	second, _ := os.ReadFile(path)

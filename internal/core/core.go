@@ -104,14 +104,17 @@ type Core struct {
 	// instruction lines, to avoid re-issuing installs every retirement.
 	iExposeFilter [64]uint64
 
-	// InvisiSpec interrupt-disable window (§VI-D).
-	intrDisabled bool
-
 	// Most recent squash, carried in watchdog/deadlock dumps (introspect.go).
 	lastSquash SquashInfo
 
 	// Mutation self-test hook: retirement disabled (introspect.go).
 	retireStalled bool
+
+	// Quiescence (wake.go): the last cycle a stage or a hierarchy callback
+	// changed the core's state, and whether the last retire counted a
+	// validation-stall cycle.
+	lastActive      uint64
+	valStallCounted bool
 
 	halted bool
 }
@@ -212,6 +215,13 @@ func (c *Core) token() uint64 {
 	return c.nextToken
 }
 
+// submit sends req to the hierarchy. The attempt is activity whether or not
+// the hierarchy accepts it: a refused request is retried next cycle.
+func (c *Core) submit(req memsys.Request) bool {
+	c.markActive()
+	return c.hier.Submit(req)
+}
+
 // client adapts Core to memsys.Client without exporting the methods on Core
 // itself.
 type client Core
@@ -220,6 +230,7 @@ type client Core
 func (cl *client) Deliver(now uint64, r memsys.Response) {
 	c := (*Core)(cl)
 	c.now = now
+	c.markActive()
 	switch r.Type {
 	case memsys.IFetch, memsys.IFetchSpec:
 		c.ifetchDone(r)
@@ -241,6 +252,7 @@ func (cl *client) Deliver(now uint64, r memsys.Response) {
 func (cl *client) OnInvalidate(now uint64, lineNum uint64) {
 	c := (*Core)(cl)
 	c.now = now
+	c.markActive()
 	c.onLineGone(lineNum, true)
 }
 
@@ -249,6 +261,7 @@ func (cl *client) OnInvalidate(now uint64, lineNum uint64) {
 func (cl *client) OnL1Evict(now uint64, lineNum uint64) {
 	c := (*Core)(cl)
 	c.now = now
+	c.markActive()
 	c.onLineGone(lineNum, false)
 }
 

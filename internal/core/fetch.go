@@ -41,7 +41,7 @@ func (c *Core) fetch() {
 		typ = memsys.IFetchSpec
 	}
 	req := memsys.Request{Type: typ, Core: c.id, Addr: iaddrOf(c.pc), Token: tok}
-	if c.hier.Submit(req) {
+	if c.submit(req) {
 		c.fetchInFlight = true
 		c.st.Fetched++ // line fetches, not instructions
 	}
@@ -87,7 +87,7 @@ func (c *Core) exposeILine(pc int) {
 		return
 	}
 	req := memsys.Request{Type: memsys.IFetch, Core: c.id, Addr: iaddrOf(pc), Token: 0}
-	if c.hier.Submit(req) {
+	if c.submit(req) {
 		c.iExposeFilter[slot] = line
 	}
 }

@@ -87,6 +87,7 @@ func (c *Core) futureVisible(rl int) bool {
 // issueUSL sends an invisible Spec-GetS for the load at LQ logical position
 // i, first trying to reuse the line from an older USL's SB entry (§V-E).
 func (c *Core) issueUSL(i int, e *lqEntry) {
+	c.markActive()
 	e.isUSL = true
 	if c.cfg.SBReuse && i >= 0 {
 		for j := i - 1; j >= 0; j-- {
@@ -122,7 +123,7 @@ func (c *Core) issueUSL(i int, e *lqEntry) {
 		LQIdx: c.lqPhys(i),
 		Epoch: c.epoch,
 	}
-	if c.hier.Submit(req) {
+	if c.submit(req) {
 		e.issued = true
 		e.reqToken = tok
 		c.st.USLsIssued++
@@ -133,6 +134,7 @@ func (c *Core) issueUSL(i int, e *lqEntry) {
 // copySBLine copies an older USL's SB line into e (preserving e's
 // store-forwarded bytes) and performs e.
 func (c *Core) copySBLine(e, src *lqEntry) {
+	c.markActive()
 	for b := uint64(0); b < 64; b++ {
 		if e.fwdMask&(1<<b) == 0 {
 			e.sbData[b] = src.sbData[b]
@@ -157,6 +159,7 @@ func (c *Core) copySBLine(e, src *lqEntry) {
 func (c *Core) reuseStep(e *lqEntry) {
 	src := &c.lq[e.reuseFromIdx]
 	if !src.valid || src.seq != e.reuseFromSeq {
+		c.markActive()
 		e.waitingReuse = false
 		e.issued = false
 		return
@@ -287,7 +290,7 @@ func (c *Core) invisiStep() {
 			LQIdx: c.lqPhys(i),
 			Epoch: c.epoch,
 		}
-		if !c.hier.Submit(req) {
+		if !c.submit(req) {
 			return
 		}
 		e.valExpIssued = true

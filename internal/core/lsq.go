@@ -168,6 +168,7 @@ func (c *Core) flushStep() {
 	if e.inst.Op != isa.OpFlush || e.st != stWaitMem {
 		return
 	}
+	c.markActive()
 	c.hier.FlushLine(e.src1Val + uint64(e.inst.Imm))
 	e.st = stCompleted
 }
@@ -179,6 +180,7 @@ func (c *Core) flushStep() {
 func (c *Core) translateStep(i int, e *lqEntry) {
 	if e.walking {
 		if c.now >= e.walkDoneAt {
+			c.markActive()
 			e.walking = false
 			e.translated = true
 			if e.tlbDeferred {
@@ -192,6 +194,7 @@ func (c *Core) translateStep(i int, e *lqEntry) {
 	}
 	invisible := c.sch.UsesInvisibleLoads() && c.cfg.DelayTLBMiss && !c.loadSafeNow(i, e)
 	if !invisible {
+		c.markActive()
 		extra := c.dtlb.Access(e.addr)
 		if extra > 0 {
 			c.st.TLBMisses++
@@ -205,6 +208,7 @@ func (c *Core) translateStep(i int, e *lqEntry) {
 	}
 	// Invisible translation: probe only.
 	if c.dtlb.Probe(e.addr) {
+		c.markActive()
 		c.st.TLBHits++
 		e.tlbTouchOwed = true
 		e.translated = true
@@ -212,11 +216,13 @@ func (c *Core) translateStep(i int, e *lqEntry) {
 	}
 	// Miss: the walk itself would be visible; defer to visibility (§VI-E3).
 	if !e.tlbDeferred {
+		c.markActive()
 		e.tlbDeferred = true
 		c.st.TLBMisses++
 		c.st.TLBWalksDelayed++
 	}
 	if c.loadVisible(i, e) {
+		c.markActive()
 		e.walking = true
 		e.walkDoneAt = c.now + uint64(c.dtlb.WalkLatency())
 	}
@@ -240,6 +246,8 @@ func (c *Core) tryIssueLoad(i int, e *lqEntry) bool {
 		}
 		e.stallUntilStore = 0
 	}
+	// From here on the load forwards, records a hazard or is submitted.
+	c.markActive()
 	for j := c.sqCnt - 1; j >= 0; j-- {
 		s := c.sqAt(j)
 		if s.seq >= e.seq {
@@ -280,7 +288,7 @@ func (c *Core) tryIssueLoad(i int, e *lqEntry) bool {
 	}
 	tok := c.token()
 	req := memsys.Request{Type: memsys.ReadShared, Core: c.id, Addr: e.addr, Token: tok}
-	if c.hier.Submit(req) {
+	if c.submit(req) {
 		e.issued = true
 		e.isUSL = false
 		e.reqToken = tok
@@ -504,7 +512,7 @@ func (c *Core) drainWriteBuffer() {
 			break
 		}
 		req := memsys.Request{Type: memsys.ReadExcl, Core: c.id, Addr: w.addr, Token: w.token}
-		if !c.hier.Submit(req) {
+		if !c.submit(req) {
 			break
 		}
 		w.inflight = true
@@ -565,7 +573,7 @@ func (c *Core) rmwStep() {
 	}
 	req := memsys.Request{Type: memsys.ReadExcl, Core: c.id,
 		Addr: isa.AlignAddr(e.src1Val, e.inst.Size), Token: e.seq}
-	if c.hier.Submit(req) {
+	if c.submit(req) {
 		e.rmwIssued = true
 	}
 }

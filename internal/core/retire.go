@@ -11,12 +11,14 @@ import (
 // into the write buffer, and trains the branch predictor's direction tables
 // with retired outcomes only.
 func (c *Core) retire() {
+	c.valStallCounted = false
 	if c.retireStalled {
 		return // mutation self-test hook (introspect.go)
 	}
 	if c.cfg.InterruptInterval > 0 && c.now > 0 &&
 		c.now%uint64(c.cfg.InterruptInterval) == 0 && c.robCnt > 0 {
 		if c.interruptsDisabled() {
+			c.markActive()
 			c.st.InterruptsDelayed++
 		} else {
 			resume := c.robAt(0).pc
@@ -37,6 +39,7 @@ func (c *Core) retire() {
 				if lq.needV && !lq.valExpDone {
 					// A validation holds up retirement (§V-A4).
 					c.st.ValidationStall++
+					c.valStallCounted = true
 					return
 				}
 				if !lq.needV && !lq.valExpIssued {
@@ -109,6 +112,7 @@ func (c *Core) commitDest(e *robEntry) {
 }
 
 func (c *Core) popHead() {
+	c.markActive()
 	// Materialize the retiring producer's value into any consumer still
 	// holding a rename reference: the slot is about to be recycled.
 	head := c.robHead

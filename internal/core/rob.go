@@ -202,6 +202,7 @@ func isBranchNeedingFence(op isa.Op) bool {
 // space. A synthetic fetchedInst (defense fence) consumes no fetch-buffer
 // slot.
 func (c *Core) insertEntry(fi *fetchedInst) {
+	c.markActive()
 	phys := c.robPhys(c.robCnt)
 	c.robCnt++
 	e := &c.rob[phys]
@@ -278,6 +279,7 @@ func (c *Core) srcReady(rob *int, val *uint64) bool {
 	if p.st != stCompleted {
 		return false
 	}
+	c.markActive()
 	*val = p.destVal
 	*rob = noDep
 	p.consumers--
@@ -311,6 +313,7 @@ func (c *Core) issue() {
 			continue
 		}
 		if c.operandsReady(e) && c.startExec(phys, e, &fu) {
+			c.markActive()
 			slots--
 		} else {
 			list[kept] = phys
@@ -482,6 +485,7 @@ func (c *Core) completeExec() {
 			r++
 			continue
 		}
+		c.markActive()
 		c.executing = append(c.executing[:r], c.executing[r+1:]...)
 		op := e.inst.Op
 		switch {
@@ -595,18 +599,12 @@ func (c *Core) resolveBranch(logical int, e *robEntry) bool {
 // full fence additionally requires all older stores to have performed (no
 // older store in the ROB and an empty write buffer); an acquire requires all
 // older loads performed; a release requires older loads performed and older
-// stores performed.
-func (c *Core) updateFenceCompletion() { c.scanFences(true) }
-
-// scanFences evaluates the open fences' completion conditions, oldest first.
-// With complete set it completes each fence whose condition holds (younger
-// fences then see it done) and reports whether any did; otherwise it
-// changes nothing and reports whether some condition holds. The walk ends
-// at the youngest open fence, or at the first unperformed load, past which
-// no condition can hold; with no fence open it does not start.
-func (c *Core) scanFences(complete bool) bool {
+// stores performed. The walk goes oldest first, so younger fences see an
+// older one completed this cycle; it ends at the youngest open fence, or at
+// the first unperformed load, past which no condition can hold, and with no
+// fence open it does not start.
+func (c *Core) updateFenceCompletion() {
 	open := c.openFences
-	any := false
 	allOlderDone := true
 	olderLoadsPerformed := true
 	olderStorePresent := false
@@ -627,11 +625,7 @@ func (c *Core) scanFences(complete bool) bool {
 				done = olderLoadsPerformed && !olderStorePresent && len(c.wb) == 0
 			}
 			if done {
-				if !complete {
-					return true
-				}
 				c.completeFence(c.robPhys(i), e)
-				any = true
 			}
 		}
 		if e.st != stCompleted {
@@ -650,11 +644,11 @@ func (c *Core) scanFences(complete bool) bool {
 			allOlderDone = false
 		}
 	}
-	return any
 }
 
 // completeFence completes the open fence-like entry e in slot phys.
 func (c *Core) completeFence(phys int, e *robEntry) {
+	c.markActive()
 	if e.st == stDispatched {
 		c.waiting = dropSlot(c.waiting, phys)
 	}

@@ -12,6 +12,7 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 	if L < 0 {
 		L = 0
 	}
+	c.markActive()
 	c.st.Squashes[reason]++
 	flushed := 0
 	if L < c.robCnt {

@@ -8,7 +8,9 @@ import (
 
 	"invisispec/internal/config"
 	"invisispec/internal/invariant"
+	"invisispec/internal/isa"
 	"invisispec/internal/sim"
+	"invisispec/internal/workload"
 )
 
 // The simulator must be bit-deterministic: the same (config, workload,
@@ -74,6 +76,23 @@ func TestMeasureErrorContext(t *testing.T) {
 		}
 	}
 	check(err, "warmup")
+}
+
+// A recording that fails still returns what it committed before the
+// failure, next to the error; invisisim -trace prints those events.
+func TestRecordReturnsEventsWithError(t *testing.T) {
+	// Leave only the constant headroom, far short of the requested commits.
+	budgetPerInstruction = 0
+	defer func() { budgetPerInstruction = 600 }()
+	run := config.Run{Machine: config.Default(1), Defense: config.Base, Consistency: config.TSO}
+	const n = 1_000_000
+	tr, err := Record(run, "mcf", []*isa.Program{workload.MustSPEC("mcf")}, n)
+	if !errors.Is(err, sim.ErrCycleBudget) {
+		t.Fatalf("err = %v, want a budget error", err)
+	}
+	if tr == nil || len(tr.Events[0]) == 0 || len(tr.Events[0]) >= n {
+		t.Fatalf("failed recording returned %v, want the events committed before the failure", tr)
+	}
 }
 
 // An invariant violation or deadlock inside a measured window is annotated

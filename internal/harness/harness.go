@@ -231,17 +231,20 @@ func Complete(run config.Run, name string, progs []*isa.Program, maxCycles uint6
 // option surface — kernel selection matters here because the recorded
 // cycles are kernel-independent only because the equivalence oracle makes
 // them so; Record under both kernels is how the trace tests check that.
+// When the run fails, Record returns the events committed before the
+// failure together with the error.
 func Record(run config.Run, name string, progs []*isa.Program, n uint64, opts ...Option) (t *trace.Trace, err error) {
 	m, runCtx, err := setup(run, name, progs, opts)
 	if err != nil {
 		return nil, err
 	}
+	events := make([][]trace.Event, len(progs))
+	t = &trace.Trace{Name: name, Programs: progs, Events: events}
 	defer func() {
 		if r := recover(); r != nil {
-			t, err = nil, panicError(m, run, label(name, run), r)
+			err = panicError(m, run, label(name, run), r)
 		}
 	}()
-	events := make([][]trace.Event, len(progs))
 	full := 0
 	for i := range m.Cores {
 		i := i
@@ -258,7 +261,7 @@ func Record(run config.Run, name string, progs []*isa.Program, n uint64, opts ..
 	// recordings (conformance reproducers) still cover pipeline fill.
 	budget := 100_000 + n*uint64(len(progs))*budgetPerInstruction
 	if err := m.RunInstructionsCtx(runCtx, n*uint64(len(progs)), budget); err != nil {
-		return nil, fmt.Errorf("%s record: %w", label(name, run), err)
+		return t, fmt.Errorf("%s record: %w", label(name, run), err)
 	}
 	// Unbalanced multi-core progress can leave some cores short of n while
 	// the retired total is already met; top off one milestone at a time.
@@ -267,10 +270,10 @@ func Record(run config.Run, name string, progs []*isa.Program, n uint64, opts ..
 			break
 		}
 		if err := m.RunInstructionsCtx(runCtx, m.Stats.TotalRetired()+1, budget); err != nil {
-			return nil, fmt.Errorf("%s record: %w", label(name, run), err)
+			return t, fmt.Errorf("%s record: %w", label(name, run), err)
 		}
 	}
-	return &trace.Trace{Name: name, Programs: progs, Events: events}, nil
+	return t, nil
 }
 
 // MeasureWorkload measures any registered workload on its default machine

@@ -108,8 +108,8 @@ func runKernelCase(t *testing.T, kc kernelCase, k engine.Kernel) (string, *sim.M
 }
 
 // kernelMatrix is the equivalence table: the smoke matrix plus hardening
-// layers (fault seeds, checking, interrupts, ProtectICache) and a multicore
-// coherence-heavy case.
+// layers (fault seeds, checking, interrupts, ProtectICache) and every 8-core
+// PARSEC kernel.
 func kernelMatrix() []kernelCase {
 	var cases []kernelCase
 	// Smoke matrix: memory-bound (mcf: pointer chase, libquantum: stream)
@@ -146,10 +146,15 @@ func kernelMatrix() []kernelCase {
 	cases = append(cases,
 		kernelCase{workload: "libquantum", defense: config.ISSpectre, cm: config.TSO, protectI: true})
 	// Multicore: cross-core invalidations, recalls, and shared-LLC traffic.
-	cases = append(cases,
-		kernelCase{workload: "canneal", parsec: true, defense: config.Base, cm: config.TSO, instrs: 2000},
-		kernelCase{workload: "canneal", parsec: true, defense: config.ISFuture, cm: config.RC, instrs: 2000},
-	)
+	// They reach a core only through hierarchy callbacks, which is how an
+	// idle core learns it has work again.
+	for _, wl := range workload.SuiteNames(true) {
+		for _, d := range []config.Defense{config.Base, config.ISFuture} {
+			for _, cm := range []config.Consistency{config.TSO, config.RC} {
+				cases = append(cases, kernelCase{workload: wl, parsec: true, defense: d, cm: cm, instrs: 2000})
+			}
+		}
+	}
 	// Budget exhaustion: both kernels must report the identical BudgetError
 	// (same cycle, same per-core progress snapshot).
 	cases = append(cases,
