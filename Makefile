@@ -10,7 +10,7 @@ JOBS ?= 4
 BIN = bin
 SMOKE_FLAGS = -fig 4 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
 
-.PHONY: all build tools test vet lint race check ci bench smoke benchdiff baseline leakscan leaksearch kernelcheck conform chaos serve
+.PHONY: all build tools test vet lint race check ci bench smoke benchdiff baseline baselinecheck leakscan leaksearch kernelcheck conform chaos serve
 
 all: build
 
@@ -123,6 +123,15 @@ conform: tools
 # and sanity-check the diff before committing.
 baseline: tools
 	$(BIN)/benchtable $(SMOKE_FLAGS) -benchjson BENCH_baseline.json -benchname smoke -benchhost=false
+
+# Byte-identity gate on the committed baseline: rerun `make baseline`'s
+# sweep into a scratch file under $(BIN) and require it to equal
+# BENCH_baseline.json byte for byte. benchdiff tolerates CPI drift; this
+# does not, so a change that moves any simulated statistic fails here until
+# the baseline is regenerated on purpose.
+baselinecheck: tools
+	$(BIN)/benchtable $(SMOKE_FLAGS) -benchjson $(BIN)/baselinecheck.json -benchname smoke -benchhost=false
+	cmp $(BIN)/baselinecheck.json BENCH_baseline.json
 
 # Simulation-as-a-service (DESIGN.md §14): a long-running HTTP job server
 # with content-addressed cell memoization and the HTML dashboard. Sweep

@@ -43,6 +43,10 @@ type Predictor struct {
 	ghr    uint64 // speculative global history (youngest outcome in bit 0)
 	ras    []int
 	rasTop int // index of next push slot
+	// rasCopy is a read-only copy of ras that snapshots share until the
+	// next push changes the stack (nil until a snapshot needs one). A pop
+	// only moves rasTop, which each snapshot carries itself.
+	rasCopy []int
 
 	// Stats.
 	CondPredicts   uint64
@@ -80,9 +84,13 @@ type State struct {
 }
 
 // Snapshot captures the speculative state (history and RAS) so that it can
-// be restored after a squash.
+// be restored after a squash. Snapshots taken with no push in between share
+// one copy of the RAS, so only the first of them allocates.
 func (p *Predictor) Snapshot() State {
-	return State{ghr: p.ghr, ras: append([]int(nil), p.ras...), rasTop: p.rasTop}
+	if p.rasCopy == nil {
+		p.rasCopy = append([]int(nil), p.ras...)
+	}
+	return State{ghr: p.ghr, ras: p.rasCopy, rasTop: p.rasTop}
 }
 
 // GHR returns the global history captured in the snapshot; the core trains
@@ -94,6 +102,7 @@ func (s State) GHR() uint64 { return s.ghr }
 func (p *Predictor) Restore(s State) {
 	p.ghr = s.ghr
 	copy(p.ras, s.ras)
+	p.rasCopy = s.ras
 	p.rasTop = s.rasTop
 }
 
@@ -163,6 +172,7 @@ func (p *Predictor) PredictIndirect(pc int) (target int, ok bool) {
 func (p *Predictor) PushRAS(returnPC int) {
 	p.ras[p.rasTop] = returnPC
 	p.rasTop = (p.rasTop + 1) % len(p.ras)
+	p.rasCopy = nil
 }
 
 // PopRAS predicts a return target.

@@ -253,3 +253,45 @@ func TestRASDeepNestSquashRestore(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotsShareRASUntilPush checks the shared RAS checkpoint: a
+// snapshot's stack survives later pushes, pops and restores of other
+// snapshots, and snapshots taken with no push in between share one copy,
+// so only the first allocates.
+func TestSnapshotsShareRASUntilPush(t *testing.T) {
+	p := New(DefaultConfig())
+	p.PushRAS(1)
+	p.PushRAS(2)
+	a := p.Snapshot()
+	p.PopRAS() // moves rasTop only: a later snapshot may share a's copy
+	b := p.Snapshot()
+	p.PushRAS(3) // overwrites the slot that held 2
+	c := p.Snapshot()
+	p.PushRAS(4)
+
+	p.Restore(b)
+	if got := p.PopRAS(); got != 1 {
+		t.Fatalf("restored b: pop = %d, want 1", got)
+	}
+	p.Restore(c)
+	p.PushRAS(5) // writes the live stack, never c's copy
+	p.Restore(a)
+	if got := p.PopRAS(); got != 2 {
+		t.Fatalf("restored a after later pushes: pop = %d, want 2", got)
+	}
+	if got := p.PopRAS(); got != 1 {
+		t.Fatalf("restored a: second pop = %d, want 1", got)
+	}
+	p.Restore(c)
+	if got := p.PopRAS(); got != 3 {
+		t.Fatalf("restored c after a push on top of it: pop = %d, want 3", got)
+	}
+
+	p.Snapshot()
+	if n := testing.AllocsPerRun(100, func() { p.Snapshot() }); n != 0 {
+		t.Fatalf("Snapshot with no push since the last one allocated %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.PushRAS(6); p.Snapshot() }); n != 1 {
+		t.Fatalf("Snapshot after a push allocated %v times, want 1", n)
+	}
+}

@@ -75,11 +75,15 @@ type Core struct {
 	regs    [isa.NumRegs]uint64
 
 	// State the stages keep about the ROB so that per-cycle work follows
-	// the instructions in flight rather than the ROB's capacity: age-ordered
-	// lists of physical slots (dispatched but not issued; executing in a
-	// functional unit; open fence-like entries and incomplete atomics), and
-	// the number of open fence-like entries. StructuralCheck recomputes each.
-	waiting    []int
+	// the instructions in flight rather than the ROB's capacity: bit masks
+	// over the physical slots of the dispatched entries whose operands are
+	// all captured (ready to issue, or parked behind an older memory
+	// barrier until one closes), age-ordered lists of physical slots
+	// (executing in a functional unit; open fence-like entries and
+	// incomplete atomics), and the number of open fence-like entries.
+	// StructuralCheck recomputes each.
+	ready      []uint64
+	parked     []uint64
 	executing  []int
 	barriers   []int
 	openFences int
@@ -164,7 +168,9 @@ func New(id int, run config.Run, prog *isa.Program, mem *isa.Memory,
 		sq:       make([]sqEntry, cfg.SQEntries),
 	}
 	c.fetchBuf = c.fetchMem[:0]
-	c.waiting = make([]int, 0, cfg.ROBEntries)
+	words := (cfg.ROBEntries + 63) / 64
+	masks := make([]uint64, 2*words)
+	c.ready, c.parked = masks[:words:words], masks[words:]
 	c.executing = make([]int, 0, cfg.ROBEntries)
 	c.barriers = make([]int, 0, cfg.ROBEntries)
 	for i := range c.rat {

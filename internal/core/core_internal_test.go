@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,16 +268,21 @@ func TestStructuralCheckCatchesStageStateDrift(t *testing.T) {
 		c.insertEntry(&fetchedInst{pc: 4, inst: isa.Inst{Op: isa.OpMul, Rd: 8, Rs1: 6, Rs2: 6}})
 		c.now = 1
 		// The Lui enters a functional unit and the acquire issues; the
-		// acquire then holds back the synthetic fence and the atomic, and
-		// the multiply waits for the add.
+		// acquire then holds back the synthetic fence, which parks, and the
+		// atomic, and the multiply waits for the add. A Lui dispatched
+		// after issue is ready for the next cycle.
 		c.issue()
+		c.insertEntry(&fetchedInst{pc: 5, inst: isa.Inst{Op: isa.OpLui, Rd: 9, Imm: 2}})
 		if err := c.StructuralCheck(); err != nil {
 			t.Fatalf("consistent core rejected: %v", err)
 		}
 		if c.openFences != 2 || c.rob[c.robPhys(0)].consumers != 3 ||
-			len(c.waiting) != 4 || len(c.executing) != 1 || len(c.barriers) != 3 {
-			t.Fatalf("unexpected set-up: open=%d consumers=%d waiting=%v executing=%v barriers=%v",
-				c.openFences, c.rob[c.robPhys(0)].consumers, c.waiting, c.executing, c.barriers)
+			!slices.Equal(maskSlots(c.ready), []int{c.robPhys(6)}) ||
+			!slices.Equal(maskSlots(c.parked), []int{c.robPhys(3)}) ||
+			len(c.executing) != 1 || len(c.barriers) != 3 {
+			t.Fatalf("unexpected set-up: open=%d consumers=%d ready=%v parked=%v executing=%v barriers=%v",
+				c.openFences, c.rob[c.robPhys(0)].consumers, maskSlots(c.ready), maskSlots(c.parked),
+				c.executing, c.barriers)
 		}
 		return c
 	}
@@ -287,7 +293,12 @@ func TestStructuralCheckCatchesStageStateDrift(t *testing.T) {
 	}{
 		{"open-fence count", func(c *Core) { c.openFences++ }, "open-fence count"},
 		{"consumer count", func(c *Core) { c.rob[c.robPhys(1)].consumers-- }, "consumer count"},
-		{"waiting entry lost", func(c *Core) { c.waiting = c.waiting[1:] }, "waiting list"},
+		{"ready bit cleared", func(c *Core) { clearBit(c.ready, c.robPhys(6)) }, "ready mask"},
+		{"parked bit on an entry no barrier holds", func(c *Core) {
+			clearBit(c.ready, c.robPhys(6))
+			setBit(c.parked, c.robPhys(6))
+		}, "parked with no older memory barrier"},
+		{"consumers left on a completed producer", func(c *Core) { c.rob[c.robPhys(0)].st = stCompleted }, "consumers still waiting"},
 		{"executing entry leaked", func(c *Core) { c.executing = append(c.executing, c.robPhys(4)) }, "executing list"},
 		{"barriers out of order", func(c *Core) { c.barriers[0], c.barriers[1] = c.barriers[1], c.barriers[0] }, "barrier list"},
 	} {
@@ -297,5 +308,97 @@ func TestStructuralCheckCatchesStageStateDrift(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: StructuralCheck = %v, want an error about the %s", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestIssueOrder dispatches a few entries by hand and steps completion and
+// issue alone, cycle by cycle, checking after each cycle which entries have
+// left the dispatched state ('I') and which still wait ('D'). The cases pin
+// down issue's ordering rules: memory operations wait for an older atomic
+// even while the atomic's own operands are pending; a synthetic fence held
+// back by an older barrier holds back nothing itself, while one that has
+// issued closes issue to everything younger; and an instruction refused a
+// functional unit stays ready for the next cycle without blocking younger
+// ones.
+func TestIssueOrder(t *testing.T) {
+	inst := func(op isa.Op, rd, rs1, rs2 uint8) fetchedInst {
+		return fetchedInst{inst: isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Size: 8}}
+	}
+	synFence := fetchedInst{inst: isa.Inst{Op: isa.OpFence}, synthetic: true}
+	for _, tc := range []struct {
+		name    string
+		cm      config.Consistency
+		entries []fetchedInst
+		want    []string // per cycle, one letter per entry
+	}{
+		{
+			name: "atomic with a pending operand holds back a younger load",
+			cm:   config.TSO,
+			entries: []fetchedInst{
+				inst(isa.OpMul, 2, 3, 3),  // 3-cycle producer of the atomic's address
+				inst(isa.OpRMW, 4, 2, 5),  // waits for r2
+				inst(isa.OpLoad, 6, 7, 0), // ready, but younger than the atomic
+				inst(isa.OpAdd, 8, 9, 9),  // not a memory operation: issues
+			},
+			want: []string{"IDDI", "IDDI", "IDDI", "IIDI", "IIDI"},
+		},
+		{
+			name: "synthetic fence held by an older acquire blocks no younger ALU op",
+			cm:   config.RC,
+			entries: []fetchedInst{
+				inst(isa.OpAcquire, 0, 0, 0),
+				synFence,
+				inst(isa.OpAdd, 8, 9, 9),
+				inst(isa.OpLoad, 6, 7, 0),
+			},
+			want: []string{"IDID", "IDID"},
+		},
+		{
+			name: "issued synthetic fence blocks everything younger",
+			cm:   config.TSO,
+			entries: []fetchedInst{
+				synFence,
+				inst(isa.OpAdd, 8, 9, 9),
+				inst(isa.OpLui, 10, 0, 0),
+			},
+			want: []string{"IDD", "IDD"},
+		},
+		{
+			name: "third multiply waits for a unit while a younger ALU op issues",
+			cm:   config.TSO,
+			entries: []fetchedInst{
+				inst(isa.OpMul, 2, 3, 3),
+				inst(isa.OpMul, 4, 3, 3),
+				inst(isa.OpMul, 5, 3, 3),
+				inst(isa.OpAdd, 8, 9, 9),
+			},
+			want: []string{"IIDI", "IIII"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCore(t, config.Base)
+			c.run.Consistency = tc.cm
+			for i := range tc.entries {
+				c.insertEntry(&tc.entries[i])
+			}
+			for cycle, want := range tc.want {
+				c.now = uint64(cycle + 1)
+				c.completeExec()
+				c.issue()
+				got := make([]byte, c.robCnt)
+				for i := range got {
+					got[i] = 'I'
+					if c.robAt(i).st == stDispatched {
+						got[i] = 'D'
+					}
+				}
+				if string(got) != want {
+					t.Fatalf("cycle %d: issue state %s, want %s\n%s", c.now, got, want, DebugDump(c))
+				}
+				if err := c.StructuralCheck(); err != nil {
+					t.Fatalf("cycle %d: %v", c.now, err)
+				}
+			}
+		})
 	}
 }

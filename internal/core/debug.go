@@ -25,12 +25,23 @@ func DebugDump(c *Core) string {
 		s := c.sqAt(i)
 		fmt.Fprintf(&b, "sq[%2d] seq=%d addr=%#x ready=%v data=%v\n", i, s.seq, s.addr, s.addrReady, s.dataReady)
 	}
-	fmt.Fprintf(&b, "waiting=%v executing=%v barriers=%v openFences=%d\n",
-		c.waiting, c.executing, c.barriers, c.openFences)
+	fmt.Fprintf(&b, "ready=%v parked=%v executing=%v barriers=%v openFences=%d\n",
+		maskSlots(c.ready), maskSlots(c.parked), c.executing, c.barriers, c.openFences)
 	fmt.Fprintf(&b, "wb=%d epoch=%d\n", len(c.wb), c.epoch)
 	if ls := c.lastSquash; ls.Happened {
 		fmt.Fprintf(&b, "last squash: cycle=%d reason=%s flushed=%d redirect=%d\n",
 			ls.Cycle, ls.Reason, ls.Flushed, ls.Redirect)
 	}
 	return b.String()
+}
+
+// maskSlots lists the slots set in a ROB slot mask, lowest first.
+func maskSlots(m []uint64) []int {
+	var slots []int
+	for i := range len(m) * 64 {
+		if hasBit(m, i) {
+			slots = append(slots, i)
+		}
+	}
+	return slots
 }

@@ -37,7 +37,8 @@ type WakeState struct {
 
 	RAT        [isa.NumRegs]int
 	Regs       [isa.NumRegs]uint64
-	Waiting    []int
+	Ready      []uint64
+	Parked     []uint64
 	Executing  []int
 	Barriers   []int
 	OpenFences int
@@ -65,7 +66,8 @@ func SnapshotWakeState(c *Core) WakeState {
 		IExposeFilter: c.iExposeFilter, LastSquash: c.lastSquash,
 
 		RAT: c.rat, Regs: c.regs,
-		Waiting:    append([]int(nil), c.waiting...),
+		Ready:      append([]uint64(nil), c.ready...),
+		Parked:     append([]uint64(nil), c.parked...),
 		Executing:  append([]int(nil), c.executing...),
 		Barriers:   append([]int(nil), c.barriers...),
 		OpenFences: c.openFences,

@@ -148,10 +148,11 @@ func (c *Core) StructuralCheck() error {
 	return c.checkWBFIFO()
 }
 
-// checkStageState recomputes, by scanning the ROB, each counter and list
-// the pipeline stages maintain incrementally, and reports the first that
-// disagrees: the open-fence count, every slot's rename-reference count,
-// and the waiting, executing and barrier lists (content and age order).
+// checkStageState recomputes, by scanning the ROB, each counter, mask and
+// list the pipeline stages maintain incrementally, and reports the first
+// that disagrees: the open-fence count, every slot's rename-reference count
+// (none left on a completed entry), the ready and parked masks, and the
+// executing and barrier lists (content and age order).
 func (c *Core) checkStageState() error {
 	open := 0
 	refs := make([]int, len(c.rob))
@@ -174,14 +175,18 @@ func (c *Core) checkStageState() error {
 		return fmt.Errorf("core%d: open-fence count %d, ROB holds %d open fences", c.id, c.openFences, open)
 	}
 	for i := 0; i < c.robCnt; i++ {
-		if phys := c.robPhys(i); c.rob[phys].consumers != refs[phys] {
+		phys := c.robPhys(i)
+		e := &c.rob[phys]
+		if e.consumers != refs[phys] {
 			return fmt.Errorf("core%d: rob[%d] seq %d consumer count %d, younger entries hold %d references",
-				c.id, i, c.rob[phys].seq, c.rob[phys].consumers, refs[phys])
+				c.id, i, e.seq, e.consumers, refs[phys])
+		}
+		if e.st == stCompleted && e.consumers > 0 {
+			return fmt.Errorf("core%d: rob[%d] seq %d completed with %d consumers still waiting for it",
+				c.id, i, e.seq, e.consumers)
 		}
 	}
-	if err := c.checkSlotList("waiting", c.waiting, func(e *robEntry) bool {
-		return e.st == stDispatched
-	}); err != nil {
+	if err := c.checkIssueMasks(); err != nil {
 		return err
 	}
 	if err := c.checkSlotList("executing", c.executing, func(e *robEntry) bool {
@@ -192,6 +197,41 @@ func (c *Core) checkStageState() error {
 	return c.checkSlotList("barrier", c.barriers, func(e *robEntry) bool {
 		return (isFenceLike(e) && !e.fenceDone) || (e.inst.Op == isa.OpRMW && e.st != stCompleted)
 	})
+}
+
+// checkIssueMasks verifies that the ready and parked masks are disjoint,
+// that together they hold exactly the dispatched entries whose operands are
+// all captured, and that each parked entry is a memory operation or a fence
+// with an older open memory barrier.
+func (c *Core) checkIssueMasks() error {
+	for i := range c.ready {
+		if both := c.ready[i] & c.parked[i]; both != 0 {
+			return fmt.Errorf("core%d: ready and parked masks share slots %v", c.id, maskSlots([]uint64{both}))
+		}
+	}
+	want := make([]uint64, len(c.ready))
+	olderMemBarrier := false
+	for i := 0; i < c.robCnt; i++ {
+		phys := c.robPhys(i)
+		e := &c.rob[phys]
+		if e.st == stDispatched && e.src1Rob == noDep && e.src2Rob == noDep {
+			setBit(want, phys)
+		}
+		if hasBit(c.parked, phys) && !(olderMemBarrier && (e.inst.Op.IsMem() || e.inst.Op == isa.OpFence)) {
+			return fmt.Errorf("core%d: rob[%d] seq %d %v parked with no older memory barrier open",
+				c.id, i, e.seq, e.inst.Op)
+		}
+		if barrierOf(e) == barrierMem {
+			olderMemBarrier = true
+		}
+	}
+	for i, w := range want {
+		if got := c.ready[i] | c.parked[i]; got != w {
+			return fmt.Errorf("core%d: ready mask %v and parked mask %v, want the dispatched entries with captured operands %v",
+				c.id, maskSlots(c.ready), maskSlots(c.parked), maskSlots(want))
+		}
+	}
+	return nil
 }
 
 // checkSlotList verifies that list holds exactly the physical slots of the

@@ -170,7 +170,7 @@ func (c *Core) flushStep() {
 	}
 	c.markActive()
 	c.hier.FlushLine(e.src1Val + uint64(e.inst.Imm))
-	e.st = stCompleted
+	c.complete(c.robHead)
 }
 
 // translateStep runs the D-TLB for a load. Conventional configurations
@@ -372,11 +372,10 @@ func (c *Core) markPerformed(e *lqEntry) {
 		return
 	}
 	e.performed = true
-	rob := &c.rob[e.robIdx]
 	if !e.prefetch {
-		rob.destVal = e.value
+		c.rob[e.robIdx].destVal = e.value
 	}
-	rob.st = stCompleted
+	c.complete(e.robIdx)
 	if e.isUSL {
 		c.decideValidationOrExposure(e)
 	}
@@ -544,8 +543,8 @@ func (c *Core) exclusiveArrived(r memsys.Response) {
 			old := c.mem.Read(addr, e.inst.Size)
 			c.mem.Write(addr, e.inst.Size, old+e.src2Val)
 			e.destVal = old
-			e.st = stCompleted
-			c.barriers = dropSlot(c.barriers, c.robHead)
+			c.complete(c.robHead)
+			c.closeBarrier(c.robHead)
 		}
 	}
 }

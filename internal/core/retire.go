@@ -111,27 +111,12 @@ func (c *Core) commitDest(e *robEntry) {
 	}
 }
 
+// popHead frees the retiring head slot. Its consumers captured its result
+// when it completed.
 func (c *Core) popHead() {
 	c.markActive()
-	// Materialize the retiring producer's value into any consumer still
-	// holding a rename reference: the slot is about to be recycled.
-	head := c.robHead
-	h := &c.rob[head]
-	for i := 1; h.consumers > 0 && i < c.robCnt; i++ {
-		e := c.robAt(i)
-		if e.src1Rob == head {
-			e.src1Rob = noDep
-			e.src1Val = h.destVal
-			h.consumers--
-		}
-		if e.src2Rob == head {
-			e.src2Rob = noDep
-			e.src2Val = h.destVal
-			h.consumers--
-		}
-	}
-	h.valid = false
-	c.robHead = ringAdd(head, 1, len(c.rob))
+	c.rob[c.robHead].valid = false
+	c.robHead = ringAdd(c.robHead, 1, len(c.rob))
 	c.robCnt--
 }
 

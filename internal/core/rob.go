@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"invisispec/internal/bpred"
 	"invisispec/internal/config"
 	"invisispec/internal/isa"
@@ -20,7 +22,7 @@ const (
 const noDep = -1
 
 // robEntry is one in-flight dynamic instruction. The fields issue reads for
-// every waiting entry each cycle come first, so they share a cache line or
+// every ready entry it visits come first, so they share a cache line or
 // two, and the flags are packed together.
 type robEntry struct {
 	seq  uint64
@@ -55,7 +57,7 @@ type robEntry struct {
 	src2Val uint64
 	destVal uint64
 	// consumers counts the src1Rob/src2Rob references younger entries
-	// still hold to this slot; popHead materializes them at retirement.
+	// still hold to this slot; complete hands them the result.
 	consumers int
 
 	pc           int
@@ -115,6 +117,11 @@ func (c *Core) robLogical(phys int) int {
 	}
 	return l
 }
+
+// Bit masks over the physical ROB slots.
+func setBit(m []uint64, i int)      { m[i>>6] |= 1 << (i & 63) }
+func clearBit(m []uint64, i int)    { m[i>>6] &^= 1 << (i & 63) }
+func hasBit(m []uint64, i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 
 // dropSlot removes phys from an age-ordered slot list.
 func dropSlot(list []int, phys int) []int {
@@ -226,20 +233,10 @@ func (c *Core) insertEntry(fi *fetchedInst) {
 	}
 	op := fi.inst.Op
 	if needsSrc1(op) {
-		if p := c.rat[fi.inst.Rs1]; p >= 0 {
-			e.src1Rob = p
-			c.rob[p].consumers++
-		} else {
-			e.src1Val = c.regs[fi.inst.Rs1]
-		}
+		e.src1Rob, e.src1Val = c.rename(fi.inst.Rs1)
 	}
 	if needsSrc2(op) {
-		if p := c.rat[fi.inst.Rs2]; p >= 0 {
-			e.src2Rob = p
-			c.rob[p].consumers++
-		} else {
-			e.src2Val = c.regs[fi.inst.Rs2]
-		}
+		e.src2Rob, e.src2Val = c.rename(fi.inst.Rs2)
 	}
 	if op.HasDest() {
 		c.rat[fi.inst.Rd] = phys
@@ -258,8 +255,8 @@ func (c *Core) insertEntry(fi *fetchedInst) {
 			e.fenceDone = true
 		}
 	}
-	if e.st == stDispatched {
-		c.waiting = append(c.waiting, phys)
+	if e.st == stDispatched && e.src1Rob == noDep && e.src2Rob == noDep {
+		setBit(c.ready, phys)
 	}
 	if isFenceLike(e) && !e.fenceDone {
 		c.openFences++
@@ -269,60 +266,95 @@ func (c *Core) insertEntry(fi *fetchedInst) {
 	}
 }
 
-// srcReady pulls a source operand if its producer has completed, and reports
-// whether the operand is available.
-func (c *Core) srcReady(rob *int, val *uint64) bool {
-	if *rob == noDep {
-		return true
+// rename returns a source operand's producing ROB slot while the producer
+// is in flight, registering the reference with it; once the producer has
+// completed, or retired into the register file, it returns noDep and the
+// value.
+func (c *Core) rename(r uint8) (int, uint64) {
+	p := c.rat[r]
+	if p < 0 {
+		return noDep, c.regs[r]
 	}
-	p := &c.rob[*rob]
-	if p.st != stCompleted {
-		return false
+	if pe := &c.rob[p]; pe.st == stCompleted {
+		return noDep, pe.destVal
 	}
-	c.markActive()
-	*val = p.destVal
-	*rob = noDep
-	p.consumers--
-	return true
+	c.rob[p].consumers++
+	return p, 0
 }
 
-func (c *Core) operandsReady(e *robEntry) bool {
-	r1 := c.srcReady(&e.src1Rob, &e.src1Val)
-	r2 := c.srcReady(&e.src2Rob, &e.src2Val)
-	return r1 && r2
+// complete moves the entry in slot phys to the completed state and hands
+// its result to every younger entry still referencing it. An entry whose
+// operands are then all captured is ready to issue.
+func (c *Core) complete(phys int) {
+	p := &c.rob[phys]
+	p.st = stCompleted
+	for i := c.robLogical(phys) + 1; p.consumers > 0 && i < c.robCnt; i++ {
+		e := c.robAt(i)
+		captured := false
+		if e.src1Rob == phys {
+			e.src1Rob, e.src1Val = noDep, p.destVal
+			p.consumers--
+			captured = true
+		}
+		if e.src2Rob == phys {
+			e.src2Rob, e.src2Val = noDep, p.destVal
+			p.consumers--
+			captured = true
+		}
+		if captured && e.src1Rob == noDep && e.src2Rob == noDep {
+			setBit(c.ready, c.robPhys(i))
+		}
+	}
 }
 
 // issue selects up to IssueWidth ready instructions, oldest first, honouring
-// functional-unit counts and fence blocking. It walks the dispatched
-// entries only; issueGate applies the ordering rules.
+// functional-unit counts and fence blocking. It visits the ready entries
+// only, from the ROB head to the end of the ring and then the wrapped
+// slots; issueGate applies the ordering rules. An entry an older memory
+// barrier holds back parks until a barrier closes (closeBarrier).
 func (c *Core) issue() {
+	if !anyBit(c.ready) {
+		return
+	}
 	slots := c.cfg.IssueWidth
 	fu := fuBudget{alus: c.cfg.IntALUs, muldivs: c.cfg.MulDivUnits, agus: c.cfg.L1D.Ports}
 	g := c.issueGate()
-	list := c.waiting
-	kept, r := 0, 0
-	for ; r < len(list) && slots > 0; r++ {
-		phys := list[r]
-		e := &c.rob[phys]
-		if g.closed(e) {
-			break
+	for _, span := range [2][2]int{{c.robHead, len(c.rob)}, {0, c.robHead}} {
+		for i, end := span[0], span[1]; i < end && slots > 0; i++ {
+			// Re-read the word on every visit: parking and issuing clear
+			// bits, and a completion at issue readies younger entries.
+			w := c.ready[i>>6] >> (i & 63)
+			if w == 0 {
+				i |= 63
+				continue
+			}
+			if i += bits.TrailingZeros64(w); i >= end {
+				break
+			}
+			e := &c.rob[i]
+			switch {
+			case g.closed(e):
+				return
+			case g.holds(e):
+				clearBit(c.ready, i)
+				setBit(c.parked, i)
+			case c.startExec(i, e, &fu):
+				clearBit(c.ready, i)
+				c.markActive()
+				slots--
+			}
 		}
-		if g.holds(e) {
-			list[kept] = phys
-			kept++
-			continue
-		}
-		if c.operandsReady(e) && c.startExec(phys, e, &fu) {
-			c.markActive()
-			slots--
-		} else {
-			list[kept] = phys
-			kept++
-		}
-		g.consider(e)
 	}
-	kept += copy(list[kept:], list[r:])
-	c.waiting = list[:kept]
+}
+
+// anyBit reports whether any bit of m is set.
+func anyBit(m []uint64) bool {
+	for _, w := range m {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // fuBudget is the functional units issue has left this cycle.
@@ -376,7 +408,7 @@ func (c *Core) startExec(phys int, e *robEntry, fu *fuBudget) bool {
 		e.st = stWaitMem
 		return true
 	default:
-		e.st = stCompleted
+		c.complete(phys)
 		return true
 	}
 	e.st = stExecuting
@@ -426,22 +458,25 @@ func barrierOf(e *robEntry) int {
 	return barrierNone
 }
 
-// issueGate applies issue's ordering rules to a walk of the waiting list,
+// issueGate applies issue's ordering rules to a walk of the ready entries,
 // oldest first: all and mem are the sequence numbers of the oldest barriers
-// of each kind seen so far (^0 when none).
+// of each kind (^0 when none).
 type issueGate struct{ all, mem uint64 }
 
-// issueGate starts a walk from the oldest open barriers that have already
-// issued. A dispatched barrier joins only once the walk considers it, so
-// one that is itself held back holds back nothing younger.
+// issueGate considers the open barriers in age order: every issued one,
+// and every dispatched one that no older barrier holds back, whether or
+// not its operands are ready. A barrier that is itself held back holds
+// back nothing younger, and past the oldest barrier that closes issue
+// nothing younger matters.
 func (c *Core) issueGate() issueGate {
 	g := issueGate{all: ^uint64(0), mem: ^uint64(0)}
 	for _, phys := range c.barriers {
-		if e := &c.rob[phys]; e.st != stDispatched {
+		e := &c.rob[phys]
+		if g.closed(e) {
+			break
+		}
+		if e.st != stDispatched || !g.holds(e) {
 			g.consider(e)
-			if g.all == e.seq {
-				break // nothing younger issues
-			}
 		}
 	}
 	return g
@@ -491,12 +526,12 @@ func (c *Core) completeExec() {
 		switch {
 		case op == isa.OpCycle:
 			e.destVal = c.now
-			e.st = stCompleted
+			c.complete(phys)
 		case op.IsALU():
 			e.destVal = isa.EvalALU(op, e.src1Val, e.src2Val, e.inst.Imm)
-			e.st = stCompleted
+			c.complete(phys)
 		case op.IsBranch():
-			if c.resolveBranch(c.robLogical(phys), e) {
+			if c.resolveBranch(phys, e) {
 				return // squash invalidated the scan
 			}
 		case op == isa.OpLoad || op == isa.OpPrefetch:
@@ -513,21 +548,21 @@ func (c *Core) completeExec() {
 			sq.addrReady = true
 			sq.data = e.src2Val
 			sq.dataReady = true
-			e.st = stCompleted
+			c.complete(phys)
 			if c.storeAliasSquash(sq) {
 				return
 			}
 		case op == isa.OpRMW, op == isa.OpFlush:
 			e.st = stWaitMem // waits for ROB head; memStep issues it
 		default:
-			e.st = stCompleted
+			c.complete(phys)
 		}
 	}
 }
 
 // resolveBranch compares outcome with prediction, squashing on a
 // misprediction. It reports whether a squash happened.
-func (c *Core) resolveBranch(logical int, e *robEntry) bool {
+func (c *Core) resolveBranch(phys int, e *robEntry) bool {
 	op := e.inst.Op
 	e.resolved = true
 	var next int
@@ -555,7 +590,7 @@ func (c *Core) resolveBranch(logical int, e *robEntry) bool {
 			c.bp.TrainTarget(e.pc, e.actualTarget)
 		}
 	}
-	e.st = stCompleted
+	c.complete(phys)
 
 	if c.fetchStalled && e.btbMiss {
 		// This is the exact instruction fetch is stalled on (BTB miss), by
@@ -590,7 +625,7 @@ func (c *Core) resolveBranch(logical int, e *robEntry) bool {
 		// architecturally consume it.
 		c.bp.PopRAS()
 	}
-	c.squashFromLogical(logical+1, stats.SquashBranch, next, false)
+	c.squashFromLogical(c.robLogical(phys)+1, stats.SquashBranch, next, false)
 	return true
 }
 
@@ -646,14 +681,25 @@ func (c *Core) updateFenceCompletion() {
 	}
 }
 
-// completeFence completes the open fence-like entry e in slot phys.
+// completeFence completes the open fence-like entry e in slot phys, which
+// may not have issued yet.
 func (c *Core) completeFence(phys int, e *robEntry) {
 	c.markActive()
-	if e.st == stDispatched {
-		c.waiting = dropSlot(c.waiting, phys)
-	}
+	clearBit(c.ready, phys)
+	clearBit(c.parked, phys)
 	e.fenceDone = true
-	e.st = stCompleted
+	c.complete(phys)
 	c.openFences--
+	c.closeBarrier(phys)
+}
+
+// closeBarrier drops the completed barrier in slot phys and returns every
+// parked entry to the ready mask; the next issue walk parks again whatever
+// an older barrier still holds back.
+func (c *Core) closeBarrier(phys int) {
 	c.barriers = dropSlot(c.barriers, phys)
+	for i, w := range c.parked {
+		c.ready[i] |= w
+		c.parked[i] = 0
+	}
 }

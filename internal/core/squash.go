@@ -72,9 +72,11 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 		if isFenceLike(e) && !e.fenceDone {
 			c.openFences--
 		}
+		phys := c.robPhys(i)
+		clearBit(c.ready, phys)
+		clearBit(c.parked, phys)
 		e.valid = false
 	}
-	c.waiting = c.truncSlots(c.waiting, L)
 	c.executing = c.truncSlots(c.executing, L)
 	c.barriers = c.truncSlots(c.barriers, L)
 	// Squash-time defense cleanup (e.g. SpecBox flushes the labels of the

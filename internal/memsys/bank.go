@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"slices"
+
 	"invisispec/internal/cache"
 	"invisispec/internal/coherence"
 	"invisispec/internal/config"
@@ -18,6 +20,9 @@ type bank struct {
 	busy     map[uint64]bool
 	waiting  map[uint64][]*txn
 	portFree uint64
+	// reflush lists the lines a clflush reached while a transaction held
+	// them (see FlushLine); bankRelease flushes each again.
+	reflush []uint64
 }
 
 // txn is a transaction queued at a bank.
@@ -78,8 +83,15 @@ func (h *Hierarchy) bankEnqueue(b *bank, tx *txn) {
 	h.bankProcess(b, tx)
 }
 
-// bankRelease unlocks a line and starts the next queued transaction.
+// bankRelease unlocks a line and starts the next queued transaction. A
+// clflush that reached the line while the finishing transaction held it is
+// applied again first, so the copy the transaction's fill installed goes
+// too.
 func (h *Hierarchy) bankRelease(b *bank, lineNum uint64) {
+	if i := slices.Index(b.reflush, lineNum); i >= 0 {
+		b.reflush = slices.Delete(b.reflush, i, i+1)
+		h.flushLine(lineNum)
+	}
 	q := b.waiting[lineNum]
 	if len(q) == 0 {
 		delete(b.busy, lineNum)

@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"invisispec/internal/cache"
@@ -73,9 +74,20 @@ func (h *Hierarchy) DebugEvents() int { return len(h.events) }
 // FlushLine implements a clflush: the line containing addr is invalidated
 // from every L1, written back from the LLC if dirty, dropped from the LLC,
 // and purged from every LLC-SB. It is an architectural (non-speculative)
-// operation; timing is charged by the core.
+// operation; timing is charged by the core. A transaction that holds the
+// line at its home bank has already committed its directory update and
+// will still fill an L1, so the flush is ordered after it as well: the
+// bank applies it again when it releases the line.
 func (h *Hierarchy) FlushLine(addr uint64) {
 	ln := h.LineOf(addr)
+	if b := h.bank[h.homeBank(ln)]; b.busy[ln] && !slices.Contains(b.reflush, ln) {
+		b.reflush = append(b.reflush, ln)
+	}
+	h.flushLine(ln)
+}
+
+// flushLine applies a clflush of line ln at once.
+func (h *Hierarchy) flushLine(ln uint64) {
 	for c := range h.l1d {
 		h.invalidateL1(c, ln)
 		h.l1i[c].arr.Invalidate(ln)

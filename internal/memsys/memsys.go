@@ -25,7 +25,6 @@
 package memsys
 
 import (
-	"container/heap"
 	"fmt"
 
 	"invisispec/internal/config"
@@ -228,9 +227,9 @@ func (h *Hierarchy) Now() uint64 { return h.now }
 func (h *Hierarchy) Tick(now uint64) {
 	h.now = now
 	for len(h.events) > 0 && h.events[0].cycle <= now {
-		ev := heap.Pop(&h.events).(*event)
+		fn := h.events.pop()
 		h.eventsRun++
-		ev.fn()
+		fn()
 	}
 	for _, c := range h.l1d {
 		c.portsUsed = 0
@@ -248,17 +247,7 @@ func (h *Hierarchy) at(cycle uint64, fn func()) {
 	}
 	h.seq++
 	h.eventsScheduled++
-	heap.Push(&h.events, &event{cycle: cycle, seq: h.seq, fn: fn})
-}
-
-// DebugEventHistogram returns pending event counts bucketed by relative due
-// time (temporary debugging aid).
-func (h *Hierarchy) DebugEventHistogram() map[uint64]int {
-	m := map[uint64]int{}
-	for _, e := range h.events {
-		m[(e.cycle-h.now)/1000]++
-	}
-	return m
+	h.events.push(event{cycle: cycle, seq: h.seq, fn: fn})
 }
 
 // Pending reports whether any event remains in flight (used by the engine
@@ -286,22 +275,54 @@ type event struct {
 	fn    func()
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events ordered by (cycle, seq). No two
+// events share a seq, so the order is total and events pop in the same
+// order whatever the heap's shape. It holds events by value, so scheduling
+// one allocates nothing beyond its callback.
+type eventHeap []event
 
-func (q eventHeap) Len() int { return len(q) }
-func (q eventHeap) Less(i, j int) bool {
+func (q eventHeap) less(i, j int) bool {
 	if q[i].cycle != q[j].cycle {
 		return q[i].cycle < q[j].cycle
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventHeap) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventHeap) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventHeap) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+
+func (q *eventHeap) push(ev event) {
+	h := append(*q, ev)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+// pop removes the earliest event and returns its callback.
+func (q *eventHeap) pop() func() {
+	h := *q
+	fn := h[0].fn
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // release the callback
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return fn
 }

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math/rand"
 	"testing"
 
 	"invisispec/internal/coherence"
@@ -556,5 +557,66 @@ func TestIFetchSpecLeavesNoTrace(t *testing.T) {
 	lat := r.runUntil(t, func() bool { return r.clients[0].gotToken(3) }, 100)
 	if lat > 3 {
 		t.Fatalf("invisible fetch of resident line took %d cycles", lat)
+	}
+}
+
+// TestFlushDuringTransactionOrdersAfterFill flushes a line while its home
+// bank holds it for a read miss: the bank has committed the directory
+// update and the response is on its way, but the L1 fill has not happened.
+// The fill must not leave the L1 holding a line the LLC has dropped, so the
+// flush also applies once the transaction ends, and the line is then
+// cached nowhere.
+func TestFlushDuringTransactionOrdersAfterFill(t *testing.T) {
+	r := newRig(t, 1)
+	addr := uint64(0x30000)
+	ln := r.h.LineOf(addr)
+	r.h.Submit(Request{Type: ReadShared, Core: 0, Addr: addr, Token: 1})
+	r.runUntil(t, func() bool { return r.h.BankBusy(ln) }, 1000)
+	if r.clients[0].gotToken(1) {
+		t.Fatal("set-up: the read completed before its bank transaction")
+	}
+	r.h.FlushLine(addr)
+	r.runUntil(t, func() bool { return r.clients[0].gotToken(1) && !r.h.BankBusy(ln) }, 1000)
+	if st := r.h.L1State(0, addr); st != coherence.Invalid || r.h.LLCPresent(addr) {
+		t.Fatalf("after the transaction: L1 state %v, LLC present %v; want the line cached nowhere",
+			st, r.h.LLCPresent(addr))
+	}
+	if n := len(r.clients[0].invalidations); n != 1 {
+		t.Fatalf("core saw %d invalidations, want 1 (the flush reaching the filled copy)", n)
+	}
+	// The next access misses everywhere and the hierarchy stays inclusive.
+	r.h.Submit(Request{Type: ReadShared, Core: 0, Addr: addr, Token: 2})
+	r.runUntil(t, func() bool { return r.clients[0].gotToken(2) }, 1000)
+	if r.h.L1State(0, addr) == coherence.Invalid || !r.h.LLCPresent(addr) {
+		t.Fatal("re-read after the flush did not install in the L1 and the LLC")
+	}
+}
+
+// TestEventHeapPopsInCycleSeqOrder interleaves pushes at random cycles
+// with pops and checks that events come out ordered by (cycle, seq), the
+// order the hierarchy's determinism rests on.
+func TestEventHeapPopsInCycleSeqOrder(t *testing.T) {
+	type key struct{ cycle, seq uint64 }
+	rng := rand.New(rand.NewSource(1))
+	var (
+		q         eventHeap
+		nextSeq   uint64
+		got, last key
+	)
+	for popped := 0; popped < 5000; {
+		for n := rng.Intn(4); n > 0; n-- {
+			nextSeq++
+			// Never before the last popped cycle, as at() guarantees.
+			k := key{last.cycle + uint64(rng.Intn(8)), nextSeq}
+			q.push(event{cycle: k.cycle, seq: k.seq, fn: func() { got = k }})
+		}
+		for n := rng.Intn(4); n > 0 && len(q) > 0; n-- {
+			q.pop()()
+			if popped > 0 && (got.cycle < last.cycle || got.cycle == last.cycle && got.seq < last.seq) {
+				t.Fatalf("pop %d: event %v after %v", popped, got, last)
+			}
+			last = got
+			popped++
+		}
 	}
 }
