@@ -9,6 +9,7 @@ GO ?= go
 JOBS ?= 4
 BIN = bin
 SMOKE_FLAGS = -fig 4 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
+PARSEC_FLAGS = -fig 7 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
 
 .PHONY: all build tools test vet lint race check ci bench smoke benchdiff baseline baselinecheck leakscan leaksearch kernelcheck conform chaos serve
 
@@ -74,20 +75,23 @@ bench:
 
 # Kernel-equivalence gate: the fast-forward scheduler must produce
 # byte-identical fingerprints to the cycle-by-cycle reference stepper across
-# the whole equivalence matrix (fault seeds, checking, interrupts and every
-# 8-core PARSEC kernel included), and the wake audit must find no cycle the
-# fast kernel would skip on which a core's state changes.
-# (Also runs as part of `make race`.)
+# the whole equivalence matrix (fault seeds, checking, interrupts, every
+# 8-core PARSEC kernel and the two-core attacks included), the wake audit
+# must find no cycle a core promised to idle on in which its state changes,
+# and the scheduler's unit tests and the credited-core test hold the
+# tick-or-credit rule. (Also runs as part of `make race`.)
 kernelcheck:
-	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit' -count=1 ./internal/sim ./internal/core
+	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit|TestFlushReachesCreditedCore|TestScheduler' -count=1 ./internal/sim ./internal/core ./internal/engine
 
 # Short-budget Figure-4 sweep producing the BENCH_smoke.json artifact the
 # CI regression gate compares against the committed baseline.
 # -comparekernels re-runs the sweep under the stepped kernel, fails on any
 # divergence, and records both kernels' wall time in the artifact's host
-# block so benchdiff trajectories show the fast-forward speedup.
+# block so benchdiff trajectories show the fast-forward speedup. The
+# Figure-7 sweep does the same for the 8-core PARSEC machines.
 smoke: tools
 	$(BIN)/benchtable $(SMOKE_FLAGS) -comparekernels -benchjson BENCH_smoke.json -benchname smoke
+	$(BIN)/benchtable $(PARSEC_FLAGS) -comparekernels -benchjson $(BIN)/parsec_smoke.json -benchname parsec-smoke
 
 benchdiff: smoke
 	$(BIN)/benchdiff BENCH_baseline.json BENCH_smoke.json
@@ -118,20 +122,25 @@ leaksearch: tools
 conform: tools
 	$(BIN)/conformfuzz -seed 1 -n 200 -jobs $(JOBS) -q -shrink -json CONFORM_smoke.json
 
-# Regenerate the committed baseline (host block omitted so the artifact is
+# Regenerate the committed baselines, the Figure-4 SPEC sweep and the
+# Figure-7 PARSEC sweep (host block omitted so the artifacts are
 # byte-stable across machines). Run after intentional timing-model changes,
 # and sanity-check the diff before committing.
 baseline: tools
 	$(BIN)/benchtable $(SMOKE_FLAGS) -benchjson BENCH_baseline.json -benchname smoke -benchhost=false
+	$(BIN)/benchtable $(PARSEC_FLAGS) -benchjson BENCH_parsec_baseline.json -benchname parsec-smoke -benchhost=false
 
-# Byte-identity gate on the committed baseline: rerun `make baseline`'s
-# sweep into a scratch file under $(BIN) and require it to equal
-# BENCH_baseline.json byte for byte. benchdiff tolerates CPI drift; this
-# does not, so a change that moves any simulated statistic fails here until
-# the baseline is regenerated on purpose.
+# Byte-identity gate on the committed baselines: rerun `make baseline`'s
+# sweeps into scratch files under $(BIN) and require them to equal
+# BENCH_baseline.json and BENCH_parsec_baseline.json byte for byte.
+# benchdiff tolerates CPI drift; this does not, so a change that moves any
+# simulated statistic fails here until the baselines are regenerated on
+# purpose.
 baselinecheck: tools
 	$(BIN)/benchtable $(SMOKE_FLAGS) -benchjson $(BIN)/baselinecheck.json -benchname smoke -benchhost=false
 	cmp $(BIN)/baselinecheck.json BENCH_baseline.json
+	$(BIN)/benchtable $(PARSEC_FLAGS) -benchjson $(BIN)/parsec_baselinecheck.json -benchname parsec-smoke -benchhost=false
+	cmp $(BIN)/parsec_baselinecheck.json BENCH_parsec_baseline.json
 
 # Simulation-as-a-service (DESIGN.md §14): a long-running HTTP job server
 # with content-addressed cell memoization and the HTML dashboard. Sweep

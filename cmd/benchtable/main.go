@@ -41,7 +41,7 @@ import (
 )
 
 var (
-	figure  = flag.Int("fig", 0, "figure to regenerate (4, 6, 7 or 8); 5 is cmd/spectre-poc")
+	figure  = flag.Int("fig", 0, "figure to regenerate (4, 6, 7 or 8); 5 is leakscan -fig5")
 	table   = flag.Int("table", 0, "table to regenerate (6 or 7)")
 	warmup  = flag.Uint64("warmup", 20000, "warmup instructions per run")
 	measure = flag.Uint64("measure", 100000, "measured instructions per run")

@@ -8,8 +8,13 @@
 //
 // Corpora:
 //
-//	-corpus smoke  the fixed six-variant CI corpus (default)
+//	-corpus smoke  the fixed ten-variant CI corpus (default)
 //	-corpus fuzz   -n variants generated deterministically from -seed
+//
+// Two other modes replace the corpus scan: -search runs the feedback-driven
+// attack search, and -fig5 reproduces the paper's Figure 5 (the Spectre
+// variant-1 PoC on Base and IS-Sp with -secret, per-line latencies with
+// -full).
 //
 // The scan runs on the resilient execution layer (internal/campaign):
 // -journal checkpoints every finished trial, -resume skips trials a
@@ -82,10 +87,17 @@ func main() {
 		blind        = flag.Bool("blind", false, "mutate from the immutable seed instead of hill-climbing (the fuzz baseline; -search)")
 		promoteDir   = flag.String("promote", "", "write minimized find reproducers as replayable *.trace files into this directory (-search)")
 		shrinkBudget = flag.Int("shrink-budget", 0, "ddmin oracle evaluations per find minimization (0 = default 512; -search)")
+
+		fig5   = flag.Bool("fig5", false, "reproduce Figure 5 instead of a corpus scan: the Spectre v1 PoC on Base and IS-Sp, exit 1 if the outcome contradicts the paper")
+		secret = flag.Int("secret", 84, "secret byte value, 1-255 (-fig5; the paper uses 84)")
+		full   = flag.Bool("full", false, "print all probe latencies from a single fault-free run, not only the summary (-fig5)")
 	)
 	copts := campaign.AddFlags(flag.CommandLine)
 	flag.Parse()
 
+	if *fig5 {
+		os.Exit(runFig5(*secret, *trials, *jobs, *timeout, *full))
+	}
 	if *search {
 		defs, err := config.ParseDefenses(*defsF)
 		if err != nil {

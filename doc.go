@@ -6,6 +6,6 @@
 // system inventory, and EXPERIMENTS.md for paper-vs-measured results.
 //
 // The simulator itself lives under internal/; the executables under cmd/
-// (invisisim, spectre-poc, benchtable) and the programs under examples/ are
+// (invisisim, leakscan, benchtable) and the programs under examples/ are
 // the public surface.
 package invisispec

@@ -115,10 +115,12 @@ type Core struct {
 	retireStalled bool
 
 	// Quiescence (wake.go): the last cycle a stage or a hierarchy callback
-	// changed the core's state, and whether the last retire counted a
-	// validation-stall cycle.
+	// changed the core's state, whether the last retire counted a
+	// validation-stall cycle, and NextWake's timer memo (0: none yet).
 	lastActive      uint64
 	valStallCounted bool
+	timers          uint64
+	timersAt        uint64
 
 	halted bool
 }

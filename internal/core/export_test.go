@@ -7,14 +7,16 @@ import (
 
 	"invisispec/internal/bpred"
 	"invisispec/internal/isa"
+	"invisispec/internal/memsys"
 	"invisispec/internal/stats"
 )
 
 // WakeState is a copy of everything a core's tick can change, apart from
-// the two counters SkipIdle replays across a jump (Cycles and
-// ValidationStall). The wake audit takes one wherever the fast kernel would
-// jump and compares it with the state the stepped kernel reaches at the end
-// of that window.
+// the two counters SkipIdle replays (Cycles and ValidationStall) and the
+// four the hierarchy writes into the core's stats slot (L1DHits, L1DMisses,
+// LLCSBHits and LLCSBMisses). The wake audit takes one wherever a core
+// promises to idle and compares it with the state the stepped kernel
+// reaches at the end of that window.
 type WakeState struct {
 	ROB      []robEntry // window, oldest first
 	ROBHead  int
@@ -89,7 +91,34 @@ func SnapshotWakeState(c *Core) WakeState {
 		s.SQ = append(s.SQ, *c.sqAt(i))
 	}
 	s.Stats.Cycles, s.Stats.ValidationStall = 0, 0
+	s.Stats.L1DHits, s.Stats.L1DMisses, s.Stats.LLCSBHits, s.Stats.LLCSBMisses = 0, 0, 0, 0
 	return s
+}
+
+// OnInput connects a forwarding memsys.Client in c's place, so that fn runs
+// before each hierarchy callback reaches c, with the callback's cycle.
+func OnInput(c *Core, fn func(now uint64)) {
+	c.hier.Connect(c.id, inputHook{(*client)(c), fn})
+}
+
+type inputHook struct {
+	*client
+	fn func(now uint64)
+}
+
+func (h inputHook) Deliver(now uint64, r memsys.Response) {
+	h.fn(now)
+	h.client.Deliver(now, r)
+}
+
+func (h inputHook) OnInvalidate(now uint64, lineNum uint64) {
+	h.fn(now)
+	h.client.OnInvalidate(now, lineNum)
+}
+
+func (h inputHook) OnL1Evict(now uint64, lineNum uint64) {
+	h.fn(now)
+	h.client.OnL1Evict(now, lineNum)
 }
 
 // Diff names the first field in which s and o differ (for example

@@ -36,22 +36,6 @@ func (c *Core) Progress() (retired uint64, pc int, halted bool) {
 // Epoch returns the core's current squash epoch (§VI-C).
 func (c *Core) Epoch() uint64 { return c.epoch }
 
-// WBView is one write-buffer entry's progress state.
-type WBView struct {
-	Token    uint64
-	Inflight bool
-	Done     bool
-}
-
-// WBFIFO returns the write buffer's entries in FIFO order.
-func (c *Core) WBFIFO() []WBView {
-	out := make([]WBView, len(c.wb))
-	for i := range c.wb {
-		out[i] = WBView{Token: c.wb[i].token, Inflight: c.wb[i].inflight, Done: c.wb[i].done}
-	}
-	return out
-}
-
 // SquashInfo records the most recent pipeline squash (for deadlock dumps).
 type SquashInfo struct {
 	Happened bool

@@ -550,9 +550,15 @@ func (c *Core) exclusiveArrived(r memsys.Response) {
 }
 
 // popPerformedStores releases completed write-buffer entries from the head.
+// It copies the live entries down rather than re-slicing, so the buffer
+// keeps its backing array and retireStoreToWB's append does not reallocate.
 func (c *Core) popPerformedStores() {
-	for len(c.wb) > 0 && c.wb[0].done {
-		c.wb = c.wb[1:]
+	n := 0
+	for n < len(c.wb) && c.wb[n].done {
+		n++
+	}
+	if n > 0 {
+		c.wb = c.wb[:copy(c.wb, c.wb[n:])]
 	}
 }
 

@@ -18,9 +18,9 @@ package core
 //   - translateStep finishes a page walk at its walkDoneAt.
 //
 // A stage that adds a comparison against c.now must add its timer here.
-// TestWakeAudit holds NextWake to this: under the stepped kernel, wherever
-// the fast kernel would jump, the skipped ticks must leave every core's
-// state unchanged apart from the counters SkipIdle replays.
+// TestWakeAudit holds NextWake to this: under the stepped kernel, a core's
+// ticks inside a window it promised to idle (ended early by a callback) must
+// leave its state unchanged apart from the counters SkipIdle replays.
 
 // NeverWake mirrors engine.Never ("waiting on an external response only")
 // without importing the engine package: core sits below the kernel layer.
@@ -32,7 +32,10 @@ func (c *Core) markActive() { c.lastActive = c.now }
 
 // NextWake reports the earliest cycle > now at which this core could do
 // non-trivial work, assuming no memory response arrives before then (the
-// hierarchy's own NextWake bounds response arrivals). It is side-effect-free.
+// hierarchy's own NextWake bounds response arrivals). It is side-effect-free
+// apart from a memo of the timer minimum, which holds while c.now stays where
+// the computation found it: every tick moves c.now, and a callback marks the
+// core, so NextWake answers busy without the memo until the next tick.
 func (c *Core) NextWake(now uint64) uint64 {
 	if c.lastActive >= now {
 		return now + 1
@@ -40,33 +43,36 @@ func (c *Core) NextWake(now uint64) uint64 {
 	if c.halted {
 		return NeverWake
 	}
-	wake := NeverWake
-	if c.fetchResumeAt > now {
-		wake = c.fetchResumeAt
-	}
-	if ii := uint64(c.cfg.InterruptInterval); ii > 0 && c.robCnt > 0 {
-		wake = min(wake, now+ii-now%ii)
-	}
-	for _, phys := range c.executing {
-		wake = min(wake, c.rob[phys].execDoneAt)
-	}
-	for i := 0; i < c.lqCnt; i++ {
-		if e := c.lqAt(i); e.walking {
-			wake = min(wake, e.walkDoneAt)
+	if c.timersAt != c.now || c.timers == 0 {
+		wake := NeverWake
+		if c.fetchResumeAt > now {
+			wake = c.fetchResumeAt
 		}
+		if ii := uint64(c.cfg.InterruptInterval); ii > 0 && c.robCnt > 0 {
+			wake = min(wake, now+ii-now%ii)
+		}
+		for _, phys := range c.executing {
+			wake = min(wake, c.rob[phys].execDoneAt)
+		}
+		for i := 0; i < c.lqCnt; i++ {
+			if e := c.lqAt(i); e.walking {
+				wake = min(wake, e.walkDoneAt)
+			}
+		}
+		c.timers, c.timersAt = wake, c.now
 	}
-	if wake <= now {
+	if c.timers <= now {
 		// Defensive clamp: a timer due "in the past" means a stage did not
 		// act on it; treat the core as busy.
 		return now + 1
 	}
-	return wake
+	return c.timers
 }
 
-// SkipIdle advances the per-cycle counters by k skipped cycles. The kernel
-// jumps only after a cycle in which the core did nothing, so each skipped
-// cycle repeats that cycle's tick: it counts a cycle for a running core,
-// and a validation-stall cycle when that tick's retire counted one.
+// SkipIdle advances the per-cycle counters by k cycles the kernel credited
+// instead of ticking. It credits a core only after a tick in which it did
+// nothing, so each credited cycle repeats that tick: a cycle for a running
+// core, and a validation-stall cycle when that tick's retire counted one.
 func (c *Core) SkipIdle(k uint64) {
 	if c.halted {
 		return

@@ -8,6 +8,7 @@ import (
 	"invisispec/internal/core"
 	"invisispec/internal/engine"
 	"invisispec/internal/isa"
+	"invisispec/internal/leakage"
 	"invisispec/internal/sim"
 	"invisispec/internal/workload"
 )
@@ -92,14 +93,17 @@ func auditCases() []auditCase {
 	return cases
 }
 
-// TestWakeAudit checks the premise every fast-kernel jump rests on. After a
-// tick at cycle t, let W be the earliest of the hierarchy's and every
-// core's NextWake(t), capped at the cycle budget. Where W > t+1 the fast
-// kernel jumps to W, so the stepped kernel's ticks at t+1 .. W-1 must leave
-// every core's state as it was at t, apart from the counters SkipIdle
-// replays. The audit runs each case under the stepped kernel, copies every
-// core's state wherever the fast kernel would jump, steps to W-1 and
-// compares once.
+// TestWakeAudit checks the premise the fast kernel's credit rests on. After
+// a tick at cycle t, a core whose NextWake(t) is W > t+1 is credited, not
+// ticked, at every landed cycle before W, until a hierarchy callback reaches
+// it. So under the stepped kernel its ticks from t+1 up to W-1, or up to the
+// first callback, must leave its state as it was at t, apart from the
+// counters SkipIdle replays and the four the hierarchy owns. The audit runs
+// each case under the stepped kernel and keeps one window per core: it
+// copies the core's state when the window opens and compares once, when the
+// window reaches W-1, just before a callback reaches the core, or when the
+// run ends. A window where the whole machine is idle lies inside every
+// core's own window, so this also covers the whole-machine jumps.
 func TestWakeAudit(t *testing.T) {
 	for _, ac := range auditCases() {
 		t.Run(ac.String(), func(t *testing.T) {
@@ -108,6 +112,13 @@ func TestWakeAudit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// auditWindow is one core's promised-idle window.
+type auditWindow struct {
+	open       bool
+	from, wake uint64
+	before     core.WakeState
 }
 
 func auditWake(ac auditCase) error {
@@ -130,30 +141,106 @@ func auditWake(ac auditCase) error {
 	if ac.faultSeed != 0 {
 		m.SeedFaults(ac.faultSeed)
 	}
-	budget := ac.instrs * 600
-	before := make([]core.WakeState, len(m.Cores))
-	for m.Stats.TotalRetired() < ac.instrs && !m.Done() && m.Cycle() < budget {
-		now := m.Cycle()
-		wake := min(m.Hier.NextWake(now), budget)
-		for _, c := range m.Cores {
-			wake = min(wake, c.NextWake(now))
+	wins := make([]auditWindow, len(m.Cores))
+	var err error
+	// closeWindow compares core i's state with its window's start; by says
+	// what ended the window at cycle at.
+	closeWindow := func(i int, at uint64, by string) {
+		w := &wins[i]
+		if !w.open {
+			return
 		}
-		if wake > now+1 {
-			for i, c := range m.Cores {
-				before[i] = core.SnapshotWakeState(c)
-			}
-			for m.Cycle() < wake-1 {
-				m.Step()
-			}
-			for i, c := range m.Cores {
-				after := core.SnapshotWakeState(c)
-				if d := before[i].Diff(&after); d != "" {
-					return fmt.Errorf("core %d: idle promised at cycle %d until %d, but by cycle %d %s changed",
-						i, now, wake, m.Cycle(), d)
+		w.open = false
+		after := core.SnapshotWakeState(m.Cores[i])
+		if d := w.before.Diff(&after); d != "" && err == nil {
+			err = fmt.Errorf("core %d: idle promised at cycle %d until %d, but by %s at cycle %d %s changed",
+				i, w.from, w.wake, by, at, d)
+		}
+	}
+	for i, c := range m.Cores {
+		core.OnInput(c, func(now uint64) { closeWindow(i, now, "a callback") })
+	}
+	budget := ac.instrs * 600
+	for err == nil && m.Stats.TotalRetired() < ac.instrs && !m.Done() && m.Cycle() < budget {
+		now := m.Cycle()
+		for i, c := range m.Cores {
+			if w := &wins[i]; !w.open {
+				if wake := c.NextWake(now); wake > now+1 {
+					*w = auditWindow{open: true, from: now, wake: wake, before: core.SnapshotWakeState(c)}
 				}
 			}
 		}
 		m.Step()
+		for i := range wins {
+			if wins[i].open && m.Cycle()+1 >= wins[i].wake {
+				closeWindow(i, m.Cycle(), "the tick")
+			}
+		}
 	}
-	return nil
+	for i := range wins {
+		closeWindow(i, m.Cycle(), "the end of the run")
+	}
+	return err
+}
+
+// creditProbe is a core as an engine component that remembers whether the
+// fast kernel ticked or credited it at the latest landing.
+type creditProbe struct {
+	*core.Core
+	through uint64 // the last cycle ticked or credited
+	ticked  uint64 // the last cycle ticked
+}
+
+func (p *creditProbe) Tick(now uint64) {
+	p.Core.Tick(now)
+	p.through, p.ticked = now, now
+}
+
+func (p *creditProbe) SkipIdle(k uint64) {
+	p.Core.SkipIdle(k)
+	p.through += k
+}
+
+// TestFlushReachesCreditedCore runs the smoke corpus's two-core attacks
+// under the fast kernel and checks that some callback reaches a core the
+// kernel credited, not ticked, in that cycle: a clflush invalidating the
+// line in a lower-numbered core, from inside the flushing core's tick. That
+// core must then tick in the next cycle. TestKernelEquivalence (internal/sim)
+// holds the same runs to the stepped kernel's fingerprints.
+func TestFlushReachesCreditedCore(t *testing.T) {
+	const budget = 30_000_000
+	hits := 0
+	for _, spec := range leakage.SmokeCorpus() {
+		if spec.Cores() < 2 {
+			continue
+		}
+		progs, err := spec.Programs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range config.AllDefenses() {
+			m := sim.MustNew(config.Run{Machine: spec.Machine(), Defense: d, Consistency: config.TSO}, progs)
+			comps := []engine.Component{m.Hier}
+			for _, c := range m.Cores {
+				p := &creditProbe{Core: c}
+				core.OnInput(c, func(now uint64) {
+					if p.through == now && p.ticked != now {
+						hits++
+					}
+				})
+				comps = append(comps, p)
+			}
+			eng := engine.NewStepper(engine.KernelFast, 0, comps...)
+			for cycle := uint64(0); !m.Done(); {
+				if cycle >= budget {
+					t.Fatalf("%s/%s: not done within %d cycles", spec.ID, d, uint64(budget))
+				}
+				cycle = eng.StepTo(budget)
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no callback reached a core the fast kernel had credited in that cycle")
+	}
+	t.Logf("%d callbacks reached a credited core", hits)
 }

@@ -4,23 +4,31 @@
 //
 //   - ReferenceStepper is the seed's cycle-by-cycle loop: every component is
 //     ticked on every cycle, in registration order. It is the golden model.
-//   - Scheduler is the quiescence-aware fast-forward kernel: components are
-//     still ticked in the same fixed order, but when every component reports
-//     a future (or unknown-free) wake cycle, the clock jumps straight to the
-//     earliest of them. Skipped cycles are reported to IdleSkipper components
-//     so per-cycle accounting (core cycle counters, stall counters) advances
-//     by exactly the number of cycles skipped.
+//   - Scheduler is the quiescence-aware fast-forward kernel. It lands only on
+//     cycles where some component may act: when every component reports a
+//     future wake cycle, the clock jumps straight to the earliest of them.
+//     At each landed cycle it visits the components in registration order.
+//     A component without per-cycle accounting ticks at every landing. An
+//     IdleSkipper ticks only if it is due; otherwise it is credited the
+//     cycles since the previous landing through SkipIdle, so its per-cycle
+//     accounting (core cycle counters, stall counters) is exact after every
+//     StepTo.
 //
-// Determinism argument: a jump from cycle T to cycle W is performed only when
-// no component can do non-trivial work in (T, W) — NextWake contracts below.
-// Since simulated state is then constant over the open interval, ticking the
-// components at W produces the same state the reference stepper reaches by
-// ticking every cycle of (T, W]; the only per-cycle side effects in that
-// window are bulk-accountable counters, which SkipIdle replays. The callers
-// (internal/sim) additionally cap every jump at external boundaries that
-// carry their own side effects: the cycle budget, and the invariant-checker
-// sweep stride — so sweeps, watchdog windows, and budget errors observe
-// identical cycles under both kernels.
+// Determinism argument. Let prev be the previous landed cycle and next the
+// current one. An IdleSkipper is due at next if NextWake(prev) <= next,
+// asked just before its turn (unless the landing choice already found it
+// due), so that an input delivered earlier in the same landing (by a
+// component ticked before it) has already made it busy. A component that is
+// not due promised that its ticks in (prev, next] change nothing but bulk
+// counters, so crediting it leaves the state the reference stepper reaches
+// by ticking it every cycle. An input delivered after its turn makes it busy
+// at the next landing, which then is next+1, the cycle the reference
+// stepper's tick would act on it. The landing itself follows the same rule
+// machine-wide: a jump from T to W happens only when no component can act in
+// (T, W). The callers (internal/sim) additionally cap every jump at external
+// boundaries that carry their own side effects: the cycle budget, and the
+// invariant-checker sweep stride, so sweeps, watchdog windows and budget
+// errors observe identical cycles under both kernels.
 package engine
 
 import "fmt"
@@ -34,8 +42,9 @@ const Never = ^uint64(0)
 // Component is one simulated unit on the kernel's clock.
 type Component interface {
 	// Tick advances the component to cycle now. The kernel guarantees now is
-	// strictly increasing across calls and that all components are ticked at
-	// the same cycles, in registration order.
+	// strictly increasing across calls and that, within a cycle, components
+	// are ticked in registration order. The fast kernel may credit an
+	// IdleSkipper a landed cycle instead of ticking it.
 	Tick(now uint64)
 
 	// NextWake returns the earliest cycle > now at which the component could
@@ -47,15 +56,18 @@ type Component interface {
 	//     constant over cycles (now, W) — ticking it anywhere in that open
 	//     interval would be a no-op apart from bulk-accountable counters;
 	//   - Never means the component is waiting on external input only.
-	// NextWake must be side-effect-free: the reference stepper never calls it.
+	// NextWake must be side-effect-free (a memo is fine): the reference
+	// stepper never calls it, and the fast kernel asks again at a
+	// component's turn when the landing choice found it idle.
 	NextWake(now uint64) uint64
 }
 
 // IdleSkipper is implemented by components with per-cycle accounting (cycle
-// counters, stall counters) that must advance even across skipped cycles.
-// SkipIdle(k) is called before the tick that lands a jump, with k = number
-// of cycles skipped (the jump width minus the one cycle the tick itself
-// accounts for).
+// counters, stall counters) that must advance even across cycles they are
+// not ticked on. The fast kernel ticks an IdleSkipper only on landed cycles
+// it is due on, and calls SkipIdle(k) with k the number of cycles since the
+// previous landing that the component was not ticked on: all of them when it
+// is not due, all but the landed cycle itself when it is.
 type IdleSkipper interface {
 	SkipIdle(cycles uint64)
 }
@@ -95,8 +107,6 @@ func ParseKernel(s string) (Kernel, error) {
 
 // Stepper advances the clock for a fixed set of components.
 type Stepper interface {
-	// Now returns the current cycle (the cycle of the last tick).
-	Now() uint64
 	// StepTo advances time by at least one cycle and at most to cycle limit,
 	// returning the new current cycle. The reference stepper always advances
 	// exactly one cycle; the fast scheduler may land anywhere in
@@ -106,17 +116,16 @@ type Stepper interface {
 }
 
 // NewStepper builds the stepper for the chosen kernel, starting at cycle
-// start (the first tick happens at start+1). Components are ticked in the
+// start (the first tick happens at start+1). Components are visited in the
 // given order every landed cycle.
 func NewStepper(k Kernel, start uint64, comps ...Component) Stepper {
 	if k == KernelStepped {
 		return &ReferenceStepper{now: start, comps: comps}
 	}
-	s := &Scheduler{now: start, comps: comps}
-	for _, c := range comps {
-		if sk, ok := c.(IdleSkipper); ok {
-			s.skippers = append(s.skippers, sk)
-		}
+	n := len(comps)
+	s := &Scheduler{now: start, comps: comps, skip: make([]IdleSkipper, n), wake: make([]uint64, n)}
+	for i, c := range comps {
+		s.skip[i], _ = c.(IdleSkipper)
 	}
 	return s
 }
@@ -128,9 +137,6 @@ type ReferenceStepper struct {
 	now   uint64
 	comps []Component
 }
-
-// Now returns the current cycle.
-func (s *ReferenceStepper) Now() uint64 { return s.now }
 
 // StepTo ticks every component at now+1 (limit is ignored beyond the
 // contract's minimum advance).
@@ -144,16 +150,14 @@ func (s *ReferenceStepper) StepTo(limit uint64) uint64 {
 
 // Scheduler is the quiescence-aware fast-forward kernel.
 type Scheduler struct {
-	now      uint64
-	comps    []Component
-	skippers []IdleSkipper
+	now   uint64
+	comps []Component
+	skip  []IdleSkipper // skip[i] is comps[i] as an IdleSkipper, or nil
+	wake  []uint64      // wake[i] is comps[i]'s NextWake in the landing choice
 
 	jumps   uint64
 	skipped uint64
 }
-
-// Now returns the current cycle.
-func (s *Scheduler) Now() uint64 { return s.now }
 
 // SkipStats reports how many jumps the scheduler performed and how many idle
 // cycles they skipped in total (diagnostics; the counters are not part of
@@ -162,18 +166,21 @@ func (s *Scheduler) SkipStats() (jumps, skippedCycles uint64) {
 	return s.jumps, s.skipped
 }
 
-// StepTo advances to min(earliest wake, limit), ticking components once at
-// the landing cycle. When no component reports a wake before limit, the
-// clock lands on limit itself (external boundaries — budget, checker sweep —
-// carry side effects of their own and must be observed exactly).
+// StepTo advances to min(earliest wake, limit) and visits every component
+// at the landing cycle: it ticks those that are due and credits the rest.
+// When no component reports a wake before limit, the clock lands on limit
+// itself (external boundaries — budget, checker sweep — carry side effects
+// of their own and must be observed exactly).
 func (s *Scheduler) StepTo(limit uint64) uint64 {
-	next := s.now + 1
+	prev := s.now
+	next := prev + 1
+	asked := 0 // comps[:asked] answered the landing choice, in s.wake
 	if limit > next {
 		wake := Never
-		for _, c := range s.comps {
-			if w := c.NextWake(s.now); w < wake {
-				wake = w
-			}
+		for i, c := range s.comps {
+			w := c.NextWake(prev)
+			s.wake[i], asked = w, i+1
+			wake = min(wake, w)
 			if wake <= next {
 				wake = next
 				break
@@ -183,18 +190,26 @@ func (s *Scheduler) StepTo(limit uint64) uint64 {
 			wake = limit
 		}
 		if wake > next {
-			k := wake - next
-			for _, sk := range s.skippers {
-				sk.SkipIdle(k)
-			}
 			s.jumps++
-			s.skipped += k
+			s.skipped += wake - next
 			next = wake
 		}
 	}
 	s.now = next
-	for _, c := range s.comps {
+	for i, c := range s.comps {
+		if sk := s.skip[i]; sk != nil {
+			// An input only makes a component busier, so one the landing
+			// choice found due is still due. One it found idle is asked
+			// again: an input earlier in this landing may have woken it.
+			if (i >= asked || s.wake[i] > next) && c.NextWake(prev) > next {
+				sk.SkipIdle(next - prev)
+				continue
+			}
+			if next > prev+1 {
+				sk.SkipIdle(next - prev - 1)
+			}
+		}
 		c.Tick(next)
 	}
-	return s.now
+	return next
 }

@@ -67,7 +67,7 @@ func spectreSpec(secret byte, rounds, lines, stride int) AttackSpec {
 
 // CanonicalSpectreSpec returns the paper's Figure 1 attack with the given
 // secret: same-thread placement, 16 training rounds, 256 probe lines of
-// 64 bytes, bounds and probe array flushed. cmd/spectre-poc runs exactly
+// 64 bytes, bounds and probe array flushed. leakscan -fig5 runs exactly
 // this spec.
 func CanonicalSpectreSpec(secret byte) AttackSpec {
 	return spectreSpec(secret, 16, 256, 64)

@@ -216,7 +216,7 @@ func runTrial(ctx context.Context, s AttackSpec, d config.Defense, cm config.Con
 
 // SingleTrialLatencies runs one fault-free trial of the spec under a
 // defense and returns the raw probe-line latencies — the distribution
-// behind a cell, for CLIs that want to print it (spectre-poc -full).
+// behind a cell, for CLIs that want to print it (leakscan -fig5 -full).
 func SingleTrialLatencies(ctx context.Context, s AttackSpec, d config.Defense) ([]uint64, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -325,9 +325,7 @@ func (h *Hierarchy) sendIFetchSpecToBank(req Request, lineNum uint64) {
 			}
 		}
 		respArrive := h.mesh.send(t, home, req.Core, h.cfg.DataMsgBytes, stats.TrafficFetch)
-		h.at(respArrive, func() {
-			h.clients[req.Core].Deliver(h.now, Response{Token: req.Token, Addr: req.Addr, Type: req.Type})
-		})
+		h.deliverAt(respArrive, req.Core, Response{Token: req.Token, Addr: req.Addr, Type: req.Type})
 	})
 }
 
@@ -384,26 +382,18 @@ func (h *Hierarchy) specProcess(req Request, lineNum uint64) {
 // decides whether to retry (it will not if the USL has been squashed).
 func (h *Hierarchy) specBounce(req Request, lineNum uint64, from int) {
 	tb := h.mesh.send(h.now, from, req.Core, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
-	h.at(tb, func() {
-		h.clients[req.Core].Deliver(h.now, Response{
-			Token: req.Token, Addr: req.Addr, Type: req.Type, Bounced: true,
-		})
-	})
+	h.deliverAt(tb, req.Core, Response{Token: req.Token, Addr: req.Addr, Type: req.Type, Bounced: true})
 }
 
 // specRespond sends Spec-GetS data from node src at cycle t.
 func (h *Hierarchy) specRespond(req Request, src int, t uint64) {
 	arrive := h.mesh.send(t, src, req.Core, h.cfg.DataMsgBytes, stats.TrafficSpecLoad)
-	h.at(arrive, func() {
-		h.clients[req.Core].Deliver(h.now, Response{Token: req.Token, Addr: req.Addr, Type: req.Type})
-	})
+	h.deliverAt(arrive, req.Core, Response{Token: req.Token, Addr: req.Addr, Type: req.Type})
 }
 
 // specRespondFrom sends Spec-GetS data from an owner core at the current
 // cycle.
 func (h *Hierarchy) specRespondFrom(req Request, owner int) {
 	arrive := h.mesh.send(h.now, owner, req.Core, h.cfg.DataMsgBytes, stats.TrafficSpecLoad)
-	h.at(arrive, func() {
-		h.clients[req.Core].Deliver(h.now, Response{Token: req.Token, Addr: req.Addr, Type: req.Type})
-	})
+	h.deliverAt(arrive, req.Core, Response{Token: req.Token, Addr: req.Addr, Type: req.Type})
 }

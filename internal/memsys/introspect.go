@@ -56,21 +56,6 @@ func (h *Hierarchy) LLCSBEntry(core, idx int) (lineNum uint64, epoch uint64, val
 	return e.lineNum, e.epoch, e.valid
 }
 
-// L1DInFlight returns the number of outstanding demand misses at a core's
-// L1D.
-func (h *Hierarchy) L1DInFlight(core int) int { return h.l1d[core].mshr.InFlight() }
-
-// DebugBankState reports lock/queue status of the line containing addr (for
-// diagnosing protocol hangs in tests).
-func (h *Hierarchy) DebugBankState(addr uint64) (busy bool, queued int, mshrInFlight int) {
-	ln := h.LineOf(addr)
-	b := h.bank[h.homeBank(ln)]
-	return b.busy[ln], len(b.waiting[ln]), h.l1d[0].mshr.InFlight()
-}
-
-// DebugEvents returns the number of pending hierarchy events.
-func (h *Hierarchy) DebugEvents() int { return len(h.events) }
-
 // FlushLine implements a clflush: the line containing addr is invalidated
 // from every L1, written back from the LLC if dirty, dropped from the LLC,
 // and purged from every LLC-SB. It is an architectural (non-speculative)
@@ -115,9 +100,6 @@ func (h *Hierarchy) L1IPresent(core int, addr uint64) bool {
 // Hardening-layer introspection (internal/invariant). Everything below is
 // read-only except the two Inject* mutation hooks at the bottom, which exist
 // solely for the invariant package's mutation self-test.
-
-// NumCores returns the number of cores the hierarchy was built for.
-func (h *Hierarchy) NumCores() int { return len(h.l1d) }
 
 // ForEachL1DLine calls fn for every valid line in the core's L1D with its
 // line number and MESI state.

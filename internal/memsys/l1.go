@@ -165,7 +165,7 @@ func (h *Hierarchy) submitRead(c *l1, req Request, lineNum uint64) bool {
 			h.st.Cores[req.Core].L1DHits++
 		}
 		resp := Response{Token: req.Token, Addr: req.Addr, Type: req.Type, L1Hit: true}
-		h.at(h.now+c.latency, func() { h.clients[req.Core].Deliver(h.now, resp) })
+		h.deliverAt(h.now+c.latency, req.Core, resp)
 		return true
 	}
 	// Miss: coalesce onto an outstanding demand miss if one exists.
@@ -235,7 +235,7 @@ func (h *Hierarchy) submitReadExcl(c *l1, req Request, lineNum uint64) bool {
 			h.st.Cores[req.Core].L1DHits++
 		}
 		resp := Response{Token: req.Token, Addr: req.Addr, Type: req.Type, L1Hit: true}
-		h.at(h.now+c.latency, func() { h.clients[req.Core].Deliver(h.now, resp) })
+		h.deliverAt(h.now+c.latency, req.Core, resp)
 		return true
 	}
 	// Miss or S-state upgrade: needs a GetX at the directory. A GetX cannot
@@ -273,7 +273,7 @@ func (h *Hierarchy) submitSpecRead(c *l1, req Request, lineNum uint64) bool {
 	if line := c.arr.Lookup(lineNum); line != nil {
 		// Served by the local L1 copy, which remains untouched (§VI-A2).
 		resp := Response{Token: req.Token, Addr: req.Addr, Type: req.Type, L1Hit: true}
-		h.at(h.now+c.latency, func() { h.clients[req.Core].Deliver(h.now, resp) })
+		h.deliverAt(h.now+c.latency, req.Core, resp)
 		return true
 	}
 	h.sendSpecToBank(req, lineNum)
@@ -291,7 +291,7 @@ func (h *Hierarchy) submitIFetch(req Request) bool {
 		c.usePort()
 		c.arr.Touch(lineNum)
 		resp := Response{Token: req.Token, Addr: req.Addr, Type: IFetch, L1Hit: true}
-		h.at(h.now+c.latency, func() { h.clients[req.Core].Deliver(h.now, resp) })
+		h.deliverAt(h.now+c.latency, req.Core, resp)
 		return true
 	}
 	if m := c.mshr.Lookup(lineNum); m != nil {
@@ -322,7 +322,7 @@ func (h *Hierarchy) submitIFetchSpec(req Request) bool {
 	lineNum := h.LineOf(req.Addr)
 	if c.arr.Lookup(lineNum) != nil { // no Touch
 		resp := Response{Token: req.Token, Addr: req.Addr, Type: req.Type, L1Hit: true}
-		h.at(h.now+c.latency, func() { h.clients[req.Core].Deliver(h.now, resp) })
+		h.deliverAt(h.now+c.latency, req.Core, resp)
 		return true
 	}
 	h.sendIFetchSpecToBank(req, lineNum)

@@ -219,17 +219,18 @@ func (h *Hierarchy) homeBank(lineNum uint64) int { return int(lineNum) % len(h.b
 // before the first Tick.
 func (h *Hierarchy) Connect(core int, c Client) { h.clients[core] = c }
 
-// Now returns the hierarchy's current cycle.
-func (h *Hierarchy) Now() uint64 { return h.now }
-
 // Tick advances the hierarchy to cycle now, running every event scheduled at
 // or before it, and resets per-cycle port budgets.
 func (h *Hierarchy) Tick(now uint64) {
 	h.now = now
 	for len(h.events) > 0 && h.events[0].cycle <= now {
-		fn := h.events.pop()
+		ev := h.events.pop()
 		h.eventsRun++
-		fn()
+		if ev.fn != nil {
+			ev.fn()
+		} else {
+			h.clients[ev.core].Deliver(h.now, ev.resp)
+		}
 	}
 	for _, c := range h.l1d {
 		c.portsUsed = 0
@@ -241,18 +242,23 @@ func (h *Hierarchy) Tick(now uint64) {
 
 // at schedules fn to run at the given cycle (clamped to the next tick if in
 // the past). Events at the same cycle run in scheduling order.
-func (h *Hierarchy) at(cycle uint64, fn func()) {
-	if cycle <= h.now {
-		cycle = h.now + 1
-	}
-	h.seq++
-	h.eventsScheduled++
-	h.events.push(event{cycle: cycle, seq: h.seq, fn: fn})
+func (h *Hierarchy) at(cycle uint64, fn func()) { h.schedule(event{cycle: cycle, fn: fn}) }
+
+// deliverAt schedules the delivery of resp to core at the given cycle, as
+// at does for a callback that delivers it, but without allocating one.
+func (h *Hierarchy) deliverAt(cycle uint64, core int, resp Response) {
+	h.schedule(event{cycle: cycle, core: core, resp: resp})
 }
 
-// Pending reports whether any event remains in flight (used by the engine
-// to drain the system at the end of a run).
-func (h *Hierarchy) Pending() bool { return len(h.events) > 0 }
+func (h *Hierarchy) schedule(ev event) {
+	if ev.cycle <= h.now {
+		ev.cycle = h.now + 1
+	}
+	h.seq++
+	ev.seq = h.seq
+	h.eventsScheduled++
+	h.events.push(ev)
+}
 
 // NextWake implements the engine.Component quiescence contract: the
 // hierarchy's next non-trivial work is exactly its event-heap head (at()
@@ -269,16 +275,20 @@ func (h *Hierarchy) NextWake(now uint64) uint64 {
 	return now + 1
 }
 
+// event is a scheduled callback, or, when fn is nil, the delivery of resp
+// to core.
 type event struct {
 	cycle uint64
 	seq   uint64
 	fn    func()
+	core  int
+	resp  Response
 }
 
 // eventHeap is a binary min-heap of events ordered by (cycle, seq). No two
 // events share a seq, so the order is total and events pop in the same
 // order whatever the heap's shape. It holds events by value, so scheduling
-// one allocates nothing beyond its callback.
+// one allocates nothing beyond its callback, and a delivery nothing at all.
 type eventHeap []event
 
 func (q eventHeap) less(i, j int) bool {
@@ -301,10 +311,10 @@ func (q *eventHeap) push(ev event) {
 	*q = h
 }
 
-// pop removes the earliest event and returns its callback.
-func (q *eventHeap) pop() func() {
+// pop removes the earliest event and returns it.
+func (q *eventHeap) pop() event {
 	h := *q
-	fn := h[0].fn
+	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = event{} // release the callback
@@ -324,5 +334,5 @@ func (q *eventHeap) pop() func() {
 		i = m
 	}
 	*q = h
-	return fn
+	return ev
 }

@@ -40,6 +40,13 @@ func (c *testClient) resp(tok uint64) *Response {
 	return nil
 }
 
+// countClient counts deliveries without allocating.
+type countClient struct{ delivered int }
+
+func (c *countClient) Deliver(uint64, Response)    { c.delivered++ }
+func (c *countClient) OnInvalidate(uint64, uint64) {}
+func (c *countClient) OnL1Evict(uint64, uint64)    {}
+
 type rig struct {
 	h       *Hierarchy
 	st      *stats.Machine
@@ -119,6 +126,36 @@ func TestReadHitIsFast(t *testing.T) {
 	}
 	if !r.clients[0].resp(2).L1Hit {
 		t.Fatal("hit not flagged")
+	}
+}
+
+// TestL1HitAllocatesNothing checks every L1 hit path, from Submit through
+// delivery: the event carries the response by value, not in a callback.
+func TestL1HitAllocatesNothing(t *testing.T) {
+	const daddr, iaddr = uint64(0x10000), uint64(1) << 40
+	for _, typ := range []ReqType{ReadShared, Validate, ReadExcl, SpecRead, IFetch, IFetchSpec} {
+		r := newRig(t, 1)
+		warm := ReadShared
+		addr := daddr
+		if typ == IFetch || typ == IFetchSpec {
+			warm, addr = IFetch, iaddr
+		}
+		r.h.Submit(Request{Type: warm, Core: 0, Addr: addr, Token: 1})
+		r.runUntil(t, func() bool { return r.clients[0].gotToken(1) }, 1000)
+		cc := &countClient{}
+		r.h.Connect(0, cc)
+		allocs := testing.AllocsPerRun(100, func() {
+			want := cc.delivered + 1
+			if !r.h.Submit(Request{Type: typ, Core: 0, Addr: addr, Token: 2}) {
+				t.Fatalf("%v hit refused", typ)
+			}
+			for cc.delivered < want {
+				r.step()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v L1 hit: %.1f allocations, want 0", typ, allocs)
+		}
 	}
 }
 
@@ -611,7 +648,7 @@ func TestEventHeapPopsInCycleSeqOrder(t *testing.T) {
 			q.push(event{cycle: k.cycle, seq: k.seq, fn: func() { got = k }})
 		}
 		for n := rng.Intn(4); n > 0 && len(q) > 0; n-- {
-			q.pop()()
+			q.pop().fn()
 			if popped > 0 && (got.cycle < last.cycle || got.cycle == last.cycle && got.seq < last.seq) {
 				t.Fatalf("pop %d: event %v after %v", popped, got, last)
 			}

@@ -8,8 +8,8 @@ package sim_test
 // traffic by class, LLC/DRAM counters) plus final cycle, architectural
 // registers, fault-injector counters, and the run's error text — across the
 // workload x defense x consistency smoke matrix, under fault seeds, with
-// invariant checking enabled, with timer interrupts, and on budget
-// exhaustion.
+// invariant checking enabled, with timer interrupts, on budget exhaustion,
+// and on the cross-core attacks run to completion.
 
 import (
 	"fmt"
@@ -19,6 +19,7 @@ import (
 	"invisispec/internal/engine"
 	"invisispec/internal/invariant"
 	"invisispec/internal/isa"
+	"invisispec/internal/leakage"
 	"invisispec/internal/sim"
 	"invisispec/internal/workload"
 )
@@ -26,6 +27,7 @@ import (
 type kernelCase struct {
 	workload string
 	parsec   bool
+	attack   *leakage.AttackSpec // non-nil: run the attack to completion instead
 	defense  config.Defense
 	cm       config.Consistency
 
@@ -38,7 +40,11 @@ type kernelCase struct {
 }
 
 func (kc kernelCase) String() string {
-	s := fmt.Sprintf("%s/%s/%s", kc.workload, kc.defense, kc.cm)
+	name := kc.workload
+	if kc.attack != nil {
+		name = kc.attack.ID
+	}
+	s := fmt.Sprintf("%s/%s/%s", name, kc.defense, kc.cm)
 	if kc.faultSeed != 0 {
 		s += fmt.Sprintf("/seed%d", kc.faultSeed)
 	}
@@ -58,15 +64,22 @@ func (kc kernelCase) String() string {
 // fingerprint (and the machine, for skip-count assertions).
 func runKernelCase(t *testing.T, kc kernelCase, k engine.Kernel) (string, *sim.Machine) {
 	t.Helper()
-	cores := 1
 	var progs []*isa.Program
-	if kc.parsec {
-		cores = 8
-		progs = workload.MustPARSEC(kc.workload, cores)
-	} else {
+	var mc config.Machine
+	switch {
+	case kc.attack != nil:
+		var err error
+		if progs, err = kc.attack.Programs(); err != nil {
+			t.Fatal(err)
+		}
+		mc = kc.attack.Machine()
+	case kc.parsec:
+		progs = workload.MustPARSEC(kc.workload, 8)
+		mc = config.Default(8)
+	default:
 		progs = []*isa.Program{workload.MustSPEC(kc.workload)}
+		mc = config.Default(1)
 	}
-	mc := config.Default(cores)
 	if kc.intrEvery > 0 {
 		mc.InterruptInterval = kc.intrEvery
 	}
@@ -93,7 +106,14 @@ func runKernelCase(t *testing.T, kc kernelCase, k engine.Kernel) (string, *sim.M
 	if budget == 0 {
 		budget = instrs * 600
 	}
-	err := m.RunInstructions(instrs, budget)
+	var err error
+	probes := ""
+	if kc.attack != nil {
+		err = m.RunToCompletion(budget)
+		probes = fmt.Sprintf("probes=%v\n", workload.ScanLatencies(m.Mem, kc.attack.ResultsBase(), kc.attack.ResultLines()))
+	} else {
+		err = m.RunInstructions(instrs, budget)
+	}
 	errText := "<nil>"
 	if err != nil {
 		errText = err.Error()
@@ -102,8 +122,8 @@ func runKernelCase(t *testing.T, kc kernelCase, k engine.Kernel) (string, *sim.M
 	for i, c := range m.Cores {
 		regs += fmt.Sprintf("core%d=%v halted=%v\n", i, c.Regs(), c.Halted())
 	}
-	fp := fmt.Sprintf("cycle=%d err=%q faults=%+v\n%sstats=%s",
-		m.Cycle(), errText, m.FaultStats(), regs, m.Stats.Fingerprint())
+	fp := fmt.Sprintf("cycle=%d err=%q faults=%+v\n%s%sstats=%s",
+		m.Cycle(), errText, m.FaultStats(), regs, probes, m.Stats.Fingerprint())
 	return fp, m
 }
 
@@ -159,6 +179,19 @@ func kernelMatrix() []kernelCase {
 	// (same cycle, same per-core progress snapshot).
 	cases = append(cases,
 		kernelCase{workload: "mcf", defense: config.ISFuture, cm: config.TSO, instrs: 4000, budget: 3000})
+	// The smoke corpus's two-core attacks, run to completion. A clflush
+	// reaches the other core from inside the flushing core's tick, which
+	// is the one input a core can receive after its turn in a cycle.
+	for _, spec := range leakage.SmokeCorpus() {
+		if spec.Cores() < 2 {
+			continue
+		}
+		for _, d := range config.AllDefenses() {
+			for _, cm := range []config.Consistency{config.TSO, config.RC} {
+				cases = append(cases, kernelCase{attack: &spec, defense: d, cm: cm, budget: 30_000_000})
+			}
+		}
+	}
 	return cases
 }
 

@@ -4,11 +4,11 @@
 // (component tick order is fixed; there is no wall-clock or random input
 // anywhere in the simulator). Two kernels are available (see SetKernel):
 // the cycle-by-cycle reference stepper, and the default quiescence-aware
-// fast-forward scheduler, which jumps over globally-idle windows (all cores
-// stalled on memory) while producing byte-identical statistics — the
-// kernel-equivalence tests in this package hold the two to the same stats
-// fingerprint across the smoke matrix, under fault seeds, and with
-// invariant checking enabled.
+// fast-forward scheduler, which jumps over globally-idle windows and credits
+// idle cores instead of ticking them, while producing byte-identical
+// statistics — the kernel-equivalence tests in this package hold the two to
+// the same stats fingerprint across the smoke matrix, under fault seeds,
+// with invariant checking enabled, and on the two-core attacks.
 package sim
 
 import (
@@ -113,9 +113,10 @@ func (m *Machine) Cycle() uint64 { return m.cycle }
 
 // SetKernel selects the simulation kernel (engine.KernelFast by default).
 // Both kernels tick the hierarchy first (delivering the cycle's responses),
-// then each core in index order; the fast kernel additionally jumps the
-// clock over windows where every component reports quiescence. Switching
-// kernels mid-run is allowed and keeps the current cycle position.
+// then visit each core in index order; the fast kernel additionally jumps
+// the clock over windows where every component reports quiescence, and
+// credits a core that is not due instead of ticking it. Switching kernels
+// mid-run is allowed and keeps the current cycle position.
 func (m *Machine) SetKernel(k engine.Kernel) {
 	m.kernel = k
 	comps := make([]engine.Component, 0, len(m.Cores)+1)
@@ -140,7 +141,8 @@ func (m *Machine) FastForwardStats() (jumps, skippedCycles uint64) {
 }
 
 // Step advances the machine exactly one cycle (no fast-forwarding,
-// regardless of kernel): hierarchy first, then each core in index order.
+// regardless of kernel): hierarchy first, then each core in index order,
+// which the fast kernel credits instead of ticking when it is not due.
 // Manual driver loops (tracing, tests) rely on the single-cycle guarantee.
 func (m *Machine) Step() {
 	m.cycle = m.eng.StepTo(m.cycle + 1)
@@ -276,9 +278,6 @@ func (m *Machine) EnableChecking(opts invariant.Options) *invariant.Registry {
 	m.checker = invariant.NewRegistry(opts)
 	return m.checker
 }
-
-// Checking reports whether invariant checking is enabled.
-func (m *Machine) Checking() bool { return m.checker != nil }
 
 // checkTick runs the invariant sweep and watchdog at the registry's stride.
 func (m *Machine) checkTick() error {
