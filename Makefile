@@ -10,6 +10,8 @@ JOBS ?= 4
 BIN = bin
 SMOKE_FLAGS = -fig 4 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
 PARSEC_FLAGS = -fig 7 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
+LEAK_FLAGS = -corpus smoke -trials 3 -jobs $(JOBS)
+SEARCH_FLAGS = -search -search-budget 3 -seed 1 -trials 2 -jobs $(JOBS)
 
 .PHONY: all build tools test vet lint race check ci bench smoke benchdiff baseline baselinecheck leakscan leaksearch kernelcheck conform chaos serve
 
@@ -103,7 +105,7 @@ benchdiff: smoke
 # deterministic leakage-report/v1 artifact CI uploads next to the bench
 # artifact.
 leakscan: tools
-	$(BIN)/leakscan -corpus smoke -trials 3 -jobs $(JOBS) -json LEAKAGE_smoke.json
+	$(BIN)/leakscan $(LEAK_FLAGS) -json LEAKAGE_smoke.json
 
 # Feedback-driven attack search smoke: a fixed-seed, small-budget
 # hill-climb over every template class against the full defense matrix.
@@ -111,7 +113,7 @@ leakscan: tools
 # expected-outcome matrix says blocks it. The nightly workflow runs the
 # same search at a deep budget with a journaled -resume.
 leaksearch: tools
-	$(BIN)/leakscan -search -search-budget 3 -seed 1 -trials 2 -jobs $(JOBS) -json SEARCH_smoke.json
+	$(BIN)/leakscan $(SEARCH_FLAGS) -json SEARCH_smoke.json
 
 # Conformance-fuzzing gate: a fixed-seed campaign of generated programs
 # differentially checked against the golden interpreter across the full
@@ -122,30 +124,38 @@ leaksearch: tools
 conform: tools
 	$(BIN)/conformfuzz -seed 1 -n 200 -jobs $(JOBS) -q -shrink -json CONFORM_smoke.json
 
-# Regenerate the committed baselines, the Figure-4 SPEC sweep and the
+# Regenerate the committed baselines: the Figure-4 SPEC sweep, the
 # Figure-7 PARSEC sweep (host block omitted so the artifacts are
-# byte-stable across machines). Run after intentional timing-model changes,
-# and sanity-check the diff before committing.
+# byte-stable across machines), the smoke leakage scan and the smoke
+# attack search (`make leakscan`'s and `make leaksearch`'s runs). Run
+# after intentional timing-model changes, and sanity-check the diff before
+# committing.
 baseline: tools
 	$(BIN)/benchtable $(SMOKE_FLAGS) -benchjson BENCH_baseline.json -benchname smoke -benchhost=false
 	$(BIN)/benchtable $(PARSEC_FLAGS) -benchjson BENCH_parsec_baseline.json -benchname parsec-smoke -benchhost=false
+	$(BIN)/leakscan $(LEAK_FLAGS) -json LEAKAGE_baseline.json
+	$(BIN)/leakscan $(SEARCH_FLAGS) -json SEARCH_baseline.json
 
 # Byte-identity gate on the committed baselines: rerun `make baseline`'s
-# sweeps into scratch files under $(BIN) and require them to equal
-# BENCH_baseline.json and BENCH_parsec_baseline.json byte for byte.
-# benchdiff tolerates CPI drift; this does not, so a change that moves any
-# simulated statistic fails here until the baselines are regenerated on
-# purpose.
+# runs into scratch files under $(BIN) and require them to equal
+# BENCH_baseline.json, BENCH_parsec_baseline.json, LEAKAGE_baseline.json
+# and SEARCH_baseline.json byte for byte. benchdiff tolerates CPI drift and
+# the leakage gates only verdicts; this does not, so a change that moves
+# any simulated statistic or probe latency fails here until the baselines
+# are regenerated on purpose.
 baselinecheck: tools
 	$(BIN)/benchtable $(SMOKE_FLAGS) -benchjson $(BIN)/baselinecheck.json -benchname smoke -benchhost=false
 	cmp $(BIN)/baselinecheck.json BENCH_baseline.json
 	$(BIN)/benchtable $(PARSEC_FLAGS) -benchjson $(BIN)/parsec_baselinecheck.json -benchname parsec-smoke -benchhost=false
 	cmp $(BIN)/parsec_baselinecheck.json BENCH_parsec_baseline.json
+	$(BIN)/leakscan $(LEAK_FLAGS) -json $(BIN)/leakage_baselinecheck.json
+	cmp $(BIN)/leakage_baselinecheck.json LEAKAGE_baseline.json
+	$(BIN)/leakscan $(SEARCH_FLAGS) -json $(BIN)/search_baselinecheck.json
+	cmp $(BIN)/search_baselinecheck.json SEARCH_baseline.json
 
 # Simulation-as-a-service (DESIGN.md §14): a long-running HTTP job server
 # with content-addressed cell memoization and the HTML dashboard. Sweep
 # jobs are gated against the committed baseline; the trends page reads the
 # committed BENCH_*.json artifacts in the repo root.
 serve: tools
-	$(BIN)/simserver -addr :8080 -cache .simcache -journal-dir .simcache/journals \
-		-history . -baseline BENCH_baseline.json
+	$(BIN)/simserver -addr :8080 -cache .simcache -history . -baseline BENCH_baseline.json

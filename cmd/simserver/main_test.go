@@ -38,8 +38,7 @@ type server struct {
 
 func startServer(t *testing.T, cacheDir string) *server {
 	t.Helper()
-	args := []string{"-addr", "127.0.0.1:0", "-cache", cacheDir, "-workers", "1",
-		"-journal-dir", filepath.Join(cacheDir, "journals")}
+	args := []string{"-addr", "127.0.0.1:0", "-cache", cacheDir, "-workers", "1"}
 	cmd := exec.Command(os.Args[0], "-test.run=TestHelperServer$")
 	cmd.Env = append(os.Environ(),
 		"SIMSERVER_TEST_MAIN=1",
@@ -160,12 +159,9 @@ func TestGracefulShutdownMidJob(t *testing.T) {
 		t.Fatalf("server exit: %v; stderr:\n%s", err, srv.errb)
 	}
 
-	// The drain persisted the cache index and journaled the finished cells.
+	// The drain persisted the cache index.
 	if _, err := os.Stat(filepath.Join(cacheDir, "index.json")); err != nil {
 		t.Errorf("cache index not persisted: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(cacheDir, "journals", job.ID+".jsonl")); err != nil {
-		t.Errorf("job journal not written: %v", err)
 	}
 
 	// Warm restart over the same cache: the resubmitted job re-runs only the

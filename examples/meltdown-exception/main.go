@@ -28,7 +28,7 @@ func main() {
 		if err := m.RunToCompletion(30_000_000); err != nil {
 			panic(err)
 		}
-		idx, lat := workload.MeltdownLeakedByte(m.Mem)
+		idx, lat := workload.LeakedByte(workload.ScanLatencies(m.Mem, workload.MeltdownResultsBase, workload.MeltdownProbeLines))
 		leaked := idx == secret && lat < 20
 		switch {
 		case leaked && d == config.ISSpectre:

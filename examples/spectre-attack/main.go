@@ -28,8 +28,8 @@ func main() {
 		if err := m.RunToCompletion(30_000_000); err != nil {
 			panic(err)
 		}
-		idx, lat := workload.LeakedByte(m.Mem)
 		all := workload.SpectreScanLatencies(m.Mem)
+		idx, lat := workload.LeakedByte(all[:])
 		med := median(all[:])
 		leaked := idx == secret && lat*2 < med
 		verdict := "attack DEFEATED (no probe line stands out)"

@@ -92,14 +92,8 @@ type Options struct {
 	// Retries is how many times a transient failure re-runs after its first
 	// attempt. Deterministic failures are never retried regardless.
 	Retries int
-	// BackoffBase is the first retry's delay (default 100ms); each further
-	// retry doubles it, capped at BackoffMax (default 5s). A deterministic
-	// jitter in [0, delay/2) derived from (Seed, cell key, attempt) is
-	// added so a herd of retrying cells decorrelates reproducibly.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed feeds the retry jitter (and nothing else): any value is fine,
-	// the same value reproduces the same schedule.
+	// Seed feeds the retry jitter (see backoffFor) and nothing else: any
+	// value is fine, the same value reproduces the same schedule.
 	Seed int64
 	// CellTimeout bounds each attempt of cells that don't set their own.
 	CellTimeout time.Duration
@@ -149,12 +143,6 @@ func Key(spec any) (string, error) {
 // only for campaign-level problems — an invalid cell set, an unusable or
 // unwritable journal, a cancelled context, or the chaos harness's ErrKilled.
 func Run(ctx context.Context, name string, cells []Cell, opts Options) ([]Outcome, error) {
-	if opts.BackoffBase <= 0 {
-		opts.BackoffBase = 100 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 5 * time.Second
-	}
 	if opts.sleep == nil {
 		opts.sleep = ctxSleep
 	}
@@ -295,7 +283,7 @@ func runCell(ctx context.Context, c Cell, o Outcome, opts Options, j *journal, a
 			return o
 		case ClassTransient:
 			if o.Attempts <= opts.Retries {
-				if serr := opts.sleep(ctx, backoffFor(opts, o.Key, o.Attempts)); serr != nil {
+				if serr := opts.sleep(ctx, backoffFor(opts.Seed, o.Key, o.Attempts)); serr != nil {
 					o.Err, o.Class = serr, ClassCancelled
 					return o
 				}
@@ -355,23 +343,31 @@ func journalOutcome(j *journal, o Outcome, abort func(error)) {
 	}
 }
 
-// backoffFor computes the capped exponential backoff plus deterministic
-// jitter for a cell's next retry.
-func backoffFor(opts Options, key string, attempt int) time.Duration {
-	d := opts.BackoffBase
-	for i := 1; i < attempt && d < opts.BackoffMax; i++ {
+// Retry backoff: the first retry waits backoffBase, each further retry
+// doubles the wait, capped at backoffMax.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
+
+// backoffFor computes the capped exponential backoff for a cell's next
+// retry plus a jitter in [0, delay/2) derived from (seed, cell key,
+// attempt), so a herd of retrying cells decorrelates reproducibly.
+func backoffFor(seed int64, key string, attempt int) time.Duration {
+	d := backoffBase
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > opts.BackoffMax {
-		d = opts.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	// Seeded jitter in [0, d/2): same (seed, key, attempt) -> same delay,
 	// so retry schedules reproduce exactly.
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", opts.Seed, key, attempt)
+	fmt.Fprintf(h, "%d|%s|%d", seed, key, attempt)
 	jitter := time.Duration(h.Sum64() % uint64(d/2+1))
-	if d+jitter > opts.BackoffMax {
-		return opts.BackoffMax
+	if d+jitter > backoffMax {
+		return backoffMax
 	}
 	return d + jitter
 }

@@ -215,25 +215,27 @@ func TestRetryRecoversFromTransientBlip(t *testing.T) {
 }
 
 // TestBackoffDeterministicAndCapped: same (seed, key, attempt) -> same
-// delay; delays grow from base and never exceed the cap.
+// delay; delays grow from base, reach the cap, and never exceed it.
 func TestBackoffDeterministicAndCapped(t *testing.T) {
-	opts := Options{BackoffBase: 100 * time.Millisecond, BackoffMax: 1 * time.Second, Seed: 42}
 	prev := time.Duration(0)
 	for attempt := 1; attempt <= 10; attempt++ {
-		d1 := backoffFor(opts, "key", attempt)
-		d2 := backoffFor(opts, "key", attempt)
+		d1 := backoffFor(42, "key", attempt)
+		d2 := backoffFor(42, "key", attempt)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, d1, d2)
 		}
-		if d1 < opts.BackoffBase || d1 > opts.BackoffMax {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d1, opts.BackoffBase, opts.BackoffMax)
+		if d1 < backoffBase || d1 > backoffMax {
+			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d1, backoffBase, backoffMax)
 		}
-		if d1 < prev && d1 != opts.BackoffMax {
+		if d1 < prev && d1 != backoffMax {
 			t.Fatalf("attempt %d: backoff %v shrank below %v before the cap", attempt, d1, prev)
 		}
 		prev = d1
 	}
-	if backoffFor(opts, "key", 1) == backoffFor(Options{BackoffBase: opts.BackoffBase, BackoffMax: opts.BackoffMax, Seed: 43}, "key", 1) {
+	if prev != backoffMax {
+		t.Fatalf("attempt 10: backoff %v, want the cap %v", prev, backoffMax)
+	}
+	if backoffFor(42, "key", 1) == backoffFor(43, "key", 1) {
 		t.Log("seeds 42 and 43 collided on attempt 1 jitter (possible but suspicious)")
 	}
 }
@@ -262,7 +264,7 @@ func TestRetrySleepsObserveBackoff(t *testing.T) {
 	}
 	key, _ := Key(synthSpec{Campaign: "sleeps", I: 0})
 	for i, d := range slept {
-		if want := backoffFor(Options{BackoffBase: 100 * time.Millisecond, BackoffMax: 5 * time.Second, Seed: 7}, key, i+1); d != want {
+		if want := backoffFor(7, key, i+1); d != want {
 			t.Errorf("sleep %d = %v, want %v", i, d, want)
 		}
 	}

@@ -136,7 +136,6 @@ type fetchedInst struct {
 	btbMiss bool
 	hasSnap bool
 	snap    bpred.State
-	ghr     uint64
 	// synthetic marks a defense fence injected at decode (Table V).
 	synthetic bool
 	// blockStart marks a basic-block leader per the program's bb

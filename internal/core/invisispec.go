@@ -15,9 +15,9 @@ import (
 // overlapping those transactions, and reacting to invalidations with early
 // squashes.
 
-// loadSafeNow reports whether the load at LQ logical position i may be
-// issued as a normal (visible) access under the active defense scheme.
-func (c *Core) loadSafeNow(i int, e *lqEntry) bool {
+// loadSafeNow reports whether the load e may be issued as a normal
+// (visible) access under the active defense scheme.
+func (c *Core) loadSafeNow(e *lqEntry) bool {
 	if e.safeAnnot && c.cfg.TrustSafeAnnotations {
 		// §XI optimization: a load proven safe in advance needs no
 		// InvisiSpec hardware. This threat-model carve-out is handled
@@ -28,9 +28,9 @@ func (c *Core) loadSafeNow(i int, e *lqEntry) bool {
 	return c.sch.LoadSafeNow(c.view(), c.robLogical(e.robIdx))
 }
 
-// loadVisible reports whether the USL at LQ logical position i has reached
-// its visibility point (§V-A1) under the active defense scheme.
-func (c *Core) loadVisible(i int, e *lqEntry) bool {
+// loadVisible reports whether the USL e has reached its visibility point
+// (§V-A1) under the active defense scheme.
+func (c *Core) loadVisible(e *lqEntry) bool {
 	return c.sch.LoadVisible(c.view(), c.robLogical(e.robIdx))
 }
 
@@ -261,7 +261,7 @@ func (c *Core) invisiStep() {
 			// either (program-order start).
 			return
 		}
-		if !c.loadVisible(i, e) {
+		if !c.loadVisible(e) {
 			return
 		}
 		// Same-line total order with older in-flight transactions.

@@ -28,7 +28,6 @@ type lqEntry struct {
 	walkDoneAt   uint64
 	tlbDeferred  bool // IS: miss deferred to the visibility point (§VI-E3)
 	tlbTouchOwed bool // IS: hit; replacement update owed at visibility
-	walkWasMiss  bool
 
 	// Progress.
 	issued       bool
@@ -134,7 +133,7 @@ func (c *Core) memStep() {
 			continue
 		}
 		if !e.translated {
-			c.translateStep(i, e)
+			c.translateStep(e)
 			if !e.translated {
 				continue
 			}
@@ -177,7 +176,7 @@ func (c *Core) flushStep() {
 // access the TLB immediately (misses pay the walk); InvisiSpec probes
 // without perturbing state and defers misses (and hit-replacement updates)
 // to the point of visibility.
-func (c *Core) translateStep(i int, e *lqEntry) {
+func (c *Core) translateStep(e *lqEntry) {
 	if e.walking {
 		if c.now >= e.walkDoneAt {
 			c.markActive()
@@ -192,7 +191,7 @@ func (c *Core) translateStep(i int, e *lqEntry) {
 		}
 		return
 	}
-	invisible := c.sch.UsesInvisibleLoads() && c.cfg.DelayTLBMiss && !c.loadSafeNow(i, e)
+	invisible := c.sch.UsesInvisibleLoads() && c.cfg.DelayTLBMiss && !c.loadSafeNow(e)
 	if !invisible {
 		c.markActive()
 		extra := c.dtlb.Access(e.addr)
@@ -221,7 +220,7 @@ func (c *Core) translateStep(i int, e *lqEntry) {
 		c.st.TLBMisses++
 		c.st.TLBWalksDelayed++
 	}
-	if c.loadVisible(i, e) {
+	if c.loadVisible(e) {
 		c.markActive()
 		e.walking = true
 		e.walkDoneAt = c.now + uint64(c.dtlb.WalkLatency())
@@ -282,7 +281,7 @@ func (c *Core) tryIssueLoad(i int, e *lqEntry) bool {
 		return false
 	}
 	// No forwarding: go to memory.
-	if c.sch.UsesInvisibleLoads() && !c.loadSafeNow(i, e) {
+	if c.sch.UsesInvisibleLoads() && !c.loadSafeNow(e) {
 		c.issueUSL(i, e)
 		return false
 	}

@@ -41,12 +41,11 @@ type robEntry struct {
 	fenceDone bool
 
 	// Control flow.
-	predTaken    bool
-	btbMiss      bool // the indirect jump fetch is stalled on
-	hasSnap      bool
-	resolved     bool
-	actualTaken  bool
-	mispredicted bool
+	predTaken   bool
+	btbMiss     bool // the indirect jump fetch is stalled on
+	hasSnap     bool
+	resolved    bool
+	actualTaken bool
 
 	// RMW progress.
 	rmwIssued bool
@@ -614,7 +613,6 @@ func (c *Core) resolveBranch(phys int, e *robEntry) bool {
 	if !mispredict {
 		return false
 	}
-	e.mispredicted = true
 	c.bp.NoteMisprediction()
 	c.st.Mispredicts++
 	c.bp.Restore(e.snap)

@@ -116,16 +116,6 @@ func (b *Builder) Xor(rd, rs1, rs2 uint8) *Builder {
 	return b.emit(Inst{Op: OpXor, Rd: rd, Rs1: rs1, Rs2: rs2})
 }
 
-// Shl emits rd = rs1 << rs2.
-func (b *Builder) Shl(rd, rs1, rs2 uint8) *Builder {
-	return b.emit(Inst{Op: OpShl, Rd: rd, Rs1: rs1, Rs2: rs2})
-}
-
-// Shr emits rd = rs1 >> rs2.
-func (b *Builder) Shr(rd, rs1, rs2 uint8) *Builder {
-	return b.emit(Inst{Op: OpShr, Rd: rd, Rs1: rs1, Rs2: rs2})
-}
-
 // Mul emits rd = rs1 * rs2.
 func (b *Builder) Mul(rd, rs1, rs2 uint8) *Builder {
 	return b.emit(Inst{Op: OpMul, Rd: rd, Rs1: rs1, Rs2: rs2})
@@ -140,16 +130,6 @@ func (b *Builder) Div(rd, rs1, rs2 uint8) *Builder {
 // wraps to MinInt64).
 func (b *Builder) DivS(rd, rs1, rs2 uint8) *Builder {
 	return b.emit(Inst{Op: OpDivS, Rd: rd, Rs1: rs1, Rs2: rs2})
-}
-
-// RemU emits rd = rs1 % rs2 unsigned (the dividend on remainder by zero).
-func (b *Builder) RemU(rd, rs1, rs2 uint8) *Builder {
-	return b.emit(Inst{Op: OpRemU, Rd: rd, Rs1: rs1, Rs2: rs2})
-}
-
-// Slt emits rd = (rs1 < rs2) ? 1 : 0 (unsigned).
-func (b *Builder) Slt(rd, rs1, rs2 uint8) *Builder {
-	return b.emit(Inst{Op: OpSlt, Rd: rd, Rs1: rs1, Rs2: rs2})
 }
 
 // AddI emits rd = rs1 + imm.

@@ -25,10 +25,9 @@ func TestChaosLeakageKillResume(t *testing.T) {
 	}
 	specs := SmokeCorpus()[:2]
 	base := ScanOptions{
-		Defenses:    []config.Defense{config.Base, config.ISSpectre},
-		Consistency: config.TSO,
-		Trials:      2,
-		Name:        "chaos",
+		Defenses: []config.Defense{config.Base, config.ISSpectre},
+		Trials:   2,
+		Name:     "chaos",
 	}
 
 	payload := func(r *Report) []byte {

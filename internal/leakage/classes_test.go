@@ -66,7 +66,7 @@ func TestClassLLCSBLeaksBaseBlockedISFu(t *testing.T) {
 // admissible call-nesting depth, not just the canonical one.
 func TestRSBLeaksAtEveryDepth(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 8} {
-		spec := classSpec(TemplateSpectreRSB, 84, depth)
+		spec := newSpec(TemplateSpectreRSB, 84, depth, 256, 64)
 		rep, err := Scan(context.Background(), []AttackSpec{spec}, ScanOptions{
 			Defenses: []config.Defense{config.Base},
 			Trials:   1,

@@ -11,27 +11,26 @@ import (
 // replayed.
 
 // defaultID derives the spec's report name from its parameters, so a
-// report row identifies its variant without a side table.
+// report row identifies its variant without a side table. A template with
+// a fixed geometry has no parameters but the secret.
 func (s AttackSpec) defaultID() string {
-	switch s.Template {
-	case TemplateMeltdown:
-		return fmt.Sprintf("meltdown-s%d", s.Secret)
-	default:
-		id := fmt.Sprintf("%s-s%d-r%d-%dx%d", s.Template, s.Secret, s.TrainRounds, s.ProbeLines, s.ProbeStride)
-		if !s.FlushBounds {
-			id += "-nofb"
-		}
-		if !s.FlushProbe {
-			id += "-nofp"
-		}
-		if s.Annotate {
-			id += "-annot"
-		}
-		if s.TrustAnnotations {
-			id += "-trust"
-		}
-		return id
+	if s.Template.info().fixed != nil {
+		return fmt.Sprintf("%s-s%d", s.Template, s.Secret)
 	}
+	id := fmt.Sprintf("%s-s%d-r%d-%dx%d", s.Template, s.Secret, s.TrainRounds, s.ProbeLines, s.ProbeStride)
+	if !s.FlushBounds {
+		id += "-nofb"
+	}
+	if !s.FlushProbe {
+		id += "-nofp"
+	}
+	if s.Annotate {
+		id += "-annot"
+	}
+	if s.TrustAnnotations {
+		id += "-trust"
+	}
+	return id
 }
 
 // withID fills in the derived ID.
@@ -51,11 +50,13 @@ func (s AttackSpec) ViaWorkload(name string) AttackSpec {
 	return s
 }
 
-// spectreSpec builds a same-thread Spectre spec with the canonical flush
-// settings.
-func spectreSpec(secret byte, rounds, lines, stride int) AttackSpec {
+// newSpec builds a spec with both flushes on and its derived ID.
+// TrainRounds means what the template says it means: training sweeps for
+// v1, BTB training calls for v2, call-nesting depth for the RSB variant,
+// bypass rounds for SSB.
+func newSpec(t Template, secret byte, rounds, lines, stride int) AttackSpec {
 	return AttackSpec{
-		Template:    TemplateSpectre,
+		Template:    t,
 		Secret:      secret,
 		TrainRounds: rounds,
 		ProbeLines:  lines,
@@ -65,37 +66,32 @@ func spectreSpec(secret byte, rounds, lines, stride int) AttackSpec {
 	}.withID()
 }
 
+// trusted returns the spec with its victim loads annotated safe on a
+// machine that trusts the annotation: the §XI threat-model corner.
+func (s AttackSpec) trusted() AttackSpec {
+	s.Annotate, s.TrustAnnotations = true, true
+	return s.withID()
+}
+
 // CanonicalSpectreSpec returns the paper's Figure 1 attack with the given
 // secret: same-thread placement, 16 training rounds, 256 probe lines of
 // 64 bytes, bounds and probe array flushed. leakscan -fig5 runs exactly
 // this spec.
 func CanonicalSpectreSpec(secret byte) AttackSpec {
-	return spectreSpec(secret, 16, 256, 64)
-}
-
-// classSpec builds a spec of any Spectre-shaped template with the
-// canonical flush settings and probe geometry. TrainRounds means what the
-// template says it means: BTB training calls for v2, call-nesting depth
-// for the RSB variant, bypass rounds for SSB.
-func classSpec(t Template, secret byte, rounds int) AttackSpec {
-	return AttackSpec{
-		Template:    t,
-		Secret:      secret,
-		TrainRounds: rounds,
-		ProbeLines:  256,
-		ProbeStride: 64,
-		FlushBounds: true,
-		FlushProbe:  true,
-	}.withID()
+	return newSpec(TemplateSpectre, secret, 16, 256, 64)
 }
 
 // Canonical per-class specs: the representative variant of each of the
 // four post-v1 attack classes, used by the smoke corpus, the search
 // loop's seeds, and the per-class unit tests.
-func CanonicalBTBSpec(secret byte) AttackSpec   { return classSpec(TemplateSpectreBTB, secret, 16) }
-func CanonicalRSBSpec(secret byte) AttackSpec   { return classSpec(TemplateSpectreRSB, secret, 4) }
-func CanonicalSSBSpec(secret byte) AttackSpec   { return classSpec(TemplateSSB, secret, 8) }
-func CanonicalLLCSBSpec(secret byte) AttackSpec { return classSpec(TemplateLLCSBContend, secret, 16) }
+func CanonicalBTBSpec(secret byte) AttackSpec {
+	return newSpec(TemplateSpectreBTB, secret, 16, 256, 64)
+}
+func CanonicalRSBSpec(secret byte) AttackSpec { return newSpec(TemplateSpectreRSB, secret, 4, 256, 64) }
+func CanonicalSSBSpec(secret byte) AttackSpec { return newSpec(TemplateSSB, secret, 8, 256, 64) }
+func CanonicalLLCSBSpec(secret byte) AttackSpec {
+	return newSpec(TemplateLLCSBContend, secret, 16, 256, 64)
+}
 
 // SmokeCorpus returns the fixed ten-variant corpus the CI gate scans: one
 // representative of every template and threat-model corner, small enough
@@ -104,32 +100,13 @@ func CanonicalLLCSBSpec(secret byte) AttackSpec { return classSpec(TemplateLLCSB
 // threat-model boundary, Meltdown, and the four post-v1 classes (BTB,
 // RSB, store bypass, LLC-SB contention).
 func SmokeCorpus() []AttackSpec {
-	canonical := spectreSpec(84, 16, 256, 64)
-	deepTrain := spectreSpec(173, 32, 256, 64)
-	wideStride := spectreSpec(61, 16, 128, 128)
-	cross := AttackSpec{
-		Template:    TemplateSpectreCross,
-		Secret:      199,
-		TrainRounds: 16,
-		ProbeLines:  256,
-		ProbeStride: 64,
-		FlushBounds: true,
-		FlushProbe:  true,
-	}.withID()
-	annotated := AttackSpec{
-		Template:         TemplateSpectre,
-		Secret:           84,
-		TrainRounds:      16,
-		ProbeLines:       256,
-		ProbeStride:      64,
-		FlushBounds:      true,
-		FlushProbe:       true,
-		Annotate:         true,
-		TrustAnnotations: true,
-	}.withID()
-	meltdown := AttackSpec{Template: TemplateMeltdown, Secret: 90}.withID()
 	return []AttackSpec{
-		canonical, deepTrain, wideStride, cross, annotated, meltdown,
+		CanonicalSpectreSpec(84),
+		newSpec(TemplateSpectre, 173, 32, 256, 64),
+		newSpec(TemplateSpectre, 61, 16, 128, 128),
+		newSpec(TemplateSpectreCross, 199, 16, 256, 64),
+		CanonicalSpectreSpec(84).trusted(),
+		AttackSpec{Template: TemplateMeltdown, Secret: 90}.withID(),
 		CanonicalBTBSpec(77), CanonicalRSBSpec(118), CanonicalSSBSpec(151), CanonicalLLCSBSpec(202),
 	}
 }
@@ -160,48 +137,30 @@ func Corpus(seed int64, n int) []AttackSpec {
 			switch roll := rng.Intn(14); {
 			case roll < 5: // same-thread Spectre, fuzzed axes
 				l := lines[rng.Intn(len(lines))]
-				s = spectreSpec(
+				s = newSpec(TemplateSpectre,
 					byte(1+rng.Intn(l-1)),
 					rounds[rng.Intn(len(rounds))],
 					l,
 					strides[rng.Intn(len(strides))],
 				)
 			case roll < 7: // cross-thread placement, fuzzed secret + depth
-				s = AttackSpec{
-					Template:    TemplateSpectreCross,
-					Secret:      byte(1 + rng.Intn(255)),
-					TrainRounds: rounds[rng.Intn(len(rounds))],
-					ProbeLines:  256,
-					ProbeStride: 64,
-					FlushBounds: true,
-					FlushProbe:  true,
-				}.withID()
+				s = newSpec(TemplateSpectreCross, byte(1+rng.Intn(255)), rounds[rng.Intn(len(rounds))], 256, 64)
 			case roll < 8: // annotation threat-model corner
-				s = AttackSpec{
-					Template:         TemplateSpectre,
-					Secret:           byte(1 + rng.Intn(255)),
-					TrainRounds:      16,
-					ProbeLines:       256,
-					ProbeStride:      64,
-					FlushBounds:      true,
-					FlushProbe:       true,
-					Annotate:         true,
-					TrustAnnotations: true,
-				}.withID()
+				s = CanonicalSpectreSpec(byte(1 + rng.Intn(255))).trusted()
 			case roll < 9: // negative control: window never opens
-				base := spectreSpec(byte(1+rng.Intn(255)), 16, 256, 64)
+				base := CanonicalSpectreSpec(byte(1 + rng.Intn(255)))
 				base.FlushBounds = false
 				s = base.withID()
 			case roll < 10: // Meltdown, fuzzed secret
 				s = AttackSpec{Template: TemplateMeltdown, Secret: byte(1 + rng.Intn(255))}.withID()
 			case roll < 11: // Spectre v2 (BTB), fuzzed secret + training depth
-				s = classSpec(TemplateSpectreBTB, byte(1+rng.Intn(255)), rounds[rng.Intn(len(rounds))])
+				s = newSpec(TemplateSpectreBTB, byte(1+rng.Intn(255)), rounds[rng.Intn(len(rounds))], 256, 64)
 			case roll < 12: // RSB variant, fuzzed secret + nesting depth (RAS-capped)
-				s = classSpec(TemplateSpectreRSB, byte(1+rng.Intn(255)), rsbDepths[rng.Intn(len(rsbDepths))])
+				s = newSpec(TemplateSpectreRSB, byte(1+rng.Intn(255)), rsbDepths[rng.Intn(len(rsbDepths))], 256, 64)
 			case roll < 13: // store bypass, fuzzed secret + bypass rounds
-				s = classSpec(TemplateSSB, byte(1+rng.Intn(255)), rounds[rng.Intn(len(rounds))])
+				s = newSpec(TemplateSSB, byte(1+rng.Intn(255)), rounds[rng.Intn(len(rounds))], 256, 64)
 			default: // LLC-SB contention, fuzzed secret + training depth
-				s = classSpec(TemplateLLCSBContend, byte(1+rng.Intn(255)), rounds[rng.Intn(len(rounds))])
+				s = newSpec(TemplateLLCSBContend, byte(1+rng.Intn(255)), rounds[rng.Intn(len(rounds))], 256, 64)
 			}
 			if !seen[s.ID] {
 				break

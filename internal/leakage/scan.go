@@ -11,15 +11,15 @@ import (
 	"invisispec/internal/campaign"
 	"invisispec/internal/config"
 	"invisispec/internal/harness"
+	"invisispec/internal/isa"
 	"invisispec/internal/workload"
 )
 
 // ScanOptions tunes a Scan.
 type ScanOptions struct {
 	// Defenses selects the matrix columns. Nil means config.AllDefenses().
+	// Every cell runs under TSO.
 	Defenses []config.Defense
-	// Consistency is the memory model every cell runs under (TSO default).
-	Consistency config.Consistency
 	// Trials is how many repeated simulations feed each cell's
 	// distinguisher. Trial 0 is fault-free; trials 1..n-1 run with
 	// deterministic fault injection seeded from (spec, defense, trial),
@@ -34,8 +34,6 @@ type ScanOptions struct {
 	// comfortably above the slowest corpus variant under the slowest
 	// defense.
 	MaxCycles uint64
-	// Thresholds tunes the distinguisher. Zero value means defaults.
-	Thresholds Thresholds
 	// Progress, when non-nil, receives the runner's per-trial progress
 	// lines.
 	Progress io.Writer
@@ -92,7 +90,7 @@ func Scan(ctx context.Context, specs []AttackSpec, opts ScanOptions) (*Report, e
 	if maxCycles == 0 {
 		maxCycles = 30_000_000
 	}
-	th := opts.Thresholds.orDefault()
+	th := DefaultThresholds()
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -104,7 +102,7 @@ func Scan(ctx context.Context, specs []AttackSpec, opts ScanOptions) (*Report, e
 	for _, s := range specs {
 		for _, d := range defenses {
 			for t := 0; t < trials; t++ {
-				ts := TrialSpec{Attack: s, Defense: d, Consistency: opts.Consistency, Trial: t, MaxCycles: maxCycles}
+				ts := TrialSpec{Attack: s, Defense: d, Consistency: config.TSO, Trial: t, MaxCycles: maxCycles}
 				cellSpecs = append(cellSpecs, ts)
 				cells = append(cells, campaign.Cell{
 					Name: fmt.Sprintf("%s/%s/t%d", s.ID, d, t),
@@ -195,23 +193,36 @@ func Scan(ctx context.Context, specs []AttackSpec, opts ScanOptions) (*Report, e
 }
 
 // runTrial assembles and runs one (spec, defense, trial) simulation to
-// completion and extracts the probe-line latencies from its functional
-// memory.
+// completion and returns its probe-line latencies. Trial 0 is fault-free.
 func runTrial(ctx context.Context, s AttackSpec, d config.Defense, cm config.Consistency, trial int, maxCycles uint64) ([]uint64, error) {
 	progs, err := s.Programs()
 	if err != nil {
 		return nil, err
 	}
+	var faultSeed int64
+	if trial > 0 {
+		faultSeed = trialSeed(s.ID, d, trial)
+	}
+	lat, _, err := runPrograms(ctx, s, progs, d, cm, maxCycles, faultSeed)
+	return lat, err
+}
+
+// runPrograms runs progs on the spec's machine under defense d to
+// completion, with fault injection seeded by faultSeed unless it is zero,
+// and returns the probe-line latencies from functional memory and the
+// cycles the run took: the body of every scan trial and of every
+// find-minimization oracle call.
+func runPrograms(ctx context.Context, s AttackSpec, progs []*isa.Program, d config.Defense, cm config.Consistency, maxCycles uint64, faultSeed int64) ([]uint64, uint64, error) {
 	run := config.Run{Machine: s.Machine(), Defense: d, Consistency: cm}
 	hopts := []harness.Option{harness.WithContext(ctx)}
-	if trial > 0 {
-		hopts = append(hopts, harness.WithFaultSeed(trialSeed(s.ID, d, trial)))
+	if faultSeed != 0 {
+		hopts = append(hopts, harness.WithFaultSeed(faultSeed))
 	}
 	m, err := harness.Complete(run, s.ID, progs, maxCycles, hopts...)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return workload.ScanLatencies(m.Mem, s.ResultsBase(), s.ResultLines()), nil
+	return workload.ScanLatencies(m.Mem, s.ResultsBase(), s.ResultLines()), m.Cycle(), nil
 }
 
 // SingleTrialLatencies runs one fault-free trial of the spec under a

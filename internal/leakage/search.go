@@ -38,10 +38,8 @@ import (
 	"invisispec/internal/campaign"
 	"invisispec/internal/config"
 	"invisispec/internal/conform"
-	"invisispec/internal/harness"
 	"invisispec/internal/isa"
 	"invisispec/internal/trace"
-	"invisispec/internal/workload"
 )
 
 // SearchSchema versions the search artifact.
@@ -61,17 +59,14 @@ type SearchOptions struct {
 	// Defenses selects the matrix columns every candidate is scanned
 	// against. Nil means config.AllDefenses().
 	Defenses []config.Defense
-	// Consistency is the memory model (TSO default).
-	Consistency config.Consistency
 	// Trials per (candidate, defense) cell. Zero or negative means 2.
 	Trials int
-	// Jobs, Timeout, MaxCycles, Thresholds, Progress, Campaign: exactly
-	// ScanOptions' fields, passed through to each iteration's scan batch.
-	Jobs       int
-	Timeout    time.Duration
-	MaxCycles  uint64
-	Thresholds Thresholds
-	Progress   io.Writer
+	// Jobs, Timeout, MaxCycles, Progress, Campaign: exactly ScanOptions'
+	// fields, passed through to each iteration's scan batch.
+	Jobs      int
+	Timeout   time.Duration
+	MaxCycles uint64
+	Progress  io.Writer
 	// Campaign carries the resilience knobs. When a Journal is set, every
 	// iteration after the first resumes from it automatically (the cells
 	// of earlier iterations are already journaled), so one journal file
@@ -173,20 +168,6 @@ var (
 	searchStrides = []int{64, 128, 256}
 )
 
-// searchRoundsRange returns the template's admissible TrainRounds range —
-// the same bounds the per-class validators enforce, so a mutation clamped
-// here always assembles.
-func searchRoundsRange(t Template) (lo, hi int) {
-	switch t {
-	case TemplateSpectreRSB:
-		return 1, 8
-	case TemplateSpectreBTB, TemplateSSB:
-		return 1, 64
-	default:
-		return 1, 256
-	}
-}
-
 func latticeStep(lattice []int, cur int, up bool) (int, bool) {
 	for i, v := range lattice {
 		if v != cur {
@@ -224,21 +205,14 @@ func mutateSpec(s AttackSpec, rng *rand.Rand) AttackSpec {
 				v = m.ProbeLines - 1
 			}
 			m.Secret = byte(v)
-		case 1: // training depth: halve or double within the class range
-			lo, hi := searchRoundsRange(m.Template)
+		case 1: // training depth: halve or double within the template's bound
 			r := m.TrainRounds
 			if rng.Intn(2) == 0 {
 				r *= 2
 			} else {
 				r /= 2
 			}
-			if r < lo {
-				r = lo
-			}
-			if r > hi {
-				r = hi
-			}
-			m.TrainRounds = r
+			m.TrainRounds = min(max(r, 1), m.Template.info().maxRounds)
 		case 2: // probe lines: one lattice step; keep the secret encodable
 			v, ok := latticeStep(searchLines, m.ProbeLines, rng.Intn(2) == 0)
 			if !ok {
@@ -362,14 +336,12 @@ func Search(ctx context.Context, opts SearchOptions) (*SearchReport, []*trace.Tr
 		}
 		if len(batch) > 0 {
 			sopts := ScanOptions{
-				Defenses:    defenses,
-				Consistency: opts.Consistency,
-				Trials:      trials,
-				Jobs:        opts.Jobs,
-				Timeout:     opts.Timeout,
-				MaxCycles:   opts.MaxCycles,
-				Thresholds:  opts.Thresholds,
-				Progress:    opts.Progress,
+				Defenses:  defenses,
+				Trials:    trials,
+				Jobs:      opts.Jobs,
+				Timeout:   opts.Timeout,
+				MaxCycles: opts.MaxCycles,
+				Progress:  opts.Progress,
 				// Every iteration scans under the same campaign name: the
 				// journal binds to it, and one journal checkpoints the
 				// whole search.
@@ -493,13 +465,13 @@ func minimizeFind(ctx context.Context, f *SearchFind, opts SearchOptions, shrink
 	if maxCycles == 0 {
 		maxCycles = 30_000_000
 	}
-	th := opts.Thresholds.orDefault()
+	th := DefaultThresholds()
 	// The find itself must leak fault-free (Shrink requires its input to
 	// satisfy the oracle); its measured runtime then bounds every shrink
 	// candidate's budget — a mutilated candidate that deadlocks or loses
 	// its halt must fail in ~2x the attack's cycles, not burn the full
 	// trial budget.
-	lat, cycles, err := runFindProgram(ctx, f.Spec, progs[0], d, opts.Consistency, maxCycles)
+	lat, cycles, err := runPrograms(ctx, f.Spec, progs, d, config.TSO, maxCycles, 0)
 	if err != nil {
 		f.Note = "leak does not reproduce in a fault-free trial; not minimized"
 		return nil, nil
@@ -511,7 +483,7 @@ func minimizeFind(ctx context.Context, f *SearchFind, opts SearchOptions, shrink
 	}
 	oracleBudget := 2*cycles + 10_000
 	oracle := func(p *isa.Program) (bool, string) {
-		lat, _, err := runFindProgram(ctx, f.Spec, p, d, opts.Consistency, oracleBudget)
+		lat, _, err := runPrograms(ctx, f.Spec, []*isa.Program{p}, d, config.TSO, oracleBudget, 0)
 		if err != nil {
 			return false, ""
 		}
@@ -534,16 +506,4 @@ func minimizeFind(ctx context.Context, f *SearchFind, opts SearchOptions, shrink
 	}
 	f.TraceName = min.Name
 	return t, nil
-}
-
-// runFindProgram runs one candidate program on the find's machine shape
-// under the broken defense, fault-free, and returns the probe latencies
-// and the cycles the run took.
-func runFindProgram(ctx context.Context, s AttackSpec, p *isa.Program, d config.Defense, cm config.Consistency, maxCycles uint64) ([]uint64, uint64, error) {
-	run := config.Run{Machine: s.Machine(), Defense: d, Consistency: cm}
-	m, err := harness.Complete(run, s.ID, []*isa.Program{p}, maxCycles, harness.WithContext(ctx))
-	if err != nil {
-		return nil, 0, err
-	}
-	return workload.ScanLatencies(m.Mem, s.ResultsBase(), s.ResultLines()), m.Cycle(), nil
 }

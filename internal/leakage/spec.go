@@ -1,6 +1,7 @@
 // Package leakage is the automated leakage-testing subsystem: a seeded
-// corpus of transient-attack variants (parameterizing the Spectre v1 and
-// Meltdown templates in internal/workload), a statistical distinguisher
+// corpus of transient-attack variants (parameterizing the attack templates
+// in internal/workload, one row each in the templates table), a
+// statistical distinguisher
 // that turns repeated per-probe-line latency measurements into leak
 // verdicts with confidence scores, and a scanner that fans the
 // corpus x defense matrix through the internal/runner worker pool and
@@ -13,77 +14,12 @@ package leakage
 
 import (
 	"fmt"
+	"slices"
 
 	"invisispec/internal/config"
 	"invisispec/internal/isa"
 	"invisispec/internal/workload"
 )
-
-// Template selects which transient-attack program family a spec
-// instantiates.
-type Template int
-
-const (
-	// TemplateSpectre is the same-thread Spectre v1 bounds-check bypass
-	// (workload.SpectreV1With): attacker and victim share one core, the
-	// paper's SameThread setting.
-	TemplateSpectre Template = iota
-	// TemplateSpectreCross is the cross-thread placement
-	// (workload.SpectreV1CrossThread): victim on core 0, attacker on
-	// core 1, leaking through the shared LLC.
-	TemplateSpectreCross
-	// TemplateMeltdown is the exception-based attack (workload.Meltdown):
-	// a privileged load faults at retirement but its dependents run
-	// transiently. Spectre-model defenses do not squash exception-caused
-	// transients, so this template distinguishes the Spectre and
-	// Futuristic threat models.
-	TemplateMeltdown
-	// TemplateSpectreBTB is Spectre v2 (workload.SpectreV2With): the
-	// attacker poisons the BTB so the victim's indirect dispatch
-	// transiently jumps to a secret-reading gadget. TrainRounds counts
-	// BTB training calls; FlushBounds flushes the dispatch slot.
-	TemplateSpectreBTB
-	// TemplateSpectreRSB is the return-based variant
-	// (workload.SpectreRSBWith): a deep call chain whose innermost frame
-	// returns through a flushed memory slot, so the RAS-predicted return
-	// site — the gadget — runs transiently. TrainRounds is the nesting
-	// depth; FlushBounds flushes the return slot.
-	TemplateSpectreRSB
-	// TemplateSSB is the speculative store bypass (workload.SSBWith): a
-	// load issues past an older store with an unresolved address and
-	// reads the stale secret. No branch opens the window, so
-	// branch-scoped defenses never engage — the store-queue analogue of
-	// Meltdown's threat-model split. TrainRounds counts bypass rounds.
-	TemplateSSB
-	// TemplateLLCSBContend is the cross-core speculative-buffer residue
-	// test (workload.LLCSBContendWith): an autonomous victim runs one
-	// out-of-bounds gadget call whose transient loads burst at the
-	// secret-indexed line; a purely passive observer on the second core
-	// then times the probe array. Under InvisiSpec the fills are confined
-	// to the victim's per-core LLC-SB and must stay invisible.
-	TemplateLLCSBContend
-)
-
-// String names the template the way the report's cells do.
-func (t Template) String() string {
-	switch t {
-	case TemplateSpectre:
-		return "spectre"
-	case TemplateSpectreCross:
-		return "spectre-cross"
-	case TemplateMeltdown:
-		return "meltdown"
-	case TemplateSpectreBTB:
-		return "spectre-btb"
-	case TemplateSpectreRSB:
-		return "spectre-rsb"
-	case TemplateSSB:
-		return "ssb"
-	case TemplateLLCSBContend:
-		return "llcsb-contend"
-	}
-	return fmt.Sprintf("Template(%d)", int(t))
-}
 
 // AttackSpec is one corpus entry: a fully-parameterized transient attack
 // that assembles to concrete programs. Every field is plain data so specs
@@ -147,41 +83,23 @@ func (s AttackSpec) Validate() error {
 	if s.Secret == 0 {
 		return fmt.Errorf("leakage: %s: secret must be nonzero (line 0 collects training residue)", s.ID)
 	}
-	switch s.Template {
-	case TemplateSpectre, TemplateSpectreCross, TemplateLLCSBContend:
-		if err := s.params().Validate(); err != nil {
-			return fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-	case TemplateSpectreBTB:
-		if err := s.params().ValidateBTB(); err != nil {
-			return fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-	case TemplateSpectreRSB:
-		if err := s.params().ValidateRSB(); err != nil {
-			return fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-	case TemplateSSB:
-		if err := s.params().ValidateSSB(); err != nil {
-			return fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-		if s.TrustAnnotations {
-			return fmt.Errorf("leakage: %s: TrustAnnotations unsupported (ssb has no annotated loads)", s.ID)
-		}
-	case TemplateMeltdown:
-		// Geometry is fixed; only the secret matters.
-	default:
+	t := s.Template.info()
+	if t.build == nil {
 		return fmt.Errorf("leakage: %s: unknown template %d", s.ID, int(s.Template))
+	}
+	if t.validate != nil {
+		if err := t.validate(s.params()); err != nil {
+			return fmt.Errorf("leakage: %s: %w", s.ID, err)
+		}
+	}
+	if t.noTrust && s.TrustAnnotations {
+		return fmt.Errorf("leakage: %s: TrustAnnotations unsupported (%s has no annotated loads)", s.ID, s.Template)
 	}
 	return nil
 }
 
 // Cores returns how many cores the spec's machine needs.
-func (s AttackSpec) Cores() int {
-	if s.Template == TemplateSpectreCross || s.Template == TemplateLLCSBContend {
-		return 2
-	}
-	return 1
-}
+func (s AttackSpec) Cores() int { return s.Template.info().cores }
 
 // Machine returns the machine configuration the spec runs on.
 func (s AttackSpec) Machine() config.Machine {
@@ -193,6 +111,10 @@ func (s AttackSpec) Machine() config.Machine {
 // Programs assembles the spec, one program per core: from the registry
 // when Workload names an imported recording, from the template otherwise.
 func (s AttackSpec) Programs() ([]*isa.Program, error) {
+	t := s.Template.info()
+	if t.build == nil {
+		return nil, fmt.Errorf("leakage: %s: unknown template %d", s.ID, int(s.Template))
+	}
 	if s.Workload != "" {
 		w, err := workload.Lookup(s.Workload)
 		if err != nil {
@@ -202,149 +124,88 @@ func (s AttackSpec) Programs() ([]*isa.Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("leakage: %s: %w", s.ID, err)
 		}
-		if len(progs) != s.Cores() {
+		if len(progs) != t.cores {
 			return nil, fmt.Errorf("leakage: %s: workload %q provides %d core(s), template %s needs %d",
-				s.ID, s.Workload, len(progs), s.Template, s.Cores())
+				s.ID, s.Workload, len(progs), s.Template, t.cores)
 		}
 		return progs, nil
 	}
-	switch s.Template {
-	case TemplateSpectre:
-		p, err := workload.SpectreV1With(s.params())
-		if err != nil {
-			return nil, fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-		return []*isa.Program{p}, nil
-	case TemplateSpectreCross:
-		progs, err := workload.SpectreV1CrossThread(s.params())
-		if err != nil {
-			return nil, fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-		return progs, nil
-	case TemplateMeltdown:
-		return []*isa.Program{workload.Meltdown(s.Secret)}, nil
-	case TemplateSpectreBTB:
-		p, err := workload.SpectreV2With(s.params())
-		if err != nil {
-			return nil, fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-		return []*isa.Program{p}, nil
-	case TemplateSpectreRSB:
-		p, err := workload.SpectreRSBWith(s.params())
-		if err != nil {
-			return nil, fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-		return []*isa.Program{p}, nil
-	case TemplateSSB:
-		p, err := workload.SSBWith(s.params())
-		if err != nil {
-			return nil, fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-		return []*isa.Program{p}, nil
-	case TemplateLLCSBContend:
-		progs, err := workload.LLCSBContendWith(s.params())
-		if err != nil {
-			return nil, fmt.Errorf("leakage: %s: %w", s.ID, err)
-		}
-		return progs, nil
+	progs, err := t.build(s.params())
+	if err != nil {
+		return nil, fmt.Errorf("leakage: %s: %w", s.ID, err)
 	}
-	return nil, fmt.Errorf("leakage: %s: unknown template %d", s.ID, int(s.Template))
+	return progs, nil
 }
 
 // ResultsBase returns where the attacker's per-probe-line latencies land
 // in functional memory.
 func (s AttackSpec) ResultsBase() uint64 {
-	if s.Template == TemplateMeltdown {
-		return workload.MeltdownResultsBase
+	if f := s.Template.info().fixed; f != nil {
+		return f.base
 	}
 	return workload.SpectreResultsBase
 }
 
 // ResultLines returns how many probe-line latencies the attack records.
 func (s AttackSpec) ResultLines() int {
-	if s.Template == TemplateMeltdown {
-		return 256
+	if f := s.Template.info().fixed; f != nil {
+		return f.lines
 	}
 	return s.ProbeLines
 }
 
 // Expect returns the verdict the defense-outcome matrix predicts for this
 // spec under defense d. The matrix is empirical ground truth, established
-// by running every variant class under every defense:
+// by running every variant class under every defense. A template's row
+// gives its full-flush leak set (both flushes on, no trusted annotation):
 //
-//   - Spectre (both placements, full flush): leaks only on Base. All four
-//     defenses close it — fences serialize the window shut, InvisiSpec
-//     keeps the squashed loads invisible.
+//   - Spectre v1 (both placements), Spectre-BTB, Spectre-RSB and LLC-SB
+//     contention leak only on Base. Their windows open at a branch — a
+//     bounds check, an indirect dispatch, a return — and every defense
+//     closes a branch-shaped window: fences serialize after it,
+//     InvisiSpec keeps the squashed loads invisible. LLC-SB's burst fills
+//     land in the victim's per-core LLC-SB and stay invisible to the
+//     observer core.
+//   - Meltdown and SSB leak on Base, Fe-Sp, IS-Sp and BasicBlocker. An
+//     exception is a Futuristic squash source, and an older store's
+//     unresolved address opens a window with no branch in it: both are
+//     outside the Spectre model BY DESIGN (documented threat-model rows).
+//     Fe-Fu blocks them (its per-load fences wait them out), IS-Fu keeps
+//     their fills invisible, and SpecBox quarantines fills until the ROB
+//     head, which the faulting or bypassing load never reaches
+//     un-squashed. BasicBlocker leaks them: no block boundary separates
+//     the access from its dependent transmit.
+//
+// The control axes then override the row, the same for every template
+// that has them (Meltdown's geometry is fixed, so it has none):
+//
 //   - FlushProbe=false: probe line 0 stays hot with training residue in
 //     every configuration, so the scan cannot distinguish leak from
 //     blocked — Inconclusive everywhere (a distinguisher control).
-//   - FlushBounds=false (with the probe flushed): the bounds load hits in
-//     L1, the branch resolves before the secret arrives, and the window
-//     closes — Blocked everywhere, Base included (a negative control).
+//   - FlushBounds=false (with the probe flushed): the window-opening
+//     value hits in L1, the branch resolves before the secret arrives,
+//     and the window closes — Blocked everywhere, Base included (a
+//     negative control).
 //   - Annotate+TrustAnnotations: safe-annotated loads bypass the USL
 //     machinery, so the leak re-opens on every invisible-load scheme
 //     (IS-Sp, IS-Fu, SpecBox) and Base; the fence defenses and
 //     BasicBlocker still close the window in the front end, which the
 //     annotation does not touch. This is the §XI threat-model boundary,
 //     reported as an expected leak.
-//   - Meltdown: exceptions are a Futuristic squash source, so it leaks on
-//     Base, Fe-Sp and IS-Sp; Fe-Fu/IS-Fu block it. SpecBox blocks it too
-//     (fills stay quarantined until the ROB head, and the faulting load
-//     never reaches the head un-squashed); BasicBlocker leaks it — the
-//     faulting load and its dependent transmit load share a basic block,
-//     so no block-boundary stall separates them.
-//   - Spectre-BTB and Spectre-RSB follow the v1 rows exactly: the window
-//     opener is an indirect jump / return instead of a conditional
-//     branch, but all of those are branches to every defense (fences
-//     serialize after them, IS-Sp's unresolved-branch test covers them,
-//     BasicBlocker's block boundaries fall at them), so the full-flush
-//     variants leak only on Base and the control/annotation axes behave
-//     as in v1.
-//   - SSB: the window is an older store's unresolved address — no branch
-//     anywhere — so every branch-scoped defense misses it BY DESIGN:
-//     leaks on Base, Fe-Sp, IS-Sp and BasicBlocker (documented
-//     threat-model rows, the store-queue analogue of Meltdown's
-//     exception rows; InvisiSpec's Spectre model only covers branch
-//     speculation). Fe-Fu's per-load fences wait out the store, and
-//     under IS-Fu/SpecBox the bypassing loads are unsafe (an older
-//     unperformed store) so their fills stay invisible: Blocked.
-//   - LLC-SB contention: the victim-side gadget is v1's behind the same
-//     bounds check, so the rows match the cross-thread placement —
-//     full-flush leaks only on Base; under every InvisiSpec scheme the
-//     burst fills land in the victim's LLC-SB and stay invisible to the
-//     observer core.
 func (s AttackSpec) Expect(d config.Defense) Verdict {
-	if s.Template == TemplateMeltdown {
-		switch d {
-		case config.Base, config.FenceSpectre, config.ISSpectre, config.BasicBlocker:
-			return VerdictLeak
-		}
-		return VerdictBlocked
-	}
-	if s.Template == TemplateSSB {
-		if !s.FlushProbe {
+	t := s.Template.info()
+	leaks := t.leaks
+	if t.fixed == nil {
+		switch {
+		case !s.FlushProbe:
 			return VerdictInconclusive
+		case !s.FlushBounds:
+			return VerdictBlocked
+		case s.Annotate && s.TrustAnnotations:
+			leaks = trustLeaks
 		}
-		switch d {
-		case config.Base, config.FenceSpectre, config.ISSpectre, config.BasicBlocker:
-			return VerdictLeak
-		}
-		return VerdictBlocked
 	}
-	if !s.FlushProbe {
-		return VerdictInconclusive
-	}
-	if !s.FlushBounds {
-		return VerdictBlocked
-	}
-	if s.Annotate && s.TrustAnnotations {
-		switch d {
-		case config.Base, config.ISSpectre, config.ISFuture, config.SpecBox:
-			return VerdictLeak
-		}
-		return VerdictBlocked
-	}
-	if d == config.Base {
+	if slices.Contains(leaks, d) {
 		return VerdictLeak
 	}
 	return VerdictBlocked

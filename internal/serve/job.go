@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -46,8 +45,8 @@ const (
 	StateDone    JobState = "done"
 	StateFailed  JobState = "failed"
 	// StateInterrupted marks a job whose cells were refused by a drain: the
-	// completed cells are journaled and cached, the rest re-run (mostly from
-	// cache) on resubmission.
+	// completed cells are cached, and a resubmission computes only the
+	// rest.
 	StateInterrupted JobState = "interrupted"
 )
 
@@ -409,9 +408,4 @@ func (s *Server) setTotal(job *Job, n int) {
 	s.mu.Lock()
 	job.totalCells = n
 	s.mu.Unlock()
-}
-
-// journalPath is the per-job campaign checkpoint file.
-func (s *Server) journalPath(jobID string) string {
-	return filepath.Join(s.opts.JournalDir, jobID+".jsonl")
 }

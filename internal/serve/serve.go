@@ -24,11 +24,11 @@
 //	GET  /, /jobs/{id}, /trends    HTML dashboard (internal/report)
 //
 // Shutdown is a drain, not an abort: Drain refuses new submissions (503)
-// and new cell computations, lets in-flight cells finish and journal,
-// then persists the cache index. Refused cells fail with a cancellation-
-// classed error, which the campaign layer never journals — so an
-// interrupted job re-runs only its unfinished cells on resubmission, and
-// even those are typically cache hits.
+// and new cell computations, lets in-flight cells finish and reach the
+// cache, then persists the cache index. Refused cells fail with a
+// cancellation-classed error, which is never cached — so a resubmitted
+// job gets its finished cells from the cache and computes only the cells
+// the drain refused.
 package serve
 
 import (
@@ -57,9 +57,6 @@ type Options struct {
 	CacheDir string
 	// MaxCacheEntries bounds the store (memo LRU eviction; 0 = unlimited).
 	MaxCacheEntries int
-	// JournalDir, when non-empty, gives every job a campaign checkpoint
-	// journal at <JournalDir>/<jobID>.jsonl.
-	JournalDir string
 	// HistoryDir, when non-empty, is scanned for committed BENCH_*.json
 	// artifacts to draw the dashboard's trend lines.
 	HistoryDir string
@@ -137,7 +134,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Drain stops the server gracefully: new submissions are refused with 503,
-// fresh cell computations are refused (in-flight cells finish and journal),
+// fresh cell computations are refused (in-flight cells finish and are cached),
 // every job goroutine is waited for, and the memo index is persisted. The
 // context bounds the wait; on expiry the index is still persisted and the
 // context error returned.
@@ -174,7 +171,7 @@ func (s *Server) isDraining() bool {
 // cell resolves through the content-addressed store; only a miss acquires a
 // global compute slot and runs the simulation. Fresh computes are refused
 // while draining with a cancellation-classed error so they are never
-// journaled and re-run cleanly on resubmission.
+// cached and re-run cleanly on resubmission.
 func (s *Server) execFor(job *Job) func(ctx context.Context, c campaign.Cell, key string) (json.RawMessage, error) {
 	return func(ctx context.Context, c campaign.Cell, key string) (json.RawMessage, error) {
 		val, hit, err := s.store.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
@@ -223,8 +220,8 @@ func (s *Server) execFor(job *Job) func(ctx context.Context, c campaign.Cell, ke
 	}
 }
 
-// campaignOpts assembles a job's campaign options: the memoized executor,
-// the structured progress feed, and the per-job journal.
+// campaignOpts assembles a job's campaign options: the memoized executor
+// and the structured progress feed.
 func (s *Server) campaignOpts(job *Job) campaign.Options {
 	copts := campaign.Options{
 		Workers:     s.opts.workers(),
@@ -244,9 +241,6 @@ func (s *Server) campaignOpts(job *Job) campaign.Options {
 			}
 			s.logLine("cell", fields)
 		},
-	}
-	if s.opts.JournalDir != "" {
-		copts.Journal = s.journalPath(job.ID)
 	}
 	return copts
 }

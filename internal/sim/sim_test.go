@@ -31,11 +31,12 @@ const secret = 84 // the paper's Figure 5 secret value
 
 func TestSpectreLeaksOnBaseline(t *testing.T) {
 	m := run(t, config.Base, config.TSO, 1, []*isa.Program{workload.SpectreV1(secret)}, 3_000_000)
-	idx, lat := workload.LeakedByte(m.Mem)
+	all := workload.SpectreScanLatencies(m.Mem)
+	idx, lat := workload.LeakedByte(all[:])
 	if idx != secret {
 		t.Fatalf("attack on Base recovered %d, want %d", idx, secret)
 	}
-	med := median(workload.SpectreScanLatencies(m.Mem))
+	med := median(all)
 	if lat*2 >= med {
 		t.Fatalf("leaked line latency %d not clearly below median %d", lat, med)
 	}
@@ -71,7 +72,7 @@ func TestMeltdownLeaksOnBaseAndISSpectre(t *testing.T) {
 	// model: Base leaks, and IS-Spectre (by design, §IV) does not stop it.
 	for _, d := range []config.Defense{config.Base, config.ISSpectre} {
 		m := run(t, d, config.TSO, 1, []*isa.Program{workload.Meltdown(0x5A)}, 3_000_000)
-		idx, _ := workload.MeltdownLeakedByte(m.Mem)
+		idx, _ := workload.LeakedByte(workload.ScanLatencies(m.Mem, workload.MeltdownResultsBase, workload.MeltdownProbeLines))
 		if idx != 0x5A {
 			t.Fatalf("%v: meltdown recovered %#x, want 0x5a", d, idx)
 		}

@@ -7,7 +7,6 @@ package workload
 
 import (
 	"fmt"
-	"math/bits"
 
 	"invisispec/internal/isa"
 )
@@ -83,11 +82,29 @@ func CanonicalSpectre(secret byte) SpectreParams {
 	}
 }
 
+// TrainRounds bounds, one per attack class: a class's TrainRounds must lie
+// in [1, its bound]. Validate and the per-class validators check them, and
+// the leakage template table clamps its search to them.
+const (
+	// MaxTrainRounds bounds the Spectre v1 training sweeps (both
+	// placements and the LLC-SB victim).
+	MaxTrainRounds = 256
+	// MaxBTBRounds bounds the Spectre v2 BTB training calls: more buys
+	// nothing and only stretches the simulation.
+	MaxBTBRounds = 64
+	// MaxRSBDepth bounds the RSB template's nested call depth: the RAS
+	// holds 16 entries and the frame link registers cap the practical
+	// depth at 8.
+	MaxRSBDepth = len(rsbLinks)
+	// MaxSSBRounds bounds the store-bypass rounds, one slot line each.
+	MaxSSBRounds = 64
+)
+
 // Validate reports the first structural problem with the parameters.
 func (p SpectreParams) Validate() error {
 	switch {
-	case p.TrainRounds < 1 || p.TrainRounds > 256:
-		return fmt.Errorf("workload: TrainRounds %d outside [1,256]", p.TrainRounds)
+	case p.TrainRounds < 1 || p.TrainRounds > MaxTrainRounds:
+		return fmt.Errorf("workload: TrainRounds %d outside [1,%d]", p.TrainRounds, MaxTrainRounds)
 	case p.ProbeLines < 16 || p.ProbeLines > 256 || p.ProbeLines&(p.ProbeLines-1) != 0:
 		return fmt.Errorf("workload: ProbeLines %d must be a power of two in [16,256]", p.ProbeLines)
 	case p.ProbeStride < 64 || p.ProbeStride&(p.ProbeStride-1) != 0:
@@ -135,85 +152,24 @@ func SpectreV1With(p SpectreParams) (*isa.Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	secret, annotateVictim := p.Secret, p.Annotate
-	shift := int64(bits.TrailingZeros(uint(p.ProbeStride)))
-	region := int64(p.ProbeLines * p.ProbeStride)
-	const (
-		rArg    = 1  // victim argument a
-		rT0     = 3  // scan timing
-		rVal    = 4  // scanned byte
-		rT1     = 5  //
-		rDelta  = 6  //
-		rResPtr = 7  //
-		rIdx    = 8  // scan index
-		rRound  = 10 // training round counter
-		rLimit  = 11 //
-		rBnd    = 12 // victim: bounds value
-		rSecPtr = 13 // victim: &A[a]
-		rSec    = 14 // victim: A[a]
-		rBPtr   = 15 // victim: &B[64*A[a]]
-		rJunk   = 16 // victim: transmitted value
-		rA      = 20 // &A
-		rB      = 21 // &B
-		rRes    = 22 // &results
-		rBndPtr = 23 // &bounds
-		rLink   = 30 // return address
-	)
 	b := isa.NewBuilder("spectre-v1")
-	// Victim data: A[0..9] = 0, the secret byte at A+offset, bounds = 10.
-	b.Data(SpectreABase, make([]byte, 10))
-	b.Data(SpectreABase+SpectreSecretOffset, []byte{secret})
-	b.DataU64(SpectreBoundsAddr, 10)
-
+	emitVictimData(b, p.Secret, true)
 	b.Li(rA, SpectreABase).
 		Li(rB, SpectreBBase).
 		Li(rRes, SpectreResultsBase).
 		Li(rBndPtr, SpectreBoundsAddr)
-
-	// Train the bounds-check branch over the valid indices.
-	b.Li(rRound, uint64(p.TrainRounds))
-	b.Label("train_outer").
-		Li(rArg, 0)
-	b.Label("train_inner").
-		Call(rLink, "victim").
-		AddI(rArg, rArg, 1).
-		Li(rLimit, 10).
-		Blt(rArg, rLimit, "train_inner").
-		AddI(rRound, rRound, -1).
-		Bne(rRound, 0, "train_outer")
-
-	// Warm the D-TLB entries of every probe-array page (one line per 4 KiB
-	// page) so the transient probe load is not stalled by a page walk —
-	// the standard exploit preparation step.
-	for pg := int64(0); pg < region; pg += isa.PageSize {
-		b.Ld(1, rVal, rB, pg)
-	}
-	// Let wrong-path stragglers land: the mispredicted training-loop exit
-	// transiently re-runs victim(0), and its in-flight B[0] fill would
-	// otherwise re-warm the line after our flush. Two serialized cold
-	// loads plus fences give those fills time to arrive before we flush.
-	b.Li(rLimit, 0x190000).
-		Fence().
-		Ld(8, rVal, rLimit, 0).
-		AndI(rVal, rVal, 0).
-		Add(rLimit, rLimit, rVal).
-		Ld(8, rVal, rLimit, 4096).
-		Fence()
+	emitBoundsTraining(b, p.TrainRounds)
+	emitTLBWarm(b, p.region())
+	emitStragglerDrain(b)
 	// Flush the state the attack depends on: the bounds (to widen the
-	// speculation window) and every probe line touched so far — B[0] from
-	// training, the page-warming lines, and the next-line prefetches each
-	// of those triggered. The corpus's control variants skip one of these
-	// on purpose to probe the distinguisher's failure classification.
+	// speculation window) and every probe line touched so far. The
+	// corpus's control variants skip one of these on purpose to probe the
+	// distinguisher's failure classification.
 	if p.FlushBounds {
 		b.Flush(rBndPtr, 0)
 	}
 	if p.FlushProbe {
-		b.Flush(rB, 0)
-		for pg := int64(0); pg < region; pg += isa.PageSize {
-			for d := int64(0); d <= 4; d++ {
-				b.Flush(rB, pg+64*d)
-			}
-		}
+		emitProbeFlush(b, p.region())
 	}
 	b.Fence()
 
@@ -224,63 +180,11 @@ func SpectreV1With(p SpectreParams) (*isa.Program, error) {
 	b.Li(rArg, SpectreSecretOffset).
 		Call(rLink, "victim").
 		Fence()
-
-	// FLUSH+RELOAD scan: time one load per probe line. Two standard
-	// exploit tricks: (1) each probe's address carries a (zero-valued)
-	// dependence on the previous probe's data, serializing the probes so
-	// out-of-order overlap cannot skew the timings; (2) the lines are
-	// probed in DESCENDING order so the hardware next-line prefetcher
-	// (which only runs upward) can never pre-warm the next probe.
-	const rShuf = 24
-	b.Li(rIdx, 0).
-		Li(rVal, 0)
-	b.Label("scan").
-		Li(rShuf, uint64(p.ProbeLines-1)).
-		Sub(rShuf, rShuf, rIdx). // descending probe index
-		AndI(rDelta, rVal, 0).   // 0, but depends on the previous probe
-		ShlI(rBPtr, rShuf, shift).
-		Add(rBPtr, rBPtr, rB).
-		Add(rBPtr, rBPtr, rDelta).
-		Cycle(rT0, rBPtr).     // t0, ordered after the address
-		Ld(1, rVal, rBPtr, 0). //
-		Cycle(rT1, rVal).      // t1, ordered after the loaded value
-		Sub(rDelta, rT1, rT0).
-		ShlI(rResPtr, rShuf, 3).
-		Add(rResPtr, rResPtr, rRes).
-		St(8, rResPtr, 0, rDelta).
-		AddI(rIdx, rIdx, 1).
-		Li(rLimit, uint64(p.ProbeLines)).
-		Blt(rIdx, rLimit, "scan").
-		Halt()
-
-	// victim(a): if (a < bounds) junk = B[64 * A[a]]  — Figure 1.
-	b.Label("victim").
-		Ld(8, rBnd, rBndPtr, 0). // bounds load: slow when flushed
-		Div(rBnd, rBnd, rBnd).   // dependent chain delays resolution
-		AddI(rBnd, rBnd, 9).     // 10
-		Div(rBnd, rBnd, rBnd).   // 1 (another 12 cycles)
-		ShlI(rBnd, rBnd, 1).
-		ShlI(rBnd, rBnd, 2).
-		AddI(rBnd, rBnd, 2). // rBnd = 10 again
-		Bge(rArg, rBnd, "victim_ret").
-		Add(rSecPtr, rA, rArg)
-	if annotateVictim {
-		b.LdSafe(1, rSec, rSecPtr, 0). // the access instruction (reads the secret)
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						LdSafe(1, rJunk, rBPtr2, 0) // the transmit instruction
-	} else {
-		b.Ld(1, rSec, rSecPtr, 0). // the access instruction (reads the secret)
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						Ld(1, rJunk, rBPtr2, 0) // the transmit instruction
-	}
-	b.Label("victim_ret").
-		Ret(rLink)
+	emitProbeScan(b, p.ProbeLines, 0, p.shift())
+	b.Halt()
+	emitBoundsVictim(b, p, false)
 	return b.Build()
 }
-
-const rBPtr2 = 17
 
 // SpectreScanLatencies extracts the attacker's measured per-line latencies
 // from a finished machine's memory.
@@ -301,32 +205,13 @@ func ScanLatencies(mem *isa.Memory, base uint64, n int) []uint64 {
 	return out
 }
 
-// LeakedByte returns the attacker's guess for the secret: the LOWEST probe
-// index whose latency is within 2x of the fastest line. The transient
-// access itself touches exactly B[64*secret]; the hardware prefetcher may
-// additionally warm a few lines ABOVE it, so the lowest hot index is the
-// secret.
-func LeakedByte(mem *isa.Memory) (idx int, latency uint64) {
-	lat := SpectreScanLatencies(mem)
-	min := lat[0]
-	for _, l := range lat {
-		if l < min {
-			min = l
-		}
-	}
-	for i, l := range lat {
-		if l <= 2*min {
-			return i, l
-		}
-	}
-	return 0, lat[0]
-}
-
-// Meltdown memory layout.
+// Meltdown memory layout: the secret, a probe array of MeltdownProbeLines
+// 64-byte lines, and the handler's scan results.
 const (
 	MeltdownSecretAddr  = 0x400000
 	MeltdownProbeBase   = 0x500000
 	MeltdownResultsBase = 0x600000
+	MeltdownProbeLines  = 256
 )
 
 // Meltdown assembles an exception-based transient attack: a privileged load
@@ -336,104 +221,46 @@ const (
 // exceptions are a Futuristic-model squash source — while IS-Future does.
 func Meltdown(secret byte) *isa.Program {
 	const (
-		rSecPtr = 1
-		rSec    = 2
-		rBPtr   = 3
-		rJunk   = 4
-		rProbe  = 20
-		rRes    = 22
-		rIdx    = 8
-		rT0     = 9
-		rVal    = 10
-		rT1     = 11
-		rDelta  = 12
-		rLimit  = 13
-	)
-	const (
-		rBlock  = 14
-		rBlkPtr = 15
-		rOne    = 16
+		lines   = MeltdownProbeLines
+		shift   = 6  // 64-byte probe lines
+		rBlkPtr = 12 // blocker load address
 	)
 	b := isa.NewBuilder("meltdown")
 	b.Data(MeltdownSecretAddr, []byte{secret})
-	b.Li(rProbe, MeltdownProbeBase).
+	b.Li(rB, MeltdownProbeBase).
 		Li(rRes, MeltdownResultsBase).
 		Li(rSecPtr, MeltdownSecretAddr).
 		// Warm the secret page's TLB entry with an adjacent, unprivileged
 		// load so the privileged load performs quickly.
 		Ld(1, rVal, rSecPtr, 63)
 	// Warm the probe pages' TLB entries, then flush the touched lines.
-	for pg := int64(0); pg < 256*64; pg += isa.PageSize {
-		b.Ld(1, rVal, rProbe, pg)
-	}
+	emitTLBWarm(b, lines<<shift)
 	b.Fence()
-	for pg := int64(0); pg < 256*64; pg += isa.PageSize {
-		for d := int64(0); d <= 4; d++ { // warmed line + its prefetches
-			b.Flush(rProbe, pg+64*d)
-		}
-	}
+	emitProbeFlush(b, lines<<shift)
 	b.Fence().
 		// A blocker load whose address hangs off a divide chain keeps the
 		// privileged load away from the ROB head long enough for its
 		// dependent transient instructions to run (real Meltdown exploits
 		// delay retirement the same way).
-		Li(rBlock, 6400).
-		Li(rOne, 10).
-		Div(rBlock, rBlock, rOne).
-		Div(rBlock, rBlock, rOne).
-		Div(rBlock, rBlock, rOne). // 6, late
-		AndI(rBlock, rBlock, 0).
+		Li(rTmp, 6400).
+		Li(rTen, 10).
+		Div(rTmp, rTmp, rTen).
+		Div(rTmp, rTmp, rTen).
+		Div(rTmp, rTmp, rTen). // 6, late
+		AndI(rTmp, rTmp, 0).
 		Li(rBlkPtr, 0x700000).
-		Add(rBlkPtr, rBlkPtr, rBlock).
-		Ld(8, rBlock, rBlkPtr, 0). // cold: holds the ROB head ~150 cycles
+		Add(rBlkPtr, rBlkPtr, rTmp).
+		Ld(8, rTmp, rBlkPtr, 0). // cold: holds the ROB head ~150 cycles
 		// The access instruction: privileged, faults at retirement...
 		LdPriv(1, rSec, rSecPtr, 0).
 		// ...but these transient instructions run first:
-		ShlI(rSec, rSec, 6).
-		Add(rBPtr, rProbe, rSec).
-		Ld(1, rJunk, rBPtr, 0).
+		ShlI(rSec, rSec, shift).
+		Add(rBPtr2, rB, rSec).
+		Ld(1, rJunk, rBPtr2, 0).
 		Halt() // unreachable: the fault transfers to the handler
-	const rShuf = 17
-	b.Label("handler").
-		Li(rIdx, 0).
-		Li(rVal, 0)
-	b.Label("scan").
-		Li(rShuf, 255). // descending probe order defeats the prefetcher
-		Sub(rShuf, rShuf, rIdx).
-		AndI(rDelta, rVal, 0). // serialize probes (see SpectreV1)
-		ShlI(rBPtr, rShuf, 6).
-		Add(rBPtr, rBPtr, rProbe).
-		Add(rBPtr, rBPtr, rDelta).
-		Cycle(rT0, rBPtr).
-		Ld(1, rVal, rBPtr, 0).
-		Cycle(rT1, rVal).
-		Sub(rDelta, rT1, rT0).
-		ShlI(rT0, rShuf, 3).
-		Add(rT0, rT0, rRes).
-		St(8, rT0, 0, rDelta).
-		AddI(rIdx, rIdx, 1).
-		Li(rLimit, 256).
-		Blt(rIdx, rLimit, "scan").
-		Halt().
+	b.Label("handler")
+	emitProbeScan(b, lines, 0, shift)
+	b.Halt().
 		Handler("handler")
 	return b.MustBuild()
-}
-
-// MeltdownLeakedByte returns the handler's best guess (lowest hot index,
-// see LeakedByte).
-func MeltdownLeakedByte(mem *isa.Memory) (idx int, latency uint64) {
-	var lats [256]uint64
-	min := ^uint64(0)
-	for i := 0; i < 256; i++ {
-		lats[i] = mem.Read(MeltdownResultsBase+uint64(8*i), 8)
-		if lats[i] < min {
-			min = lats[i]
-		}
-	}
-	for i, l := range lats {
-		if l <= 2*min {
-			return i, l
-		}
-	}
-	return 0, lats[0]
 }

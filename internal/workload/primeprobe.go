@@ -171,9 +171,3 @@ func PPSlowProbes(mem *isa.Memory) int {
 	}
 	return n
 }
-
-// PPEvictionDetected reports whether the victim's transient fill displaced
-// primed lines: the single fill starts an eviction cascade through the
-// remaining probes, so several probes go slow. One slow probe is tolerated
-// as attacker-intrinsic noise (a TLB walk can land in a probe window).
-func PPEvictionDetected(mem *isa.Memory) bool { return PPSlowProbes(mem) >= 2 }
