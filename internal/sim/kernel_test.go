@@ -9,10 +9,15 @@ package sim_test
 // registers, fault-injector counters, and the run's error text — across the
 // workload x defense x consistency smoke matrix, under fault seeds, with
 // invariant checking enabled, with timer interrupts, on budget exhaustion,
-// and on the cross-core attacks run to completion.
+// on the cross-core attacks run to completion, and with each InvisiSpec
+// mechanism switched off.
 
 import (
+	"bufio"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"invisispec/internal/config"
@@ -37,6 +42,11 @@ type kernelCase struct {
 	protectI   bool   // enable ProtectICache
 	instrs     uint64 // instruction budget (default 4000)
 	budget     uint64 // cycle budget (default instrs*600)
+
+	// machine, when non-nil, changes the machine configuration before the
+	// run; variant names the change in the case name.
+	machine func(*config.Machine)
+	variant string
 }
 
 func (kc kernelCase) String() string {
@@ -56,6 +66,9 @@ func (kc kernelCase) String() string {
 	}
 	if kc.protectI {
 		s += "/picache"
+	}
+	if kc.variant != "" {
+		s += "/" + kc.variant
 	}
 	return s
 }
@@ -85,6 +98,9 @@ func runKernelCase(t *testing.T, kc kernelCase, k engine.Kernel) (string, *sim.M
 	}
 	if kc.protectI {
 		mc.ProtectICache = true
+	}
+	if kc.machine != nil {
+		kc.machine(&mc)
 	}
 	run := config.Run{Machine: mc, Defense: kc.defense, Consistency: kc.cm}
 	m := sim.MustNew(run, progs)
@@ -192,10 +208,68 @@ func kernelMatrix() []kernelCase {
 			}
 		}
 	}
+	// Each InvisiSpec mechanism switched off, one at a time, under the
+	// three invisible-load defenses: these take load-queue paths the
+	// paper's design never reaches.
+	for _, off := range mechanismsOff {
+		for _, wl := range []string{"libquantum", "mcf", "sjeng"} {
+			for _, d := range []config.Defense{config.ISSpectre, config.ISFuture, config.SpecBox} {
+				for _, cm := range []config.Consistency{config.TSO, config.RC} {
+					cases = append(cases, kernelCase{workload: wl, defense: d, cm: cm,
+						machine: off.apply, variant: off.name})
+				}
+			}
+		}
+	}
 	return cases
 }
 
+// mechanismsOff lists the InvisiSpec mechanism toggles, each as the change
+// that switches it off.
+var mechanismsOff = []struct {
+	name  string
+	apply func(*config.Machine)
+}{
+	{"noSBReuse", func(m *config.Machine) { m.SBReuse = false }},
+	{"noDelayTLBMiss", func(m *config.Machine) { m.DelayTLBMiss = false }},
+	{"noOverlapValExp", func(m *config.Machine) { m.OverlapValExp = false }},
+	{"noEarlySquash", func(m *config.Machine) { m.EarlySquash = false }},
+	{"noVToETransform", func(m *config.Machine) { m.VToETransform = false }},
+	{"noLLCSB", func(m *config.Machine) { m.LLCSBEnabled = false }},
+}
+
+// variantDigestsFile holds the sha256 of each machine-variant case's
+// fingerprint, one "<case> <hex digest>" line each. The stepped-vs-fast
+// comparison cannot see a change that moves both kernels alike, so these
+// cases are also held to the digests recorded here. A change that moves a
+// simulated statistic on purpose regenerates the file from the lines the
+// test logs under -v ("digest <case> <hex>").
+const variantDigestsFile = "testdata/variant_digests.txt"
+
+func readVariantDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(variantDigestsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	digests := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, digest, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", variantDigestsFile, sc.Text())
+		}
+		digests[name] = digest
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return digests
+}
+
 func TestKernelEquivalence(t *testing.T) {
+	digests := readVariantDigests(t)
 	for _, kc := range kernelMatrix() {
 		kc := kc
 		t.Run(kc.String(), func(t *testing.T) {
@@ -203,6 +277,14 @@ func TestKernelEquivalence(t *testing.T) {
 			fast, _ := runKernelCase(t, kc, engine.KernelFast)
 			if stepped != fast {
 				t.Errorf("kernel fingerprints diverge\n--- stepped ---\n%s\n--- fast ---\n%s", stepped, fast)
+			}
+			if kc.variant == "" {
+				return
+			}
+			digest := fmt.Sprintf("%x", sha256.Sum256([]byte(stepped)))
+			t.Logf("digest %s %s", kc, digest)
+			if want, ok := digests[kc.String()]; !ok || digest != want {
+				t.Errorf("fingerprint digest %s, %s has %q\n%s", digest, variantDigestsFile, want, stepped)
 			}
 		})
 	}
