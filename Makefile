@@ -78,12 +78,16 @@ bench:
 # Kernel-equivalence gate: the fast-forward scheduler must produce
 # byte-identical fingerprints to the cycle-by-cycle reference stepper across
 # the whole equivalence matrix (fault seeds, checking, interrupts, every
-# 8-core PARSEC kernel and the two-core attacks included), the wake audit
-# must find no cycle a core promised to idle on in which its state changes,
-# and the scheduler's unit tests and the credited-core test hold the
-# tick-or-credit rule. (Also runs as part of `make race`.)
+# 8-core PARSEC kernel, the two-core attacks, and each InvisiSpec mechanism
+# toggle switched off, whose fingerprints must also match the digests in
+# internal/sim/testdata), the wake audit must find no cycle a core promised
+# to idle on in which its state changes, the scheduler's unit tests and the
+# credited-core test hold the tick-or-credit rule, TestLQEventCycles pins
+# the cycle in which the load queue acts on a chained SB-reuse waiter and
+# on a bounced Spec-GetS, and StructuralCheck must catch each kind of drift
+# in the state the stages keep. (Also runs as part of `make race`.)
 kernelcheck:
-	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit|TestFlushReachesCreditedCore|TestScheduler' -count=1 ./internal/sim ./internal/core ./internal/engine
+	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit|TestFlushReachesCreditedCore|TestScheduler|TestLQEventCycles|TestStructuralCheckCatchesStageStateDrift' -count=1 ./internal/sim ./internal/core ./internal/engine
 
 # Short-budget Figure-4 sweep producing the BENCH_smoke.json artifact the
 # CI regression gate compares against the committed baseline.

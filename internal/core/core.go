@@ -80,15 +80,19 @@ type Core struct {
 	// all captured (ready to issue, or parked behind an older memory
 	// barrier until one closes), age-ordered lists of physical slots
 	// (executing in a functional unit; open fence-like entries and
-	// incomplete atomics), and the number of open fence-like entries.
-	// StructuralCheck recomputes each.
+	// incomplete atomics; unresolved control instructions), and the number
+	// of open fence-like entries. StructuralCheck recomputes each.
 	ready      []uint64
 	parked     []uint64
 	executing  []int
 	barriers   []int
+	unresolved []int
 	openFences int
 
+	// lqWork is a bit mask over the physical LQ slots of the entries
+	// memStep can act on (lqCanAct); StructuralCheck recomputes it.
 	lq     []lqEntry
+	lqWork []uint64
 	lqHead int
 	lqCnt  int
 	sq     []sqEntry
@@ -170,10 +174,11 @@ func New(id int, run config.Run, prog *isa.Program, mem *isa.Memory,
 	}
 	c.fetchBuf = c.fetchMem[:0]
 	words := (cfg.ROBEntries + 63) / 64
-	masks := make([]uint64, 2*words)
-	c.ready, c.parked = masks[:words:words], masks[words:]
-	c.executing = make([]int, 0, cfg.ROBEntries)
-	c.barriers = make([]int, 0, cfg.ROBEntries)
+	masks := make([]uint64, 2*words+(cfg.LQEntries+63)/64)
+	c.ready, c.parked, c.lqWork = masks[:words:words], masks[words:2*words:2*words], masks[2*words:]
+	n := cfg.ROBEntries
+	lists := make([]int, 3*n)
+	c.executing, c.barriers, c.unresolved = lists[:0:n], lists[n:n:2*n], lists[2*n:2*n]
 	for i := range c.rat {
 		c.rat[i] = -1
 	}

@@ -254,8 +254,9 @@ func TestSquashPrefersRobSnapshotOverFetchBuf(t *testing.T) {
 }
 
 // TestStructuralCheckCatchesStageStateDrift corrupts, one at a time, each
-// counter and list the stages maintain about the ROB, and expects
-// StructuralCheck to report the mismatch with the ROB scan it replaces.
+// counter, mask and list the stages maintain about the ROB and the LQ, and
+// expects StructuralCheck to report the mismatch with the scan it
+// replaces.
 func TestStructuralCheckCatchesStageStateDrift(t *testing.T) {
 	build := func() *Core {
 		c := newTestCore(t, config.Base)
@@ -273,16 +274,29 @@ func TestStructuralCheckCatchesStageStateDrift(t *testing.T) {
 		// after issue is ready for the next cycle.
 		c.issue()
 		c.insertEntry(&fetchedInst{pc: 5, inst: isa.Inst{Op: isa.OpLui, Rd: 9, Imm: 2}})
+		// Two unresolved control instructions waiting for operands, and a
+		// load whose address generation is done by hand: its address is
+		// ready, so memStep can act on it.
+		c.insertEntry(&fetchedInst{pc: 6, inst: isa.Inst{Op: isa.OpBeq, Rs1: 9, Rs2: 9}})
+		c.insertEntry(&fetchedInst{pc: 7, inst: isa.Inst{Op: isa.OpRet, Rs1: 6}})
+		c.insertEntry(&fetchedInst{pc: 8, inst: isa.Inst{Op: isa.OpLoad, Rd: 10, Rs1: 20, Size: 8}})
+		ld := c.robAt(9)
+		clearBit(c.ready, c.robPhys(9))
+		ld.st = stWaitMem
+		c.lq[ld.lqIdx].addr, c.lq[ld.lqIdx].addrReady = 0x1000, true
+		setBit(c.lqWork, ld.lqIdx)
 		if err := c.StructuralCheck(); err != nil {
 			t.Fatalf("consistent core rejected: %v", err)
 		}
 		if c.openFences != 2 || c.rob[c.robPhys(0)].consumers != 3 ||
 			!slices.Equal(maskSlots(c.ready), []int{c.robPhys(6)}) ||
 			!slices.Equal(maskSlots(c.parked), []int{c.robPhys(3)}) ||
-			len(c.executing) != 1 || len(c.barriers) != 3 {
-			t.Fatalf("unexpected set-up: open=%d consumers=%d ready=%v parked=%v executing=%v barriers=%v",
+			len(c.executing) != 1 || len(c.barriers) != 3 ||
+			!slices.Equal(c.unresolved, []int{c.robPhys(7), c.robPhys(8)}) ||
+			!slices.Equal(maskSlots(c.lqWork), []int{ld.lqIdx}) {
+			t.Fatalf("unexpected set-up: open=%d consumers=%d ready=%v parked=%v executing=%v barriers=%v unresolved=%v lqWork=%v",
 				c.openFences, c.rob[c.robPhys(0)].consumers, maskSlots(c.ready), maskSlots(c.parked),
-				c.executing, c.barriers)
+				c.executing, c.barriers, c.unresolved, maskSlots(c.lqWork))
 		}
 		return c
 	}
@@ -301,6 +315,12 @@ func TestStructuralCheckCatchesStageStateDrift(t *testing.T) {
 		{"consumers left on a completed producer", func(c *Core) { c.rob[c.robPhys(0)].st = stCompleted }, "consumers still waiting"},
 		{"executing entry leaked", func(c *Core) { c.executing = append(c.executing, c.robPhys(4)) }, "executing list"},
 		{"barriers out of order", func(c *Core) { c.barriers[0], c.barriers[1] = c.barriers[1], c.barriers[0] }, "barrier list"},
+		{"unresolved branch missing", func(c *Core) { c.unresolved = c.unresolved[1:] }, "unresolved list"},
+		{"unresolved list out of order", func(c *Core) {
+			c.unresolved[0], c.unresolved[1] = c.unresolved[1], c.unresolved[0]
+		}, "unresolved list"},
+		{"LQ work bit cleared on an entry that can act", func(c *Core) { c.lqWork[0] = 0 }, "LQ work mask"},
+		{"LQ work bit on a free slot", func(c *Core) { setBit(c.lqWork, c.lqPhys(c.lqCnt)) }, "LQ work mask"},
 	} {
 		c := build()
 		tc.corrupt(c)

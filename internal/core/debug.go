@@ -25,8 +25,9 @@ func DebugDump(c *Core) string {
 		s := c.sqAt(i)
 		fmt.Fprintf(&b, "sq[%2d] seq=%d addr=%#x ready=%v data=%v\n", i, s.seq, s.addr, s.addrReady, s.dataReady)
 	}
-	fmt.Fprintf(&b, "ready=%v parked=%v executing=%v barriers=%v openFences=%d\n",
-		maskSlots(c.ready), maskSlots(c.parked), c.executing, c.barriers, c.openFences)
+	fmt.Fprintf(&b, "ready=%v parked=%v executing=%v barriers=%v unresolved=%v openFences=%d lqWork=%v\n",
+		maskSlots(c.ready), maskSlots(c.parked), c.executing, c.barriers, c.unresolved, c.openFences,
+		maskSlots(c.lqWork))
 	fmt.Fprintf(&b, "wb=%d epoch=%d\n", len(c.wb), c.epoch)
 	if ls := c.lastSquash; ls.Happened {
 		fmt.Fprintf(&b, "last squash: cycle=%d reason=%s flushed=%d redirect=%d\n",
@@ -35,7 +36,7 @@ func DebugDump(c *Core) string {
 	return b.String()
 }
 
-// maskSlots lists the slots set in a ROB slot mask, lowest first.
+// maskSlots lists the slots set in a ROB or LQ slot mask, lowest first.
 func maskSlots(m []uint64) []int {
 	var slots []int
 	for i := range len(m) * 64 {

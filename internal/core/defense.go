@@ -45,9 +45,8 @@ func (v *defenseView) FutureVisible(rl int) bool {
 // end away from the predicted path.
 func (v *defenseView) OlderUnresolvedControl() bool {
 	c := (*Core)(v)
-	for i := 0; i < c.robCnt; i++ {
-		e := c.robAt(i)
-		if isBranchNeedingFence(e.inst.Op) && !e.resolved {
+	for _, phys := range c.unresolved {
+		if isBranchNeedingFence(c.rob[phys].inst.Op) {
 			return true
 		}
 	}

@@ -43,7 +43,9 @@ type WakeState struct {
 	Parked     []uint64
 	Executing  []int
 	Barriers   []int
+	Unresolved []int
 	OpenFences int
+	LQWork     []uint64
 
 	Epoch     uint64
 	NextToken uint64
@@ -72,7 +74,9 @@ func SnapshotWakeState(c *Core) WakeState {
 		Parked:     append([]uint64(nil), c.parked...),
 		Executing:  append([]int(nil), c.executing...),
 		Barriers:   append([]int(nil), c.barriers...),
+		Unresolved: append([]int(nil), c.unresolved...),
 		OpenFences: c.openFences,
+		LQWork:     append([]uint64(nil), c.lqWork...),
 
 		Epoch: c.epoch, NextToken: c.nextToken, CommitSeq: c.commitSeq,
 

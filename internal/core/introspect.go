@@ -132,11 +132,12 @@ func (c *Core) StructuralCheck() error {
 	return c.checkWBFIFO()
 }
 
-// checkStageState recomputes, by scanning the ROB, each counter, mask and
-// list the pipeline stages maintain incrementally, and reports the first
-// that disagrees: the open-fence count, every slot's rename-reference count
-// (none left on a completed entry), the ready and parked masks, and the
-// executing and barrier lists (content and age order).
+// checkStageState recomputes, by scanning the ROB and the LQ, each counter,
+// mask and list the pipeline stages maintain incrementally, and reports the
+// first that disagrees: the open-fence count, every slot's rename-reference
+// count (none left on a completed entry), the ready and parked masks, the
+// executing, barrier and unresolved-control lists (content and age order),
+// and the LQ work mask.
 func (c *Core) checkStageState() error {
 	open := 0
 	refs := make([]int, len(c.rob))
@@ -178,9 +179,37 @@ func (c *Core) checkStageState() error {
 	}); err != nil {
 		return err
 	}
-	return c.checkSlotList("barrier", c.barriers, func(e *robEntry) bool {
+	if err := c.checkSlotList("barrier", c.barriers, func(e *robEntry) bool {
 		return (isFenceLike(e) && !e.fenceDone) || (e.inst.Op == isa.OpRMW && e.st != stCompleted)
-	})
+	}); err != nil {
+		return err
+	}
+	if err := c.checkSlotList("unresolved", c.unresolved, func(e *robEntry) bool {
+		return e.inst.Op.IsBranch() && !e.resolved
+	}); err != nil {
+		return err
+	}
+	return c.checkLQWork()
+}
+
+// checkLQWork verifies that the LQ work mask holds exactly the entries
+// memStep can act on: an entry that can act without its bit would never be
+// stepped, and a bit on any other slot, inside the LQ window or not, would
+// step an entry with nothing to do or a freed slot.
+func (c *Core) checkLQWork() error {
+	want := make([]uint64, len(c.lqWork))
+	for i := 0; i < c.lqCnt; i++ {
+		if c.lqCanAct(c.lqAt(i)) {
+			setBit(want, c.lqPhys(i))
+		}
+	}
+	for i, w := range want {
+		if c.lqWork[i] != w {
+			return fmt.Errorf("core%d: LQ work mask %v, want the entries memStep can act on %v",
+				c.id, maskSlots(c.lqWork), maskSlots(want))
+		}
+	}
+	return nil
 }
 
 // checkIssueMasks verifies that the ready and parked masks are disjoint,

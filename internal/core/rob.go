@@ -117,10 +117,23 @@ func (c *Core) robLogical(phys int) int {
 	return l
 }
 
-// Bit masks over the physical ROB slots.
+// Bit masks over the physical ROB or LQ slots.
 func setBit(m []uint64, i int)      { m[i>>6] |= 1 << (i & 63) }
 func clearBit(m []uint64, i int)    { m[i>>6] &^= 1 << (i & 63) }
 func hasBit(m []uint64, i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
+
+// nextBit returns the first slot at or after i and before end whose bit is
+// set in m, or end. It reads m afresh, so a caller walking a mask it
+// changes on the way sees every bit set ahead of it.
+func nextBit(m []uint64, i, end int) int {
+	for i < end {
+		if w := m[i>>6] >> (i & 63); w != 0 {
+			return min(i+bits.TrailingZeros64(w), end)
+		}
+		i = (i | 63) + 1
+	}
+	return end
+}
 
 // dropSlot removes phys from an age-ordered slot list.
 func dropSlot(list []int, phys int) []int {
@@ -262,6 +275,8 @@ func (c *Core) insertEntry(fi *fetchedInst) {
 		c.barriers = append(c.barriers, phys)
 	} else if op == isa.OpRMW {
 		c.barriers = append(c.barriers, phys)
+	} else if op.IsBranch() {
+		c.unresolved = append(c.unresolved, phys)
 	}
 }
 
@@ -319,17 +334,10 @@ func (c *Core) issue() {
 	fu := fuBudget{alus: c.cfg.IntALUs, muldivs: c.cfg.MulDivUnits, agus: c.cfg.L1D.Ports}
 	g := c.issueGate()
 	for _, span := range [2][2]int{{c.robHead, len(c.rob)}, {0, c.robHead}} {
-		for i, end := span[0], span[1]; i < end && slots > 0; i++ {
-			// Re-read the word on every visit: parking and issuing clear
-			// bits, and a completion at issue readies younger entries.
-			w := c.ready[i>>6] >> (i & 63)
-			if w == 0 {
-				i |= 63
-				continue
-			}
-			if i += bits.TrailingZeros64(w); i >= end {
-				break
-			}
+		// nextBit re-reads the mask on every visit: parking and issuing
+		// clear bits, and a completion at issue readies younger entries.
+		end := span[1]
+		for i := nextBit(c.ready, span[0], end); i < end && slots > 0; i = nextBit(c.ready, i+1, end) {
 			e := &c.rob[i]
 			switch {
 			case g.closed(e):
@@ -540,6 +548,7 @@ func (c *Core) completeExec() {
 			// one 64-byte line, which aligned accesses never straddle.
 			lq.addr = isa.AlignAddr(e.src1Val+uint64(e.inst.Imm), lq.size)
 			lq.addrReady = true
+			setBit(c.lqWork, e.lqIdx)
 			e.st = stWaitMem
 		case op == isa.OpStore:
 			sq := &c.sq[e.sqIdx]
@@ -564,6 +573,7 @@ func (c *Core) completeExec() {
 func (c *Core) resolveBranch(phys int, e *robEntry) bool {
 	op := e.inst.Op
 	e.resolved = true
+	c.unresolved = dropSlot(c.unresolved, phys)
 	var next int
 	switch {
 	case op.IsCondBranch():

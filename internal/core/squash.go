@@ -57,6 +57,7 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 				specFlushed++
 			}
 			c.lq[e.lqIdx].valid = false
+			clearBit(c.lqWork, e.lqIdx)
 			c.lqCnt--
 		}
 		if e.sqIdx >= 0 && c.sq[e.sqIdx].valid && c.sq[e.sqIdx].seq == e.seq {
@@ -79,6 +80,7 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 	}
 	c.executing = c.truncSlots(c.executing, L)
 	c.barriers = c.truncSlots(c.barriers, L)
+	c.unresolved = c.truncSlots(c.unresolved, L)
 	// Squash-time defense cleanup (e.g. SpecBox flushes the labels of the
 	// speculative loads the squash invalidated).
 	c.sch.OnSquash(c.st, specFlushed)

@@ -15,7 +15,8 @@ package core
 //   - retire takes a timer interrupt on each InterruptInterval boundary
 //     while the ROB is occupied;
 //   - completeExec completes an executing entry at its execDoneAt;
-//   - translateStep finishes a page walk at its walkDoneAt.
+//   - translateStep finishes a page walk at its walkDoneAt (a walking
+//     entry is untranslated, so it is in the LQ work mask).
 //
 // A stage that adds a comparison against c.now must add its timer here.
 // TestWakeAudit holds NextWake to this: under the stepped kernel, a core's
@@ -54,8 +55,8 @@ func (c *Core) NextWake(now uint64) uint64 {
 		for _, phys := range c.executing {
 			wake = min(wake, c.rob[phys].execDoneAt)
 		}
-		for i := 0; i < c.lqCnt; i++ {
-			if e := c.lqAt(i); e.walking {
+		for i := nextBit(c.lqWork, 0, len(c.lq)); i < len(c.lq); i = nextBit(c.lqWork, i+1, len(c.lq)) {
+			if e := &c.lq[i]; e.walking {
 				wake = min(wake, e.walkDoneAt)
 			}
 		}
