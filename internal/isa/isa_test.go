@@ -156,6 +156,55 @@ func TestMemoryQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemoryPageOpsMatchBytes holds the page-at-a-time accessors to the
+// byte-at-a-time ones: SetBytes and Write, on writes that straddle pages or
+// not, leave every byte as SetByte would, and Read and CopyLine return what
+// ByteAt reads, on pages never written too.
+func TestMemoryPageOpsMatchBytes(t *testing.T) {
+	m, ref := NewMemory(), NewMemory()
+	rng := rand.New(rand.NewSource(3))
+	const span = 3 * PageSize
+	for i := 0; i < 2000; i++ {
+		addr := uint64(rng.Intn(span))
+		switch rng.Intn(3) {
+		case 0:
+			data := make([]byte, rng.Intn(2*PageSize))
+			rng.Read(data)
+			m.SetBytes(addr, data)
+			for j, b := range data {
+				ref.SetByte(addr+uint64(j), b)
+			}
+		case 1:
+			size, v := []uint8{1, 2, 4, 8}[rng.Intn(4)], rng.Uint64()
+			m.Write(addr, size, v)
+			for j := uint8(0); j < size; j++ {
+				ref.SetByte(addr+uint64(j), byte(v>>(8*j)))
+			}
+		case 2:
+			addr += span // beyond every write
+		}
+		size := []uint8{1, 2, 4, 8}[rng.Intn(4)]
+		var want uint64
+		for j := uint8(0); j < size; j++ {
+			want |= uint64(ref.ByteAt(addr+uint64(j))) << (8 * j)
+		}
+		if got := m.Read(addr, size); got != want {
+			t.Fatalf("Read(%#x, %d) = %#x, want %#x", addr, size, got, want)
+		}
+		var line [LineBytes]byte
+		m.CopyLine(&line, addr)
+		base := addr &^ (LineBytes - 1)
+		for j, b := range line {
+			if want := ref.ByteAt(base + uint64(j)); b != want {
+				t.Fatalf("CopyLine(%#x)[%d] = %#x, want %#x", addr, j, b, want)
+			}
+		}
+	}
+	if m.Footprint() != ref.Footprint() {
+		t.Fatalf("footprint %d pages, byte-wise writes touch %d", m.Footprint(), ref.Footprint())
+	}
+}
+
 func TestBuilderLabelsAndData(t *testing.T) {
 	b := NewBuilder("t")
 	b.Li(1, 10).

@@ -46,20 +46,58 @@ func (m *Memory) SetByte(addr uint64, b byte) {
 }
 
 // Read returns the little-endian unsigned value of the given byte width at
-// addr. Width must be 1, 2, 4 or 8.
+// addr. Width must be 1, 2, 4 or 8. An access inside one page looks the
+// page up once.
 func (m *Memory) Read(addr uint64, size uint8) uint64 {
+	off := addr % PageSize
+	if off+uint64(size) > PageSize {
+		var v uint64
+		for i := uint8(0); i < size; i++ {
+			v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
+		}
+		return v
+	}
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
 	var v uint64
-	for i := uint8(0); i < size; i++ {
-		v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
+	for i, b := range p[off : off+uint64(size)] {
+		v |= uint64(b) << (8 * i)
 	}
 	return v
 }
 
-// Write stores the low `size` bytes of v little-endian at addr.
+// Write stores the low `size` bytes of v little-endian at addr. An access
+// inside one page looks the page up once.
 func (m *Memory) Write(addr uint64, size uint8, v uint64) {
-	for i := uint8(0); i < size; i++ {
-		m.SetByte(addr+uint64(i), byte(v>>(8*i)))
+	off := addr % PageSize
+	if off+uint64(size) > PageSize {
+		for i := uint8(0); i < size; i++ {
+			m.SetByte(addr+uint64(i), byte(v>>(8*i)))
+		}
+		return
 	}
+	b := m.page(addr, true)[off : off+uint64(size)]
+	for i := range b {
+		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// LineBytes is the size of the block CopyLine copies: the simulated cache
+// line, which divides PageSize.
+const LineBytes = 64
+
+// CopyLine copies the LineBytes-aligned block holding addr into dst,
+// looking its page up once.
+func (m *Memory) CopyLine(dst *[LineBytes]byte, addr uint64) {
+	p := m.page(addr, false)
+	if p == nil {
+		*dst = [LineBytes]byte{}
+		return
+	}
+	off := (addr % PageSize) &^ (LineBytes - 1)
+	*dst = [LineBytes]byte(p[off : off+LineBytes])
 }
 
 // ReadBytes copies n bytes starting at addr into a fresh slice.
@@ -71,10 +109,12 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	return out
 }
 
-// SetBytes stores data starting at addr.
+// SetBytes stores data starting at addr, one page at a time.
 func (m *Memory) SetBytes(addr uint64, data []byte) {
-	for i, b := range data {
-		m.SetByte(addr+uint64(i), b)
+	for len(data) > 0 {
+		n := copy(m.page(addr, true)[addr%PageSize:], data)
+		data = data[n:]
+		addr += uint64(n)
 	}
 }
 
