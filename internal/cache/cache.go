@@ -1,5 +1,6 @@
-// Package cache provides the set-associative tag/state arrays and MSHR files
-// used by every cache level of the simulated hierarchy. The arrays are
+// Package cache provides the set-associative tag/state arrays used by every
+// cache level of the simulated hierarchy; the miss machinery around them
+// lives in internal/memsys. The arrays are
 // timing/state-only: architectural values live in the machine's functional
 // memory image (see internal/isa.Memory and DESIGN.md §1).
 //

@@ -198,63 +198,6 @@ func TestNewArrayPanics(t *testing.T) {
 	}
 }
 
-func TestMSHRAllocLookupFree(t *testing.T) {
-	f := NewMSHRFile(2)
-	m1 := f.Alloc(10)
-	if m1 == nil {
-		t.Fatal("alloc failed on empty file")
-	}
-	m1.Waiters = append(m1.Waiters, 100, 101)
-	if f.Lookup(10) != m1 {
-		t.Fatal("lookup missed")
-	}
-	m2 := f.Alloc(20)
-	if m2 == nil || f.Alloc(30) != nil {
-		t.Fatal("capacity accounting wrong")
-	}
-	if !f.Full() || f.InFlight() != 2 {
-		t.Fatal("Full/InFlight wrong")
-	}
-	w := f.Free(10)
-	if len(w) != 2 || w[0] != 100 || w[1] != 101 {
-		t.Fatalf("Free returned %v", w)
-	}
-	if f.Lookup(10) != nil || f.Full() {
-		t.Fatal("free did not release entry")
-	}
-	if f.Free(99) != nil {
-		t.Fatal("freeing absent line returned waiters")
-	}
-}
-
-func TestMSHRDropWaiter(t *testing.T) {
-	f := NewMSHRFile(2)
-	m := f.Alloc(10)
-	m.Waiters = append(m.Waiters, 1, 2, 3)
-	f.DropWaiter(2)
-	if len(m.Waiters) != 2 || m.Waiters[0] != 1 || m.Waiters[1] != 3 {
-		t.Fatalf("waiters after drop: %v", m.Waiters)
-	}
-	// Dropping an unknown token is a no-op.
-	f.DropWaiter(42)
-	if len(m.Waiters) != 2 {
-		t.Fatal("unknown-token drop mutated waiters")
-	}
-	// The MSHR must remain allocated.
-	if f.Lookup(10) == nil {
-		t.Fatal("DropWaiter freed the MSHR")
-	}
-}
-
-func TestMSHRFilePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMSHRFile(0) did not panic")
-		}
-	}()
-	NewMSHRFile(0)
-}
-
 // TestLineStaysPacked guards Line's field order: every LLC bank holds tens
 // of thousands of lines, so a field that breaks the packing grows a built
 // machine's heap by a third.

@@ -12,9 +12,11 @@ import (
 //	                     validity, sequence monotonicity, ROB<->LQ/SQ
 //	                     cross-links, and write-buffer FIFO order (TSO:
 //	                     one drain in flight, eager head popping).
-//	mshr-conservation    per-L1 MSHR allocate==release accounting and
-//	                     side-table consistency (a leaked entry shows up as
-//	                     a live MSHR with no request kind).
+//	mshr-conservation    per-L1 MSHR allocate==release accounting, and no
+//	                     live MSHR's line in that L1 except the Shared copy
+//	                     a GetX upgrade starts from (a fill installs its
+//	                     line and frees its entry in one step, so a leaked
+//	                     entry shows up at the next check).
 //	event-conservation   hierarchy events scheduled == run + pending.
 //	noc-conservation     mesh messages injected == delivered + in-flight.
 //	coherence-swmr       single-writer/multiple-reader: at most one core

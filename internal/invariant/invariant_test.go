@@ -72,8 +72,9 @@ func TestFaultyRunHoldsInvariants(t *testing.T) {
 	}
 }
 
-// Mutation self-test 1: a leaked MSHR entry (allocated with no side-table
-// bookkeeping) must trip the mshr-conservation checker with a dump attached.
+// Mutation self-test 1: a leaked MSHR entry (live for a line the L1D
+// already holds, as a fill that forgot to free it leaves one) must trip the
+// mshr-conservation checker with a dump attached.
 func TestMutationMSHRLeakCaught(t *testing.T) {
 	m := newMachine(t, config.Base)
 	m.EnableChecking(invariant.Options{Interval: 64})

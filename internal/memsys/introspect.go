@@ -2,7 +2,6 @@ package memsys
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"invisispec/internal/cache"
@@ -65,8 +64,10 @@ func (h *Hierarchy) LLCSBEntry(core, idx int) (lineNum uint64, epoch uint64, val
 // bank applies it again when it releases the line.
 func (h *Hierarchy) FlushLine(addr uint64) {
 	ln := h.LineOf(addr)
-	if b := h.bank[h.homeBank(ln)]; b.busy[ln] && !slices.Contains(b.reflush, ln) {
-		b.reflush = append(b.reflush, ln)
+	b := h.bank[h.homeBank(ln)]
+	if hd, held := b.held[ln]; held {
+		hd.reflush = true
+		b.held[ln] = hd
 	}
 	h.flushLine(ln)
 }
@@ -120,7 +121,8 @@ func (h *Hierarchy) LLCLineDir(lineNum uint64) (present bool, dir coherence.DirE
 // (invariant checks must exempt such lines: their L1/LLC/directory states are
 // legitimately in transit).
 func (h *Hierarchy) BankBusy(lineNum uint64) bool {
-	return h.bank[h.homeBank(lineNum)].busy[lineNum]
+	_, held := h.bank[h.homeBank(lineNum)].held[lineNum]
+	return held
 }
 
 // RecallPending reports whether an inclusive-LLC recall invalidation is still
@@ -145,46 +147,33 @@ func (h *Hierarchy) NoCAccounting() (injected, delivered uint64, inflight int) {
 // MSHRAccounting returns one core's L1D MSHR conservation counters;
 // allocs - frees == inflight and inflight <= cap must hold.
 func (h *Hierarchy) MSHRAccounting(core int) (allocs, frees uint64, inflight, capacity int) {
-	m := h.l1d[core].mshr
-	allocs, frees = m.Accounting()
-	return allocs, frees, m.InFlight(), m.Cap()
+	c := h.l1d[core]
+	return c.allocs, c.frees, len(c.mshrs), cap(c.mshrs)
 }
 
-// MSHRConsistency cross-checks each core's L1D and L1I MSHR files against
-// their side-table maps (mshrKind/mshrMeta) and conservation counters, and
-// returns a description of every inconsistency found. Only the hierarchy can
-// perform this audit: the side tables are internal.
+// MSHRConsistency audits each core's L1D and L1I MSHRs and returns a
+// description of every violation found. Every allocation must be paired
+// with exactly one free (allocs - frees == live). And because a fill
+// installs its line and frees the line's MSHR in one step, no live MSHR's
+// line is in that L1 at a cycle boundary, except the Shared copy a GetX
+// upgrade starts from: a fill that leaves its entry live breaks this at
+// once, where the counters alone would not notice.
 func (h *Hierarchy) MSHRConsistency() []string {
 	var errs []string
 	audit := func(c *l1, name string) {
-		m := c.mshr
-		allocs, frees := m.Accounting()
-		inflight := m.InFlight()
-		if int(allocs-frees) != inflight {
+		if live := len(c.mshrs); int(c.allocs-c.frees) != live {
 			errs = append(errs, fmt.Sprintf(
 				"core%d %s: MSHR conservation broken: allocs=%d frees=%d but %d in flight",
-				c.core, name, allocs, frees, inflight))
+				c.core, name, c.allocs, c.frees, live))
 		}
-		if inflight > m.Cap() {
-			errs = append(errs, fmt.Sprintf(
-				"core%d %s: MSHR occupancy %d exceeds capacity %d", c.core, name, inflight, m.Cap()))
-		}
-		live := m.Lines()
-		if len(c.mshrKind) != len(live) || len(c.mshrMeta) != len(live) {
-			errs = append(errs, fmt.Sprintf(
-				"core%d %s: MSHR side tables out of sync: %d live entries, %d kinds, %d metas",
-				c.core, name, len(live), len(c.mshrKind), len(c.mshrMeta)))
-		}
-		for _, ln := range live {
-			if _, ok := c.mshrKind[ln]; !ok {
-				errs = append(errs, fmt.Sprintf(
-					"core%d %s: live MSHR for line %#x has no request kind (leaked entry?)",
-					c.core, name, ln))
+		for _, m := range c.mshrs {
+			line := c.arr.Lookup(m.lineNum)
+			if line == nil || m.kind == coherence.GetX && coherence.State(line.State) == coherence.Shared {
+				continue
 			}
-			if _, ok := c.mshrMeta[ln]; !ok {
-				errs = append(errs, fmt.Sprintf(
-					"core%d %s: live MSHR for line %#x has no waiter list", c.core, name, ln))
-			}
+			errs = append(errs, fmt.Sprintf(
+				"core%d %s: live %v MSHR for line %#x, which the L1 holds in %v (a fill that left its entry live?)",
+				c.core, name, m.kind, m.lineNum, coherence.State(line.State)))
 		}
 	}
 	for i := range h.l1d {
@@ -219,18 +208,26 @@ func (h *Hierarchy) DebugSummary() string {
 		allocs, frees, mf, capn := h.MSHRAccounting(i)
 		fmt.Fprintf(&b, "core%d: l1d lines=%d mshr=%d/%d (allocs=%d frees=%d) llcsb=%d busyBankLines=%d\n",
 			i, h.l1d[i].arr.Count(), mf, capn, allocs, frees,
-			len(h.LLCSBValidLines(i)), len(h.bank[i].busy))
+			len(h.LLCSBValidLines(i)), len(h.bank[i].held))
 	}
 	return b.String()
 }
 
-// InjectMSHRLeak allocates an L1D MSHR entry for a bogus line without any of
-// the side-table bookkeeping, simulating a leak. It exists ONLY for the
-// mutation self-test in internal/invariant; nothing in normal operation calls
-// it.
+// InjectMSHRLeak allocates an L1D MSHR entry for a line the core's L1D
+// holds, as a fill that installs its line but leaves its entry live would.
+// It exists ONLY for the mutation self-test in internal/invariant; nothing
+// in normal operation calls it.
 func (h *Hierarchy) InjectMSHRLeak(core int) {
-	const bogusLine = ^uint64(0) >> 1
-	h.l1d[core].mshr.Alloc(bogusLine)
+	c := h.l1d[core]
+	leaked := false
+	c.arr.ForEach(func(l *cache.Line) {
+		if !leaked && c.mshrOf(l.LineNum) < 0 {
+			_, leaked = c.miss(l.LineNum, coherence.GetS)
+		}
+	})
+	if !leaked {
+		panic("memsys: InjectMSHRLeak found no L1D line to leak an MSHR for")
+	}
 }
 
 // InjectDuplicateM installs addr's line as Modified in both cores' L1Ds

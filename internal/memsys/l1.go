@@ -11,16 +11,26 @@ import (
 
 // l1 is one private cache (L1D or L1I) plus its miss machinery.
 type l1 struct {
-	core      int
-	arr       *cache.Array
-	mshr      *cache.MSHRFile
-	mshrKind  map[uint64]coherence.ReqKind // per outstanding line: GetS or GetX
-	mshrMeta  map[uint64][]waiter          // responses to build per waiter
-	latency   uint64
-	ports     int
-	portsUsed int
-	instr     bool // instruction cache (read-only, no coherence tracking)
-	pf        streamDetector
+	core int
+	arr  *cache.Array
+	// mshrs holds the live miss-status holding registers, one per
+	// outstanding line; its capacity is the MSHR count. Every allocation
+	// is paired with exactly one free, so allocs - frees == len(mshrs).
+	mshrs         []mshr
+	allocs, frees uint64
+	latency       uint64
+	ports         int
+	portsUsed     int
+	instr         bool // instruction cache (read-only, no coherence tracking)
+	pf            streamDetector
+}
+
+// mshr is one outstanding miss: the line, the coherence request fetching
+// it, and the requests coalesced onto it in arrival order.
+type mshr struct {
+	kind    coherence.ReqKind // GetS or GetX
+	lineNum uint64
+	waiters []waiter
 }
 
 // streamDetector is the confidence side of the stream prefetcher: it only
@@ -60,19 +70,48 @@ func (s *streamDetector) observe(lineNum uint64, maxDegree int) int {
 type waiter struct {
 	token uint64
 	typ   ReqType
+	lqIdx int32
 }
 
 func newL1(core int, p config.CacheParams, lineSize int, instr bool) *l1 {
 	return &l1{
-		core:     core,
-		arr:      cache.NewArray(p.Sets(lineSize), p.Ways),
-		mshr:     cache.NewMSHRFile(p.MSHRs),
-		mshrKind: make(map[uint64]coherence.ReqKind),
-		mshrMeta: make(map[uint64][]waiter),
-		latency:  uint64(p.LatencyRT),
-		ports:    p.Ports,
-		instr:    instr,
+		core:    core,
+		arr:     cache.NewArray(p.Sets(lineSize), p.Ways),
+		mshrs:   make([]mshr, 0, p.MSHRs),
+		latency: uint64(p.LatencyRT),
+		ports:   p.Ports,
+		instr:   instr,
 	}
+}
+
+// miss returns the MSHR a request for lineNum needing kind waits on: the
+// line's outstanding miss, or a free entry claimed for it (fresh), whose
+// request the caller sends to the home bank. It returns nil when the
+// request must retry: a GetX cannot join a GetS miss (it needs ownership),
+// and a new miss needs a free entry.
+func (c *l1) miss(lineNum uint64, kind coherence.ReqKind) (m *mshr, fresh bool) {
+	if i := c.mshrOf(lineNum); i >= 0 {
+		if m = &c.mshrs[i]; kind == coherence.GetX && m.kind != coherence.GetX {
+			return nil, false
+		}
+		return m, false
+	}
+	if len(c.mshrs) == cap(c.mshrs) {
+		return nil, false
+	}
+	c.allocs++
+	c.mshrs = append(c.mshrs, mshr{kind: kind, lineNum: lineNum})
+	return &c.mshrs[len(c.mshrs)-1], true
+}
+
+// mshrOf returns the index of lineNum's live MSHR, or -1.
+func (c *l1) mshrOf(lineNum uint64) int {
+	for i := range c.mshrs {
+		if c.mshrs[i].lineNum == lineNum {
+			return i
+		}
+	}
+	return -1
 }
 
 func (c *l1) portAvailable() bool { return c.portsUsed < c.ports }
@@ -164,32 +203,32 @@ func (h *Hierarchy) submitRead(c *l1, req Request, lineNum uint64) bool {
 		if h.st != nil {
 			h.st.Cores[req.Core].L1DHits++
 		}
-		resp := Response{Token: req.Token, Addr: req.Addr, Type: req.Type, L1Hit: true}
-		h.deliverAt(h.now+c.latency, req.Core, resp)
+		h.deliverHit(c, req)
 		return true
 	}
-	// Miss: coalesce onto an outstanding demand miss if one exists.
-	if m := c.mshr.Lookup(lineNum); m != nil {
-		c.usePort()
-		c.mshrMeta[lineNum] = append(c.mshrMeta[lineNum], waiter{token: req.Token, typ: req.Type})
-		if h.st != nil {
-			h.st.Cores[req.Core].L1DMisses++
-		}
-		return true
+	fresh, ok := h.waitMiss(c, req, lineNum, coherence.GetS)
+	if ok && fresh {
+		h.sendToBank(req, lineNum, coherence.GetS)
+		h.triggerPrefetch(c, req.Core, lineNum)
 	}
-	if c.mshr.Full() {
-		return false
+	return ok
+}
+
+// waitMiss parks a demand request that missed in c on lineNum's MSHR, as
+// a waiter on the line's outstanding miss or on a fresh entry whose kind
+// request the caller sends. It returns ok false, using no port, when the
+// request must retry (see l1.miss).
+func (h *Hierarchy) waitMiss(c *l1, req Request, lineNum uint64, kind coherence.ReqKind) (fresh, ok bool) {
+	m, fresh := c.miss(lineNum, kind)
+	if m == nil {
+		return false, false
 	}
 	c.usePort()
-	c.mshr.Alloc(lineNum)
-	c.mshrKind[lineNum] = coherence.GetS
-	c.mshrMeta[lineNum] = []waiter{{token: req.Token, typ: req.Type}}
-	if h.st != nil {
+	m.waiters = append(m.waiters, waiter{token: req.Token, typ: req.Type, lqIdx: int32(req.LQIdx)})
+	if h.st != nil && !c.instr {
 		h.st.Cores[req.Core].L1DMisses++
 	}
-	h.sendToBank(req, lineNum, coherence.GetS)
-	h.triggerPrefetch(c, req.Core, lineNum)
-	return true
+	return fresh, true
 }
 
 // prefetchToken marks hardware-prefetch requests; cores never use it, so
@@ -208,17 +247,17 @@ func (h *Hierarchy) triggerPrefetch(c *l1, core int, lineNum uint64) {
 	degree := c.pf.observe(lineNum, h.cfg.PrefetchDegree)
 	for d := 1; d <= degree; d++ {
 		ln := lineNum + uint64(d)
-		if c.arr.Lookup(ln) != nil || c.mshr.Lookup(ln) != nil {
+		if c.arr.Lookup(ln) != nil {
 			continue
 		}
-		if c.mshr.Full() {
+		m, fresh := c.miss(ln, coherence.GetS)
+		if m == nil {
 			return
 		}
-		c.mshr.Alloc(ln)
-		c.mshrKind[ln] = coherence.GetS
-		c.mshrMeta[ln] = nil
-		req := Request{Type: ReadShared, Core: core, Addr: ln << h.lineShift, Token: prefetchToken}
-		h.sendToBank(req, ln, coherence.GetS)
+		if fresh {
+			req := Request{Type: ReadShared, Core: core, Addr: ln << h.lineShift, Token: prefetchToken}
+			h.sendToBank(req, ln, coherence.GetS)
+		}
 	}
 }
 
@@ -234,35 +273,15 @@ func (h *Hierarchy) submitReadExcl(c *l1, req Request, lineNum uint64) bool {
 		if h.st != nil {
 			h.st.Cores[req.Core].L1DHits++
 		}
-		resp := Response{Token: req.Token, Addr: req.Addr, Type: req.Type, L1Hit: true}
-		h.deliverAt(h.now+c.latency, req.Core, resp)
+		h.deliverHit(c, req)
 		return true
 	}
-	// Miss or S-state upgrade: needs a GetX at the directory. A GetX cannot
-	// coalesce onto an outstanding GetS (it needs ownership): retry later.
-	if m := c.mshr.Lookup(lineNum); m != nil {
-		if c.mshrKind[lineNum] != coherence.GetX {
-			return false
-		}
-		c.usePort()
-		c.mshrMeta[lineNum] = append(c.mshrMeta[lineNum], waiter{token: req.Token, typ: req.Type})
-		if h.st != nil {
-			h.st.Cores[req.Core].L1DMisses++
-		}
-		return true
+	// Miss or S-state upgrade: needs a GetX at the directory.
+	fresh, ok := h.waitMiss(c, req, lineNum, coherence.GetX)
+	if ok && fresh {
+		h.sendToBank(req, lineNum, coherence.GetX)
 	}
-	if c.mshr.Full() {
-		return false
-	}
-	c.usePort()
-	c.mshr.Alloc(lineNum)
-	c.mshrKind[lineNum] = coherence.GetX
-	c.mshrMeta[lineNum] = []waiter{{token: req.Token, typ: req.Type}}
-	if h.st != nil {
-		h.st.Cores[req.Core].L1DMisses++
-	}
-	h.sendToBank(req, lineNum, coherence.GetX)
-	return true
+	return ok
 }
 
 // submitSpecRead handles InvisiSpec Spec-GetS transactions. They never
@@ -272,8 +291,7 @@ func (h *Hierarchy) submitSpecRead(c *l1, req Request, lineNum uint64) bool {
 	c.usePort()
 	if line := c.arr.Lookup(lineNum); line != nil {
 		// Served by the local L1 copy, which remains untouched (§VI-A2).
-		resp := Response{Token: req.Token, Addr: req.Addr, Type: req.Type, L1Hit: true}
-		h.deliverAt(h.now+c.latency, req.Core, resp)
+		h.deliverHit(c, req)
 		return true
 	}
 	h.sendSpecToBank(req, lineNum)
@@ -290,24 +308,14 @@ func (h *Hierarchy) submitIFetch(req Request) bool {
 	if c.arr.Lookup(lineNum) != nil {
 		c.usePort()
 		c.arr.Touch(lineNum)
-		resp := Response{Token: req.Token, Addr: req.Addr, Type: IFetch, L1Hit: true}
-		h.deliverAt(h.now+c.latency, req.Core, resp)
+		h.deliverHit(c, req)
 		return true
 	}
-	if m := c.mshr.Lookup(lineNum); m != nil {
-		c.usePort()
-		c.mshrMeta[lineNum] = append(c.mshrMeta[lineNum], waiter{token: req.Token, typ: IFetch})
-		return true
+	fresh, ok := h.waitMiss(c, req, lineNum, coherence.GetS)
+	if ok && fresh {
+		h.sendIFetchToBank(req, lineNum)
 	}
-	if c.mshr.Full() {
-		return false
-	}
-	c.usePort()
-	c.mshr.Alloc(lineNum)
-	c.mshrKind[lineNum] = coherence.GetS
-	c.mshrMeta[lineNum] = []waiter{{token: req.Token, typ: IFetch}}
-	h.sendIFetchToBank(req, lineNum)
-	return true
+	return ok
 }
 
 // submitIFetchSpec handles invisible instruction fetches (ProtectICache):
@@ -321,17 +329,26 @@ func (h *Hierarchy) submitIFetchSpec(req Request) bool {
 	c.usePort()
 	lineNum := h.LineOf(req.Addr)
 	if c.arr.Lookup(lineNum) != nil { // no Touch
-		resp := Response{Token: req.Token, Addr: req.Addr, Type: req.Type, L1Hit: true}
-		h.deliverAt(h.now+c.latency, req.Core, resp)
+		h.deliverHit(c, req)
 		return true
 	}
 	h.sendIFetchSpecToBank(req, lineNum)
 	return true
 }
 
+// deliverHit answers req from c's array after the hit latency.
+func (h *Hierarchy) deliverHit(c *l1, req Request) {
+	resp := req.response()
+	resp.L1Hit = true
+	h.deliverAt(h.now+c.latency, req.Core, resp)
+}
+
 // fillL1 installs a granted line into the L1 at the current cycle, issuing
 // eviction (Put*) transactions and the core eviction callback for any
-// victim, then wakes the coalesced waiters.
+// victim, then answers the waiters coalesced on the line's MSHR. It frees
+// the entry and detaches its waiters before the first delivery: a core may
+// submit a new miss from inside Deliver, which must find the line's entry
+// gone and may reuse its slot.
 func (h *Hierarchy) fillL1(c *l1, req Request, lineNum uint64, grant coherence.State, servedLLCSB bool) {
 	_, victim, hadVictim := c.arr.Insert(lineNum)
 	line := c.arr.Lookup(lineNum)
@@ -341,12 +358,15 @@ func (h *Hierarchy) fillL1(c *l1, req Request, lineNum uint64, grant coherence.S
 	if hadVictim && !c.instr {
 		h.evictFromL1(c, victim)
 	}
-	c.mshr.Free(lineNum)
-	delete(c.mshrKind, lineNum)
-	waiters := c.mshrMeta[lineNum]
-	delete(c.mshrMeta, lineNum)
+	i := c.mshrOf(lineNum)
+	waiters := c.mshrs[i].waiters
+	last := len(c.mshrs) - 1
+	c.mshrs[i] = c.mshrs[last]
+	c.mshrs[last] = mshr{}
+	c.mshrs = c.mshrs[:last]
+	c.frees++
 	for _, w := range waiters {
-		resp := Response{Token: w.token, Addr: req.Addr, Type: w.typ, FromLLCSB: servedLLCSB}
+		resp := Response{Token: w.token, Addr: req.Addr, Type: w.typ, FromLLCSB: servedLLCSB, LQIdx: w.lqIdx}
 		h.clients[req.Core].Deliver(h.now, resp)
 	}
 }

@@ -89,7 +89,8 @@ type Request struct {
 	// Token is echoed in the Response; the core uses it to match responses
 	// to load/store queue entries and to discard stale (squashed) replies.
 	Token uint64
-	// LQIdx indexes the core's LLC-SB (1:1 with load-queue entries); used by
+	// LQIdx is the load's load-queue slot, echoed in the Response. It
+	// also indexes the core's LLC-SB (1:1 with load-queue entries) for
 	// SpecRead fills and Validate/Expose lookups.
 	LQIdx int
 	// Epoch is the core's squash epoch (§VI-C).
@@ -110,6 +111,15 @@ type Response struct {
 	// returned unserved (§VI-E1); the core re-issues it if the USL is
 	// still alive (squashed USLs simply drop the bounce).
 	Bounced bool
+	// LQIdx echoes the request's LQIdx: the load-queue slot a load's
+	// response is for. It sits in what would be padding, which keeps a
+	// Response, carried by value in every delivery event, at 24 bytes.
+	LQIdx int32
+}
+
+// response returns the Response that answers r.
+func (r Request) response() Response {
+	return Response{Token: r.Token, Addr: r.Addr, Type: r.Type, LQIdx: int32(r.LQIdx)}
 }
 
 // Client is the core-side interface the hierarchy calls back into.

@@ -3,6 +3,7 @@ package memsys
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"invisispec/internal/coherence"
 	"invisispec/internal/config"
@@ -156,6 +157,18 @@ func TestL1HitAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%v L1 hit: %.1f allocations, want 0", typ, allocs)
 		}
+	}
+}
+
+// TestResponseStaysPacked guards the field order of Response and waiter:
+// every delivery event carries a Response by value and every coalesced
+// miss a waiter, and LQIdx fits in what would otherwise be padding.
+func TestResponseStaysPacked(t *testing.T) {
+	if got := unsafe.Sizeof(Response{}); got != 24 {
+		t.Errorf("Response is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(waiter{}); got != 16 {
+		t.Errorf("waiter is %d bytes, want 16", got)
 	}
 }
 
