@@ -329,9 +329,9 @@ func (c *Core) invisiStep() {
 // success, younger same-line USLs awaiting validation are cross-checked and
 // squashed early if already stale (§V-C2).
 func (c *Core) validationArrived(r memsys.Response) {
-	e := c.findLQByValExpToken(r.Token)
-	if e == nil {
-		return
+	e := &c.lq[r.LQIdx]
+	if !e.valid || !e.valExpIssued || e.valExpToken != r.Token {
+		return // squashed while in flight
 	}
 	if r.L1Hit {
 		c.st.ValidationsL1Hit++
@@ -381,19 +381,9 @@ func (c *Core) sbMatchesMemory(e *lqEntry) bool {
 // exposureArrived completes an exposure (the line is now in the caches).
 // The USL may already have retired; stale tokens are ignored.
 func (c *Core) exposureArrived(r memsys.Response) {
-	if e := c.findLQByValExpToken(r.Token); e != nil {
+	if e := &c.lq[r.LQIdx]; e.valid && e.valExpIssued && e.valExpToken == r.Token {
 		e.valExpDone = true
 	}
-}
-
-func (c *Core) findLQByValExpToken(tok uint64) *lqEntry {
-	for i := 0; i < c.lqCnt; i++ {
-		e := c.lqAt(i)
-		if e.valid && e.valExpIssued && e.valExpToken == tok {
-			return e
-		}
-	}
-	return nil
 }
 
 // onLineGone reacts to a line leaving the L1 (invalidation or eviction):

@@ -64,9 +64,9 @@ func (r *lqRig) load(pc int) *lqEntry {
 
 // bounce delivers a bounced Spec-GetS for e's request.
 func (r *lqRig) bounce(e *lqEntry) func() {
-	tok := e.reqToken
+	tok, slot := e.reqToken, int32(r.c.rob[e.robIdx].lqIdx)
 	return func() {
-		(*client)(r.c).Deliver(r.now, memsys.Response{Type: memsys.SpecRead, Token: tok, Bounced: true})
+		(*client)(r.c).Deliver(r.now, memsys.Response{Type: memsys.SpecRead, Token: tok, Bounced: true, LQIdx: slot})
 	}
 }
 

@@ -326,7 +326,7 @@ func (c *Core) tryIssueLoad(phys int, e *lqEntry) {
 		return
 	}
 	tok := c.token()
-	req := memsys.Request{Type: memsys.ReadShared, Core: c.id, Addr: e.addr, Token: tok}
+	req := memsys.Request{Type: memsys.ReadShared, Core: c.id, Addr: e.addr, Token: tok, LQIdx: phys}
 	if c.submit(req) {
 		e.issued = true
 		e.isUSL = false
@@ -445,8 +445,8 @@ func (c *Core) captureLine(e *lqEntry) {
 
 // loadDataArrived handles ReadShared and SpecRead responses.
 func (c *Core) loadDataArrived(r memsys.Response, spec bool) {
-	e := c.findLQByToken(r.Token)
-	if e == nil {
+	e := &c.lq[r.LQIdx]
+	if !e.valid || !e.issued || e.reqToken != r.Token {
 		return // squashed while in flight
 	}
 	if r.Bounced {
@@ -475,16 +475,6 @@ func (c *Core) loadDataArrived(r memsys.Response, spec bool) {
 	}
 	c.markPerformed(e)
 	c.wakeReuse(e)
-}
-
-func (c *Core) findLQByToken(tok uint64) *lqEntry {
-	for i := 0; i < c.lqCnt; i++ {
-		e := c.lqAt(i)
-		if e.valid && e.reqToken == tok && e.issued {
-			return e
-		}
-	}
-	return nil
 }
 
 // storeAliasSquash implements speculative-store-bypass detection: when a
