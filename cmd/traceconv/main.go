@@ -132,10 +132,6 @@ func doRecord(source, name, out string, n uint64, live bool, defense, consistenc
 }
 
 func printInfo(path string, t *trace.Trace) {
-	if t.Programs == nil {
-		fmt.Printf("%s: ispectr1 (events only, not replayable), %d event(s)\n", path, len(t.Events[0]))
-		return
-	}
 	fmt.Printf("%s: ispectr2 %q, %d core(s)\n", path, t.Name, len(t.Programs))
 	for c, p := range t.Programs {
 		var memBytes int

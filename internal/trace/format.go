@@ -1,8 +1,8 @@
-// Trace format v2 ("ispectr2"): a self-contained, replayable trace. Where
-// v1 carries only a committed-event stream, v2 adds the full program image
-// per core — instructions, entry/handler, InitMem windows, and basic-block
-// metadata — so a decoded trace reconstructs an isa.Program-equivalent
-// drive for the OoO core. Encoding is canonical (one byte sequence per
+// Trace format "ispectr2": a self-contained, replayable trace. Next to each
+// core's committed-event stream it carries the core's full program image —
+// instructions, entry/handler, InitMem windows, and basic-block metadata —
+// so a decoded trace reconstructs an isa.Program-equivalent drive for the
+// OoO core. Encoding is canonical (one byte sequence per
 // trace value), which is what makes byte-identical replay-of-replay a
 // checkable import invariant rather than a hope.
 //
@@ -31,9 +31,9 @@
 //	      per InitMem chunk: addr uvarint, length uvarint, raw bytes
 //	    events:
 //	      nevents  uvarint
-//	      per event: the v1 record encoding (cycle delta uvarint — reset
-//	                 per core — pc uvarint, op byte, flags byte, and if
-//	                 flagWroteReg: reg byte + value uvarint)
+//	      per event: cycle delta uvarint (reset per core), pc uvarint,
+//	                 op byte, flags byte, and if flagWroteReg: reg byte +
+//	                 value uvarint
 //	trailer  4 bytes little-endian CRC-32 (IEEE) over the body
 //
 // Program labels are NOT serialised: the encoder materialises BlockLen
@@ -55,7 +55,7 @@ import (
 	"invisispec/internal/isa"
 )
 
-var magic2 = [8]byte{'i', 's', 'p', 'e', 'c', 't', 'r', '2'}
+var magic = [8]byte{'i', 's', 'p', 'e', 'c', 't', 'r', '2'}
 
 // Instruction flag bits (distinct from the per-event record flags).
 const (
@@ -63,13 +63,11 @@ const (
 	instFlagSafe = 1 << 1
 )
 
-// ErrBadCRC reports a v2 stream whose body does not match its trailer.
+// ErrBadCRC reports a stream whose body does not match its trailer.
 var ErrBadCRC = errors.New("trace: checksum mismatch")
 
 // Trace is a decoded (or to-be-encoded) replayable trace: one program and
-// one committed-event stream per core. Programs is nil for legacy v1
-// streams, which carry events only and therefore cannot be imported as
-// workloads (only diffed).
+// one committed-event stream per core.
 type Trace struct {
 	Name     string
 	Programs []*isa.Program
@@ -82,9 +80,6 @@ type Trace struct {
 // represent that, so a violating in-memory trace must be rejected before
 // it is mangled into a different trace on disk).
 func (t *Trace) Validate() error {
-	if t.Programs == nil {
-		return errors.New("trace: no programs (v1 streams are not replayable; re-record as v2)")
-	}
 	if len(t.Programs) == 0 {
 		return errors.New("trace: zero cores")
 	}
@@ -102,7 +97,7 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// Encode writes the canonical v2 byte sequence for t.
+// Encode writes the canonical byte sequence for t.
 func Encode(w io.Writer, t *Trace) error {
 	raw, err := EncodeBytes(t)
 	if err != nil {
@@ -112,7 +107,7 @@ func Encode(w io.Writer, t *Trace) error {
 	return err
 }
 
-// EncodeBytes returns the canonical v2 byte sequence for t. The encoding
+// EncodeBytes returns the canonical byte sequence for t. The encoding
 // is a pure function of the trace value, so re-encoding a decoded trace
 // reproduces the original bytes (the replay-of-replay import gate).
 func EncodeBytes(t *Trace) ([]byte, error) {
@@ -152,7 +147,7 @@ func EncodeBytes(t *Trace) ([]byte, error) {
 		}
 	}
 	out := make([]byte, 0, 8+body.Len()+4)
-	out = append(out, magic2[:]...)
+	out = append(out, magic[:]...)
 	out = append(out, body.Bytes()...)
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body.Bytes()))
@@ -203,10 +198,7 @@ func encodeProgram(w *bytes.Buffer, p *isa.Program) {
 	}
 }
 
-// Decode reads a trace from r, accepting both formats: v2 streams decode
-// fully (programs + events, CRC-verified), v1 streams decode as a
-// single-core event-only trace (Programs nil) so old recordings remain
-// diffable.
+// Decode reads a trace from r, verifying its CRC and structure.
 func Decode(r io.Reader) (*Trace, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -220,16 +212,7 @@ func DecodeBytes(raw []byte) (*Trace, error) {
 	if len(raw) < 8 {
 		return nil, ErrBadMagic
 	}
-	var got [8]byte
-	copy(got[:], raw[:8])
-	if got == magic {
-		evs, err := ReadAll(bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		return &Trace{Events: [][]Event{evs}}, nil
-	}
-	if got != magic2 {
+	if !bytes.Equal(raw[:8], magic[:]) {
 		return nil, ErrBadMagic
 	}
 	if len(raw) < 8+4 {
@@ -285,7 +268,7 @@ func WriteFile(path string, t *Trace) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
-// ReadFile decodes the trace at path (either format).
+// ReadFile decodes the trace at path.
 func ReadFile(path string) (*Trace, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {

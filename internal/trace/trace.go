@@ -1,93 +1,25 @@
-// Package trace provides a compact binary format for committed-instruction
-// streams (see internal/core.CommitEvent), plus a differ. Recorded traces
-// serve three purposes: debugging (inspect exactly what retired and when),
-// regression pinning (a golden trace diff catches any architectural
-// behaviour change), and cross-configuration comparison (every defense must
-// commit the same architectural stream for the same program).
-//
-// Format: a 8-byte magic/version header, then one varint-encoded record per
-// event: cycle delta, pc, op byte, flags, and (if present) the register
-// write. Little observed state, high compression via deltas.
+// Package trace provides ispectr2, a compact, replayable binary format for
+// committed-instruction streams (see internal/core.CommitEvent) together
+// with the programs that produced them (format.go), plus a differ.
+// Recorded traces serve three purposes: debugging (inspect exactly what
+// retired and when), regression pinning (a golden trace diff catches any
+// architectural behaviour change), and cross-configuration comparison
+// (every defense must commit the same architectural stream for the same
+// program).
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
-	"invisispec/internal/core"
 	"invisispec/internal/isa"
 )
 
-var magic = [8]byte{'i', 's', 'p', 'e', 'c', 't', 'r', '1'}
-
-// Flag bits per record.
+// Flag bits per event record.
 const (
 	flagWroteReg = 1 << 0
 	flagFault    = 1 << 1
 )
-
-// Writer streams commit events to an io.Writer.
-type Writer struct {
-	w         *bufio.Writer
-	lastCycle uint64
-	started   bool
-	count     uint64
-}
-
-// NewWriter writes the header and returns a Writer. Call Flush when done.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Tracer returns a core.Tracer that records into the writer. Encoding
-// errors surface at Flush.
-func (w *Writer) Tracer() core.Tracer {
-	return func(ev core.CommitEvent) { w.Append(ev) }
-}
-
-// Append encodes one event.
-func (w *Writer) Append(ev core.CommitEvent) {
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		w.w.Write(buf[:n])
-	}
-	delta := ev.Cycle - w.lastCycle
-	if !w.started {
-		delta = ev.Cycle
-		w.started = true
-	}
-	w.lastCycle = ev.Cycle
-	put(delta)
-	put(uint64(ev.PC))
-	flags := byte(0)
-	if ev.WroteReg {
-		flags |= flagWroteReg
-	}
-	if ev.Fault {
-		flags |= flagFault
-	}
-	w.w.WriteByte(byte(ev.Inst.Op))
-	w.w.WriteByte(flags)
-	if ev.WroteReg {
-		w.w.WriteByte(ev.Reg)
-		put(ev.RegValue)
-	}
-	w.count++
-}
-
-// Count returns the number of events appended.
-func (w *Writer) Count() uint64 { return w.count }
-
-// Flush drains buffered output.
-func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Event is one decoded record.
 type Event struct {
@@ -102,85 +34,6 @@ type Event struct {
 
 // ErrBadMagic reports a stream that is not a trace.
 var ErrBadMagic = errors.New("trace: bad magic")
-
-// Reader decodes a trace stream.
-type Reader struct {
-	r     *bufio.Reader
-	cycle uint64
-}
-
-// NewReader validates the header and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var got [8]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, err
-	}
-	if got != magic {
-		return nil, ErrBadMagic
-	}
-	return &Reader{r: br}, nil
-}
-
-// Next decodes one event; io.EOF marks a clean end.
-func (r *Reader) Next() (Event, error) {
-	delta, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Event{}, err // io.EOF at a record boundary is the clean end
-	}
-	r.cycle += delta
-	pc, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: truncated pc: %w", err)
-	}
-	opB, err := r.r.ReadByte()
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: truncated op: %w", err)
-	}
-	flags, err := r.r.ReadByte()
-	if err != nil {
-		return Event{}, fmt.Errorf("trace: truncated flags: %w", err)
-	}
-	ev := Event{
-		Cycle: r.cycle,
-		PC:    int(pc),
-		Op:    isa.Op(opB),
-		Fault: flags&flagFault != 0,
-	}
-	if flags&flagWroteReg != 0 {
-		reg, err := r.r.ReadByte()
-		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated reg: %w", err)
-		}
-		val, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return Event{}, fmt.Errorf("trace: truncated value: %w", err)
-		}
-		ev.WroteReg = true
-		ev.Reg = reg
-		ev.RegValue = val
-	}
-	return ev, nil
-}
-
-// ReadAll decodes the whole stream.
-func ReadAll(r io.Reader) ([]Event, error) {
-	tr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []Event
-	for {
-		ev, err := tr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-}
 
 // Diff compares two traces ARCHITECTURALLY (pc, op, register writes —
 // cycles are timing, not architecture, and are ignored). It returns the

@@ -59,7 +59,7 @@ func (w *TraceWorkload) Trace() *trace.Trace { return w.t }
 // registering it (traceconv -verify uses this directly). The gates, in
 // order:
 //
-//  1. Structural: v2 format, CRC-verified, per-core clock monotonicity
+//  1. Structural: ispectr2 format, CRC-verified, per-core clock monotonicity
 //     (trace.DecodeBytes / Validate).
 //  2. Replay-of-replay: re-encoding the decoded trace must reproduce the
 //     file's bytes exactly — the canonical-encoding property that makes
@@ -78,9 +78,6 @@ func LoadTraceFile(path string) (*trace.Trace, error) {
 	t, err := trace.DecodeBytes(raw)
 	if err != nil {
 		return nil, fmt.Errorf("workload: import %s: %w", path, err)
-	}
-	if t.Programs == nil {
-		return nil, fmt.Errorf("workload: import %s: v1 stream carries no program; re-record as ispectr2", path)
 	}
 	reenc, err := trace.EncodeBytes(t)
 	if err != nil {
