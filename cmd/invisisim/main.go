@@ -233,7 +233,7 @@ func printMachine(m config.Machine) {
 		m.Bpred.BTBEntries, m.Bpred.RASEntries)
 	fmt.Printf("  L1I               %dKB %d-way, %d-cycle RT\n", m.L1I.SizeBytes>>10, m.L1I.Ways, m.L1I.LatencyRT)
 	fmt.Printf("  L1D               %dKB %d-way, %d-cycle RT, %d ports\n", m.L1D.SizeBytes>>10, m.L1D.Ways, m.L1D.LatencyRT, m.L1D.Ports)
-	fmt.Printf("  L2 (shared)       %dMB/bank %d-way, %d-cycle local RT\n", m.L2.SizeBytes>>20, m.L2.Ways, m.L2LocalRT)
+	fmt.Printf("  L2 (shared)       %dMB/bank %d-way, %d-cycle local RT\n", m.L2.SizeBytes>>20, m.L2.Ways, m.L2.LatencyRT)
 	fmt.Printf("  network           %dx%d mesh, %d-bit links, %d cycle/hop\n", m.MeshW, m.MeshH, m.LinkBytes*8, m.HopLatency)
 	fmt.Printf("  coherence         directory-based MESI (+ Spec-GetS)\n")
 	fmt.Printf("  DRAM              %d-cycle RT after L2\n", m.DRAMLatency)

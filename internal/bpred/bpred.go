@@ -10,8 +10,6 @@
 // retirement only, so wrong-path instructions never pollute them.
 package bpred
 
-import "invisispec/internal/isa"
-
 // Config sizes the predictor structures. The defaults follow Table IV of
 // the paper: tournament predictor, 4096 BTB entries, 16 RAS entries.
 type Config struct {
@@ -213,20 +211,4 @@ func (p *Predictor) FixupHistory(outcome bool) {
 	if outcome {
 		p.ghr |= 1
 	}
-}
-
-// PredictsFor reports what the front end does with op: whether it needs a
-// direction prediction, an indirect target, or RAS handling.
-func PredictsFor(op isa.Op) (cond, indirect, call, ret bool) {
-	switch {
-	case op.IsCondBranch():
-		return true, false, false, false
-	case op == isa.OpJmpI:
-		return false, true, false, false
-	case op == isa.OpCall:
-		return false, false, true, false
-	case op == isa.OpRet:
-		return false, false, false, true
-	}
-	return false, false, false, false
 }

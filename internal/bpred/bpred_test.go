@@ -3,8 +3,6 @@ package bpred
 import (
 	"math/rand"
 	"testing"
-
-	"invisispec/internal/isa"
 )
 
 func TestAlwaysTakenBranchLearns(t *testing.T) {
@@ -127,27 +125,6 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 	if got := p.PopRAS(); got != 1 {
 		t.Fatalf("snapshot was aliased: got %d, want 1", got)
-	}
-}
-
-func TestPredictsFor(t *testing.T) {
-	cases := []struct {
-		op                        isa.Op
-		cond, indirect, call, ret bool
-	}{
-		{isa.OpBeq, true, false, false, false},
-		{isa.OpBge, true, false, false, false},
-		{isa.OpJmpI, false, true, false, false},
-		{isa.OpCall, false, false, true, false},
-		{isa.OpRet, false, false, false, true},
-		{isa.OpJmp, false, false, false, false},
-		{isa.OpAdd, false, false, false, false},
-	}
-	for _, c := range cases {
-		cond, ind, call, ret := PredictsFor(c.op)
-		if cond != c.cond || ind != c.indirect || call != c.call || ret != c.ret {
-			t.Errorf("PredictsFor(%v) = %v,%v,%v,%v", c.op, cond, ind, call, ret)
-		}
 	}
 }
 

@@ -152,12 +152,6 @@ func (d Defense) UsesInvisiSpec() bool {
 	return err == nil && s.UsesInvisibleLoads()
 }
 
-// UsesFences reports whether the configuration inserts defensive fences.
-func (d Defense) UsesFences() bool {
-	s, err := d.Scheme()
-	return err == nil && (s.FenceBeforeLoads() || s.FenceAfterBranches())
-}
-
 // CacheParams sizes one cache level.
 type CacheParams struct {
 	SizeBytes int
@@ -198,9 +192,9 @@ type Machine struct {
 	LineSize int
 	L1I      CacheParams
 	L1D      CacheParams
-	// L2 is the shared, inclusive LLC; one bank per core.
+	// L2 is the shared, inclusive LLC; one bank per core. Its LatencyRT
+	// is the round-trip latency to the local bank.
 	L2            CacheParams
-	L2LocalRT     int // round-trip latency to the local bank
 	DRAMLatency   int // cycles after the L2 (50 ns at 2 GHz = 100)
 	DRAMBandwidth int // bytes per cycle per channel
 
@@ -277,7 +271,6 @@ func Default(n int) Machine {
 		L1D:      CacheParams{SizeBytes: 64 << 10, Ways: 8, LatencyRT: 1, Ports: 3, MSHRs: 32},
 		L2:       CacheParams{SizeBytes: 2 << 20, Ways: 16, LatencyRT: 8, Ports: 1, MSHRs: 32},
 
-		L2LocalRT:     8,
 		DRAMLatency:   100, // 50 ns at 2 GHz
 		DRAMBandwidth: 16,
 

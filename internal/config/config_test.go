@@ -54,13 +54,9 @@ func TestDefenseClassification(t *testing.T) {
 		}
 	}
 	wantIS := map[Defense]bool{ISSpectre: true, ISFuture: true, SpecBox: true}
-	wantFence := map[Defense]bool{FenceSpectre: true, FenceFuture: true}
 	for _, d := range AllDefenses() {
 		if d.UsesInvisiSpec() != wantIS[d] {
 			t.Errorf("%v UsesInvisiSpec = %v", d, d.UsesInvisiSpec())
-		}
-		if d.UsesFences() != wantFence[d] {
-			t.Errorf("%v UsesFences = %v", d, d.UsesFences())
 		}
 	}
 }
@@ -131,7 +127,7 @@ func TestTableIVParameters(t *testing.T) {
 	if m.L1I.SizeBytes != 32<<10 || m.L1I.Ways != 4 {
 		t.Error("L1I diverges from Table IV")
 	}
-	if m.L2.SizeBytes != 2<<20 || m.L2.Ways != 16 || m.L2LocalRT != 8 {
+	if m.L2.SizeBytes != 2<<20 || m.L2.Ways != 16 || m.L2.LatencyRT != 8 {
 		t.Error("L2 diverges from Table IV")
 	}
 	if m.MeshW != 4 || m.MeshH != 2 || m.LinkBytes != 16 {

@@ -133,12 +133,6 @@ func (o Op) IsCondBranch() bool {
 	return false
 }
 
-// IsLoad reports whether the opcode reads data memory into a register.
-func (o Op) IsLoad() bool { return o == OpLoad }
-
-// IsStore reports whether the opcode writes data memory.
-func (o Op) IsStore() bool { return o == OpStore }
-
 // IsMem reports whether the opcode accesses data memory (including
 // prefetches and atomics).
 func (o Op) IsMem() bool {

@@ -8,19 +8,19 @@ import (
 
 func TestOpClassification(t *testing.T) {
 	cases := []struct {
-		op                              Op
-		alu, branch, load, store, fence bool
+		op                 Op
+		alu, branch, fence bool
 	}{
-		{OpAdd, true, false, false, false, false},
-		{OpLui, true, false, false, false, false},
-		{OpLoad, false, false, true, false, false},
-		{OpStore, false, false, false, true, false},
-		{OpBeq, false, true, false, false, false},
-		{OpJmpI, false, true, false, false, false},
-		{OpRet, false, true, false, false, false},
-		{OpFence, false, false, false, false, true},
-		{OpRMW, false, false, false, false, true},
-		{OpAcquire, false, false, false, false, true},
+		{OpAdd, true, false, false},
+		{OpLui, true, false, false},
+		{OpLoad, false, false, false},
+		{OpStore, false, false, false},
+		{OpBeq, false, true, false},
+		{OpJmpI, false, true, false},
+		{OpRet, false, true, false},
+		{OpFence, false, false, true},
+		{OpRMW, false, false, true},
+		{OpAcquire, false, false, true},
 	}
 	for _, c := range cases {
 		if got := c.op.IsALU(); got != c.alu {
@@ -28,12 +28,6 @@ func TestOpClassification(t *testing.T) {
 		}
 		if got := c.op.IsBranch(); got != c.branch {
 			t.Errorf("%v IsBranch = %v, want %v", c.op, got, c.branch)
-		}
-		if got := c.op.IsLoad(); got != c.load {
-			t.Errorf("%v IsLoad = %v, want %v", c.op, got, c.load)
-		}
-		if got := c.op.IsStore(); got != c.store {
-			t.Errorf("%v IsStore = %v, want %v", c.op, got, c.store)
 		}
 		if got := c.op.IsFence(); got != c.fence {
 			t.Errorf("%v IsFence = %v, want %v", c.op, got, c.fence)

@@ -60,20 +60,6 @@ func (m *Mesh) coord(node int) (x, y int) { return node % m.w, node / m.w }
 
 func (m *Mesh) link(node, dir int) int { return node*numDirs + dir }
 
-// Hops returns the XY route length between two nodes.
-func (m *Mesh) Hops(src, dst int) int {
-	sx, sy := m.coord(src)
-	dx, dy := m.coord(dst)
-	return abs(sx-dx) + abs(sy-dy)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 func (m *Mesh) serCycles(bytes int) uint64 {
 	return uint64((bytes + m.linkBytes - 1) / m.linkBytes)
 }

@@ -6,14 +6,21 @@ import (
 	"invisispec/internal/stats"
 )
 
+// TestHops pins the XY route length between mesh nodes through Send's
+// latency: on an idle mesh an 8-byte control message takes one
+// serialization cycle and one hop cycle per link, and a local transfer
+// pays serialization only.
 func TestHops(t *testing.T) {
-	m := New(4, 2, 1, 16, nil)
-	cases := []struct{ src, dst, want int }{
+	cases := []struct{ src, dst, hops int }{
 		{0, 0, 0}, {0, 1, 1}, {0, 3, 3}, {0, 4, 1}, {0, 7, 4}, {3, 4, 4},
 	}
 	for _, c := range cases {
-		if got := m.Hops(c.src, c.dst); got != c.want {
-			t.Errorf("Hops(%d,%d) = %d, want %d", c.src, c.dst, got, c.want)
+		want := uint64(100 + 2*c.hops)
+		if c.hops == 0 {
+			want = 101
+		}
+		if got := New(4, 2, 1, 16, nil).Send(100, c.src, c.dst, 8, stats.TrafficNormal); got != want {
+			t.Errorf("Send(%d->%d) arrives at %d, want %d (%d hops)", c.src, c.dst, got, want, c.hops)
 		}
 	}
 }
