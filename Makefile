@@ -13,7 +13,7 @@ PARSEC_FLAGS = -fig 7 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
 LEAK_FLAGS = -corpus smoke -trials 3 -jobs $(JOBS)
 SEARCH_FLAGS = -search -search-budget 3 -seed 1 -trials 2 -jobs $(JOBS)
 
-.PHONY: all build tools test vet lint race check ci bench smoke benchdiff baseline baselinecheck leakscan leaksearch kernelcheck conform chaos serve
+.PHONY: all build tools test vet lint loc race check ci bench smoke benchdiff baseline baselinecheck leakscan leaksearch kernelcheck conform chaos serve
 
 all: build
 
@@ -41,6 +41,11 @@ lint: vet
 	else \
 		echo "lint: staticcheck not installed, skipping (CI runs the pinned version)"; \
 	fi
+
+# Code size: the non-test Go lines outside the bench/ module, the number
+# the ROADMAP's simplicity aim tracks. CI's lint job prints it.
+loc:
+	@echo "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l) non-test Go lines outside bench/"
 
 # Fast, race-free test run for local iteration.
 test:
