@@ -37,6 +37,8 @@ type Predictor struct {
 	local  []uint8 // 2-bit saturating counters indexed by PC
 	global []uint8 // 2-bit counters indexed by PC ^ history
 	choice []uint8 // 2-bit chooser: >=2 selects global
+	// btb is nil until the first TrainTarget, which no run without an
+	// indirect jump reaches.
 	btb    []btbEntry
 	ghr    uint64 // speculative global history (youngest outcome in bit 0)
 	ras    []int
@@ -69,7 +71,6 @@ func New(cfg Config) *Predictor {
 		local:  make([]uint8, 1<<cfg.LocalBits),
 		global: make([]uint8, 1<<cfg.GlobalBits),
 		choice: make([]uint8, 1<<cfg.ChoiceBits),
-		btb:    make([]btbEntry, cfg.BTBEntries),
 		ras:    make([]int, cfg.RASEntries),
 	}
 }
@@ -158,9 +159,10 @@ func (p *Predictor) PredictCond(pc int) bool {
 // missing target).
 func (p *Predictor) PredictIndirect(pc int) (target int, ok bool) {
 	p.BTBLookups++
-	e := p.btb[pc%len(p.btb)]
-	if e.valid && e.pc == pc {
-		return e.target, true
+	if p.btb != nil {
+		if e := p.btb[pc%len(p.btb)]; e.valid && e.pc == pc {
+			return e.target, true
+		}
 	}
 	p.BTBMisses++
 	return 0, false
@@ -197,6 +199,9 @@ func (p *Predictor) TrainCond(pc int, outcome bool, ghrAtPredict uint64) {
 
 // TrainTarget installs the resolved target of an indirect jump in the BTB.
 func (p *Predictor) TrainTarget(pc, target int) {
+	if p.btb == nil {
+		p.btb = make([]btbEntry, p.cfg.BTBEntries)
+	}
 	p.btb[pc%len(p.btb)] = btbEntry{pc: pc, target: target, valid: true}
 }
 

@@ -8,21 +8,25 @@
 // Spec-GetS transactions must be able to probe a cache without perturbing
 // replacement (LRU) state, since replacement information is itself a side
 // channel the paper closes.
+//
+// A set holds no lines until its first install, so a run pays for the sets
+// it touches, not for the array's capacity.
 package cache
 
 import "fmt"
 
 // Line is one cache line's tag and coherence metadata. State is owned by the
 // coherence protocol (package coherence defines the MESI encoding). Fields
-// are ordered by size so a line packs into 24 bytes: each LLC bank holds
-// tens of thousands of them, most of a built machine's heap.
+// are ordered by size so a line, its replacement rank included, packs into
+// 24 bytes: a bank whose run touches every set holds 32,768 of them.
 type Line struct {
 	LineNum uint64 // address >> log2(lineSize)
 	// Sharers is used only by directory entries embedded in LLC lines: a
 	// bitmap of cores holding the line.
 	Sharers uint64
-	// Owner is the core that holds the line in E/M, or -1.
-	Owner int32
+	// Owner is the core that holds the line in E/M, or -1. Sharers caps
+	// the core count at 64, so 16 bits hold any core.
+	Owner int16
 	Valid bool
 	Dirty bool
 	State uint8
@@ -30,15 +34,25 @@ type Line struct {
 	// not yet demand-touched (the trigger tag of a tagged next-line
 	// prefetcher).
 	Prefetched bool
+	lru        uint8 // rank in its set: 0 = MRU, ways-1 = LRU
 }
 
-// Array is a set-associative cache with true-LRU replacement.
+// Array is a set-associative cache with true-LRU replacement. A set gets
+// its ways on its first install, carved from slabs that never move, so a
+// *Line stays valid for the array's lifetime. A set never installed into
+// holds no lines.
 type Array struct {
-	sets  int
-	ways  int
-	lines []Line  // sets*ways, row-major by set
-	lru   []uint8 // per line: 0 = MRU, ways-1 = LRU
+	ways    int
+	sets    [][]Line // per set: its ways, nil until the set's first install
+	slab    []Line   // the current slab's lines not yet given to a set
+	claimed int      // sets given their ways so far
 }
+
+// minSlabSets is the smallest slab, in sets. A slab holds as many sets as
+// were claimed before it, at least minSlabSets and at most the sets left,
+// so a 2048-set bank whose run touches every set allocates five slabs; the
+// 128-set L1s and the one-set TLB fill one.
+const minSlabSets = 128
 
 // NewArray builds an array with the given geometry. Sets must be a power of
 // two.
@@ -49,81 +63,75 @@ func NewArray(sets, ways int) *Array {
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache: ways %d must be positive", ways))
 	}
-	a := &Array{
-		sets:  sets,
-		ways:  ways,
-		lines: make([]Line, sets*ways),
-		lru:   make([]uint8, sets*ways),
-	}
-	for s := 0; s < sets; s++ {
-		for w := 0; w < ways; w++ {
-			a.lru[s*ways+w] = uint8(w)
-		}
-	}
-	return a
+	return &Array{ways: ways, sets: make([][]Line, sets)}
 }
 
-// Sets returns the number of sets.
-func (a *Array) Sets() int { return a.sets }
+func (a *Array) setOf(lineNum uint64) int { return int(lineNum) & (len(a.sets) - 1) }
 
-// Ways returns the associativity.
-func (a *Array) Ways() int { return a.ways }
+// claim gives set s its ways, ranked by way index as at reset.
+func (a *Array) claim(s int) []Line {
+	if len(a.slab) == 0 {
+		a.slab = make([]Line, min(max(a.claimed, minSlabSets), len(a.sets)-a.claimed)*a.ways)
+	}
+	set := a.slab[:a.ways:a.ways]
+	a.slab = a.slab[a.ways:]
+	for w := range set {
+		set[w].lru = uint8(w)
+	}
+	a.sets[s] = set
+	a.claimed++
+	return set
+}
 
-func (a *Array) setOf(lineNum uint64) int { return int(lineNum) & (a.sets - 1) }
+// find returns the way of set holding lineNum, or -1.
+func find(set []Line, lineNum uint64) int {
+	for w := range set {
+		if set[w].Valid && set[w].LineNum == lineNum {
+			return w
+		}
+	}
+	return -1
+}
 
 // Lookup returns the line holding lineNum, or nil. It does NOT update
 // replacement state (see package comment).
 func (a *Array) Lookup(lineNum uint64) *Line {
-	s := a.setOf(lineNum)
-	base := s * a.ways
-	for w := 0; w < a.ways; w++ {
-		l := &a.lines[base+w]
-		if l.Valid && l.LineNum == lineNum {
-			return l
-		}
+	set := a.sets[a.setOf(lineNum)]
+	if w := find(set, lineNum); w >= 0 {
+		return &set[w]
 	}
 	return nil
 }
 
 // Touch promotes lineNum to MRU. It is a no-op if the line is absent.
 func (a *Array) Touch(lineNum uint64) {
-	s := a.setOf(lineNum)
-	base := s * a.ways
-	for w := 0; w < a.ways; w++ {
-		if a.lines[base+w].Valid && a.lines[base+w].LineNum == lineNum {
-			a.promote(s, w)
-			return
-		}
+	set := a.sets[a.setOf(lineNum)]
+	if w := find(set, lineNum); w >= 0 {
+		promote(set, w)
 	}
 }
 
-func (a *Array) promote(set, way int) {
-	base := set * a.ways
-	old := a.lru[base+way]
-	for w := 0; w < a.ways; w++ {
-		if a.lru[base+w] < old {
-			a.lru[base+w]++
+func promote(set []Line, way int) {
+	old := set[way].lru
+	for w := range set {
+		if set[w].lru < old {
+			set[w].lru++
 		}
 	}
-	a.lru[base+way] = 0
+	set[way].lru = 0
 }
 
-// Victim returns a pointer to the line that Insert would replace for
-// lineNum: an invalid way if one exists, otherwise the LRU way. The caller
-// can inspect it (e.g. to issue a writeback) before inserting.
-func (a *Array) Victim(lineNum uint64) *Line {
-	s := a.setOf(lineNum)
-	base := s * a.ways
-	// Prefer an invalid way.
-	for w := 0; w < a.ways; w++ {
-		if !a.lines[base+w].Valid {
-			return &a.lines[base+w]
+// victim returns the way Insert replaces: an invalid way if one exists,
+// otherwise the LRU way.
+func victim(set []Line) int {
+	for w := range set {
+		if !set[w].Valid {
+			return w
 		}
 	}
-	// Otherwise the LRU way.
-	for w := 0; w < a.ways; w++ {
-		if int(a.lru[base+w]) == a.ways-1 {
-			return &a.lines[base+w]
+	for w := range set {
+		if int(set[w].lru) == len(set)-1 {
+			return w
 		}
 	}
 	panic("cache: no victim found") // unreachable: LRU orders are a permutation
@@ -133,60 +141,53 @@ func (a *Array) Victim(lineNum uint64) *Line {
 // line was displaced, a copy of the evicted line. The new line is promoted
 // to MRU and starts Valid with zeroed metadata.
 func (a *Array) Insert(lineNum uint64) (inserted *Line, evicted Line, hadEviction bool) {
-	if l := a.Lookup(lineNum); l != nil {
-		a.Touch(lineNum)
-		return l, Line{}, false
+	s := a.setOf(lineNum)
+	set := a.sets[s]
+	if set == nil {
+		set = a.claim(s)
 	}
-	v := a.Victim(lineNum)
+	if w := find(set, lineNum); w >= 0 {
+		promote(set, w)
+		return &set[w], Line{}, false
+	}
+	w := victim(set)
+	v := &set[w]
 	if v.Valid {
 		evicted = *v
 		hadEviction = true
 	}
-	*v = Line{LineNum: lineNum, Valid: true, Owner: -1}
-	// Find the way index to promote.
-	s := a.setOf(lineNum)
-	base := s * a.ways
-	for w := 0; w < a.ways; w++ {
-		if &a.lines[base+w] == v {
-			a.promote(s, w)
-			break
-		}
-	}
+	*v = Line{LineNum: lineNum, Valid: true, Owner: -1, lru: v.lru}
+	promote(set, w)
 	return v, evicted, hadEviction
 }
 
 // Invalidate drops lineNum from the array and demotes the slot to LRU so it
 // is the next victim. It reports whether the line was present.
 func (a *Array) Invalidate(lineNum uint64) bool {
-	s := a.setOf(lineNum)
-	base := s * a.ways
-	for w := 0; w < a.ways; w++ {
-		l := &a.lines[base+w]
-		if l.Valid && l.LineNum == lineNum {
-			*l = Line{}
-			a.demote(s, w)
-			return true
+	set := a.sets[a.setOf(lineNum)]
+	w := find(set, lineNum)
+	if w < 0 {
+		return false
+	}
+	old := set[w].lru
+	set[w] = Line{}
+	for i := range set {
+		if set[i].lru > old {
+			set[i].lru--
 		}
 	}
-	return false
+	set[w].lru = uint8(len(set) - 1)
+	return true
 }
 
-func (a *Array) demote(set, way int) {
-	base := set * a.ways
-	old := a.lru[base+way]
-	for w := 0; w < a.ways; w++ {
-		if a.lru[base+w] > old {
-			a.lru[base+w]--
-		}
-	}
-	a.lru[base+way] = uint8(a.ways - 1)
-}
-
-// ForEach calls fn on every valid line. fn must not insert or invalidate.
+// ForEach calls fn on every valid line, in set order. fn must not insert or
+// invalidate.
 func (a *Array) ForEach(fn func(*Line)) {
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			fn(&a.lines[i])
+	for _, set := range a.sets {
+		for w := range set {
+			if set[w].Valid {
+				fn(&set[w])
+			}
 		}
 	}
 }
@@ -194,11 +195,7 @@ func (a *Array) ForEach(fn func(*Line)) {
 // Count returns the number of valid lines (for tests and occupancy checks).
 func (a *Array) Count() int {
 	n := 0
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			n++
-		}
-	}
+	a.ForEach(func(*Line) { n++ })
 	return n
 }
 
@@ -206,12 +203,12 @@ func (a *Array) Count() int {
 // including only valid ways. It exposes replacement state so tests can
 // assert that Spec-GetS never perturbs it.
 func (a *Array) LRUOrder(set int) []uint64 {
+	lines := a.sets[set]
 	out := make([]uint64, 0, a.ways)
-	for rank := 0; rank < a.ways; rank++ {
-		base := set * a.ways
-		for w := 0; w < a.ways; w++ {
-			if int(a.lru[base+w]) == rank && a.lines[base+w].Valid {
-				out = append(out, a.lines[base+w].LineNum)
+	for rank := range lines {
+		for w := range lines {
+			if int(lines[w].lru) == rank && lines[w].Valid {
+				out = append(out, lines[w].LineNum)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -127,7 +128,8 @@ func TestCountAndForEach(t *testing.T) {
 	}
 }
 
-// quickLRU is a reference model: per-set slice ordered MRU-first.
+// quickLRU is a reference model: per-set slice ordered MRU-first, holding
+// only valid lines.
 type quickLRU struct {
 	sets, ways int
 	order      [][]uint64
@@ -137,51 +139,140 @@ func newQuickLRU(sets, ways int) *quickLRU {
 	return &quickLRU{sets: sets, ways: ways, order: make([][]uint64, sets)}
 }
 
-func (m *quickLRU) access(ln uint64) {
-	s := int(ln) & (m.sets - 1)
-	set := m.order[s]
-	for i, v := range set {
+func (m *quickLRU) setOf(ln uint64) int { return int(ln) & (m.sets - 1) }
+
+func (m *quickLRU) has(ln uint64) bool {
+	for _, v := range m.order[m.setOf(ln)] {
 		if v == ln {
-			copy(set[1:i+1], set[:i])
-			set[0] = ln
-			return
+			return true
 		}
 	}
-	if len(set) == m.ways {
-		set = set[:m.ways-1]
-	}
-	m.order[s] = append([]uint64{ln}, set...)
+	return false
 }
 
-func (m *quickLRU) contents(s int) []uint64 { return m.order[s] }
-
-func TestArrayMatchesReferenceLRU(t *testing.T) {
-	const sets, ways = 4, 4
-	a := NewArray(sets, ways)
-	ref := newQuickLRU(sets, ways)
-	f := func(accesses []uint16) bool {
-		for _, x := range accesses {
-			ln := uint64(x % 64)
-			a.Insert(ln)
-			ref.access(ln)
+// remove drops ln from its set and reports whether it was there.
+func (m *quickLRU) remove(ln uint64) bool {
+	s := m.setOf(ln)
+	for i, v := range m.order[s] {
+		if v == ln {
+			m.order[s] = append(m.order[s][:i:i], m.order[s][i+1:]...)
+			return true
 		}
-		for s := 0; s < sets; s++ {
-			got := a.LRUOrder(s)
-			want := ref.contents(s)
-			if len(got) != len(want) {
-				return false
+	}
+	return false
+}
+
+// insert makes ln its set's MRU line and returns the line it evicted, if
+// any.
+func (m *quickLRU) insert(ln uint64) (evicted uint64, had bool) {
+	s := m.setOf(ln)
+	if !m.remove(ln) && len(m.order[s]) == m.ways {
+		evicted, had = m.order[s][m.ways-1], true
+		m.order[s] = m.order[s][:m.ways-1]
+	}
+	m.order[s] = append([]uint64{ln}, m.order[s]...)
+	return evicted, had
+}
+
+func (m *quickLRU) touch(ln uint64) {
+	if m.remove(ln) {
+		s := m.setOf(ln)
+		m.order[s] = append([]uint64{ln}, m.order[s]...)
+	}
+}
+
+// TestArrayMatchesReferenceLRU drives the machine's array geometries with
+// random inserts, touches and invalidations and compares every set it
+// touches with the reference model. A *Line the array handed out must stay
+// what Lookup returns while the line is resident, across the slabs later
+// installs claim, and a set never installed into must read empty.
+func TestArrayMatchesReferenceLRU(t *testing.T) {
+	for _, g := range []struct {
+		name       string
+		sets, ways int
+		minClaimed int // sets the run must claim: 257 spans three slabs
+	}{
+		{"llc-bank", 2048, 16, 2*minSlabSets + 1},
+		{"l1d", 128, 8, 1},
+		{"tlb", 1, 64, 1},
+		{"tiny", 4, 4, 1},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			a := NewArray(g.sets, g.ways)
+			ref := newQuickLRU(g.sets, g.ways)
+			held := map[uint64]*Line{}
+			seen := make([]bool, g.sets)
+			// Each op picks a kind (six in eight insert), a tag from more
+			// than a set holds, and a set: half the ops go to eight hot
+			// sets, so sets fill and evict, the rest anywhere.
+			f := func(ops []uint32) bool {
+				var touched []int
+				for _, x := range ops {
+					s := int(x>>8) & (g.sets - 1)
+					if x>>31 == 0 {
+						s &= 7 & (g.sets - 1)
+					}
+					ln := uint64(s) + uint64(g.sets)*uint64((x>>3)%uint32(g.ways+g.ways/2+1))
+					touched, seen[s] = append(touched, s), true
+					switch x % 8 {
+					case 6:
+						a.Touch(ln)
+						ref.touch(ln)
+					case 7:
+						if got, want := a.Invalidate(ln), ref.remove(ln); got != want {
+							t.Errorf("Invalidate(%d) = %v, want %v", ln, got, want)
+							return false
+						}
+					default:
+						resident := ref.has(ln)
+						line, ev, had := a.Insert(ln)
+						wantEv, wantHad := ref.insert(ln)
+						if had != wantHad || had && ev.LineNum != wantEv {
+							t.Errorf("Insert(%d) evicted %d (%v), want %d (%v)", ln, ev.LineNum, had, wantEv, wantHad)
+							return false
+						}
+						if resident && line != held[ln] {
+							t.Errorf("Insert(%d) of a resident line moved it", ln)
+							return false
+						}
+						held[ln] = line
+					}
+				}
+				for _, s := range touched {
+					if !slices.Equal(a.LRUOrder(s), ref.order[s]) {
+						t.Errorf("set %d: LRUOrder = %v, want %v", s, a.LRUOrder(s), ref.order[s])
+						return false
+					}
+					for _, ln := range ref.order[s] {
+						if a.Lookup(ln) != held[ln] {
+							t.Errorf("Lookup(%d) is not the *Line Insert returned", ln)
+							return false
+						}
+					}
+				}
+				return true
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
+			cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(11))}
+			if err := quick.Check(f, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if a.claimed < g.minClaimed {
+				t.Fatalf("run claimed %d sets, want at least %d", a.claimed, g.minClaimed)
+			}
+			want := 0
+			for s := 0; s < g.sets; s++ {
+				want += len(ref.order[s])
+				if seen[s] {
+					continue
+				}
+				if a.sets[s] != nil || len(a.LRUOrder(s)) != 0 || a.Lookup(uint64(s)) != nil {
+					t.Fatalf("set %d was never installed into but holds lines", s)
 				}
 			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(11))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
+			if a.Count() != want {
+				t.Fatalf("Count = %d, want %d", a.Count(), want)
+			}
+		})
 	}
 }
 
@@ -198,9 +289,9 @@ func TestNewArrayPanics(t *testing.T) {
 	}
 }
 
-// TestLineStaysPacked guards Line's field order: every LLC bank holds tens
-// of thousands of lines, so a field that breaks the packing grows a built
-// machine's heap by a third.
+// TestLineStaysPacked guards Line's field order: every set a run touches
+// holds its ways' lines, replacement ranks included, so a field that breaks
+// the packing grows each touched set by a third.
 func TestLineStaysPacked(t *testing.T) {
 	if got := unsafe.Sizeof(Line{}); got != 24 {
 		t.Fatalf("cache.Line is %d bytes, want 24", got)

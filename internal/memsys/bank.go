@@ -55,7 +55,7 @@ func dirEntryOf(line *cache.Line) coherence.DirEntry {
 
 func storeDirEntry(line *cache.Line, e coherence.DirEntry) {
 	line.Sharers = e.Sharers
-	line.Owner = int32(e.Owner)
+	line.Owner = int16(e.Owner)
 }
 
 // sendToBank routes a demand GetS/GetX to the line's home bank.

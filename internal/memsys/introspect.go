@@ -236,9 +236,7 @@ func (h *Hierarchy) InjectMSHRLeak(core int) {
 func (h *Hierarchy) InjectDuplicateM(core1, core2 int, addr uint64) {
 	ln := h.LineOf(addr)
 	for _, c := range []int{core1, core2} {
-		arr := h.l1d[c].arr
-		arr.Insert(ln)
-		line := arr.Lookup(ln)
+		line, _, _ := h.l1d[c].arr.Insert(ln)
 		line.State = uint8(coherence.Modified)
 		line.Dirty = true
 	}

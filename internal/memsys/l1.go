@@ -350,8 +350,7 @@ func (h *Hierarchy) deliverHit(c *l1, req Request) {
 // submit a new miss from inside Deliver, which must find the line's entry
 // gone and may reuse its slot.
 func (h *Hierarchy) fillL1(c *l1, req Request, lineNum uint64, grant coherence.State, servedLLCSB bool) {
-	_, victim, hadVictim := c.arr.Insert(lineNum)
-	line := c.arr.Lookup(lineNum)
+	line, victim, hadVictim := c.arr.Insert(lineNum)
 	line.State = uint8(grant)
 	line.Dirty = grant == coherence.Modified
 	line.Prefetched = req.Token == prefetchToken
