@@ -94,9 +94,13 @@ bench:
 # credited-core test hold the tick-or-credit rule, TestLQEventCycles pins
 # the cycle in which the load queue acts on a chained SB-reuse waiter and
 # on a bounced Spec-GetS, and StructuralCheck must catch each kind of drift
-# in the state the stages keep. (Also runs as part of `make race`.)
+# in the state the stages keep. The hierarchy's event heap must pop in
+# (cycle, seq) order, L1 hits, every miss path and warm machines' cycles
+# must not allocate (beyond the first touches the sim test bounds), and the
+# entries the core and the hierarchy copy must hold no pointers. (Also runs
+# as part of `make race`.)
 kernelcheck:
-	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit|TestFlushReachesCreditedCore|TestScheduler|TestLQEventCycles|TestStructuralCheckCatchesStageStateDrift' -count=1 ./internal/sim ./internal/core ./internal/engine
+	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit|TestFlushReachesCreditedCore|TestScheduler|TestLQEventCycles|TestStructuralCheckCatchesStageStateDrift|TestEventHeapPopsInCycleSeqOrder|TestL1HitAllocatesNothing|TestMissPathsAllocateNothing|TestWarmMachinesAllocateLittle|TestHotStateHoldsNoPointers' -count=1 ./internal/sim ./internal/core ./internal/engine ./internal/memsys
 
 # Short-budget Figure-4 sweep producing the BENCH_smoke.json artifact the
 # CI regression gate compares against the committed baseline.

@@ -6,8 +6,9 @@
 // Prediction happens at fetch along the speculative path, so all predictor
 // speculation state (global history, RAS) is checkpointable: the core takes
 // a Snapshot at every predicted branch and Restores it when the branch turns
-// out to be mispredicted. Counter tables and the BTB are trained at
-// retirement only, so wrong-path instructions never pollute them.
+// out to be mispredicted. A snapshot is plain data: the RAS copy it needs
+// lives in a ring the predictor owns. Counter tables and the BTB are trained
+// at retirement only, so wrong-path instructions never pollute them.
 package bpred
 
 // Config sizes the predictor structures. The defaults follow Table IV of
@@ -43,10 +44,15 @@ type Predictor struct {
 	ghr    uint64 // speculative global history (youngest outcome in bit 0)
 	ras    []int
 	rasTop int // index of next push slot
-	// rasCopy is a read-only copy of ras that snapshots share until the
-	// next push changes the stack (nil until a snapshot needs one). A pop
-	// only moves rasTop, which each snapshot carries itself.
-	rasCopy []int
+	// copies is a ring of RAS copies, len(ras) ints each, that snapshots
+	// name by index. Snapshots taken with no push in between share one
+	// copy; a pop only moves rasTop, which each snapshot carries itself.
+	// The ring grows on demand to maxCopies copies. next is the copy the
+	// next snapshot after a push takes, and cur the copy ras equals, or -1
+	// after a push.
+	copies    []int
+	maxCopies int
+	next, cur int32
 
 	// Stats.
 	CondPredicts   uint64
@@ -61,35 +67,65 @@ type btbEntry struct {
 	valid  bool
 }
 
-// New builds a predictor with all counters weakly not-taken.
-func New(cfg Config) *Predictor {
-	if cfg.BTBEntries <= 0 || cfg.RASEntries <= 0 {
-		panic("bpred: BTB and RAS sizes must be positive")
+// New builds a predictor with all counters weakly not-taken. inFlight is
+// the most snapshots its user holds at once (a core's ROB plus its fetch
+// buffer); the RAS ring keeps one copy more.
+func New(cfg Config, inFlight int) *Predictor {
+	if cfg.BTBEntries <= 0 || cfg.RASEntries <= 0 || inFlight <= 0 {
+		panic("bpred: BTB, RAS and snapshot counts must be positive")
 	}
 	return &Predictor{
-		cfg:    cfg,
-		local:  make([]uint8, 1<<cfg.LocalBits),
-		global: make([]uint8, 1<<cfg.GlobalBits),
-		choice: make([]uint8, 1<<cfg.ChoiceBits),
-		ras:    make([]int, cfg.RASEntries),
+		cfg:       cfg,
+		local:     make([]uint8, 1<<cfg.LocalBits),
+		global:    make([]uint8, 1<<cfg.GlobalBits),
+		choice:    make([]uint8, 1<<cfg.ChoiceBits),
+		ras:       make([]int, cfg.RASEntries),
+		maxCopies: inFlight + 1,
+		cur:       -1,
 	}
 }
 
-// State is a checkpoint of the predictor's speculative state.
+// State is a checkpoint of the predictor's speculative state. It names its
+// RAS copy by index in the predictor's ring, so it holds no pointer.
 type State struct {
 	ghr    uint64
-	ras    []int
-	rasTop int
+	rasTop int32
+	copy   int32
 }
 
 // Snapshot captures the speculative state (history and RAS) so that it can
 // be restored after a squash. Snapshots taken with no push in between share
-// one copy of the RAS, so only the first of them allocates.
+// one RAS copy. A new copy takes the ring's next slot, which no live
+// snapshot names: each copy from the oldest live snapshot's on belongs to a
+// live snapshot (Restore drops those of squashed ones), and live snapshots
+// are fewer than the ring's slots.
 func (p *Predictor) Snapshot() State {
-	if p.rasCopy == nil {
-		p.rasCopy = append([]int(nil), p.ras...)
+	if p.cur < 0 {
+		n := len(p.ras)
+		if at := int(p.next) * n; at < len(p.copies) {
+			copy(p.copies[at:at+n], p.ras)
+		} else {
+			p.copies = append(p.copies, p.ras...)
+		}
+		p.cur = p.next
+		p.next = p.after(p.next)
 	}
-	return State{ghr: p.ghr, ras: p.rasCopy, rasTop: p.rasTop}
+	return State{ghr: p.ghr, rasTop: int32(p.rasTop), copy: p.cur}
+}
+
+// after returns the ring slot after i.
+func (p *Predictor) after(i int32) int32 {
+	if i++; int(i) == p.maxCopies {
+		return 0
+	}
+	return i
+}
+
+// Peek returns the state Snapshot would without taking a RAS copy: after
+// a push it names none. It is for audits that compare the predictor's
+// state across cycles and must never be restored.
+func (p *Predictor) Peek() State {
+	return State{ghr: p.ghr, rasTop: int32(p.rasTop), copy: p.cur}
 }
 
 // GHR returns the global history captured in the snapshot; the core trains
@@ -97,12 +133,15 @@ func (p *Predictor) Snapshot() State {
 // the branch predicted.
 func (s State) GHR() uint64 { return s.ghr }
 
-// Restore rewinds speculative state to a previously captured snapshot.
+// Restore rewinds speculative state to a previously captured snapshot. Every
+// snapshot taken after s belongs to an instruction the restore squashes, so
+// the ring rewinds too: the next copy goes to the slot after s's.
 func (p *Predictor) Restore(s State) {
 	p.ghr = s.ghr
-	copy(p.ras, s.ras)
-	p.rasCopy = s.ras
-	p.rasTop = s.rasTop
+	copy(p.ras, p.copies[int(s.copy)*len(p.ras):])
+	p.rasTop = int(s.rasTop)
+	p.cur = s.copy
+	p.next = p.after(s.copy)
 }
 
 func (p *Predictor) localIdx(pc int) int {
@@ -172,7 +211,7 @@ func (p *Predictor) PredictIndirect(pc int) (target int, ok bool) {
 func (p *Predictor) PushRAS(returnPC int) {
 	p.ras[p.rasTop] = returnPC
 	p.rasTop = (p.rasTop + 1) % len(p.ras)
-	p.rasCopy = nil
+	p.cur = -1
 }
 
 // PopRAS predicts a return target.

@@ -5,8 +5,11 @@ import (
 	"testing"
 )
 
+// inFlight is the most snapshots the tests hold at once.
+const inFlight = 8
+
 func TestAlwaysTakenBranchLearns(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	pc := 42
 	mispredicts := 0
 	for i := 0; i < 100; i++ {
@@ -30,7 +33,7 @@ func TestAlwaysTakenBranchLearns(t *testing.T) {
 
 func TestAlternatingBranchGlobalWins(t *testing.T) {
 	// A strict alternation is perfectly predictable from global history.
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	pc := 7
 	late := 0
 	for i := 0; i < 400; i++ {
@@ -52,7 +55,7 @@ func TestAlternatingBranchGlobalWins(t *testing.T) {
 }
 
 func TestBTBMissThenHit(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	if _, ok := p.PredictIndirect(100); ok {
 		t.Fatal("cold BTB must miss")
 	}
@@ -69,7 +72,7 @@ func TestBTBMissThenHit(t *testing.T) {
 }
 
 func TestRASLifo(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	p.PushRAS(10)
 	p.PushRAS(20)
 	p.PushRAS(30)
@@ -83,7 +86,7 @@ func TestRASLifo(t *testing.T) {
 func TestRASOverflowWraps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RASEntries = 4
-	p := New(cfg)
+	p := New(cfg, inFlight)
 	for i := 0; i < 6; i++ {
 		p.PushRAS(i)
 	}
@@ -96,7 +99,7 @@ func TestRASOverflowWraps(t *testing.T) {
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	p.PushRAS(1)
 	p.PredictCond(5)
 	snap := p.Snapshot()
@@ -114,7 +117,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotIsDeepCopy(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	p.PushRAS(1)
 	snap := p.Snapshot()
 	p.PushRAS(2) // mutate after snapshot
@@ -131,7 +134,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 func TestRandomOutcomesMispredictHeavily(t *testing.T) {
 	// A predictor cannot learn a random sequence; misprediction rate should
 	// hover near 50%. This guards against accidental oracle behaviour.
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	rng := rand.New(rand.NewSource(7))
 	pc := 3
 	mis := 0
@@ -159,7 +162,7 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 			t.Fatal("New with zero BTB did not panic")
 		}
 	}()
-	New(Config{LocalBits: 4, GlobalBits: 4, ChoiceBits: 4, BTBEntries: 0, RASEntries: 4})
+	New(Config{LocalBits: 4, GlobalBits: 4, ChoiceBits: 4, BTBEntries: 0, RASEntries: 4}, inFlight)
 }
 
 // TestRASDeepNestSquashRestore drives the RAS through a speculative CALL/RET
@@ -168,7 +171,7 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 // path: rasTop is back where it was and no stale wrong-path entry survives,
 // even for pops that reach entries the wrong path overwrote after wrapping.
 func TestRASDeepNestSquashRestore(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	depth := p.cfg.RASEntries // 16
 	// Architecturally committed prefix: half-fill the stack.
 	for i := 0; i < depth/2; i++ {
@@ -212,7 +215,7 @@ func TestRASDeepNestSquashRestore(t *testing.T) {
 
 	// Interleaved nests: snapshot inside a nest, speculate a deeper nest
 	// with returns, restore, and check the outer nest still unwinds.
-	p = New(DefaultConfig())
+	p = New(DefaultConfig(), inFlight)
 	for i := 0; i < 3; i++ {
 		p.PushRAS(10 + i)
 	}
@@ -231,27 +234,40 @@ func TestRASDeepNestSquashRestore(t *testing.T) {
 	}
 }
 
-// TestSnapshotsShareRASUntilPush checks the shared RAS checkpoint: a
-// snapshot's stack survives later pushes, pops and restores of other
-// snapshots, and snapshots taken with no push in between share one copy,
-// so only the first allocates.
+// TestSnapshotsShareRASUntilPush checks the ring of RAS copies: snapshots
+// taken with no push in between name one copy, a snapshot's stack survives
+// later pushes, pops and restores of younger snapshots, and once the ring
+// has grown to its size no snapshot allocates.
 func TestSnapshotsShareRASUntilPush(t *testing.T) {
-	p := New(DefaultConfig())
+	p := New(DefaultConfig(), inFlight)
 	p.PushRAS(1)
 	p.PushRAS(2)
 	a := p.Snapshot()
-	p.PopRAS() // moves rasTop only: a later snapshot may share a's copy
+	p.PopRAS() // moves rasTop only: a later snapshot shares a's copy
 	b := p.Snapshot()
+	if b.copy != a.copy {
+		t.Fatalf("snapshots with no push between them name copies %d and %d", a.copy, b.copy)
+	}
 	p.PushRAS(3) // overwrites the slot that held 2
 	c := p.Snapshot()
+	if c.copy == a.copy {
+		t.Fatal("a snapshot after a push shares the copy of one before it")
+	}
 	p.PushRAS(4)
 
-	p.Restore(b)
+	p.Restore(c)
+	if got := p.PopRAS(); got != 3 {
+		t.Fatalf("restored c: pop = %d, want 3", got)
+	}
+	p.PushRAS(5) // writes the live stack, never c's copy
+	p.Restore(c)
+	if got := p.PopRAS(); got != 3 {
+		t.Fatalf("restored c after a push on top of it: pop = %d, want 3", got)
+	}
+	p.Restore(b) // older than c: squashes it
 	if got := p.PopRAS(); got != 1 {
 		t.Fatalf("restored b: pop = %d, want 1", got)
 	}
-	p.Restore(c)
-	p.PushRAS(5) // writes the live stack, never c's copy
 	p.Restore(a)
 	if got := p.PopRAS(); got != 2 {
 		t.Fatalf("restored a after later pushes: pop = %d, want 2", got)
@@ -259,16 +275,61 @@ func TestSnapshotsShareRASUntilPush(t *testing.T) {
 	if got := p.PopRAS(); got != 1 {
 		t.Fatalf("restored a: second pop = %d, want 1", got)
 	}
-	p.Restore(c)
-	if got := p.PopRAS(); got != 3 {
-		t.Fatalf("restored c after a push on top of it: pop = %d, want 3", got)
-	}
 
-	p.Snapshot()
+	for i := 0; i <= inFlight; i++ { // grow the ring to its full size
+		p.PushRAS(i)
+		p.Snapshot()
+	}
 	if n := testing.AllocsPerRun(100, func() { p.Snapshot() }); n != 0 {
 		t.Fatalf("Snapshot with no push since the last one allocated %v times", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { p.PushRAS(6); p.Snapshot() }); n != 1 {
-		t.Fatalf("Snapshot after a push allocated %v times, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { p.PushRAS(6); p.Snapshot() }); n != 0 {
+		t.Fatalf("Snapshot after a push allocated %v times once the ring is full, want 0", n)
+	}
+}
+
+// TestRingKeepsLiveSnapshots drives the ring the way a core does: up to
+// inFlight snapshots live at once, each taken after a call's push, the
+// oldest retiring, and squashes restoring a random live snapshot and
+// dropping every younger one. Each restore must bring back the exact stack
+// the snapshot saw, so no new copy may overwrite a live one, however often
+// the ring wraps.
+func TestRingKeepsLiveSnapshots(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RASEntries = 4
+	p := New(cfg, inFlight)
+	type live struct {
+		snap  State
+		stack []int // pops after a restore, youngest first
+	}
+	stack := func() []int { // the live stack, read by popping a copy
+		q := *p
+		q.ras = append([]int(nil), p.ras...)
+		out := make([]int, len(q.ras))
+		for i := range out {
+			out[i] = q.PopRAS()
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(5))
+	var window []live
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 6 && len(window) < inFlight: // fetch a call
+			p.PushRAS(step)
+			window = append(window, live{p.Snapshot(), stack()})
+		case r < 8 && len(window) > 0: // retire the oldest
+			window = window[1:]
+		case len(window) > 0: // squash back to a live snapshot
+			k := rng.Intn(len(window))
+			p.Restore(window[k].snap)
+			got := stack()
+			for i, want := range window[k].stack {
+				if got[i] != want {
+					t.Fatalf("step %d: restored stack %v, want %v", step, got, window[k].stack)
+				}
+			}
+			window = window[:k+1]
+		}
 	}
 }

@@ -42,10 +42,14 @@ type Line struct {
 // *Line stays valid for the array's lifetime. A set never installed into
 // holds no lines.
 type Array struct {
-	ways    int
-	sets    [][]Line // per set: its ways, nil until the set's first install
-	slab    []Line   // the current slab's lines not yet given to a set
-	claimed int      // sets given their ways so far
+	ways int
+	// index holds 4 bytes per set: 0 until the set's first install, then
+	// the set's slab plus one in the low slabBits bits and its position in
+	// that slab above them.
+	index   []uint32
+	slabs   [][]Line
+	used    int // sets of the last slab given out so far
+	claimed int // sets given their ways so far
 }
 
 // minSlabSets is the smallest slab, in sets. A slab holds as many sets as
@@ -54,32 +58,53 @@ type Array struct {
 // 128-set L1s and the one-set TLB fill one.
 const minSlabSets = 128
 
+// slabBits is the width of an index entry's slab field, and maxSets the
+// most sets an array may have, so that any position fits above it.
+const (
+	slabBits = 8
+	maxSets  = 1 << (32 - slabBits)
+)
+
 // NewArray builds an array with the given geometry. Sets must be a power of
 // two.
 func NewArray(sets, ways int) *Array {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: sets %d must be a positive power of two", sets))
+	if sets <= 0 || sets&(sets-1) != 0 || sets > maxSets {
+		panic(fmt.Sprintf("cache: sets %d must be a power of two in [1, %d]", sets, maxSets))
 	}
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache: ways %d must be positive", ways))
 	}
-	return &Array{ways: ways, sets: make([][]Line, sets)}
+	return &Array{ways: ways, index: make([]uint32, sets)}
 }
 
-func (a *Array) setOf(lineNum uint64) int { return int(lineNum) & (len(a.sets) - 1) }
+func (a *Array) setOf(lineNum uint64) int { return int(lineNum) & (len(a.index) - 1) }
+
+// set returns the ways of set s, or nil if it was never installed into.
+func (a *Array) set(s int) []Line {
+	r := a.index[s]
+	if r == 0 {
+		return nil
+	}
+	slab := a.slabs[r&(1<<slabBits-1)-1]
+	i := int(r>>slabBits) * a.ways
+	return slab[i : i+a.ways : i+a.ways]
+}
 
 // claim gives set s its ways, ranked by way index as at reset.
 func (a *Array) claim(s int) []Line {
-	if len(a.slab) == 0 {
-		a.slab = make([]Line, min(max(a.claimed, minSlabSets), len(a.sets)-a.claimed)*a.ways)
+	n := len(a.slabs)
+	if n == 0 || a.used*a.ways == len(a.slabs[n-1]) {
+		a.slabs = append(a.slabs, make([]Line, min(max(a.claimed, minSlabSets), len(a.index)-a.claimed)*a.ways))
+		a.used = 0
+		n++
 	}
-	set := a.slab[:a.ways:a.ways]
-	a.slab = a.slab[a.ways:]
+	a.index[s] = uint32(a.used)<<slabBits | uint32(n)
+	a.used++
+	a.claimed++
+	set := a.set(s)
 	for w := range set {
 		set[w].lru = uint8(w)
 	}
-	a.sets[s] = set
-	a.claimed++
 	return set
 }
 
@@ -96,7 +121,7 @@ func find(set []Line, lineNum uint64) int {
 // Lookup returns the line holding lineNum, or nil. It does NOT update
 // replacement state (see package comment).
 func (a *Array) Lookup(lineNum uint64) *Line {
-	set := a.sets[a.setOf(lineNum)]
+	set := a.set(a.setOf(lineNum))
 	if w := find(set, lineNum); w >= 0 {
 		return &set[w]
 	}
@@ -105,7 +130,7 @@ func (a *Array) Lookup(lineNum uint64) *Line {
 
 // Touch promotes lineNum to MRU. It is a no-op if the line is absent.
 func (a *Array) Touch(lineNum uint64) {
-	set := a.sets[a.setOf(lineNum)]
+	set := a.set(a.setOf(lineNum))
 	if w := find(set, lineNum); w >= 0 {
 		promote(set, w)
 	}
@@ -142,7 +167,7 @@ func victim(set []Line) int {
 // to MRU and starts Valid with zeroed metadata.
 func (a *Array) Insert(lineNum uint64) (inserted *Line, evicted Line, hadEviction bool) {
 	s := a.setOf(lineNum)
-	set := a.sets[s]
+	set := a.set(s)
 	if set == nil {
 		set = a.claim(s)
 	}
@@ -164,7 +189,7 @@ func (a *Array) Insert(lineNum uint64) (inserted *Line, evicted Line, hadEvictio
 // Invalidate drops lineNum from the array and demotes the slot to LRU so it
 // is the next victim. It reports whether the line was present.
 func (a *Array) Invalidate(lineNum uint64) bool {
-	set := a.sets[a.setOf(lineNum)]
+	set := a.set(a.setOf(lineNum))
 	w := find(set, lineNum)
 	if w < 0 {
 		return false
@@ -183,7 +208,8 @@ func (a *Array) Invalidate(lineNum uint64) bool {
 // ForEach calls fn on every valid line, in set order. fn must not insert or
 // invalidate.
 func (a *Array) ForEach(fn func(*Line)) {
-	for _, set := range a.sets {
+	for s := range a.index {
+		set := a.set(s)
 		for w := range set {
 			if set[w].Valid {
 				fn(&set[w])
@@ -203,7 +229,7 @@ func (a *Array) Count() int {
 // including only valid ways. It exposes replacement state so tests can
 // assert that Spec-GetS never perturbs it.
 func (a *Array) LRUOrder(set int) []uint64 {
-	lines := a.sets[set]
+	lines := a.set(set)
 	out := make([]uint64, 0, a.ways)
 	for rank := range lines {
 		for w := range lines {

@@ -265,7 +265,7 @@ func TestArrayMatchesReferenceLRU(t *testing.T) {
 				if seen[s] {
 					continue
 				}
-				if a.sets[s] != nil || len(a.LRUOrder(s)) != 0 || a.Lookup(uint64(s)) != nil {
+				if a.index[s] != 0 || len(a.LRUOrder(s)) != 0 || a.Lookup(uint64(s)) != nil {
 					t.Fatalf("set %d was never installed into but holds lines", s)
 				}
 			}
@@ -277,7 +277,7 @@ func TestArrayMatchesReferenceLRU(t *testing.T) {
 }
 
 func TestNewArrayPanics(t *testing.T) {
-	for _, tc := range []struct{ sets, ways int }{{3, 2}, {0, 2}, {4, 0}} {
+	for _, tc := range []struct{ sets, ways int }{{3, 2}, {0, 2}, {4, 0}, {2 * maxSets, 2}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -57,17 +57,6 @@ const NoOwner = -1
 // HasSharer reports whether core holds a Shared copy.
 func (e DirEntry) HasSharer(core int) bool { return e.Sharers&(1<<uint(core)) != 0 }
 
-// SharerList expands the sharer bitmap.
-func (e DirEntry) SharerList() []int {
-	var out []int
-	for c := 0; e.Sharers>>uint(c) != 0; c++ {
-		if e.HasSharer(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // ReqKind is a coherence transaction type.
 type ReqKind uint8
 
@@ -110,9 +99,9 @@ type Decision struct {
 	OwnerWriteback bool
 	// FromMemory: the line is not in the LLC; fetch it from DRAM.
 	FromMemory bool
-	// Invalidate lists cores whose copies must be invalidated (never
-	// includes the requester).
-	Invalidate []int
+	// Invalidate is a bitmap of the cores whose copies must be invalidated
+	// (never includes the requester).
+	Invalidate uint64
 	// InstallLLC: the fetched line is installed in the LLC (all demand
 	// fills; never Spec-GetS).
 	InstallLLC bool
@@ -185,16 +174,11 @@ func decideGetX(e DirEntry, req int) (Decision, DirEntry) {
 		e.Sharers = 0
 		return Decision{Grant: Modified, FromMemory: true, InstallLLC: true}, e
 	}
-	d := Decision{Grant: Modified}
+	d := Decision{Grant: Modified, Invalidate: e.Sharers &^ (1 << uint(req))}
 	if e.Owner != NoOwner && e.Owner != req {
 		d.FromOwner = true
 		d.Owner = e.Owner
-		d.Invalidate = append(d.Invalidate, e.Owner)
-	}
-	for _, c := range e.SharerList() {
-		if c != req {
-			d.Invalidate = append(d.Invalidate, c)
-		}
+		d.Invalidate |= 1 << uint(e.Owner)
 	}
 	e.Owner = req
 	e.Sharers = 0
@@ -213,13 +197,9 @@ func decideSpecGetS(e DirEntry, req int) Decision {
 }
 
 // Recall computes the action for an inclusive-LLC eviction of a line: every
-// L1 copy is invalidated, and an owned line may be dirty and must be treated
-// as writing back to memory.
-func Recall(e DirEntry) (invalidate []int, dirtyPossible bool) {
-	invalidate = e.SharerList()
-	if e.Owner != NoOwner {
-		invalidate = append(invalidate, e.Owner)
-		dirtyPossible = true
-	}
-	return invalidate, dirtyPossible
+// L1 copy is invalidated, the sharers (a bitmap) and then the owner (or
+// NoOwner), and an owned line may be dirty and must be treated as writing
+// back to memory.
+func Recall(e DirEntry) (sharers uint64, owner int, dirtyPossible bool) {
+	return e.Sharers, e.Owner, e.Owner != NoOwner
 }

@@ -67,13 +67,8 @@ func TestGetXInvalidatesEveryone(t *testing.T) {
 		t.Fatalf("GetX grant = %v", d.Grant)
 	}
 	// Cores 0 and 3 invalidated; requester 1 never is.
-	if len(d.Invalidate) != 2 {
-		t.Fatalf("GetX invalidations: %v", d.Invalidate)
-	}
-	for _, c := range d.Invalidate {
-		if c == 1 {
-			t.Fatal("requester invalidated")
-		}
+	if d.Invalidate != 1<<0|1<<3 {
+		t.Fatalf("GetX invalidations: %#b", d.Invalidate)
 	}
 	if e.Owner != 1 || e.Sharers != 0 {
 		t.Fatalf("GetX entry: %+v", e)
@@ -85,8 +80,8 @@ func TestGetXFromOwner(t *testing.T) {
 	if !d.FromOwner || d.Owner != 2 || d.Grant != Modified {
 		t.Fatalf("owned GetX decision: %+v", d)
 	}
-	if len(d.Invalidate) != 1 || d.Invalidate[0] != 2 {
-		t.Fatalf("owned GetX invalidations: %v", d.Invalidate)
+	if d.Invalidate != 1<<2 {
+		t.Fatalf("owned GetX invalidations: %#b", d.Invalidate)
 	}
 	if e.Owner != 0 {
 		t.Fatalf("owned GetX entry: %+v", e)
@@ -159,13 +154,13 @@ func TestSpecGetSDataSource(t *testing.T) {
 }
 
 func TestRecall(t *testing.T) {
-	inv, dirty := Recall(entry(true, NoOwner, 1, 4))
-	if len(inv) != 2 || dirty {
-		t.Fatalf("shared recall: %v dirty=%v", inv, dirty)
+	sharers, owner, dirty := Recall(entry(true, NoOwner, 1, 4))
+	if sharers != 1<<1|1<<4 || owner != NoOwner || dirty {
+		t.Fatalf("shared recall: sharers %#b owner %d dirty=%v", sharers, owner, dirty)
 	}
-	inv, dirty = Recall(entry(true, 6))
-	if len(inv) != 1 || inv[0] != 6 || !dirty {
-		t.Fatalf("owned recall: %v dirty=%v", inv, dirty)
+	sharers, owner, dirty = Recall(entry(true, 6))
+	if sharers != 0 || owner != 6 || !dirty {
+		t.Fatalf("owned recall: sharers %#b owner %d dirty=%v", sharers, owner, dirty)
 	}
 }
 
@@ -211,13 +206,8 @@ func TestDecideInvariantsQuick(t *testing.T) {
 				return false
 			}
 		}
-		// Invalidation lists never include the requester.
-		for _, c := range d.Invalidate {
-			if c == req {
-				return false
-			}
-		}
-		return true
+		// Invalidations never include the requester.
+		return d.Invalidate&(1<<uint(req)) == 0
 	}
 	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -162,7 +162,7 @@ func New(id int, run config.Run, prog *isa.Program, mem *isa.Memory,
 		prog:     prog,
 		mem:      mem,
 		hier:     hier,
-		bp:       bpred.New(cfg.Bpred),
+		bp:       bpred.New(cfg.Bpred, cfg.ROBEntries+fetchBufLimit(cfg.FetchWidth)),
 		dtlb:     tlb.New(cfg.TLBEntries, cfg.PageWalkLatency),
 		st:       st,
 		bbLeader: prog.BlockLeaders(),

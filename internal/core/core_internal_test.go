@@ -2,16 +2,55 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"invisispec/internal/bpred"
 	"invisispec/internal/config"
 	"invisispec/internal/isa"
 	"invisispec/internal/memsys"
 	"invisispec/internal/stats"
 )
+
+// TestHotStateHoldsNoPointers guards the entries the core copies as
+// instructions move through the pipeline: a pointer-bearing field in one of
+// them would bring back write barriers on every copy and make the garbage
+// collector scan the ROB, the fetch buffer and the load and store queues.
+func TestHotStateHoldsNoPointers(t *testing.T) {
+	for _, v := range []any{robEntry{}, fetchedInst{}, lqEntry{}, sqEntry{}, bpred.State{}} {
+		if p := pointerField(reflect.TypeOf(v)); p != "" {
+			t.Errorf("%T%s holds a pointer", v, p)
+		}
+	}
+}
+
+// pointerField returns the path to the first field of t that holds a
+// pointer the garbage collector must trace (a pointer, slice, map, chan,
+// func, interface or string), or "" if t holds none.
+func pointerField(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerField(t.Field(i).Type); p != "" {
+				return "." + t.Field(i).Name + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		if p := pointerField(t.Elem()); p != "" {
+			return "[i]" + p
+		}
+		return ""
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	}
+	return " (" + t.String() + ")"
+}
 
 func TestOverlapsAndContains(t *testing.T) {
 	cases := []struct {

@@ -80,7 +80,7 @@ func SnapshotWakeState(c *Core) WakeState {
 
 		Epoch: c.epoch, NextToken: c.nextToken, CommitSeq: c.commitSeq,
 
-		Bpred:         c.bp.Snapshot(),
+		Bpred:         c.bp.Peek(),
 		BpredCounters: [4]uint64{c.bp.CondPredicts, c.bp.CondMispredics, c.bp.BTBLookups, c.bp.BTBMisses},
 		TLBCounters:   [2]uint64{c.dtlb.Hits, c.dtlb.Misses},
 		Stats:         *c.st,

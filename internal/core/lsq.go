@@ -90,18 +90,13 @@ type wbEntry struct {
 func (c *Core) allocLQ(seq uint64, robIdx int, in isa.Inst) int {
 	phys := ringAdd(c.lqHead, c.lqCnt, len(c.lq))
 	c.lqCnt++
-	c.lq[phys] = lqEntry{
-		valid:     true,
-		seq:       seq,
-		robIdx:    robIdx,
-		pc:        c.rob[robIdx].pc,
-		size:      in.Size,
-		priv:      in.Priv,
-		safeAnnot: in.Safe,
-		prefetch:  in.Op == isa.OpPrefetch,
-	}
-	if c.lq[phys].prefetch {
-		c.lq[phys].size = 1
+	// Zeroed, then filled in place, as insertEntry fills a ROB entry.
+	e := &c.lq[phys]
+	*e = lqEntry{}
+	e.valid, e.seq, e.robIdx, e.pc = true, seq, robIdx, c.rob[robIdx].pc
+	e.size, e.priv, e.safeAnnot, e.prefetch = in.Size, in.Priv, in.Safe, in.Op == isa.OpPrefetch
+	if e.prefetch {
+		e.size = 1
 	}
 	return phys
 }

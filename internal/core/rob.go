@@ -226,23 +226,14 @@ func (c *Core) insertEntry(fi *fetchedInst) {
 	c.robCnt++
 	e := &c.rob[phys]
 	c.nextToken++
-	*e = robEntry{
-		valid:      true,
-		seq:        c.nextToken,
-		pc:         fi.pc,
-		inst:       fi.inst,
-		synthetic:  fi.synthetic,
-		st:         stDispatched,
-		src1Rob:    noDep,
-		src2Rob:    noDep,
-		predTaken:  fi.predTaken,
-		predTarget: fi.predTarget,
-		btbMiss:    fi.btbMiss,
-		hasSnap:    fi.hasSnap,
-		snap:       fi.snap,
-		lqIdx:      -1,
-		sqIdx:      -1,
-	}
+	// Zeroed, then filled in place: a composite literal would be built on
+	// the stack and copied into the ring.
+	*e = robEntry{}
+	e.valid, e.seq, e.pc, e.inst, e.synthetic = true, c.nextToken, fi.pc, fi.inst, fi.synthetic
+	e.st, e.src1Rob, e.src2Rob = stDispatched, noDep, noDep
+	e.predTaken, e.predTarget, e.btbMiss = fi.predTaken, fi.predTarget, fi.btbMiss
+	e.hasSnap, e.snap = fi.hasSnap, fi.snap
+	e.lqIdx, e.sqIdx = -1, -1
 	op := fi.inst.Op
 	if needsSrc1(op) {
 		e.src1Rob, e.src1Val = c.rename(fi.inst.Rs1)

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"math/bits"
+
 	"invisispec/internal/cache"
 	"invisispec/internal/coherence"
 	"invisispec/internal/config"
@@ -20,22 +22,55 @@ type bank struct {
 }
 
 // hold is a line a transaction holds at its home bank: the transactions
-// queued behind it in arrival order, and whether a clflush reached the line
-// while it was held (see FlushLine), which bankRelease applies again.
+// queued behind it in arrival order, chained through the pool from head to
+// tail (noTxn when none), and whether a clflush reached the line while it
+// was held (see FlushLine), which bankRelease applies again.
 type hold struct {
-	queue   []*txn
-	reflush bool
+	head, tail int32
+	reflush    bool
 }
 
-// txn is a transaction queued at a bank.
+// txn is a transaction on its way to, queued at, or held by its home bank.
+// It lives by value in the hierarchy's pool, which events and queues name
+// by index.
 type txn struct {
 	kind     coherence.ReqKind
 	core     int
 	lineNum  uint64
-	req      Request // original request for demand transactions
+	req      Request // original request for demand and Spec-GetS transactions
 	isDemand bool
 	isIFetch bool
 	dirty    bool // PutM: data differs from memory
+	// Set when the bank processes a demand transaction, for its fill: the
+	// state the L1 is granted, and whether the requester's LLC-SB served
+	// the data.
+	grant    coherence.State
+	servedSB bool
+	// next is the transaction queued behind this one at its bank, or, for
+	// a free entry, the next free entry (noTxn ends either chain).
+	next int32
+}
+
+// noTxn is the index of no transaction.
+const noTxn = -1
+
+// newTxn stores tx in the pool and returns its index. It may grow the pool,
+// so a caller must not keep a *txn across it.
+func (h *Hierarchy) newTxn(tx txn) int32 {
+	tx.next = noTxn
+	if i := h.freeTxn; i != noTxn {
+		h.freeTxn = h.txns[i].next
+		h.txns[i] = tx
+		return i
+	}
+	h.txns = append(h.txns, tx)
+	return int32(len(h.txns) - 1)
+}
+
+// releaseTxn returns transaction i's entry to the pool.
+func (h *Hierarchy) releaseTxn(i int32) {
+	h.txns[i] = txn{next: h.freeTxn}
+	h.freeTxn = i
 }
 
 func newBank(id int, cfg config.Machine) *bank {
@@ -62,27 +97,35 @@ func storeDirEntry(line *cache.Line, e coherence.DirEntry) {
 func (h *Hierarchy) sendToBank(req Request, lineNum uint64, kind coherence.ReqKind) {
 	home := h.homeBank(lineNum)
 	arrive := h.mesh.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, req.Type.trafficClass())
-	tx := &txn{kind: kind, core: req.Core, lineNum: lineNum, req: req, isDemand: true}
-	h.at(arrive, func() { h.bankEnqueue(h.bank[home], tx) })
+	tx := h.newTxn(txn{kind: kind, core: req.Core, lineNum: lineNum, req: req, isDemand: true})
+	h.schedule(event{cycle: arrive, kind: evEnqueue, tx: tx})
 }
 
 // sendIFetchToBank routes an instruction miss to the home bank.
 func (h *Hierarchy) sendIFetchToBank(req Request, lineNum uint64) {
 	home := h.homeBank(lineNum)
 	arrive := h.mesh.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficFetch)
-	tx := &txn{kind: coherence.GetS, core: req.Core, lineNum: lineNum, req: req, isIFetch: true}
-	h.at(arrive, func() { h.bankEnqueue(h.bank[home], tx) })
+	tx := h.newTxn(txn{kind: coherence.GetS, core: req.Core, lineNum: lineNum, req: req, isIFetch: true})
+	h.schedule(event{cycle: arrive, kind: evEnqueue, tx: tx})
 }
 
-// bankEnqueue admits a transaction, queueing it if the line is held.
-func (h *Hierarchy) bankEnqueue(b *bank, tx *txn) {
-	if hd, ok := b.held[tx.lineNum]; ok {
-		hd.queue = append(hd.queue, tx)
-		b.held[tx.lineNum] = hd
+// bankEnqueue admits transaction i at its home bank, queueing it if the
+// line is held.
+func (h *Hierarchy) bankEnqueue(i int32) {
+	lineNum := h.txns[i].lineNum
+	b := h.bank[h.homeBank(lineNum)]
+	if hd, ok := b.held[lineNum]; ok {
+		if hd.tail == noTxn {
+			hd.head = i
+		} else {
+			h.txns[hd.tail].next = i
+		}
+		hd.tail = i
+		b.held[lineNum] = hd
 		return
 	}
-	b.held[tx.lineNum] = hold{}
-	h.bankProcess(b, tx)
+	b.held[lineNum] = hold{head: noTxn, tail: noTxn}
+	h.bankProcess(b, i)
 }
 
 // bankRelease ends the finishing transaction's hold on a line and starts
@@ -94,12 +137,17 @@ func (h *Hierarchy) bankRelease(b *bank, lineNum uint64) {
 	if hd.reflush {
 		h.flushLine(lineNum)
 	}
-	if len(hd.queue) == 0 {
+	next := hd.head
+	if next == noTxn {
 		delete(b.held, lineNum)
 		return
 	}
-	b.held[lineNum] = hold{queue: hd.queue[1:]}
-	h.bankProcess(b, hd.queue[0])
+	hd = hold{head: h.txns[next].next, tail: hd.tail}
+	if hd.head == noTxn {
+		hd.tail = noTxn
+	}
+	b.held[lineNum] = hd
+	h.bankProcess(b, next)
 }
 
 // bankAccess serializes transactions through the bank's single port and
@@ -113,15 +161,16 @@ func (h *Hierarchy) bankAccess(b *bank) uint64 {
 	return start + uint64(h.cfg.L2.LatencyRT)
 }
 
-// bankProcess runs one locked transaction to completion, computing its
+// bankProcess runs locked transaction i to completion, computing its
 // timeline from NoC and DRAM latencies and scheduling the response.
-func (h *Hierarchy) bankProcess(b *bank, tx *txn) {
+func (h *Hierarchy) bankProcess(b *bank, i int32) {
+	tx := &h.txns[i] // nothing below adds to the pool
 	if tx.isIFetch {
-		h.bankProcessIFetch(b, tx)
+		h.bankProcessIFetch(b, i)
 		return
 	}
 	if !tx.isDemand {
-		h.bankProcessPut(b, tx)
+		h.bankProcessPut(b, i)
 		return
 	}
 	t := h.bankAccess(b)
@@ -172,7 +221,7 @@ func (h *Hierarchy) bankProcess(b *bank, tx *txn) {
 		if ownerLine != nil {
 			wasDirty := ownerLine.Dirty
 			if tx.kind == coherence.GetS {
-				h.at(tf, func() { h.downgradeL1(dec.Owner, tx.lineNum) })
+				h.schedule(event{cycle: tf, kind: evDowngrade, core: int32(dec.Owner), line: tx.lineNum})
 				if dec.OwnerWriteback {
 					h.mesh.send(tf, dec.Owner, b.id, h.cfg.DataMsgBytes, stats.TrafficWriteback)
 					if wasDirty {
@@ -183,7 +232,7 @@ func (h *Hierarchy) bankProcess(b *bank, tx *txn) {
 					}
 				}
 			} else { // GetX forward: the forward acts as the invalidation.
-				h.at(tf, func() { h.invalidateL1(dec.Owner, tx.lineNum) })
+				h.schedule(event{cycle: tf, kind: evInvalidate, core: int32(dec.Owner), line: tx.lineNum})
 			}
 			respArrive = h.mesh.send(tf, dec.Owner, tx.core, h.cfg.DataMsgBytes, class)
 		} else {
@@ -199,16 +248,17 @@ func (h *Hierarchy) bankProcess(b *bank, tx *txn) {
 		respArrive = h.mesh.send(t, b.id, tx.core, h.cfg.DataMsgBytes, class)
 	}
 
-	// Invalidate sharers; the directory collects acks before the requester
-	// may proceed (the response is held until the last ack).
+	// Invalidate sharers, in ascending core order; the directory collects
+	// acks before the requester may proceed (the response is held until
+	// the last ack).
 	acksDone := respArrive
-	for _, c := range dec.Invalidate {
-		if dec.FromOwner && c == dec.Owner {
+	for m := dec.Invalidate; m != 0; m &= m - 1 {
+		core := bits.TrailingZeros64(m)
+		if dec.FromOwner && core == dec.Owner {
 			continue // the forward already invalidated the owner
 		}
-		core := c
 		tinv := h.mesh.send(t, b.id, core, h.cfg.CtrlMsgBytes, class)
-		h.at(tinv, func() { h.invalidateL1(core, tx.lineNum) })
+		h.schedule(event{cycle: tinv, kind: evInvalidate, core: int32(core), line: tx.lineNum})
 		tack := h.mesh.send(tinv, core, b.id, h.cfg.CtrlMsgBytes, class)
 		if tack > acksDone {
 			acksDone = tack
@@ -222,17 +272,14 @@ func (h *Hierarchy) bankProcess(b *bank, tx *txn) {
 	}
 	storeDirEntry(line, newEntry)
 
-	done := acksDone
-	req := tx.req
-	c := h.l1d[tx.core]
-	h.at(done, func() {
-		h.fillL1(c, req, tx.lineNum, dec.Grant, servedSB)
-		h.bankRelease(b, tx.lineNum)
-	})
+	tx.grant, tx.servedSB = dec.Grant, servedSB
+	h.schedule(event{cycle: acksDone, kind: evFill, tx: i})
 }
 
-// bankProcessPut applies an eviction notification.
-func (h *Hierarchy) bankProcessPut(b *bank, tx *txn) {
+// bankProcessPut applies eviction notification i, which ends here.
+func (h *Hierarchy) bankProcessPut(b *bank, i int32) {
+	tx := h.txns[i]
+	h.releaseTxn(i)
 	t := h.bankAccess(b)
 	line := b.arr.Lookup(tx.lineNum)
 	if line != nil {
@@ -242,12 +289,13 @@ func (h *Hierarchy) bankProcessPut(b *bank, tx *txn) {
 			line.Dirty = true
 		}
 	}
-	h.at(t, func() { h.bankRelease(b, tx.lineNum) })
+	h.schedule(event{cycle: t, kind: evRelease, line: tx.lineNum})
 }
 
-// bankProcessIFetch serves an instruction line: read-only, no directory
-// tracking, but resident in the LLC like any other line.
-func (h *Hierarchy) bankProcessIFetch(b *bank, tx *txn) {
+// bankProcessIFetch serves instruction line fetch i: read-only, no
+// directory tracking, but resident in the LLC like any other line.
+func (h *Hierarchy) bankProcessIFetch(b *bank, i int32) {
+	tx := &h.txns[i] // nothing below adds to the pool
 	t := h.bankAccess(b)
 	line := b.arr.Lookup(tx.lineNum)
 	if line == nil {
@@ -266,12 +314,8 @@ func (h *Hierarchy) bankProcessIFetch(b *bank, tx *txn) {
 		b.arr.Touch(tx.lineNum)
 	}
 	respArrive := h.mesh.send(t, b.id, tx.core, h.cfg.DataMsgBytes, stats.TrafficFetch)
-	req := tx.req
-	c := h.l1i[tx.core]
-	h.at(respArrive, func() {
-		h.fillL1(c, req, tx.lineNum, coherence.Shared, false)
-		h.bankRelease(b, tx.lineNum)
-	})
+	tx.grant = coherence.Shared
+	h.schedule(event{cycle: respArrive, kind: evFill, tx: i})
 }
 
 // llcInstall inserts a fetched line into the LLC, recalling (invalidating
@@ -282,21 +326,14 @@ func (h *Hierarchy) llcInstall(b *bank, lineNum uint64, t uint64) {
 	if !hadVictim {
 		return
 	}
-	targets, owned := coherence.Recall(dirEntryOf(&victim))
-	for _, c := range targets {
-		core := c
-		vline := victim.LineNum
-		// Track the in-flight recall so the coherence invariant checker can
-		// exempt this line from inclusivity checks until the L1 copy is gone.
-		h.recallPending[vline]++
-		tinv := h.mesh.send(t, b.id, core, h.cfg.CtrlMsgBytes, stats.TrafficWriteback)
-		h.at(tinv, func() {
-			h.invalidateL1(core, vline)
-			h.l1i[core].arr.Invalidate(vline)
-			if h.recallPending[vline]--; h.recallPending[vline] == 0 {
-				delete(h.recallPending, vline)
-			}
-		})
+	// Invalidate every L1 copy, the sharers in ascending core order and
+	// then the owner.
+	sharers, owner, owned := coherence.Recall(dirEntryOf(&victim))
+	for m := sharers; m != 0; m &= m - 1 {
+		h.recall(b, bits.TrailingZeros64(m), victim.LineNum, t)
+	}
+	if owner != coherence.NoOwner {
+		h.recall(b, owner, victim.LineNum, t)
 	}
 	if victim.Dirty || owned {
 		h.mesh.dram.write(t, h.cfg.DataMsgBytes)
@@ -306,47 +343,72 @@ func (h *Hierarchy) llcInstall(b *bank, lineNum uint64, t uint64) {
 	}
 }
 
-// sendIFetchSpecToBank serves an invisible instruction fetch: LLC probe
-// without replacement update, DRAM read without install on a miss.
+// recall sends an inclusive-LLC recall of line from bank b to core at cycle
+// t. The in-flight recall is tracked so the coherence invariant checker can
+// exempt the line from inclusivity checks until the L1 copy is gone.
+func (h *Hierarchy) recall(b *bank, core int, line, t uint64) {
+	h.recallPending[line]++
+	tinv := h.mesh.send(t, b.id, core, h.cfg.CtrlMsgBytes, stats.TrafficWriteback)
+	h.schedule(event{cycle: tinv, kind: evRecall, core: int32(core), line: line})
+}
+
+// sendIFetchSpecToBank routes an invisible instruction fetch to the home
+// bank.
 func (h *Hierarchy) sendIFetchSpecToBank(req Request, lineNum uint64) {
 	home := h.homeBank(lineNum)
 	arrive := h.mesh.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficFetch)
-	h.at(arrive, func() {
-		b := h.bank[home]
-		t := h.bankAccess(b)
-		if b.arr.Lookup(lineNum) == nil { // no Touch either way
-			t = h.mesh.dram.read(t, h.cfg.DataMsgBytes)
-			if h.st != nil {
-				h.st.AddTraffic(stats.TrafficFetch, uint64(h.cfg.DataMsgBytes))
-			}
+	h.schedule(event{cycle: arrive, kind: evIFetchSpec, core: int32(req.Core), resp: req.response()})
+}
+
+// ifetchSpecProcess serves an invisible instruction fetch for core, which
+// resp answers: LLC probe without replacement update, DRAM read without
+// install on a miss.
+func (h *Hierarchy) ifetchSpecProcess(core int, resp Response) {
+	lineNum := h.LineOf(resp.Addr)
+	home := h.homeBank(lineNum)
+	b := h.bank[home]
+	t := h.bankAccess(b)
+	if b.arr.Lookup(lineNum) == nil { // no Touch either way
+		t = h.mesh.dram.read(t, h.cfg.DataMsgBytes)
+		if h.st != nil {
+			h.st.AddTraffic(stats.TrafficFetch, uint64(h.cfg.DataMsgBytes))
 		}
-		respArrive := h.mesh.send(t, home, req.Core, h.cfg.DataMsgBytes, stats.TrafficFetch)
-		h.deliverAt(respArrive, req.Core, req.response())
-	})
+	}
+	respArrive := h.mesh.send(t, home, core, h.cfg.DataMsgBytes, stats.TrafficFetch)
+	h.deliverAt(respArrive, core, resp)
 }
 
 // sendSpecToBank routes a Spec-GetS to the home bank.
 func (h *Hierarchy) sendSpecToBank(req Request, lineNum uint64) {
 	home := h.homeBank(lineNum)
 	arrive := h.mesh.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
-	h.at(arrive, func() { h.specProcess(req, lineNum) })
+	tx := h.newTxn(txn{kind: coherence.SpecGetS, core: req.Core, lineNum: lineNum, req: req})
+	h.schedule(event{cycle: arrive, kind: evSpec, tx: tx})
 }
 
-// specProcess serves a Spec-GetS at the directory. It is NOT ordered with
+// specProcess serves Spec-GetS i at the directory. It is NOT ordered with
 // respect to other transactions (§VI-E1): a busy line bounces the request
 // back to the requester, which retries; directory, LLC replacement, and L1
-// states are never modified.
-func (h *Hierarchy) specProcess(req Request, lineNum uint64) {
+// states are never modified. The transaction ends here unless it is
+// forwarded to an owner.
+func (h *Hierarchy) specProcess(i int32) {
+	req, lineNum := h.txns[i].req, h.txns[i].lineNum
 	b := h.bank[h.homeBank(lineNum)]
 	if _, held := b.held[lineNum]; held {
-		h.specBounce(req, lineNum, b.id)
+		h.releaseTxn(i)
+		h.specBounce(req, b.id)
 		return
 	}
 	t := h.bankAccess(b)
 	line := b.arr.Lookup(lineNum) // no Touch: replacement state untouched
 	dec, _ := coherence.Decide(dirEntryOf(line), coherence.SpecGetS, req.Core)
-	switch {
-	case dec.FromMemory:
+	if dec.FromOwner {
+		tf := h.mesh.send(t, b.id, dec.Owner, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
+		h.schedule(event{cycle: tf, kind: evSpecForward, tx: i, core: int32(dec.Owner)})
+		return
+	}
+	h.releaseTxn(i)
+	if dec.FromMemory {
 		t = h.mesh.dram.read(t, h.cfg.DataMsgBytes)
 		if h.st != nil {
 			h.st.AddTraffic(stats.TrafficSpecLoad, uint64(h.cfg.DataMsgBytes))
@@ -356,27 +418,26 @@ func (h *Hierarchy) specProcess(req Request, lineNum uint64) {
 		if h.cfg.LLCSBEnabled {
 			h.sb[req.Core].fill(req.LQIdx, lineNum, req.Epoch)
 		}
-		h.specRespond(req, b.id, t)
-	case dec.FromOwner:
-		tf := h.mesh.send(t, b.id, dec.Owner, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
-		owner := dec.Owner
-		h.at(tf, func() {
-			if h.l1d[owner].arr.Lookup(lineNum) != nil {
-				// Owner still has the line: reply without any state change.
-				h.specRespondFrom(req, owner)
-			} else {
-				// Ownership moved while the forward was in flight: bounce.
-				h.specBounce(req, lineNum, owner)
-			}
-		})
-	default:
-		h.specRespond(req, b.id, t)
+	}
+	h.specRespond(req, b.id, t)
+}
+
+// specForwarded answers Spec-GetS i, which its bank forwarded to owner.
+func (h *Hierarchy) specForwarded(i int32, owner int) {
+	req, lineNum := h.txns[i].req, h.txns[i].lineNum
+	h.releaseTxn(i)
+	if h.l1d[owner].arr.Lookup(lineNum) != nil {
+		// Owner still has the line: reply without any state change.
+		h.specRespond(req, owner, h.now)
+	} else {
+		// Ownership moved while the forward was in flight: bounce.
+		h.specBounce(req, owner)
 	}
 }
 
 // specBounce returns a Spec-GetS to the requester unserved; the core
 // decides whether to retry (it will not if the USL has been squashed).
-func (h *Hierarchy) specBounce(req Request, lineNum uint64, from int) {
+func (h *Hierarchy) specBounce(req Request, from int) {
 	tb := h.mesh.send(h.now, from, req.Core, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
 	resp := req.response()
 	resp.Bounced = true
@@ -386,12 +447,5 @@ func (h *Hierarchy) specBounce(req Request, lineNum uint64, from int) {
 // specRespond sends Spec-GetS data from node src at cycle t.
 func (h *Hierarchy) specRespond(req Request, src int, t uint64) {
 	arrive := h.mesh.send(t, src, req.Core, h.cfg.DataMsgBytes, stats.TrafficSpecLoad)
-	h.deliverAt(arrive, req.Core, req.response())
-}
-
-// specRespondFrom sends Spec-GetS data from an owner core at the current
-// cycle.
-func (h *Hierarchy) specRespondFrom(req Request, owner int) {
-	arrive := h.mesh.send(h.now, owner, req.Core, h.cfg.DataMsgBytes, stats.TrafficSpecLoad)
 	h.deliverAt(arrive, req.Core, req.response())
 }

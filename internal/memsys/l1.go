@@ -16,7 +16,11 @@ type l1 struct {
 	// mshrs holds the live miss-status holding registers, one per
 	// outstanding line; its capacity is the MSHR count. Every allocation
 	// is paired with exactly one free, so allocs - frees == len(mshrs).
+	// The slots past len keep the waiter arrays of freed entries for the
+	// next misses to reuse, and spare keeps the one the last fill
+	// delivered from.
 	mshrs         []mshr
+	spare         []waiter
 	allocs, frees uint64
 	latency       uint64
 	ports         int
@@ -96,12 +100,15 @@ func (c *l1) miss(lineNum uint64, kind coherence.ReqKind) (m *mshr, fresh bool) 
 		}
 		return m, false
 	}
-	if len(c.mshrs) == cap(c.mshrs) {
+	n := len(c.mshrs)
+	if n == cap(c.mshrs) {
 		return nil, false
 	}
 	c.allocs++
-	c.mshrs = append(c.mshrs, mshr{kind: kind, lineNum: lineNum})
-	return &c.mshrs[len(c.mshrs)-1], true
+	c.mshrs = c.mshrs[:n+1]
+	m = &c.mshrs[n]
+	m.kind, m.lineNum, m.waiters = kind, lineNum, m.waiters[:0]
+	return m, true
 }
 
 // mshrOf returns the index of lineNum's live MSHR, or -1.
@@ -348,7 +355,8 @@ func (h *Hierarchy) deliverHit(c *l1, req Request) {
 // victim, then answers the waiters coalesced on the line's MSHR. It frees
 // the entry and detaches its waiters before the first delivery: a core may
 // submit a new miss from inside Deliver, which must find the line's entry
-// gone and may reuse its slot.
+// gone and may reuse its slot. The freed slot keeps the array the previous
+// fill delivered from, never the one this fill delivers from.
 func (h *Hierarchy) fillL1(c *l1, req Request, lineNum uint64, grant coherence.State, servedLLCSB bool) {
 	line, victim, hadVictim := c.arr.Insert(lineNum)
 	line.State = uint8(grant)
@@ -361,7 +369,8 @@ func (h *Hierarchy) fillL1(c *l1, req Request, lineNum uint64, grant coherence.S
 	waiters := c.mshrs[i].waiters
 	last := len(c.mshrs) - 1
 	c.mshrs[i] = c.mshrs[last]
-	c.mshrs[last] = mshr{}
+	c.mshrs[last] = mshr{waiters: c.spare}
+	c.spare = waiters
 	c.mshrs = c.mshrs[:last]
 	c.frees++
 	for _, w := range waiters {
@@ -386,8 +395,8 @@ func (h *Hierarchy) evictFromL1(c *l1, victim cache.Line) {
 	}
 	home := h.homeBank(victim.LineNum)
 	arrive := h.mesh.send(h.now, c.core, home, bytes, stats.TrafficWriteback)
-	tx := &txn{kind: kind, core: c.core, lineNum: victim.LineNum, dirty: victim.Dirty}
-	h.at(arrive, func() { h.bankEnqueue(h.bank[home], tx) })
+	tx := h.newTxn(txn{kind: kind, core: c.core, lineNum: victim.LineNum, dirty: victim.Dirty})
+	h.schedule(event{cycle: arrive, kind: evEnqueue, tx: tx})
 }
 
 // invalidateL1 drops a line from a core's L1 on a directory invalidation

@@ -8,8 +8,8 @@
 // core reads and writes values at the instants this package delivers
 // responses. Internally the hierarchy is event-driven — each transaction
 // computes its timeline from NoC, bank, and DRAM latencies and schedules
-// completion callbacks — while presenting a cycle-stepped Tick interface to
-// the simulation engine.
+// its next steps as events, each a kind plus plain fields — while
+// presenting a cycle-stepped Tick interface to the simulation engine.
 //
 // The InvisiSpec additions (paper §V-F, §VI-C, §VI-E1):
 //   - SpecRead requests implement the Spec-GetS transaction: they probe
@@ -165,10 +165,17 @@ type Hierarchy struct {
 	events eventHeap
 	seq    uint64
 
-	// Event conservation: every at() increments scheduled, every executed
-	// callback increments run, so scheduled == run + len(events) always.
+	// Event conservation: every schedule increments scheduled, every
+	// executed event increments run, so scheduled == run + len(events)
+	// always.
 	eventsScheduled uint64
 	eventsRun       uint64
+
+	// txns is the pool of transactions on their way to, queued at or held
+	// by a bank; events and queues name them by index. freeTxn heads the
+	// chain of free entries through their next fields.
+	txns    []txn
+	freeTxn int32
 
 	// recallPending counts in-flight inclusive-LLC recall invalidations per
 	// line: the window where the LLC has already dropped a victim but the
@@ -205,6 +212,7 @@ func New(cfg config.Machine, st *stats.Machine) *Hierarchy {
 		st:            st,
 		clients:       make([]Client, cfg.Cores),
 		recallPending: make(map[uint64]int),
+		freeTxn:       noTxn,
 		lineShift:     log2(cfg.LineSize),
 	}
 	h.buildComponents()
@@ -233,13 +241,44 @@ func (h *Hierarchy) Connect(core int, c Client) { h.clients[core] = c }
 // or before it, and resets per-cycle port budgets.
 func (h *Hierarchy) Tick(now uint64) {
 	h.now = now
+	h.noc.Advance(now)
 	for len(h.events) > 0 && h.events[0].cycle <= now {
 		ev := h.events.pop()
 		h.eventsRun++
-		if ev.fn != nil {
-			ev.fn()
-		} else {
+		switch ev.kind {
+		case evDeliver:
 			h.clients[ev.core].Deliver(h.now, ev.resp)
+		case evEnqueue:
+			h.bankEnqueue(ev.tx)
+		case evFill:
+			tx := h.txns[ev.tx]
+			h.releaseTxn(ev.tx)
+			c := h.l1d[tx.core]
+			if tx.isIFetch {
+				c = h.l1i[tx.core]
+			}
+			h.fillL1(c, tx.req, tx.lineNum, tx.grant, tx.servedSB)
+			h.bankRelease(h.bank[h.homeBank(tx.lineNum)], tx.lineNum)
+		case evRelease:
+			h.bankRelease(h.bank[h.homeBank(ev.line)], ev.line)
+		case evInvalidate:
+			h.invalidateL1(int(ev.core), ev.line)
+		case evDowngrade:
+			h.downgradeL1(int(ev.core), ev.line)
+		case evRecall:
+			h.invalidateL1(int(ev.core), ev.line)
+			h.l1i[ev.core].arr.Invalidate(ev.line)
+			if h.recallPending[ev.line]--; h.recallPending[ev.line] == 0 {
+				delete(h.recallPending, ev.line)
+			}
+		case evSpec:
+			h.specProcess(ev.tx)
+		case evSpecForward:
+			h.specForwarded(ev.tx, int(ev.core))
+		case evIFetchSpec:
+			h.ifetchSpecProcess(int(ev.core), ev.resp)
+		default:
+			panic(fmt.Sprintf("memsys: unknown event kind %d", ev.kind))
 		}
 	}
 	for _, c := range h.l1d {
@@ -250,16 +289,13 @@ func (h *Hierarchy) Tick(now uint64) {
 	}
 }
 
-// at schedules fn to run at the given cycle (clamped to the next tick if in
-// the past). Events at the same cycle run in scheduling order.
-func (h *Hierarchy) at(cycle uint64, fn func()) { h.schedule(event{cycle: cycle, fn: fn}) }
-
-// deliverAt schedules the delivery of resp to core at the given cycle, as
-// at does for a callback that delivers it, but without allocating one.
+// deliverAt schedules the delivery of resp to core at the given cycle.
 func (h *Hierarchy) deliverAt(cycle uint64, core int, resp Response) {
-	h.schedule(event{cycle: cycle, core: core, resp: resp})
+	h.schedule(event{cycle: cycle, kind: evDeliver, core: int32(core), resp: resp})
 }
 
+// schedule queues ev to run at its cycle, clamped to the next tick if in the
+// past. Events at the same cycle run in scheduling order.
 func (h *Hierarchy) schedule(ev event) {
 	if ev.cycle <= h.now {
 		ev.cycle = h.now + 1
@@ -271,8 +307,8 @@ func (h *Hierarchy) schedule(ev event) {
 }
 
 // NextWake implements the engine.Component quiescence contract: the
-// hierarchy's next non-trivial work is exactly its event-heap head (at()
-// clamps schedules to the future, so post-tick the head is strictly ahead
+// hierarchy's next non-trivial work is exactly its event-heap head (schedule
+// clamps events to the future, so post-tick the head is strictly ahead
 // of now). With an empty heap the hierarchy is fully drained and only a
 // core-side submission can create work.
 func (h *Hierarchy) NextWake(now uint64) uint64 {
@@ -285,20 +321,40 @@ func (h *Hierarchy) NextWake(now uint64) uint64 {
 	return now + 1
 }
 
-// event is a scheduled callback, or, when fn is nil, the delivery of resp
-// to core.
+// evKind names what an event does when Tick runs it.
+type evKind uint8
+
+// Event kinds. Each names the fields of event it reads.
+const (
+	evDeliver     evKind = iota // hand resp to core
+	evEnqueue                   // transaction tx reaches its home bank
+	evFill                      // tx's data reaches its L1; the bank then releases the line
+	evRelease                   // the bank releases line (a Put has been applied)
+	evInvalidate                // a directory invalidation of line reaches core's L1D
+	evDowngrade                 // a GetS forward moves core's owned copy of line to Shared
+	evRecall                    // an inclusive-LLC recall of line reaches core's L1s
+	evSpec                      // Spec-GetS tx reaches its home bank
+	evSpecForward               // Spec-GetS tx, forwarded by its bank, reaches owner core
+	evIFetchSpec                // an invisible instruction fetch answered by resp for core reaches its home bank
+)
+
+// event is one scheduled step of a transaction: a kind plus the plain
+// fields that kind reads, captured when it is scheduled. It holds no
+// pointer, so the heap moves events without write barriers.
 type event struct {
 	cycle uint64
 	seq   uint64
-	fn    func()
-	core  int
+	line  uint64
 	resp  Response
+	core  int32
+	tx    int32
+	kind  evKind
 }
 
 // eventHeap is a binary min-heap of events ordered by (cycle, seq). No two
 // events share a seq, so the order is total and events pop in the same
 // order whatever the heap's shape. It holds events by value, so scheduling
-// one allocates nothing beyond its callback, and a delivery nothing at all.
+// one allocates nothing once the heap has grown.
 type eventHeap []event
 
 func (q eventHeap) less(i, j int) bool {
@@ -327,7 +383,6 @@ func (q *eventHeap) pop() event {
 	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = event{} // release the callback
 	h = h[:n]
 	for i := 0; ; {
 		m := 2*i + 1

@@ -23,8 +23,9 @@ type Mesh struct {
 	st       *stats.Machine
 
 	// Message conservation: every Send pushes its delivery cycle onto the
-	// pending min-heap; Accounting drains expired entries, so at any cycle
-	// injected == delivered + in-flight. The invariant checker audits this.
+	// pending min-heap; Advance and Accounting drain expired entries, so at
+	// any cycle injected == delivered + in-flight. The invariant checker
+	// audits this.
 	injected  uint64
 	delivered uint64
 	pending   []uint64 // binary min-heap of delivery cycles
@@ -156,9 +157,15 @@ func (m *Mesh) popPending() {
 // inflight against the event queue (a message in flight with no pending
 // hierarchy event is a lost message).
 func (m *Mesh) Accounting(now uint64) (injected, delivered uint64, inflight int) {
+	m.Advance(now)
+	return m.injected, m.delivered, len(m.pending)
+}
+
+// Advance counts the messages delivered by cycle now as delivered, so the
+// pending heap holds only messages still in flight.
+func (m *Mesh) Advance(now uint64) {
 	for len(m.pending) > 0 && m.pending[0] <= now {
 		m.popPending()
 		m.delivered++
 	}
-	return m.injected, m.delivered, len(m.pending)
 }
