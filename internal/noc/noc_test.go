@@ -94,3 +94,22 @@ func TestSendPanicsOutOfRange(t *testing.T) {
 	}()
 	m.Send(0, 0, 4, 8, stats.TrafficNormal)
 }
+
+// TestAdvanceKeepsOnlyMessagesInFlight checks that Advance retires every
+// message delivered by its cycle, so a run that sends one message a cycle
+// keeps a pending heap the size of its in-flight messages, not of every
+// message it ever sent, and Accounting still balances.
+func TestAdvanceKeepsOnlyMessagesInFlight(t *testing.T) {
+	m := New(4, 2, 1, 16, nil)
+	const sends = 10000
+	for now := uint64(0); now < sends; now++ {
+		m.Advance(now)
+		m.Send(now, int(now%8), int((now*3+1)%8), 8, stats.TrafficNormal)
+		if len(m.pending) > 16 {
+			t.Fatalf("cycle %d: %d messages pending, want only those in flight", now, len(m.pending))
+		}
+	}
+	if inj, del, inflight := m.Accounting(2 * sends); inj != sends || del != sends || inflight != 0 {
+		t.Fatalf("Accounting = (%d, %d, %d), want (%d, %d, 0)", inj, del, inflight, sends, sends)
+	}
+}
