@@ -97,10 +97,11 @@ bench:
 # in the state the stages keep. The hierarchy's event heap must pop in
 # (cycle, seq) order, L1 hits, every miss path and warm machines' cycles
 # must not allocate (beyond the first touches the sim test bounds), and the
-# entries the core and the hierarchy copy must hold no pointers. (Also runs
-# as part of `make race`.)
+# entries the core and the hierarchy copy must hold no pointers. Every
+# registered scheme's visibility point must hold at the ROB head, and only
+# SpecBox may count speculation labels. (Also runs as part of `make race`.)
 kernelcheck:
-	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit|TestFlushReachesCreditedCore|TestScheduler|TestLQEventCycles|TestStructuralCheckCatchesStageStateDrift|TestEventHeapPopsInCycleSeqOrder|TestL1HitAllocatesNothing|TestMissPathsAllocateNothing|TestWarmMachinesAllocateLittle|TestHotStateHoldsNoPointers' -count=1 ./internal/sim ./internal/core ./internal/engine ./internal/memsys
+	$(GO) test -run 'TestKernelEquivalence|TestKernelSwitchMidRun|TestWakeAudit|TestFlushReachesCreditedCore|TestScheduler|TestLQEventCycles|TestStructuralCheckCatchesStageStateDrift|TestEventHeapPopsInCycleSeqOrder|TestL1HitAllocatesNothing|TestMissPathsAllocateNothing|TestWarmMachinesAllocateLittle|TestHotStateHoldsNoPointers|TestHeadVisibleUnderEveryScheme|TestSpecLabelsCountOnlyUnderSpecBox' -count=1 ./internal/sim ./internal/core ./internal/engine ./internal/memsys
 
 # Short-budget Figure-4 sweep producing the BENCH_smoke.json artifact the
 # CI regression gate compares against the committed baseline.

@@ -12,6 +12,7 @@ import (
 
 	"invisispec/internal/bpred"
 	"invisispec/internal/defense"
+	"invisispec/internal/isa"
 )
 
 // Consistency selects the memory consistency model the core implements.
@@ -90,15 +91,15 @@ func (d Defense) String() string {
 	return string(d)
 }
 
-// Scheme resolves the defense through the registry.
-func (d Defense) Scheme() (defense.Defense, error) {
+// Scheme resolves the defense to its row of the scheme table.
+func (d Defense) Scheme() (defense.Scheme, error) {
 	return defense.Lookup(string(d))
 }
 
 // MustScheme resolves the defense, panicking on unregistered names.
 // Construction paths that accept external input (sim.New, the CLIs)
 // validate with Scheme or ParseDefense first.
-func (d Defense) MustScheme() defense.Defense {
+func (d Defense) MustScheme() defense.Scheme {
 	s, err := d.Scheme()
 	if err != nil {
 		panic(err)
@@ -112,7 +113,7 @@ func AllDefenses() []Defense {
 	all := defense.All()
 	out := make([]Defense, len(all))
 	for i, s := range all {
-		out[i] = Defense(s.Name())
+		out[i] = Defense(s.Name)
 	}
 	return out
 }
@@ -149,7 +150,7 @@ func ParseDefenses(csv string) ([]Defense, error) {
 // report false.
 func (d Defense) UsesInvisiSpec() bool {
 	s, err := d.Scheme()
-	return err == nil && s.UsesInvisibleLoads()
+	return err == nil && s.InvisibleLoads()
 }
 
 // CacheParams sizes one cache level.
@@ -162,9 +163,9 @@ type CacheParams struct {
 	MSHRs     int
 }
 
-// Sets returns the number of sets given the machine line size.
-func (p CacheParams) Sets(lineSize int) int {
-	return p.SizeBytes / (p.Ways * lineSize)
+// Sets returns the number of sets of isa.LineBytes-byte lines.
+func (p CacheParams) Sets() int {
+	return p.SizeBytes / (p.Ways * isa.LineBytes)
 }
 
 // Machine holds every structural parameter of the simulated system.
@@ -188,10 +189,9 @@ type Machine struct {
 	RedirectPenalty int
 	Bpred           bpred.Config
 
-	// Memory structure.
-	LineSize int
-	L1I      CacheParams
-	L1D      CacheParams
+	// Memory structure. Every level holds isa.LineBytes-byte lines.
+	L1I CacheParams
+	L1D CacheParams
 	// L2 is the shared, inclusive LLC; one bank per core. Its LatencyRT
 	// is the round-trip latency to the local bank.
 	L2            CacheParams
@@ -266,10 +266,9 @@ func Default(n int) Machine {
 		RedirectPenalty: 6,
 		Bpred:           bpred.DefaultConfig(),
 
-		LineSize: 64,
-		L1I:      CacheParams{SizeBytes: 32 << 10, Ways: 4, LatencyRT: 1, Ports: 1, MSHRs: 8},
-		L1D:      CacheParams{SizeBytes: 64 << 10, Ways: 8, LatencyRT: 1, Ports: 3, MSHRs: 32},
-		L2:       CacheParams{SizeBytes: 2 << 20, Ways: 16, LatencyRT: 8, Ports: 1, MSHRs: 32},
+		L1I: CacheParams{SizeBytes: 32 << 10, Ways: 4, LatencyRT: 1, Ports: 1, MSHRs: 8},
+		L1D: CacheParams{SizeBytes: 64 << 10, Ways: 8, LatencyRT: 1, Ports: 3, MSHRs: 32},
+		L2:  CacheParams{SizeBytes: 2 << 20, Ways: 16, LatencyRT: 8, Ports: 1, MSHRs: 32},
 
 		DRAMLatency:   100, // 50 ns at 2 GHz
 		DRAMBandwidth: 16,
@@ -308,8 +307,6 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: Cores = %d, must be positive", m.Cores)
 	case m.Cores > m.MeshW*m.MeshH:
 		return fmt.Errorf("config: %d cores exceed %dx%d mesh", m.Cores, m.MeshW, m.MeshH)
-	case m.LineSize <= 0 || m.LineSize&(m.LineSize-1) != 0:
-		return fmt.Errorf("config: LineSize %d must be a power of two", m.LineSize)
 	case m.ROBEntries <= 0 || m.LQEntries <= 0 || m.SQEntries <= 0:
 		return fmt.Errorf("config: queue sizes must be positive")
 	case m.LQEntries > m.ROBEntries || m.SQEntries > m.ROBEntries:
@@ -319,7 +316,7 @@ func (m Machine) Validate() error {
 		name string
 		p    CacheParams
 	}{{"L1I", m.L1I}, {"L1D", m.L1D}, {"L2", m.L2}} {
-		sets := c.p.Sets(m.LineSize)
+		sets := c.p.Sets()
 		if sets <= 0 || sets&(sets-1) != 0 {
 			return fmt.Errorf("config: %s has %d sets, must be a positive power of two", c.name, sets)
 		}

@@ -21,7 +21,6 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"zero cores", func(m *Machine) { m.Cores = 0 }, "Cores"},
 		{"too many cores", func(m *Machine) { m.Cores = 9 }, "mesh"},
-		{"bad line size", func(m *Machine) { m.LineSize = 48 }, "LineSize"},
 		{"zero rob", func(m *Machine) { m.ROBEntries = 0 }, "queue sizes"},
 		{"lq over rob", func(m *Machine) { m.LQEntries = 500 }, "cannot exceed ROB"},
 		{"bad sets", func(m *Machine) { m.L1D.SizeBytes = 3000 }, "sets"},
@@ -110,7 +109,7 @@ func TestStrings(t *testing.T) {
 
 func TestCacheParamsSets(t *testing.T) {
 	p := CacheParams{SizeBytes: 64 << 10, Ways: 8}
-	if got := p.Sets(64); got != 128 {
+	if got := p.Sets(); got != 128 {
 		t.Fatalf("Sets = %d, want 128", got)
 	}
 }

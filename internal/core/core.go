@@ -42,7 +42,7 @@ type Core struct {
 	id   int
 	cfg  config.Machine
 	run  config.Run
-	sch  defense.Defense // resolved countermeasure scheme (run.Defense)
+	sch  defense.Scheme // the run's countermeasure (run.Defense's table row)
 	prog *isa.Program
 	mem  *isa.Memory
 	hier *memsys.Hierarchy
@@ -51,8 +51,8 @@ type Core struct {
 	st   *stats.Core
 
 	// bbLeader marks basic-block leaders per instruction index (the
-	// program's bb metadata, or the static fallback), consumed by
-	// dispatch-stalling defense schemes.
+	// program's bb metadata, or the static fallback), consumed by schemes
+	// that stall dispatch at block boundaries.
 	bbLeader []bool
 
 	now uint64
@@ -143,7 +143,7 @@ type fetchedInst struct {
 	// synthetic marks a defense fence injected at decode (Table V).
 	synthetic bool
 	// blockStart marks a basic-block leader per the program's bb
-	// metadata, consulted by the defense StallDispatch hook.
+	// metadata, where a StallAtBlocks scheme may stall dispatch.
 	blockStart bool
 }
 

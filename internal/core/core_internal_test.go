@@ -10,6 +10,7 @@ import (
 
 	"invisispec/internal/bpred"
 	"invisispec/internal/config"
+	"invisispec/internal/defense"
 	"invisispec/internal/isa"
 	"invisispec/internal/memsys"
 	"invisispec/internal/stats"
@@ -133,6 +134,30 @@ func TestRobIndexMathWrapsCorrectly(t *testing.T) {
 	}
 	if c.robPhys(2) != 0 {
 		t.Fatalf("expected wrap: robPhys(2) = %d", c.robPhys(2))
+	}
+}
+
+// TestHeadVisibleUnderEveryScheme holds the retirement-deadlock rule for
+// every registered scheme: the ROB head is at its visibility point even
+// when the ROB holds an unresolved branch and a store, which hold back
+// every later point, while a load behind them is not under any scheme
+// that issues loads invisibly.
+func TestHeadVisibleUnderEveryScheme(t *testing.T) {
+	c := newTestCore(t, config.Base)
+	c.insertEntry(&fetchedInst{pc: 0, inst: isa.Inst{Op: isa.OpBne, Rs1: 1, Rs2: 2}})
+	c.insertEntry(&fetchedInst{pc: 1, inst: isa.Inst{Op: isa.OpStore, Rs1: 2, Rs2: 3, Size: 8}})
+	c.insertEntry(&fetchedInst{pc: 2, inst: isa.Inst{Op: isa.OpLoad, Rd: 4, Rs1: 2, Size: 8}})
+	if len(c.unresolved) != 1 {
+		t.Fatalf("%d unresolved control instructions, want the branch", len(c.unresolved))
+	}
+	for _, s := range defense.All() {
+		c.sch = s
+		if !c.visible(0) {
+			t.Errorf("%s: the ROB head never becomes visible (retirement deadlock)", s.Name)
+		}
+		if s.InvisibleLoads() && c.visible(2) {
+			t.Errorf("%s: a load behind an unresolved branch and a store is visible", s.Name)
+		}
 	}
 }
 

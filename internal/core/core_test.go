@@ -10,6 +10,7 @@ import (
 	"invisispec/internal/isa"
 	"invisispec/internal/sim"
 	"invisispec/internal/stats"
+	"invisispec/internal/workload"
 )
 
 // allRuns enumerates the five Table V defenses under both memory models on
@@ -81,6 +82,27 @@ func TestCountdownAllConfigs(t *testing.T) {
 				t.Fatal("no instructions retired")
 			}
 		})
+	}
+}
+
+// TestSpecLabelsCountOnlyUnderSpecBox runs a branchy kernel whose
+// mispredictions squash USLs: SpecBox counts the labels its USLs clear at
+// retirement and flush at squashes, and no other scheme counts either.
+func TestSpecLabelsCountOnlyUnderSpecBox(t *testing.T) {
+	prog := workload.MustSPEC("sjeng")
+	for _, d := range config.AllDefenses() {
+		m := sim.MustNew(config.Run{Machine: config.Default(1), Defense: d, Consistency: config.TSO}, []*isa.Program{prog})
+		if err := m.RunInstructions(3000, 3_000_000); err != nil {
+			t.Fatalf("%s: %v", d, err)
+		}
+		st := m.Stats.Cores[0]
+		if st.Squashes[stats.SquashBranch] == 0 {
+			t.Fatalf("%s: no branch squash to flush labels", d)
+		}
+		cleared, flushed := st.SpecLabelsCleared, st.SpecLabelsFlushed
+		if counts := d == config.SpecBox; counts != (cleared > 0) || counts != (flushed > 0) {
+			t.Errorf("%s: %d labels cleared and %d flushed", d, cleared, flushed)
+		}
 	}
 }
 

@@ -5,8 +5,18 @@ import (
 	"invisispec/internal/memsys"
 )
 
-// instsPerLine returns how many instructions one cache line holds.
-func (c *Core) instsPerLine() int { return c.cfg.LineSize / InstBytes }
+// instsPerLine is how many instructions one cache line holds.
+const instsPerLine = isa.LineBytes / InstBytes
+
+// isBlockStart reports whether pc starts a basic block per the program's
+// bb metadata. Out-of-range PCs (wrong-path fetch past the program's end,
+// which decodes as a halt) are conservatively treated as leaders.
+func (c *Core) isBlockStart(pc int) bool {
+	if pc < 0 || pc >= len(c.bbLeader) {
+		return true
+	}
+	return c.bbLeader[pc]
+}
 
 // iaddrOf returns the I-cache byte address of an instruction index. A
 // negative pc (a ret or indirect jump through a garbage register) decodes
@@ -35,7 +45,7 @@ func (c *Core) fetch() {
 	tok := c.token()
 	c.fetchToken = tok
 	typ := memsys.IFetch
-	if c.cfg.ProtectICache && c.sch.UsesInvisibleLoads() {
+	if c.cfg.ProtectICache && c.sch.InvisibleLoads() {
 		// Invisible speculative fetch (footnote 2): the line becomes
 		// visible only when an instruction from it retires.
 		typ = memsys.IFetchSpec
@@ -78,10 +88,10 @@ func (c *Core) pushFetched() *fetchedInst {
 // ProtectICache: the first retirement from a line issues a normal
 // (installing) fetch for it.
 func (c *Core) exposeILine(pc int) {
-	if !c.cfg.ProtectICache || !c.sch.UsesInvisibleLoads() {
+	if !c.cfg.ProtectICache || !c.sch.InvisibleLoads() {
 		return
 	}
-	line := iaddrOf(pc) >> 6
+	line := iaddrOf(pc) / isa.LineBytes
 	slot := line % uint64(len(c.iExposeFilter))
 	if c.iExposeFilter[slot] == line {
 		return
@@ -101,7 +111,7 @@ func (c *Core) ifetchDone(r memsys.Response) {
 		return // stale response from before a squash
 	}
 	c.fetchInFlight = false
-	per := c.instsPerLine()
+	per := instsPerLine
 	// Floor-align the line start: Go's % truncates toward zero, which for a
 	// negative pc would put lineStart above pc and decode nothing, wedging
 	// the front end in a refetch loop. With floor alignment a negative pc

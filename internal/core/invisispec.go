@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"invisispec/internal/config"
+	"invisispec/internal/defense"
 	"invisispec/internal/isa"
 	"invisispec/internal/memsys"
 	"invisispec/internal/stats"
@@ -18,29 +19,31 @@ import (
 // squashes.
 
 // loadSafeNow reports whether the load e may be issued as a normal
-// (visible) access under the active defense scheme.
+// (visible) access under the run's scheme.
 func (c *Core) loadSafeNow(e *lqEntry) bool {
-	if e.safeAnnot && c.cfg.TrustSafeAnnotations {
-		// §XI optimization: a load proven safe in advance needs no
-		// InvisiSpec hardware. This threat-model carve-out is handled
-		// here, before the scheme is consulted, so every
-		// invisible-load defense inherits it identically.
-		return true
+	// §XI optimization: a load proven safe in advance needs no InvisiSpec
+	// hardware. This threat-model carve-out comes before the visibility
+	// point, so every invisible-load scheme inherits it identically.
+	return (e.safeAnnot && c.cfg.TrustSafeAnnotations) || c.visible(c.robLogical(e.robIdx))
+}
+
+// visible reports whether the instruction at logical ROB position rl has
+// reached the scheme's visibility point (§V-A1): a load there may issue as
+// an ordinary access, and a USL there may start its validation or
+// exposure. Every point holds for the ROB head (rl == 0), or retirement
+// would deadlock.
+func (c *Core) visible(rl int) bool {
+	switch c.sch.Visible {
+	case defense.AfterBranches:
+		// The Spectre model: the oldest unresolved control instruction,
+		// if any, is not older than rl.
+		return len(c.unresolved) == 0 || c.robLogical(c.unresolved[0]) >= rl
+	case defense.Unsquashable:
+		return c.futureVisible(rl)
+	case defense.AtHead:
+		return rl == 0
 	}
-	return c.sch.LoadSafeNow(c.view(), c.robLogical(e.robIdx))
-}
-
-// loadVisible reports whether the USL e has reached its visibility point
-// (§V-A1) under the active defense scheme.
-func (c *Core) loadVisible(e *lqEntry) bool {
-	return c.sch.LoadVisible(c.view(), c.robLogical(e.robIdx))
-}
-
-// hasOlderUnresolvedBranch reports whether a control instruction older than
-// logical ROB position rl is unresolved: whether the oldest unresolved one
-// is.
-func (c *Core) hasOlderUnresolvedBranch(rl int) bool {
-	return len(c.unresolved) > 0 && c.robLogical(c.unresolved[0]) < rl
+	return true
 }
 
 // futureVisible implements the §VIII conditions for the Futuristic model:
@@ -251,7 +254,7 @@ func (c *Core) decideValidationOrExposure(e *lqEntry) {
 // validation blocks everything younger while exposures overlap; same-line
 // transactions are totally ordered.
 func (c *Core) invisiStep() {
-	if !c.sch.UsesInvisibleLoads() {
+	if !c.sch.InvisibleLoads() {
 		return
 	}
 	for i := 0; i < c.lqCnt; i++ {
@@ -263,7 +266,7 @@ func (c *Core) invisiStep() {
 			if e.valExpDone {
 				continue
 			}
-			if e.needV && (c.sch.ValidationBlocksYounger() || !c.cfg.OverlapValExp) {
+			if e.needV && (c.sch.ValidationBlocksYounger || !c.cfg.OverlapValExp) {
 				return // a validation blocks all younger transactions
 			}
 			if !e.needV && !c.cfg.OverlapValExp {
@@ -276,7 +279,7 @@ func (c *Core) invisiStep() {
 			// either (program-order start).
 			return
 		}
-		if !c.loadVisible(e) {
+		if !c.visible(c.robLogical(e.robIdx)) {
 			return
 		}
 		// Same-line total order with older in-flight transactions.
@@ -318,7 +321,7 @@ func (c *Core) invisiStep() {
 		if !e.needV {
 			c.st.Exposures++
 		}
-		if e.needV && (c.sch.ValidationBlocksYounger() || !c.cfg.OverlapValExp) {
+		if e.needV && (c.sch.ValidationBlocksYounger || !c.cfg.OverlapValExp) {
 			return
 		}
 	}
@@ -396,7 +399,7 @@ func (c *Core) onLineGone(lineNum uint64, isInvalidation bool) {
 		if !e.valid || !e.performed || e.fwdFromSeq != 0 {
 			continue
 		}
-		if e.lineAddr()>>6 != lineNum {
+		if e.lineAddr()/isa.LineBytes != lineNum {
 			continue
 		}
 		if e.isUSL {
@@ -432,7 +435,7 @@ func (c *Core) hasOlderAcquire(rl int) bool {
 // while a USL that has initiated its validation/exposure has not yet
 // reached the ROB head (on schemes that defer interrupts at all).
 func (c *Core) interruptsDisabled() bool {
-	if !c.sch.DefersInterrupts() {
+	if !c.sch.DefersInterrupts {
 		return false
 	}
 	for i := 0; i < c.lqCnt; i++ {

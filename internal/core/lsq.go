@@ -62,7 +62,7 @@ type lqEntry struct {
 	fwdMask  uint64 // bytes obtained from the store queue / write buffer
 }
 
-func (e *lqEntry) lineAddr() uint64 { return e.addr &^ 63 }
+func (e *lqEntry) lineAddr() uint64 { return e.addr &^ (isa.LineBytes - 1) }
 
 // sqEntry is one store-queue slot.
 type sqEntry struct {
@@ -226,7 +226,7 @@ func (c *Core) translateStep(e *lqEntry) {
 		}
 		return
 	}
-	invisible := c.sch.UsesInvisibleLoads() && c.cfg.DelayTLBMiss && !c.loadSafeNow(e)
+	invisible := c.sch.InvisibleLoads() && c.cfg.DelayTLBMiss && !c.loadSafeNow(e)
 	if !invisible {
 		c.markActive()
 		extra := c.dtlb.Access(e.addr)
@@ -255,7 +255,7 @@ func (c *Core) translateStep(e *lqEntry) {
 		c.st.TLBMisses++
 		c.st.TLBWalksDelayed++
 	}
-	if c.loadVisible(e) {
+	if c.visible(c.robLogical(e.robIdx)) {
 		c.markActive()
 		e.walking = true
 		e.walkDoneAt = c.now + uint64(c.dtlb.WalkLatency())
@@ -316,7 +316,7 @@ func (c *Core) tryIssueLoad(phys int, e *lqEntry) {
 		return
 	}
 	// No forwarding: go to memory.
-	if c.sch.UsesInvisibleLoads() && !c.loadSafeNow(e) {
+	if c.sch.InvisibleLoads() && !c.loadSafeNow(e) {
 		c.issueUSL(phys, e)
 		return
 	}
@@ -340,7 +340,7 @@ func canForward(saddr uint64, ssize uint8, e *lqEntry) bool {
 	if !contains(saddr, ssize, e.addr, e.size) {
 		return false
 	}
-	return e.addr-e.lineAddr()+uint64(e.size) <= 64
+	return e.addr-e.lineAddr()+uint64(e.size) <= isa.LineBytes
 }
 
 // storePending reports whether the store with the given seq (SQ) or token
@@ -377,7 +377,7 @@ func (c *Core) forwardFromStore(phys int, e *lqEntry, saddr uint64, ssize uint8,
 		e.readMask |= 1 << (lineOff + b)
 	}
 	e.value = val
-	if c.sch.UsesInvisibleLoads() {
+	if c.sch.InvisibleLoads() {
 		// Perform now; the Spec-GetS still fetches the line into the SB but
 		// must not overwrite the forwarded bytes.
 		e.isUSL = true

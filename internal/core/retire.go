@@ -66,7 +66,7 @@ func (c *Core) retire() {
 			c.st.LoadsRetired++
 		case op == isa.OpPrefetch:
 			lq := &c.lq[e.lqIdx]
-			if c.sch.UsesInvisibleLoads() && lq.isUSL && !lq.valExpIssued {
+			if c.sch.InvisibleLoads() && lq.isUSL && !lq.valExpIssued {
 				return // the exposure must have been initiated
 			}
 			c.freeHeadLQ(e)
@@ -122,9 +122,9 @@ func (c *Core) popHead() {
 
 func (c *Core) freeHeadLQ(e *robEntry) {
 	lq := &c.lq[e.lqIdx]
-	// Retire-time defense cleanup (e.g. SpecBox clears the retiring
-	// load's speculation label).
-	c.sch.OnRetireLoad(c.st, lq.isUSL)
+	if lq.isUSL && c.sch.CountsLabels {
+		c.st.SpecLabelsCleared++ // the retiring USL's label clears
+	}
 	lq.valid = false
 	if e.lqIdx != c.lqHead {
 		panic("core: retiring load is not the LQ head")

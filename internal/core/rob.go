@@ -156,9 +156,9 @@ func (c *Core) truncSlots(list []int, L int) []int {
 }
 
 // dispatch renames and inserts instructions from the fetch buffer into the
-// ROB (and LQ/SQ), applying the defense scheme's front-end policy:
-// dispatch stalls (BasicBlocker-style block boundaries) and synthetic
-// fence injection (Table V).
+// ROB (and LQ/SQ), applying the scheme's front-end policy: stalls at
+// basic-block boundaries (StallAtBlocks) and synthetic fence injection
+// (Table V).
 func (c *Core) dispatch() {
 	width := c.cfg.FetchWidth
 	for n := 0; n < width && len(c.fetchBuf) > 0; n++ {
@@ -171,12 +171,12 @@ func (c *Core) dispatch() {
 		// while older control flow is unresolved. The stall is transient:
 		// branches resolve unconditionally once their operands arrive, so
 		// the front end always unblocks.
-		if c.sch.StallDispatch(c.view(), fi.blockStart) {
+		if c.sch.StallAtBlocks && fi.blockStart && c.unresolvedControl() {
 			return
 		}
 		// Defense fences occupy an extra ROB slot (Table V).
-		fenceBefore := c.sch.FenceBeforeLoads() && op == isa.OpLoad
-		fenceAfter := c.sch.FenceAfterBranches() && isBranchNeedingFence(op)
+		fenceBefore := c.sch.FenceBeforeLoads && op == isa.OpLoad
+		fenceAfter := c.sch.FenceAfterBranches && isBranchNeedingFence(op)
 		slots := 1
 		if fenceBefore || fenceAfter {
 			slots = 2
@@ -215,6 +215,19 @@ func (c *Core) dispatch() {
 
 func isBranchNeedingFence(op isa.Op) bool {
 	return op.IsCondBranch() || op == isa.OpJmpI || op == isa.OpRet
+}
+
+// unresolvedControl reports whether any mispredictable control instruction
+// (conditional branch, indirect jump, return) in the ROB is unresolved.
+// Direct jumps and calls are excluded: their targets are statically known,
+// so they never redirect the front end away from the predicted path.
+func (c *Core) unresolvedControl() bool {
+	for _, phys := range c.unresolved {
+		if isBranchNeedingFence(c.rob[phys].inst.Op) {
+			return true
+		}
+	}
+	return false
 }
 
 // insertEntry allocates and renames one ROB entry. Callers have verified

@@ -49,12 +49,11 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 			}
 		}
 	}
-	specFlushed := 0
 	for i := c.robCnt - 1; i >= L; i-- {
 		e := c.robAt(i)
 		if e.lqIdx >= 0 && c.lq[e.lqIdx].valid && c.lq[e.lqIdx].seq == e.seq {
-			if c.lq[e.lqIdx].isUSL {
-				specFlushed++
+			if c.lq[e.lqIdx].isUSL && c.sch.CountsLabels {
+				c.st.SpecLabelsFlushed++ // the squashed USL's label flushes
 			}
 			c.lq[e.lqIdx].valid = false
 			clearBit(c.lqWork, e.lqIdx)
@@ -81,9 +80,6 @@ func (c *Core) squashFromLogical(L int, reason stats.SquashReason, redirect int,
 	c.executing = c.truncSlots(c.executing, L)
 	c.barriers = c.truncSlots(c.barriers, L)
 	c.unresolved = c.truncSlots(c.unresolved, L)
-	// Squash-time defense cleanup (e.g. SpecBox flushes the labels of the
-	// speculative loads the squash invalidated).
-	c.sch.OnSquash(c.st, specFlushed)
 	if L < c.robCnt {
 		c.robCnt = L
 	}

@@ -1,153 +1,136 @@
-// Package defense is the pluggable countermeasure framework: every
-// speculative-execution defense the simulator models is a Defense
-// implementation registered by name, and every consumer — config, the
-// harness sweeps, the leakage scanner, the conformance fuzzer, the
-// kernel-equivalence oracle, all four CLIs — resolves schemes through the
-// registry instead of switching on an enum. Registering a new scheme is
-// sufficient for every matrix and CI gate to pick it up.
+// Package defense names the speculative-execution countermeasures the
+// simulator models. A scheme is one row of plain data: the point at which
+// a speculative load may become visible, plus a few front-end and
+// retirement flags. The core answers every policy question from the row
+// itself (core.Core.visible evaluates the visibility point), so a scheme
+// cannot mutate the pipeline or see anything a real hardware policy block
+// could not, and the stepped/fast kernel equivalence and the
+// golden-interpreter conformance proofs cover every row at once.
 //
-// The interface deliberately exposes only the narrow decision points the
-// paper's five configurations reach into the pipeline for; everything a
-// hook may observe about machine state comes through the read-only View.
-// A scheme therefore cannot mutate the core, reorder its stages, or see
-// anything a real hardware policy block could not see — which is what
-// keeps the stepped/fast kernel equivalence and the golden-interpreter
-// conformance proofs valid for every registered scheme at once.
-//
-// Hook ordering over an instruction's lifetime (see DESIGN.md §13):
-//
-//	dispatch:  StallDispatch → FenceBeforeLoads/FenceAfterBranches
-//	issue:     UsesInvisibleLoads → LoadSafeNow (safe load vs USL)
-//	visible:   LoadVisible → validation/exposure (ValidationBlocksYounger)
-//	retire:    OnRetireLoad; DefersInterrupts gates interrupt delivery
-//	squash:    OnSquash
+// Every consumer — config, the harness sweeps, the leakage scanner, the
+// conformance fuzzer, the kernel-equivalence oracle, the CLIs — enumerates
+// schemes with All and resolves names with Lookup instead of switching on
+// an enum, so adding a row is enough for every matrix and CI gate to pick
+// the scheme up (DESIGN.md §13).
 package defense
 
-import "invisispec/internal/stats"
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
 
-// View is the read-only window a policy hook gets into the querying
-// core's state. The core implements it; schemes may only ask the
-// questions below — each corresponds to a piece of tracking hardware a
-// real implementation of the scheme would carry.
-type View interface {
-	// OlderUnresolvedBranch reports whether any conditional branch or
-	// mispredictable indirect jump older than the instruction at logical
-	// ROB index rl is still unresolved — the paper's Spectre-model
-	// visibility point test.
-	OlderUnresolvedBranch(rl int) bool
-	// FutureVisible reports whether the instruction at logical ROB index
-	// rl has reached the Futuristic-model visibility point: nothing older
-	// can squash it (no unresolved branch, no possibly-faulting or
-	// unperformed memory op, no fence ahead of it).
-	FutureVisible(rl int) bool
-	// OlderUnresolvedControl reports whether any mispredictable
-	// control-flow instruction (conditional branch, indirect jump,
-	// return) anywhere in the ROB is still unresolved — the
-	// BasicBlocker-style "may the front end run past a block boundary"
-	// test, independent of any particular younger instruction.
-	OlderUnresolvedControl() bool
-}
+// Visibility is the point at which a speculative load may become visible:
+// issue as an ordinary cache access or, once issued invisibly as an Unsafe
+// Speculative Load (USL), start its validation or exposure.
+type Visibility uint8
 
-// Defense is one speculation countermeasure. Implementations must be
-// stateless value types: the same scheme instance is shared by every
-// core of every concurrently-running machine, so all per-run state lives
-// in the core and the hooks must be pure functions of (View, arguments).
-type Defense interface {
+// The visibility points. Every point must hold at the ROB head, or
+// retirement deadlocks.
+const (
+	Always        Visibility = iota // loads are ordinary accesses; nothing is invisible
+	AfterBranches                   // every older control instruction has resolved (Spectre model, §V-A)
+	Unsquashable                    // nothing older can squash the load (Futuristic model, §VIII)
+	AtHead                          // the load is the ROB head
+)
+
+// Scheme is one speculation countermeasure.
+type Scheme struct {
 	// Name is the registry key and the label every artifact, report and
 	// CLI flag uses ("Base", "IS-Fu", "SpecBox", ...).
-	Name() string
-	// Description is a one-line summary for -listdefenses and docs.
-	Description() string
-	// ThreatModel names what the scheme defends against ("none",
-	// "Spectre", "Futuristic", ...), for reports and the README table.
-	ThreatModel() string
-
-	// UsesInvisibleLoads reports whether speculative loads issue as USLs
-	// through the speculative-buffer machinery (invisible fills,
-	// validation/exposure at the visibility point). False means loads
-	// issue as ordinary cache accesses.
-	UsesInvisibleLoads() bool
-	// FenceBeforeLoads inserts a synthetic fence before every load at
-	// dispatch (the paper's Fe-Fu baseline).
-	FenceBeforeLoads() bool
-	// FenceAfterBranches inserts a synthetic fence after every
-	// mispredictable control instruction at dispatch (the paper's Fe-Sp
-	// baseline).
-	FenceAfterBranches() bool
-
-	// LoadSafeNow reports whether the load at logical ROB index rl may
-	// issue as an ordinary (visible) access right now. Only consulted
-	// when UsesInvisibleLoads is true; returning false makes the load an
-	// USL. Loads carrying a trusted §XI safe annotation bypass this hook
-	// entirely (the core handles that threat-model carve-out before
-	// asking the scheme).
-	LoadSafeNow(v View, rl int) bool
-	// LoadVisible reports whether the USL at logical ROB index rl has
-	// reached its visibility point and may start validation/exposure.
-	// Must eventually return true for the ROB head (rl == 0) on every
-	// scheme, or retirement deadlocks.
-	LoadVisible(v View, rl int) bool
-	// ValidationBlocksYounger reports whether an USL awaiting validation
-	// blocks younger USLs from starting their own validation/exposure
-	// (the Futuristic model's ordering requirement; overridable per
-	// machine by config.Machine.OverlapValExp for Spectre-model runs).
-	ValidationBlocksYounger() bool
-	// DefersInterrupts reports whether external interrupts are held off
-	// while USLs are in flight (§VI-D: an interrupt would squash
-	// speculatively-performed loads whose effects must stay invisible).
-	DefersInterrupts() bool
-
-	// StallDispatch reports whether dispatch must stall before the next
-	// instruction. blockStart is true when that instruction is a basic
-	// block leader per the program's bb metadata. Stalls must be
-	// transient: the condition has to clear once older instructions
-	// resolve, or the machine deadlocks (the watchdog will flag it).
-	StallDispatch(v View, blockStart bool) bool
-
-	// OnRetireLoad is the retire-time cleanup hook, called once per
-	// retired load or prefetch; wasSpec reports whether the entry went
-	// through the speculative (USL) path. Schemes use it for per-class
-	// accounting (e.g. SpecBox label clearing).
-	OnRetireLoad(st *stats.Core, wasSpec bool)
-	// OnSquash is the squash-time cleanup hook, called once per pipeline
-	// squash with the number of speculative (USL) load-queue entries the
-	// squash invalidated.
-	OnSquash(st *stats.Core, specFlushed int)
+	Name string
+	// Visible is the visibility point. Any point but Always issues
+	// speculative loads as USLs through the speculative buffer.
+	Visible Visibility
+	// FenceBeforeLoads inserts a fence before every load at dispatch;
+	// FenceAfterBranches inserts one after every mispredictable control
+	// instruction.
+	FenceBeforeLoads, FenceAfterBranches bool
+	// ValidationBlocksYounger makes a USL awaiting validation hold back
+	// younger USLs' validations and exposures (the Futuristic model's
+	// ordering rule; config.Machine.OverlapValExp false imposes it on
+	// every scheme).
+	ValidationBlocksYounger bool
+	// DefersInterrupts holds off external interrupts while USLs are in
+	// flight (§VI-D).
+	DefersInterrupts bool
+	// StallAtBlocks stalls dispatch at a basic-block leader while any
+	// mispredictable control instruction is unresolved.
+	StallAtBlocks bool
+	// CountsLabels counts the speculation labels cleared as USLs retire
+	// and flushed as squashes discard them (stats.Core.SpecLabels*).
+	CountsLabels bool
 }
 
-// Unprotected is the embeddable no-op policy: every hook returns the
-// permissive default (loads issue and perform visibly, nothing stalls,
-// nothing is counted). Schemes embed it and override only the hooks they
-// implement, so adding a hook to the interface does not break existing
-// schemes.
-type Unprotected struct{}
+// InvisibleLoads reports whether speculative loads issue as USLs.
+func (s Scheme) InvisibleLoads() bool { return s.Visible != Always }
 
-// UsesInvisibleLoads returns false: loads are ordinary cache accesses.
-func (Unprotected) UsesInvisibleLoads() bool { return false }
+// table holds every registered scheme in matrix order: the paper's five
+// Table V configurations, then the two post-paper schemes (PAPERS.md).
+// Every matrix iterates it, so the order is part of every deterministic
+// artifact's byte layout.
+var table = []Scheme{
+	// The undefended out-of-order baseline every figure normalizes against.
+	{Name: "Base"},
+	// Fe-Sp: nothing speculates past an unresolved branch.
+	{Name: "Fe-Sp", FenceAfterBranches: true},
+	// InvisiSpec under the Spectre model.
+	{Name: "IS-Sp", Visible: AfterBranches},
+	// Fe-Fu: the conservative baseline for the Futuristic model.
+	{Name: "Fe-Fu", FenceBeforeLoads: true},
+	// InvisiSpec under the Futuristic model.
+	{Name: "IS-Fu", Visible: Unsquashable, ValidationBlocksYounger: true, DefersInterrupts: true},
+	// SpecBox-style label quarantine: every speculative fill is labelled
+	// and held in the speculative buffer until its load reaches the ROB
+	// head, so no transient load of any squash cause perturbs the caches.
+	{Name: "SpecBox", Visible: AtHead, ValidationBlocksYounger: true, DefersInterrupts: true, CountsLabels: true},
+	// BasicBlocker-style ISA-assisted block speculation control: loads
+	// inside the current block execute visibly, trading same-block
+	// exposure for zero load-path hardware.
+	{Name: "BasicBlocker", StallAtBlocks: true},
+}
 
-// FenceBeforeLoads returns false: no fences inserted before loads.
-func (Unprotected) FenceBeforeLoads() bool { return false }
+// Register appends a scheme to the table, rejecting empty, separator-laden
+// and duplicate names. The built-in rows need no registration; tests use it
+// to add schemes of their own.
+func Register(s Scheme) error {
+	switch {
+	case s.Name == "":
+		return fmt.Errorf("defense: Register: scheme has empty name")
+	case strings.ContainsAny(s.Name, ", \t\n"):
+		return fmt.Errorf("defense: Register: name %q contains separator characters", s.Name)
+	}
+	if _, err := Lookup(s.Name); err == nil {
+		return fmt.Errorf("defense: Register: duplicate scheme name %q", s.Name)
+	}
+	table = append(table, s)
+	return nil
+}
 
-// FenceAfterBranches returns false: no fences inserted after branches.
-func (Unprotected) FenceAfterBranches() bool { return false }
+// All returns a copy of every registered scheme in matrix order.
+func All() []Scheme {
+	return append([]Scheme(nil), table...)
+}
 
-// LoadSafeNow returns true: every load may issue visibly at once.
-func (Unprotected) LoadSafeNow(View, int) bool { return true }
+// Names returns every registered scheme name in matrix order.
+func Names() []string {
+	names := make([]string, len(table))
+	for i, s := range table {
+		names[i] = s.Name
+	}
+	return names
+}
 
-// LoadVisible returns true: an USL is immediately at its visibility point.
-func (Unprotected) LoadVisible(View, int) bool { return true }
-
-// ValidationBlocksYounger returns false: validations overlap freely.
-func (Unprotected) ValidationBlocksYounger() bool { return false }
-
-// DefersInterrupts returns false: interrupts deliver immediately.
-func (Unprotected) DefersInterrupts() bool { return false }
-
-// StallDispatch returns false: the front end never stalls for the scheme.
-func (Unprotected) StallDispatch(View, bool) bool { return false }
-
-// OnRetireLoad counts nothing.
-func (Unprotected) OnRetireLoad(*stats.Core, bool) {}
-
-// OnSquash counts nothing.
-func (Unprotected) OnSquash(*stats.Core, int) {}
+// Lookup resolves a scheme by name. The error lists the registered names
+// so CLI messages are self-documenting.
+func Lookup(name string) (Scheme, error) {
+	for _, s := range table {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	known := Names()
+	sort.Strings(known)
+	return Scheme{}, fmt.Errorf("defense: unknown scheme %q (registered: %s)",
+		name, strings.Join(known, ", "))
+}

@@ -3,19 +3,7 @@ package defense
 import (
 	"strings"
 	"testing"
-
-	"invisispec/internal/stats"
 )
-
-// named is a minimal registrable scheme for registry-error tests.
-type named struct {
-	Unprotected
-	name string
-}
-
-func (n named) Name() string        { return n.name }
-func (n named) Description() string { return "test scheme" }
-func (n named) ThreatModel() string { return "none" }
 
 func TestBuiltinRegistrations(t *testing.T) {
 	all := All()
@@ -26,9 +14,9 @@ func TestBuiltinRegistrations(t *testing.T) {
 	// post-paper schemes; All() must preserve it so every matrix (bench
 	// columns, leakage report, conformance sweep) stays stable.
 	wantOrder := []string{"Base", "Fe-Sp", "IS-Sp", "Fe-Fu", "IS-Fu", "SpecBox", "BasicBlocker"}
-	for i, d := range all {
-		if d.Name() != wantOrder[i] {
-			t.Errorf("All()[%d] = %q, want %q", i, d.Name(), wantOrder[i])
+	for i, s := range all {
+		if s.Name != wantOrder[i] {
+			t.Errorf("All()[%d] = %q, want %q", i, s.Name, wantOrder[i])
 		}
 	}
 	names := Names()
@@ -37,17 +25,12 @@ func TestBuiltinRegistrations(t *testing.T) {
 			t.Errorf("Names()[%d] = %q, want %q", i, n, wantOrder[i])
 		}
 	}
-	for _, d := range all {
-		if d.Description() == "" || d.ThreatModel() == "" {
-			t.Errorf("%s: empty description or threat model", d.Name())
-		}
-	}
 }
 
 func TestAllReturnsCopy(t *testing.T) {
 	a := All()
-	a[0] = named{name: "clobbered"}
-	if All()[0].Name() != "Base" {
+	a[0].Name = "clobbered"
+	if All()[0].Name != "Base" {
 		t.Fatal("mutating All()'s result corrupted the registry")
 	}
 }
@@ -55,20 +38,20 @@ func TestAllReturnsCopy(t *testing.T) {
 func TestRegisterRejections(t *testing.T) {
 	cases := []struct {
 		label string
-		d     Defense
+		name  string
 		want  string
 	}{
-		{"duplicate", named{name: "Base"}, "duplicate"},
-		{"empty", named{name: ""}, "empty name"},
-		{"comma", named{name: "a,b"}, "name"},
-		{"space", named{name: "a b"}, "name"},
-		{"tab", named{name: "a\tb"}, "name"},
-		{"newline", named{name: "a\nb"}, "name"},
+		{"duplicate", "Base", "duplicate"},
+		{"empty", "", "empty name"},
+		{"comma", "a,b", "name"},
+		{"space", "a b", "name"},
+		{"tab", "a\tb", "name"},
+		{"newline", "a\nb", "name"},
 	}
 	for _, c := range cases {
-		err := Register(c.d)
+		err := Register(Scheme{Name: c.name})
 		if err == nil {
-			t.Errorf("%s: Register(%q) accepted", c.label, c.d.Name())
+			t.Errorf("%s: Register(%q) accepted", c.label, c.name)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.want) {
@@ -80,24 +63,15 @@ func TestRegisterRejections(t *testing.T) {
 	}
 }
 
-func TestMustRegisterPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRegister(duplicate) did not panic")
-		}
-	}()
-	MustRegister(named{name: "Base"})
-}
-
 func TestLookup(t *testing.T) {
 	for _, n := range Names() {
-		d, err := Lookup(n)
+		s, err := Lookup(n)
 		if err != nil {
 			t.Errorf("Lookup(%q): %v", n, err)
 			continue
 		}
-		if d.Name() != n {
-			t.Errorf("Lookup(%q).Name() = %q", n, d.Name())
+		if s.Name != n {
+			t.Errorf("Lookup(%q).Name = %q", n, s.Name)
 		}
 	}
 	_, err := Lookup("NoSuchScheme")
@@ -112,62 +86,3 @@ func TestLookup(t *testing.T) {
 		}
 	}
 }
-
-func TestUnprotectedDefaults(t *testing.T) {
-	var u Unprotected
-	if u.UsesInvisibleLoads() || u.FenceBeforeLoads() || u.FenceAfterBranches() {
-		t.Error("Unprotected must not enable any mechanism")
-	}
-	if !u.LoadSafeNow(nil, 3) || !u.LoadVisible(nil, 3) {
-		t.Error("Unprotected loads must always be safe and visible")
-	}
-	if u.ValidationBlocksYounger() || u.DefersInterrupts() {
-		t.Error("Unprotected must not constrain retirement")
-	}
-	if u.StallDispatch(nil, true) {
-		t.Error("Unprotected must never stall dispatch")
-	}
-	var st stats.Core
-	u.OnRetireLoad(&st, true)
-	u.OnSquash(&st, 4)
-	if st != (stats.Core{}) {
-		t.Error("Unprotected hooks must not touch stats")
-	}
-}
-
-func TestSchemeContracts(t *testing.T) {
-	// Cross-scheme sanity: every invisible-load scheme must let the ROB-head
-	// load become visible unconditionally (rl == 0), or retirement deadlocks.
-	view := stuckView{}
-	for _, d := range All() {
-		if !d.UsesInvisibleLoads() {
-			continue
-		}
-		if !d.LoadVisible(view, 0) {
-			t.Errorf("%s: ROB-head load never becomes visible (deadlock)", d.Name())
-		}
-	}
-	// SpecBox accounting hooks must feed the label counters.
-	sb, err := Lookup("SpecBox")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st stats.Core
-	sb.OnRetireLoad(&st, true)
-	sb.OnRetireLoad(&st, false)
-	sb.OnSquash(&st, 3)
-	if st.SpecLabelsCleared != 1 || st.SpecLabelsFlushed != 3 {
-		t.Errorf("SpecBox accounting: cleared=%d flushed=%d, want 1, 3",
-			st.SpecLabelsCleared, st.SpecLabelsFlushed)
-	}
-}
-
-// stuckView reports maximally-pessimistic speculation state consistent with
-// the core's structural invariants: every older branch unresolved (but
-// nothing can be older than the ROB head, so rl == 0 has no older branches),
-// nothing future-visible, unresolved control in flight.
-type stuckView struct{}
-
-func (stuckView) OlderUnresolvedBranch(rl int) bool { return rl > 0 }
-func (stuckView) FutureVisible(int) bool            { return false }
-func (stuckView) OlderUnresolvedControl() bool      { return true }

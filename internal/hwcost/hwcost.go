@@ -8,7 +8,10 @@
 // DESIGN.md §2.
 package hwcost
 
-import "invisispec/internal/config"
+import (
+	"invisispec/internal/config"
+	"invisispec/internal/isa"
+)
 
 // Array describes one SRAM/CAM structure.
 type Array struct {
@@ -82,8 +85,8 @@ func L1SB(m config.Machine) Array {
 	return Array{
 		Name:     "L1-SB",
 		Entries:  m.LQEntries,
-		DataBits: m.LineSize * 8,
-		TagBits:  m.LineSize + 8, // address mask + Valid/Performed/State/Prefetch
+		DataBits: isa.LineBytes * 8,
+		TagBits:  isa.LineBytes + 8, // address mask + Valid/Performed/State/Prefetch
 	}
 }
 
@@ -94,7 +97,7 @@ func LLCSB(m config.Machine) Array {
 	return Array{
 		Name:     "LLC-SB",
 		Entries:  m.LQEntries,
-		DataBits: m.LineSize * 8,
+		DataBits: isa.LineBytes * 8,
 		TagBits:  42 + 16 + 1, // line address + epoch + valid
 		CAM:      true,
 	}

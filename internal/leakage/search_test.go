@@ -105,21 +105,15 @@ func TestSearchDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// leakyGate is a deliberately broken countermeasure registered only in
-// this test binary: it claims to be a defense (so the expected-outcome
+// registerLeakyGate registers a deliberately broken countermeasure in
+// this test binary only: it claims to be a defense (so the expected-outcome
 // matrix predicts blocked for canonical full-flush specs) but takes no
 // action at all, so every Spectre variant leaks through it. It exists to
 // exercise the search's find -> shrink -> promote path, which no genuine
 // defense should ever trigger.
-type leakyGate struct{ defense.Unprotected }
-
-func (leakyGate) Name() string        { return "LeakyGate" }
-func (leakyGate) Description() string { return "test-only: claims to defend, does nothing" }
-func (leakyGate) ThreatModel() string { return "none (deliberately broken)" }
-
 func registerLeakyGate(t *testing.T) config.Defense {
 	t.Helper()
-	if err := defense.Register(leakyGate{}); err != nil {
+	if err := defense.Register(defense.Scheme{Name: "LeakyGate"}); err != nil {
 		// Already registered by an earlier test in this binary.
 		if _, lerr := defense.Lookup("LeakyGate"); lerr != nil {
 			t.Fatal(err)

@@ -76,7 +76,7 @@ func (h *Hierarchy) releaseTxn(i int32) {
 func newBank(id int, cfg config.Machine) *bank {
 	return &bank{
 		id:   id,
-		arr:  cache.NewArray(cfg.L2.Sets(cfg.LineSize), cfg.L2.Ways),
+		arr:  cache.NewArray(cfg.L2.Sets(), cfg.L2.Ways),
 		held: make(map[uint64]hold),
 	}
 }
@@ -96,7 +96,7 @@ func storeDirEntry(line *cache.Line, e coherence.DirEntry) {
 // sendToBank routes a demand GetS/GetX to the line's home bank.
 func (h *Hierarchy) sendToBank(req Request, lineNum uint64, kind coherence.ReqKind) {
 	home := h.homeBank(lineNum)
-	arrive := h.mesh.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, req.Type.trafficClass())
+	arrive := h.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, req.Type.trafficClass())
 	tx := h.newTxn(txn{kind: kind, core: req.Core, lineNum: lineNum, req: req, isDemand: true})
 	h.schedule(event{cycle: arrive, kind: evEnqueue, tx: tx})
 }
@@ -104,7 +104,7 @@ func (h *Hierarchy) sendToBank(req Request, lineNum uint64, kind coherence.ReqKi
 // sendIFetchToBank routes an instruction miss to the home bank.
 func (h *Hierarchy) sendIFetchToBank(req Request, lineNum uint64) {
 	home := h.homeBank(lineNum)
-	arrive := h.mesh.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficFetch)
+	arrive := h.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficFetch)
 	tx := h.newTxn(txn{kind: coherence.GetS, core: req.Core, lineNum: lineNum, req: req, isIFetch: true})
 	h.schedule(event{cycle: arrive, kind: evEnqueue, tx: tx})
 }
@@ -183,24 +183,17 @@ func (h *Hierarchy) bankProcess(b *bank, i int32) {
 	valexp := tx.req.Type == Validate || tx.req.Type == Expose
 	switch {
 	case dec.FromMemory:
-		if h.st != nil {
-			h.st.LLCMisses++
-		}
+		h.st.LLCMisses++
 		if valexp && h.cfg.LLCSBEnabled &&
 			h.sb[tx.core].lookup(tx.req.LQIdx, tx.lineNum, tx.req.Epoch) {
 			// Served by the requester's LLC-SB: no DRAM access (§V-F).
 			servedSB = true
-			if h.st != nil {
-				h.st.Cores[tx.core].LLCSBHits++
-			}
+			h.st.Cores[tx.core].LLCSBHits++
 		} else {
-			if valexp && h.st != nil {
+			if valexp {
 				h.st.Cores[tx.core].LLCSBMisses++
 			}
-			t = h.mesh.dram.read(t, h.cfg.DataMsgBytes)
-			if h.st != nil {
-				h.st.AddTraffic(class, uint64(h.cfg.DataMsgBytes))
-			}
+			t = h.dramRead(t, class)
 		}
 		// Any non-speculative memory fetch purges the line from every
 		// core's LLC-SB (§VI-C).
@@ -209,21 +202,19 @@ func (h *Hierarchy) bankProcess(b *bank, i int32) {
 		}
 		// Install in the LLC (inclusive), possibly recalling a victim.
 		h.llcInstall(b, tx.lineNum, t)
-		respArrive = h.mesh.send(t, b.id, tx.core, h.cfg.DataMsgBytes, class)
+		respArrive = h.send(t, b.id, tx.core, h.cfg.DataMsgBytes, class)
 
 	case dec.FromOwner:
-		if h.st != nil {
-			h.st.LLCHits++
-		}
+		h.st.LLCHits++
 		b.arr.Touch(tx.lineNum)
-		tf := h.mesh.send(t, b.id, dec.Owner, h.cfg.CtrlMsgBytes, class)
+		tf := h.send(t, b.id, dec.Owner, h.cfg.CtrlMsgBytes, class)
 		ownerLine := h.l1d[dec.Owner].arr.Lookup(tx.lineNum)
 		if ownerLine != nil {
 			wasDirty := ownerLine.Dirty
 			if tx.kind == coherence.GetS {
 				h.schedule(event{cycle: tf, kind: evDowngrade, core: int32(dec.Owner), line: tx.lineNum})
 				if dec.OwnerWriteback {
-					h.mesh.send(tf, dec.Owner, b.id, h.cfg.DataMsgBytes, stats.TrafficWriteback)
+					h.send(tf, dec.Owner, b.id, h.cfg.DataMsgBytes, stats.TrafficWriteback)
 					if wasDirty {
 						line := b.arr.Lookup(tx.lineNum)
 						if line != nil {
@@ -234,18 +225,16 @@ func (h *Hierarchy) bankProcess(b *bank, i int32) {
 			} else { // GetX forward: the forward acts as the invalidation.
 				h.schedule(event{cycle: tf, kind: evInvalidate, core: int32(dec.Owner), line: tx.lineNum})
 			}
-			respArrive = h.mesh.send(tf, dec.Owner, tx.core, h.cfg.DataMsgBytes, class)
+			respArrive = h.send(tf, dec.Owner, tx.core, h.cfg.DataMsgBytes, class)
 		} else {
 			// The owner's eviction raced ahead of its Put: serve from LLC.
-			respArrive = h.mesh.send(t, b.id, tx.core, h.cfg.DataMsgBytes, class)
+			respArrive = h.send(t, b.id, tx.core, h.cfg.DataMsgBytes, class)
 		}
 
 	default:
-		if h.st != nil {
-			h.st.LLCHits++
-		}
+		h.st.LLCHits++
 		b.arr.Touch(tx.lineNum)
-		respArrive = h.mesh.send(t, b.id, tx.core, h.cfg.DataMsgBytes, class)
+		respArrive = h.send(t, b.id, tx.core, h.cfg.DataMsgBytes, class)
 	}
 
 	// Invalidate sharers, in ascending core order; the directory collects
@@ -257,9 +246,9 @@ func (h *Hierarchy) bankProcess(b *bank, i int32) {
 		if dec.FromOwner && core == dec.Owner {
 			continue // the forward already invalidated the owner
 		}
-		tinv := h.mesh.send(t, b.id, core, h.cfg.CtrlMsgBytes, class)
+		tinv := h.send(t, b.id, core, h.cfg.CtrlMsgBytes, class)
 		h.schedule(event{cycle: tinv, kind: evInvalidate, core: int32(core), line: tx.lineNum})
-		tack := h.mesh.send(tinv, core, b.id, h.cfg.CtrlMsgBytes, class)
+		tack := h.send(tinv, core, b.id, h.cfg.CtrlMsgBytes, class)
 		if tack > acksDone {
 			acksDone = tack
 		}
@@ -299,21 +288,14 @@ func (h *Hierarchy) bankProcessIFetch(b *bank, i int32) {
 	t := h.bankAccess(b)
 	line := b.arr.Lookup(tx.lineNum)
 	if line == nil {
-		if h.st != nil {
-			h.st.LLCMisses++
-		}
-		t = h.mesh.dram.read(t, h.cfg.DataMsgBytes)
-		if h.st != nil {
-			h.st.AddTraffic(stats.TrafficFetch, uint64(h.cfg.DataMsgBytes))
-		}
+		h.st.LLCMisses++
+		t = h.dramRead(t, stats.TrafficFetch)
 		h.llcInstall(b, tx.lineNum, t)
 	} else {
-		if h.st != nil {
-			h.st.LLCHits++
-		}
+		h.st.LLCHits++
 		b.arr.Touch(tx.lineNum)
 	}
-	respArrive := h.mesh.send(t, b.id, tx.core, h.cfg.DataMsgBytes, stats.TrafficFetch)
+	respArrive := h.send(t, b.id, tx.core, h.cfg.DataMsgBytes, stats.TrafficFetch)
 	tx.grant = coherence.Shared
 	h.schedule(event{cycle: respArrive, kind: evFill, tx: i})
 }
@@ -336,10 +318,8 @@ func (h *Hierarchy) llcInstall(b *bank, lineNum uint64, t uint64) {
 		h.recall(b, owner, victim.LineNum, t)
 	}
 	if victim.Dirty || owned {
-		h.mesh.dram.write(t, h.cfg.DataMsgBytes)
-		if h.st != nil {
-			h.st.AddTraffic(stats.TrafficWriteback, uint64(h.cfg.DataMsgBytes))
-		}
+		h.dramWrite(t)
+		h.st.AddTraffic(stats.TrafficWriteback, uint64(h.cfg.DataMsgBytes))
 	}
 }
 
@@ -348,7 +328,7 @@ func (h *Hierarchy) llcInstall(b *bank, lineNum uint64, t uint64) {
 // exempt the line from inclusivity checks until the L1 copy is gone.
 func (h *Hierarchy) recall(b *bank, core int, line, t uint64) {
 	h.recallPending[line]++
-	tinv := h.mesh.send(t, b.id, core, h.cfg.CtrlMsgBytes, stats.TrafficWriteback)
+	tinv := h.send(t, b.id, core, h.cfg.CtrlMsgBytes, stats.TrafficWriteback)
 	h.schedule(event{cycle: tinv, kind: evRecall, core: int32(core), line: line})
 }
 
@@ -356,7 +336,7 @@ func (h *Hierarchy) recall(b *bank, core int, line, t uint64) {
 // bank.
 func (h *Hierarchy) sendIFetchSpecToBank(req Request, lineNum uint64) {
 	home := h.homeBank(lineNum)
-	arrive := h.mesh.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficFetch)
+	arrive := h.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficFetch)
 	h.schedule(event{cycle: arrive, kind: evIFetchSpec, core: int32(req.Core), resp: req.response()})
 }
 
@@ -369,19 +349,16 @@ func (h *Hierarchy) ifetchSpecProcess(core int, resp Response) {
 	b := h.bank[home]
 	t := h.bankAccess(b)
 	if b.arr.Lookup(lineNum) == nil { // no Touch either way
-		t = h.mesh.dram.read(t, h.cfg.DataMsgBytes)
-		if h.st != nil {
-			h.st.AddTraffic(stats.TrafficFetch, uint64(h.cfg.DataMsgBytes))
-		}
+		t = h.dramRead(t, stats.TrafficFetch)
 	}
-	respArrive := h.mesh.send(t, home, core, h.cfg.DataMsgBytes, stats.TrafficFetch)
+	respArrive := h.send(t, home, core, h.cfg.DataMsgBytes, stats.TrafficFetch)
 	h.deliverAt(respArrive, core, resp)
 }
 
 // sendSpecToBank routes a Spec-GetS to the home bank.
 func (h *Hierarchy) sendSpecToBank(req Request, lineNum uint64) {
 	home := h.homeBank(lineNum)
-	arrive := h.mesh.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
+	arrive := h.send(h.now, req.Core, home, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
 	tx := h.newTxn(txn{kind: coherence.SpecGetS, core: req.Core, lineNum: lineNum, req: req})
 	h.schedule(event{cycle: arrive, kind: evSpec, tx: tx})
 }
@@ -403,16 +380,13 @@ func (h *Hierarchy) specProcess(i int32) {
 	line := b.arr.Lookup(lineNum) // no Touch: replacement state untouched
 	dec, _ := coherence.Decide(dirEntryOf(line), coherence.SpecGetS, req.Core)
 	if dec.FromOwner {
-		tf := h.mesh.send(t, b.id, dec.Owner, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
+		tf := h.send(t, b.id, dec.Owner, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
 		h.schedule(event{cycle: tf, kind: evSpecForward, tx: i, core: int32(dec.Owner)})
 		return
 	}
 	h.releaseTxn(i)
 	if dec.FromMemory {
-		t = h.mesh.dram.read(t, h.cfg.DataMsgBytes)
-		if h.st != nil {
-			h.st.AddTraffic(stats.TrafficSpecLoad, uint64(h.cfg.DataMsgBytes))
-		}
+		t = h.dramRead(t, stats.TrafficSpecLoad)
 		// Fill the requester's LLC-SB on the data's way back (§VI-C),
 		// unless a newer epoch already claimed the entry.
 		if h.cfg.LLCSBEnabled {
@@ -438,7 +412,7 @@ func (h *Hierarchy) specForwarded(i int32, owner int) {
 // specBounce returns a Spec-GetS to the requester unserved; the core
 // decides whether to retry (it will not if the USL has been squashed).
 func (h *Hierarchy) specBounce(req Request, from int) {
-	tb := h.mesh.send(h.now, from, req.Core, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
+	tb := h.send(h.now, from, req.Core, h.cfg.CtrlMsgBytes, stats.TrafficSpecLoad)
 	resp := req.response()
 	resp.Bounced = true
 	h.deliverAt(tb, req.Core, resp)
@@ -446,6 +420,6 @@ func (h *Hierarchy) specBounce(req Request, from int) {
 
 // specRespond sends Spec-GetS data from node src at cycle t.
 func (h *Hierarchy) specRespond(req Request, src int, t uint64) {
-	arrive := h.mesh.send(t, src, req.Core, h.cfg.DataMsgBytes, stats.TrafficSpecLoad)
+	arrive := h.send(t, src, req.Core, h.cfg.DataMsgBytes, stats.TrafficSpecLoad)
 	h.deliverAt(arrive, req.Core, req.response())
 }

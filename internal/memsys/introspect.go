@@ -83,7 +83,7 @@ func (h *Hierarchy) flushLine(ln uint64) {
 		// An owned line may have been silently dirtied in the owner's L1;
 		// like a recall, the flush must assume it needs writing back.
 		if line.Dirty || line.Owner != coherence.NoOwner {
-			h.mesh.dram.write(h.now, h.cfg.DataMsgBytes)
+			h.dramWrite(h.now)
 		}
 		b.arr.Invalidate(ln)
 	}

@@ -5,6 +5,7 @@ import (
 	"invisispec/internal/coherence"
 	"invisispec/internal/config"
 	"invisispec/internal/dram"
+	"invisispec/internal/isa"
 	"invisispec/internal/noc"
 	"invisispec/internal/stats"
 )
@@ -77,10 +78,10 @@ type waiter struct {
 	lqIdx int32
 }
 
-func newL1(core int, p config.CacheParams, lineSize int, instr bool) *l1 {
+func newL1(core int, p config.CacheParams, instr bool) *l1 {
 	return &l1{
 		core:    core,
-		arr:     cache.NewArray(p.Sets(lineSize), p.Ways),
+		arr:     cache.NewArray(p.Sets(), p.Ways),
 		mshrs:   make([]mshr, 0, p.MSHRs),
 		latency: uint64(p.LatencyRT),
 		ports:   p.Ports,
@@ -127,45 +128,45 @@ func (c *l1) usePort() { c.portsUsed++ }
 
 func (h *Hierarchy) buildComponents() {
 	cfg := h.cfg
-	mesh := noc.New(cfg.MeshW, cfg.MeshH, cfg.HopLatency, cfg.LinkBytes, h.st)
-	mem := dram.New(cfg.DRAMLatency, cfg.DRAMBandwidth)
-	h.noc = mesh
-	h.mesh = &meshIface{
-		send: func(now uint64, src, dst, bytes int, class stats.TrafficClass) uint64 {
-			t := mesh.Send(now, src, dst, bytes, class)
-			if h.fault != nil {
-				t = h.fault.NoCDeliver(now, t)
-			}
-			return t
-		},
-		dram: &dramIface{
-			read: func(now uint64, bytes int) uint64 {
-				if h.st != nil {
-					h.st.DRAMReads++
-				}
-				t := mem.Read(now, bytes)
-				if h.fault != nil {
-					t = h.fault.DRAMReady(now, t)
-				}
-				return t
-			},
-			write: func(now uint64, bytes int) uint64 {
-				if h.st != nil {
-					h.st.DRAMWrites++
-				}
-				t := mem.Write(now, bytes)
-				if h.fault != nil {
-					t = h.fault.DRAMReady(now, t)
-				}
-				return t
-			},
-		},
-	}
+	h.noc = noc.New(cfg.MeshW, cfg.MeshH, cfg.HopLatency, cfg.LinkBytes, h.st)
+	h.dram = dram.New(cfg.DRAMLatency, cfg.DRAMBandwidth)
 	for i := 0; i < cfg.Cores; i++ {
-		h.l1d = append(h.l1d, newL1(i, cfg.L1D, cfg.LineSize, false))
-		h.l1i = append(h.l1i, newL1(i, cfg.L1I, cfg.LineSize, true))
+		h.l1d = append(h.l1d, newL1(i, cfg.L1D, false))
+		h.l1i = append(h.l1i, newL1(i, cfg.L1I, true))
 		h.bank = append(h.bank, newBank(i, cfg))
 		h.sb = append(h.sb, newLLCSB(cfg.LQEntries))
+	}
+}
+
+// send puts a message on the mesh at cycle now and returns its (possibly
+// perturbed) delivery cycle.
+func (h *Hierarchy) send(now uint64, src, dst, bytes int, class stats.TrafficClass) uint64 {
+	t := h.noc.Send(now, src, dst, bytes, class)
+	if h.fault != nil {
+		t = h.fault.NoCDeliver(now, t)
+	}
+	return t
+}
+
+// dramRead reads a line from DRAM at cycle now, charging its data message
+// to class, and returns the (possibly perturbed) data-ready cycle.
+func (h *Hierarchy) dramRead(now uint64, class stats.TrafficClass) uint64 {
+	h.st.DRAMReads++
+	h.st.AddTraffic(class, uint64(h.cfg.DataMsgBytes))
+	t := h.dram.Read(now, h.cfg.DataMsgBytes)
+	if h.fault != nil {
+		t = h.fault.DRAMReady(now, t)
+	}
+	return t
+}
+
+// dramWrite posts a line write-back to DRAM at cycle now. Nothing waits on
+// it, but the fault injector still draws for it, as for every DRAM access.
+func (h *Hierarchy) dramWrite(now uint64) {
+	h.st.DRAMWrites++
+	t := h.dram.Write(now, h.cfg.DataMsgBytes)
+	if h.fault != nil {
+		h.fault.DRAMReady(now, t)
 	}
 }
 
@@ -207,9 +208,7 @@ func (h *Hierarchy) submitRead(c *l1, req Request, lineNum uint64) bool {
 			line.Prefetched = false
 			h.triggerPrefetch(c, req.Core, lineNum)
 		}
-		if h.st != nil {
-			h.st.Cores[req.Core].L1DHits++
-		}
+		h.st.Cores[req.Core].L1DHits++
 		h.deliverHit(c, req)
 		return true
 	}
@@ -232,7 +231,7 @@ func (h *Hierarchy) waitMiss(c *l1, req Request, lineNum uint64, kind coherence.
 	}
 	c.usePort()
 	m.waiters = append(m.waiters, waiter{token: req.Token, typ: req.Type, lqIdx: int32(req.LQIdx)})
-	if h.st != nil && !c.instr {
+	if !c.instr {
 		h.st.Cores[req.Core].L1DMisses++
 	}
 	return fresh, true
@@ -262,7 +261,7 @@ func (h *Hierarchy) triggerPrefetch(c *l1, core int, lineNum uint64) {
 			return
 		}
 		if fresh {
-			req := Request{Type: ReadShared, Core: core, Addr: ln << h.lineShift, Token: prefetchToken}
+			req := Request{Type: ReadShared, Core: core, Addr: ln * isa.LineBytes, Token: prefetchToken}
 			h.sendToBank(req, ln, coherence.GetS)
 		}
 	}
@@ -277,9 +276,7 @@ func (h *Hierarchy) submitReadExcl(c *l1, req Request, lineNum uint64) bool {
 		c.arr.Touch(lineNum)
 		line.State = uint8(coherence.Modified)
 		line.Dirty = true
-		if h.st != nil {
-			h.st.Cores[req.Core].L1DHits++
-		}
+		h.st.Cores[req.Core].L1DHits++
 		h.deliverHit(c, req)
 		return true
 	}
@@ -394,7 +391,7 @@ func (h *Hierarchy) evictFromL1(c *l1, victim cache.Line) {
 		}
 	}
 	home := h.homeBank(victim.LineNum)
-	arrive := h.mesh.send(h.now, c.core, home, bytes, stats.TrafficWriteback)
+	arrive := h.send(h.now, c.core, home, bytes, stats.TrafficWriteback)
 	tx := h.newTxn(txn{kind: kind, core: c.core, lineNum: victim.LineNum, dirty: victim.Dirty})
 	h.schedule(event{cycle: arrive, kind: evEnqueue, tx: tx})
 }

@@ -28,6 +28,8 @@ import (
 	"fmt"
 
 	"invisispec/internal/config"
+	"invisispec/internal/dram"
+	"invisispec/internal/isa"
 	"invisispec/internal/noc"
 	"invisispec/internal/stats"
 )
@@ -152,8 +154,8 @@ type FaultInjector interface {
 type Hierarchy struct {
 	cfg  config.Machine
 	st   *stats.Machine
-	mesh *meshIface
 	noc  *noc.Mesh
+	dram *dram.DRAM
 	l1d  []*l1
 	l1i  []*l1
 	bank []*bank
@@ -184,23 +186,11 @@ type Hierarchy struct {
 	recallPending map[uint64]int
 
 	fault FaultInjector
-
-	lineShift uint
 }
 
 // SetFaultInjector installs (or, with nil, removes) a deterministic timing
 // perturbator. Call before the first Tick.
 func (h *Hierarchy) SetFaultInjector(f FaultInjector) { h.fault = f }
-
-type meshIface struct {
-	send func(now uint64, src, dst, bytes int, class stats.TrafficClass) uint64
-	dram *dramIface
-}
-
-type dramIface struct {
-	read  func(now uint64, bytes int) uint64
-	write func(now uint64, bytes int) uint64
-}
 
 // New assembles the hierarchy for the given machine.
 func New(cfg config.Machine, st *stats.Machine) *Hierarchy {
@@ -213,22 +203,13 @@ func New(cfg config.Machine, st *stats.Machine) *Hierarchy {
 		clients:       make([]Client, cfg.Cores),
 		recallPending: make(map[uint64]int),
 		freeTxn:       noTxn,
-		lineShift:     log2(cfg.LineSize),
 	}
 	h.buildComponents()
 	return h
 }
 
-func log2(v int) uint {
-	var s uint
-	for 1<<s < v {
-		s++
-	}
-	return s
-}
-
 // LineOf returns the line number of a byte address.
-func (h *Hierarchy) LineOf(addr uint64) uint64 { return addr >> h.lineShift }
+func (h *Hierarchy) LineOf(addr uint64) uint64 { return addr / isa.LineBytes }
 
 // homeBank returns the LLC bank index owning a line.
 func (h *Hierarchy) homeBank(lineNum uint64) int { return int(lineNum) % len(h.bank) }

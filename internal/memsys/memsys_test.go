@@ -9,6 +9,7 @@ import (
 
 	"invisispec/internal/coherence"
 	"invisispec/internal/config"
+	"invisispec/internal/isa"
 	"invisispec/internal/stats"
 )
 
@@ -178,8 +179,8 @@ func TestMissPathsAllocateNothing(t *testing.T) {
 		a  = uint64(0x40000)
 		ia = uint64(1)<<40 + 0x40000
 	)
-	l1Stride := uint64(config.Default(1).L1D.Sets(64)) * 64 // same L1D set and bank
-	llcStride := uint64(config.Default(1).L2.Sets(64)) * 64 // same LLC set and bank
+	l1Stride := uint64(config.Default(1).L1D.Sets()) * isa.LineBytes // same L1D set and bank
+	llcStride := uint64(config.Default(1).L2.Sets()) * isa.LineBytes // same LLC set and bank
 	for _, tc := range []struct {
 		name  string
 		run   func(r *allocRig)
@@ -633,9 +634,9 @@ func TestPortLimit(t *testing.T) {
 func TestEvictionCallbackAndWriteback(t *testing.T) {
 	r := newRig(t, 1)
 	cfg := config.Default(1)
-	sets := cfg.L1D.Sets(cfg.LineSize)
+	sets := cfg.L1D.Sets()
 	ways := cfg.L1D.Ways
-	stride := uint64(sets * cfg.LineSize)
+	stride := uint64(sets * isa.LineBytes)
 	// Write a line (dirty), then read ways more lines in the same set to
 	// force its eviction and writeback.
 	r.h.Submit(Request{Type: ReadExcl, Core: 0, Addr: 0, Token: 1000})

@@ -46,7 +46,7 @@ func TestBuildCostIsWhatTheRunTouches(t *testing.T) {
 		mc        config.Machine
 		addedSets int // per core
 	}{
-		{"8 MiB LLC", bigLLC, bigLLC.L2.Sets(bigLLC.LineSize) - def.L2.Sets(def.LineSize)},
+		{"8 MiB LLC", bigLLC, bigLLC.L2.Sets() - def.L2.Sets()},
 		{"16384-entry BTB", bigBTB, 0},
 	} {
 		got, limit := build(tc.mc), base+uint64(4*tc.addedSets*cores+mapSpread)
