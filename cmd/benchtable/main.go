@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -57,7 +56,7 @@ var (
 	impDir  = flag.String("import", "", "import *.trace files from this directory as workloads (selectable via -names)")
 	quiet   = flag.Bool("quiet", false, "suppress per-job progress lines on stderr")
 
-	// campaignFlags registers the uniform -journal/-resume/-retries/-isolate
+	// campaignFlags registers the uniform -journal/-resume/-retries
 	// resilience flags (internal/campaign).
 	campaignFlags = campaign.AddFlags(flag.CommandLine)
 
@@ -128,27 +127,10 @@ func csvRow(jr runner.JobResult) {
 }
 
 func main() {
-	// Imported workloads must exist before any cell runs — including in
-	// re-executed -cellworker children, which inherit the parent's
-	// INVISISPEC_IMPORT environment (set below when -import is given).
-	if err := workload.ImportFromEnv(); err != nil {
-		fail(err)
-	}
-	if code, served := campaign.WorkerMain(os.Args, func(ctx context.Context, name string, spec json.RawMessage) (any, error) {
-		s, err := campaign.DecodeSpec[campaign.JobSpec](spec)
-		if err != nil {
-			return nil, err
-		}
-		return campaign.RunJobSpec(ctx, s)
-	}); served {
-		os.Exit(code)
-	}
 	flag.Parse()
+	// Imported workloads must exist before any cell runs.
 	if *impDir != "" {
 		if _, err := workload.ImportDir(*impDir); err != nil {
-			fail(err)
-		}
-		if err := workload.SetImportDirs(*impDir); err != nil {
 			fail(err)
 		}
 	}
@@ -196,12 +178,12 @@ func reproFor(name string, j runner.Job) string {
 	return cmd
 }
 
-// runMatrix sweeps the jobs through campaign.Sweep (checkpoint journal,
-// typed retries, optional isolation — see the -journal/-resume/-retries/
-// -isolate flags), records every measurement in the CSV and bench-JSON
-// sinks, and degrades gracefully: cells that fail permanently land in the
-// artifact's degraded block with a repro command and the sweep exits
-// non-zero after writing everything, instead of aborting on first error.
+// runMatrix sweeps the jobs through campaign.Sweep (checkpoint journal and
+// typed retries — see the -journal/-resume/-retries flags), records every
+// measurement in the CSV and bench-JSON sinks, and degrades gracefully:
+// cells that fail permanently land in the artifact's degraded block with a
+// repro command and the sweep exits non-zero after writing everything,
+// instead of aborting on first error.
 //
 // -comparekernels is the CI-level half of the kernel-equivalence oracle
 // (the unit-level half is internal/sim's TestKernelEquivalence): a second

@@ -7,9 +7,7 @@
 // The campaign runs on the resilient execution layer (internal/campaign):
 // -journal checkpoints every finished program, -resume skips programs a
 // previous (possibly killed) run already finished and replays their results
-// byte-identically, -retries re-runs transient failures, and -isolate
-// shards programs into kill-on-hang child worker processes (the same binary
-// re-exec'd in -cellworker mode).
+// byte-identically, and -retries re-runs transient failures.
 //
 // Imported traces join the gate too: -import DIR replays every *.trace
 // admitted by the workload registry under the full configuration matrix
@@ -24,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,22 +41,6 @@ func main() {
 }
 
 func run() int {
-	// Imported workloads register before any program runs — in -cellworker
-	// children too, via the inherited INVISISPEC_IMPORT environment.
-	if err := workload.ImportFromEnv(); err != nil {
-		fmt.Fprintln(os.Stderr, "conformfuzz:", err)
-		return 2
-	}
-	if code, served := campaign.WorkerMain(os.Args, func(ctx context.Context, name string, spec json.RawMessage) (any, error) {
-		s, err := campaign.DecodeSpec[conform.ProgSpec](spec)
-		if err != nil {
-			return nil, err
-		}
-		return conform.RunProgSpec(ctx, s)
-	}); served {
-		return code
-	}
-
 	var (
 		seed    = flag.Uint64("seed", 1, "campaign seed; program i uses Mix(seed, i)")
 		n       = flag.Int("n", 200, "number of programs")

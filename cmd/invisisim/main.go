@@ -5,7 +5,7 @@
 // Examples:
 //
 //	invisisim -workload sjeng -defense IS-Fu -consistency TSO
-//	invisisim -workload canneal -cores 8 -defense Base
+//	invisisim -workload canneal -defense Base
 //	invisisim -workload mcf -defense IS-Sp -check -faultseed 7
 //	invisisim -print-config
 package main
@@ -44,7 +44,6 @@ func main() {
 		kernelName  = flag.String("kernel", "fast", "simulation kernel: fast (quiescence-aware fast-forward) | stepped (cycle-by-cycle reference); both produce identical results")
 		importDir   = flag.String("import", "", "import *.trace files from this directory as workloads before resolving -workload")
 	)
-	check(workload.ImportFromEnv())
 	flag.Parse()
 
 	if *importDir != "" {
@@ -87,9 +86,9 @@ func main() {
 		return
 	}
 
-	d, err := parseDefense(*defense)
+	d, err := config.ParseDefense(*defense)
 	check(err)
-	cm, err := parseConsistency(*consistency)
+	cm, err := config.ParseConsistency(*consistency)
 	check(err)
 	kernel, err := engine.ParseKernel(*kernelName)
 	check(err)
@@ -172,20 +171,6 @@ func check(err error) {
 		fmt.Fprintln(os.Stderr, "invisisim:", err)
 		os.Exit(1)
 	}
-}
-
-func parseDefense(s string) (config.Defense, error) {
-	return config.ParseDefense(s)
-}
-
-func parseConsistency(s string) (config.Consistency, error) {
-	switch s {
-	case "TSO":
-		return config.TSO, nil
-	case "RC":
-		return config.RC, nil
-	}
-	return 0, fmt.Errorf("unknown consistency model %q", s)
 }
 
 func report(r harness.Result) {

@@ -19,9 +19,7 @@
 // The scan runs on the resilient execution layer (internal/campaign):
 // -journal checkpoints every finished trial, -resume skips trials a
 // previous (possibly killed) run already finished and replays their
-// latencies byte-identically, -retries re-runs transient failures, and
-// -isolate shards trials into kill-on-hang child worker processes (the
-// same binary re-exec'd in -cellworker mode).
+// latencies byte-identically, and -retries re-runs transient failures.
 //
 // The report's deterministic payload is byte-identical at any -jobs
 // width; host facts (wall time, worker count) are quarantined in the
@@ -50,22 +48,6 @@ import (
 )
 
 func main() {
-	// Imported workloads register before any trial runs — in -cellworker
-	// children too, via the inherited INVISISPEC_IMPORT environment.
-	if err := workload.ImportFromEnv(); err != nil {
-		fmt.Fprintln(os.Stderr, "leakscan:", err)
-		os.Exit(2)
-	}
-	if code, served := campaign.WorkerMain(os.Args, func(ctx context.Context, name string, spec json.RawMessage) (any, error) {
-		s, err := campaign.DecodeSpec[leakage.TrialSpec](spec)
-		if err != nil {
-			return nil, err
-		}
-		return leakage.RunTrialSpec(ctx, s)
-	}); served {
-		os.Exit(code)
-	}
-
 	var (
 		corpus   = flag.String("corpus", "smoke", "attack corpus: smoke, fuzz, or none (imported cells only)")
 		seed     = flag.Int64("seed", 1, "fuzz corpus seed (-corpus fuzz)")
@@ -128,10 +110,6 @@ func main() {
 
 	if *impDir != "" {
 		if _, err := workload.ImportDir(*impDir); err != nil {
-			fmt.Fprintln(os.Stderr, "leakscan:", err)
-			os.Exit(2)
-		}
-		if err := workload.SetImportDirs(*impDir); err != nil {
 			fmt.Fprintln(os.Stderr, "leakscan:", err)
 			os.Exit(2)
 		}

@@ -57,19 +57,11 @@ func realMain(args []string, stdout, stderr *os.File) int {
 		drainWait  = fs.Duration("drain-timeout", 10*time.Minute, "max wait for in-flight cells on shutdown")
 		impDir     = fs.String("import", "", "import *.trace files from this directory as workloads before serving")
 	)
-	if err := workload.ImportFromEnv(); err != nil {
-		fmt.Fprintln(stderr, "simserver:", err)
-		return 1
-	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *impDir != "" {
 		if _, err := workload.ImportDir(*impDir); err != nil {
-			fmt.Fprintln(stderr, "simserver:", err)
-			return 1
-		}
-		if err := workload.SetImportDirs(*impDir); err != nil {
 			fmt.Fprintln(stderr, "simserver:", err)
 			return 1
 		}

@@ -1,10 +1,9 @@
 package main
 
-// The graceful-shutdown test uses the exec-helper pattern (like the campaign
-// isolation tests): the test binary re-execs itself into realMain, the
-// parent submits a job over HTTP, sends SIGTERM mid-job, and asserts the
-// drain semantics — clean exit, persisted cache index, and a warm restart
-// that re-runs only the refused cells.
+// The graceful-shutdown test uses the exec-helper pattern: the test binary
+// re-execs itself into realMain, the parent submits a job over HTTP, sends
+// SIGTERM mid-job, and asserts the drain semantics — clean exit, persisted
+// cache index, and a warm restart that re-runs only the refused cells.
 
 import (
 	"bufio"

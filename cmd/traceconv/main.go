@@ -46,7 +46,6 @@ func main() {
 		info        = flag.Bool("info", false, "print a summary of each trace file argument and exit")
 		verify      = flag.Bool("verify", false, "run the import admission gates on each trace file argument and exit")
 	)
-	check(workload.ImportFromEnv())
 	flag.Parse()
 
 	switch {

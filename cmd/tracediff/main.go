@@ -39,7 +39,6 @@ func main() {
 		file   = flag.String("file", "", "diff configuration A against this saved trace instead of a second live run")
 		impDir = flag.String("import", "", "import *.trace files from this directory as workloads first")
 	)
-	check(workload.ImportFromEnv())
 	flag.Parse()
 
 	if *impDir != "" {

@@ -21,8 +21,8 @@ import (
 
 // JobSpec is a bench cell's content identity: every input that determines
 // the run's deterministic output, and nothing host-dependent (timeouts and
-// worker counts deliberately excluded). It is the journal hash key and the
-// isolation wire format for bench campaigns.
+// worker counts deliberately excluded). It is the journal hash key for
+// bench campaigns.
 type JobSpec struct {
 	Workload    string             `json:"workload"`
 	Parsec      bool               `json:"parsec,omitempty"`
@@ -48,8 +48,8 @@ func SpecForJob(j runner.Job, kernel engine.Kernel) JobSpec {
 	}
 }
 
-// RunJobSpec executes one bench cell from its spec alone — the in-process
-// cell body and the -cellworker handler for isolation mode.
+// RunJobSpec executes one bench cell from its spec alone; it is the cell
+// body JobCells builds.
 func RunJobSpec(ctx context.Context, s JobSpec) (harness.Result, error) {
 	kernel, err := engine.ParseKernel(s.Kernel)
 	if err != nil {

@@ -3,15 +3,20 @@
 // JSONL checkpoint journal keyed by a content hash of each cell's identity,
 // so a killed campaign resumes by skipping finished cells and produces a
 // final artifact byte-identical to an uninterrupted run at any worker count;
-// (2) a typed retry policy — transient host-side failures (subprocess crash,
-// wall-clock timeout, fault-seeded I/O) re-run under capped exponential
-// backoff with deterministic seeded jitter, while deterministic simulator
-// outcomes (budget exhaustion, deadlock, divergence) fail fast; (3) an
-// opt-in subprocess isolation mode that shards cells into kill-on-hang child
-// worker processes, so a wedged or OOMed cell cannot take down the campaign;
-// and (4) graceful degradation — cells that fail permanently are recorded in
-// the artifact's degraded block with a ready-to-run repro command instead of
+// (2) a typed retry policy — transient host-side failures (wall-clock
+// timeout, fault-seeded I/O) re-run under capped exponential backoff with
+// deterministic jitter, while deterministic simulator outcomes (budget
+// exhaustion, deadlock, divergence) fail fast; (3) one in-process attempt
+// per try, under its own context deadline and with panic recovery, so a
+// cell that overruns its wall-clock bound or panics fails alone; and (4)
+// graceful degradation — cells that fail permanently are recorded in the
+// artifact's degraded block with a ready-to-run repro command instead of
 // aborting the campaign.
+//
+// A cell's only wall-clock bound is its context: the simulation loop polls
+// it, and a cell body that never polls it cannot be stopped. A campaign
+// that dies anyway (a hang, an out-of-memory kill) resumes from its journal
+// with -resume.
 //
 // Byte-identity across interruption is the design invariant everything hangs
 // off: a cell's value is marshaled to canonical JSON exactly once, at the
@@ -43,8 +48,7 @@ type Cell struct {
 	// Spec is the cell's JSON-serializable identity: everything that
 	// determines its deterministic output (workload, defense, consistency,
 	// seed, budget, kernel, ...). Its canonical JSON is content-hashed into
-	// the journal key, and in isolation mode it is shipped to the worker
-	// process, which must be able to reconstruct the work from it alone.
+	// the journal key.
 	Spec any
 	// Timeout bounds each attempt's host wall-clock time (0 = Options.CellTimeout).
 	Timeout time.Duration
@@ -92,9 +96,6 @@ type Options struct {
 	// Retries is how many times a transient failure re-runs after its first
 	// attempt. Deterministic failures are never retried regardless.
 	Retries int
-	// Seed feeds the retry jitter (see backoffFor) and nothing else: any
-	// value is fine, the same value reproduces the same schedule.
-	Seed int64
 	// CellTimeout bounds each attempt of cells that don't set their own.
 	CellTimeout time.Duration
 	// Journal is the checkpoint path ("" = no checkpointing). Without
@@ -102,12 +103,9 @@ type Options struct {
 	// are skipped and their journaled values replayed byte-identically.
 	Journal string
 	Resume  bool
-	// Isolate, when non-nil, runs every attempt in a child worker process
-	// with kill-on-hang semantics (see IsolateOptions).
-	Isolate *IsolateOptions
-	// Exec, when non-nil (and Isolate is nil), replaces the in-process
-	// attempt: it receives the cell and its content key and returns the
-	// cell's canonical JSON value. This is the memoization seam — the
+	// Exec, when non-nil, replaces the cell's own Run in each attempt: it
+	// receives the cell and its content key and returns the cell's
+	// canonical JSON value. This is the memoization seam — the
 	// simulation server points it at a content-addressed store whose Do
 	// wraps c.Run, so a cached cell never re-runs. The returned RawMessage
 	// is passed through to the journal and the Outcome byte-for-byte,
@@ -137,11 +135,11 @@ func Key(spec any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Run executes the cells on the bounded pool with checkpointing, retry, and
-// (optionally) process isolation, returning one Outcome per cell in cell
-// order. Per-cell failures degrade rather than abort: Run returns an error
-// only for campaign-level problems — an invalid cell set, an unusable or
-// unwritable journal, a cancelled context, or the chaos harness's ErrKilled.
+// Run executes the cells on the bounded pool with checkpointing and retry,
+// returning one Outcome per cell in cell order. Per-cell failures degrade
+// rather than abort: Run returns an error only for campaign-level problems
+// — an invalid cell set, an unusable or unwritable journal, a cancelled
+// context, or the chaos harness's ErrKilled.
 func Run(ctx context.Context, name string, cells []Cell, opts Options) ([]Outcome, error) {
 	if opts.sleep == nil {
 		opts.sleep = ctxSleep
@@ -283,7 +281,7 @@ func runCell(ctx context.Context, c Cell, o Outcome, opts Options, j *journal, a
 			return o
 		case ClassTransient:
 			if o.Attempts <= opts.Retries {
-				if serr := opts.sleep(ctx, backoffFor(opts.Seed, o.Key, o.Attempts)); serr != nil {
+				if serr := opts.sleep(ctx, backoffFor(o.Key, o.Attempts)); serr != nil {
 					o.Err, o.Class = serr, ClassCancelled
 					return o
 				}
@@ -299,8 +297,8 @@ func runCell(ctx context.Context, c Cell, o Outcome, opts Options, j *journal, a
 	}
 }
 
-// attempt runs one try of the cell, in-process or isolated, with its
-// per-attempt wall-clock bound applied.
+// attempt runs one try of the cell with its per-attempt wall-clock bound
+// applied to the context and a panic turned into a PanicError.
 func attempt(ctx context.Context, c Cell, key string, opts Options) (val any, err error) {
 	timeout := c.Timeout
 	if timeout == 0 {
@@ -310,9 +308,6 @@ func attempt(ctx context.Context, c Cell, key string, opts Options) (val any, er
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
-	}
-	if opts.Isolate != nil {
-		return runIsolated(ctx, c, opts.Isolate)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -351,9 +346,9 @@ const (
 )
 
 // backoffFor computes the capped exponential backoff for a cell's next
-// retry plus a jitter in [0, delay/2) derived from (seed, cell key,
-// attempt), so a herd of retrying cells decorrelates reproducibly.
-func backoffFor(seed int64, key string, attempt int) time.Duration {
+// retry plus a jitter in [0, delay/2) derived from (cell key, attempt), so
+// a herd of retrying cells decorrelates reproducibly.
+func backoffFor(key string, attempt int) time.Duration {
 	d := backoffBase
 	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
@@ -361,10 +356,10 @@ func backoffFor(seed int64, key string, attempt int) time.Duration {
 	if d > backoffMax {
 		d = backoffMax
 	}
-	// Seeded jitter in [0, d/2): same (seed, key, attempt) -> same delay,
-	// so retry schedules reproduce exactly.
+	// Jitter in [0, d/2): same (key, attempt) -> same delay, so retry
+	// schedules reproduce exactly.
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", seed, key, attempt)
+	fmt.Fprintf(h, "%s|%d", key, attempt)
 	jitter := time.Duration(h.Sum64() % uint64(d/2+1))
 	if d+jitter > backoffMax {
 		return backoffMax

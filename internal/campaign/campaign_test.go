@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -69,6 +68,24 @@ func noSleep(opts *Options) {
 	opts.sleep = func(ctx context.Context, d time.Duration) error { return nil }
 }
 
+// journalRecords reads every record of the journal at path.
+func journalRecords(t *testing.T, path string) []journalRecord {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []journalRecord
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 func TestRunBasicOrderAndValues(t *testing.T) {
 	cells := synthCells("basic", 9, nil)
 	outcomes, err := Run(context.Background(), "basic", cells, Options{Workers: 4})
@@ -117,15 +134,11 @@ func TestClassifyTable(t *testing.T) {
 		{"deadline wrapped", wrap(context.DeadlineExceeded), ClassTransient},
 		{"transient sentinel", ErrTransient, ClassTransient},
 		{"transient wrapped", wrap(ErrTransient), ClassTransient},
-		{"exec exit", wrap(&exec.ExitError{}), ClassTransient},
-		{"worker crash", &WorkerCrashError{Cell: "c"}, ClassTransient},
 		{"budget", &sim.BudgetError{}, ClassDeterministic},
 		{"budget wrapped", wrap(&sim.BudgetError{}), ClassDeterministic},
 		{"deadlock", &invariant.DeadlockError{}, ClassDeterministic},
 		{"violation", &invariant.ViolationError{Err: errors.New("x")}, ClassDeterministic},
 		{"panic", &PanicError{Cell: "c", Value: "boom"}, ClassDeterministic},
-		{"remote transient", &RemoteError{Msg: "m", Class: ClassTransient}, ClassTransient},
-		{"remote deterministic", &RemoteError{Msg: "m", Class: ClassDeterministic}, ClassDeterministic},
 		{"journaled transient", &journaledError{msg: "m", class: ClassTransient}, ClassTransient},
 		{"unknown", errors.New("mystery"), ClassDeterministic},
 	}
@@ -214,13 +227,13 @@ func TestRetryRecoversFromTransientBlip(t *testing.T) {
 	}
 }
 
-// TestBackoffDeterministicAndCapped: same (seed, key, attempt) -> same
-// delay; delays grow from base, reach the cap, and never exceed it.
+// TestBackoffDeterministicAndCapped: same (key, attempt) -> same delay;
+// delays grow from base, reach the cap, and never exceed it.
 func TestBackoffDeterministicAndCapped(t *testing.T) {
 	prev := time.Duration(0)
 	for attempt := 1; attempt <= 10; attempt++ {
-		d1 := backoffFor(42, "key", attempt)
-		d2 := backoffFor(42, "key", attempt)
+		d1 := backoffFor("key", attempt)
+		d2 := backoffFor("key", attempt)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, d1, d2)
 		}
@@ -235,8 +248,8 @@ func TestBackoffDeterministicAndCapped(t *testing.T) {
 	if prev != backoffMax {
 		t.Fatalf("attempt 10: backoff %v, want the cap %v", prev, backoffMax)
 	}
-	if backoffFor(42, "key", 1) == backoffFor(43, "key", 1) {
-		t.Log("seeds 42 and 43 collided on attempt 1 jitter (possible but suspicious)")
+	if backoffFor("key", 1) == backoffFor("other", 1) {
+		t.Log("keys \"key\" and \"other\" collided on attempt 1 jitter (possible but suspicious)")
 	}
 }
 
@@ -251,7 +264,7 @@ func TestRetrySleepsObserveBackoff(t *testing.T) {
 			return nil, fmt.Errorf("blip: %w", ErrTransient)
 		},
 	}}
-	opts := Options{Retries: 2, Seed: 7}
+	opts := Options{Retries: 2}
 	opts.sleep = func(ctx context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
@@ -264,9 +277,70 @@ func TestRetrySleepsObserveBackoff(t *testing.T) {
 	}
 	key, _ := Key(synthSpec{Campaign: "sleeps", I: 0})
 	for i, d := range slept {
-		if want := backoffFor(7, key, i+1); d != want {
+		if want := backoffFor(key, i+1); d != want {
 			t.Errorf("sleep %d = %v, want %v", i, d, want)
 		}
+	}
+}
+
+// TestAttemptTimeout: the per-attempt context deadline is a cell's only
+// wall-clock bound. A cell that blocks until its context ends times out
+// transiently, so with Retries 1 it runs twice, then degrades and is
+// journaled; a resume replays it without running it; and a cell's own
+// Timeout overrides a long CellTimeout.
+func TestAttemptTimeout(t *testing.T) {
+	var runs atomic.Int32
+	hang := func(ctx context.Context) (any, error) {
+		runs.Add(1)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	cells := []Cell{{Name: "hang", Spec: synthSpec{Campaign: "timeout", I: 0}, Run: hang}}
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	opts := Options{CellTimeout: 5 * time.Millisecond, Retries: 1, Journal: path}
+	noSleep(&opts)
+	outcomes, err := Run(context.Background(), "timeout", cells, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := outcomes[0]
+	if runs.Load() != 2 || o.Attempts != 2 {
+		t.Fatalf("ran %d times (outcome says %d), want 2", runs.Load(), o.Attempts)
+	}
+	if !errors.Is(o.Err, context.DeadlineExceeded) || o.Class != ClassTransient {
+		t.Fatalf("outcome err=%v class=%v, want a transient deadline", o.Err, o.Class)
+	}
+	if deg := Degraded(outcomes, nil); len(deg) != 1 || deg[0].Class != "transient" || deg[0].Attempts != 2 {
+		t.Fatalf("degraded block %+v, want the timed-out cell after 2 attempts", deg)
+	}
+	journaled := false
+	for _, rec := range journalRecords(t, path) {
+		journaled = journaled || rec.Kind == "cell" && rec.Key == o.Key && rec.Class == "transient" && rec.Attempts == 2
+	}
+	if !journaled {
+		t.Fatalf("timed-out cell not journaled: %+v", journalRecords(t, path))
+	}
+
+	opts.Resume = true
+	resumed, err := Run(context.Background(), "timeout", cells, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := resumed[0]; runs.Load() != 2 || !r.FromJournal || r.Class != ClassTransient || r.Err.Error() != o.Err.Error() {
+		t.Fatalf("resume ran the cell (%d runs) or drifted: %+v", runs.Load(), r)
+	}
+
+	// Were the cell's own Timeout ignored, the hour-long CellTimeout would
+	// outlast this context and Run would return its expiry.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	own := []Cell{{Name: "own", Spec: synthSpec{Campaign: "timeout-own", I: 0}, Timeout: 5 * time.Millisecond, Run: hang}}
+	outcomes, err = Run(ctx, "timeout-own", own, Options{CellTimeout: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := outcomes[0]; !errors.Is(o.Err, context.DeadlineExceeded) || o.Class != ClassTransient || o.Attempts != 1 {
+		t.Fatalf("own-timeout outcome err=%v class=%v attempts=%d, want one transient deadline", o.Err, o.Class, o.Attempts)
 	}
 }
 
@@ -290,17 +364,9 @@ func TestCancelledCellsNotJournaled(t *testing.T) {
 			t.Fatalf("cell %s classified %v, want cancelled", o.Name, o.Class)
 		}
 	}
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
-		}
+	for _, rec := range journalRecords(t, journal) {
 		if rec.Kind == "cell" {
-			t.Fatalf("cancelled cell journaled: %s", line)
+			t.Fatalf("cancelled cell journaled: %+v", rec)
 		}
 	}
 	// Resume after the abort: every cell runs fresh.

@@ -61,7 +61,7 @@ func TestChaosKillResumeByteIdentity(t *testing.T) {
 			t.Run(fmt.Sprintf("seed%d-w%d", seed, workers), func(t *testing.T) {
 				name := fmt.Sprintf("chaos-%d-%d", seed, workers)
 				cells := synthCells(name, 8, map[int]error{5: boom})
-				base := Options{Workers: workers, Retries: 2, Seed: seed}
+				base := Options{Workers: workers, Retries: 2}
 				noSleep(&base)
 
 				clean, err := Run(context.Background(), name, cells, base)
@@ -164,7 +164,7 @@ func TestChaosBenchKillResume(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, workers := range []int{1, 4} {
 			rng := rand.New(rand.NewSource(seed))
-			opts := Options{Workers: workers, Retries: 1, Seed: seed,
+			opts := Options{Workers: workers, Retries: 1,
 				Journal: filepath.Join(t.TempDir(), "j.jsonl")}
 			noSleep(&opts)
 			outcomes := runToCompletionViaKills(t, rng, "bench-chaos", cells, opts, 1)

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os/exec"
 
 	"invisispec/internal/invariant"
 	"invisispec/internal/sim"
@@ -23,8 +22,8 @@ type Class int
 const (
 	// ClassNone: the cell succeeded.
 	ClassNone Class = iota
-	// ClassTransient is a host-side failure — subprocess crash, wall-clock
-	// timeout, fault-seeded I/O — worth retrying under backoff: the
+	// ClassTransient is a host-side failure — wall-clock timeout,
+	// fault-seeded I/O — worth retrying under backoff: the
 	// simulated outcome is unaffected by when or where the cell re-runs.
 	ClassTransient
 	// ClassDeterministic is a simulated outcome — budget exhaustion,
@@ -38,7 +37,7 @@ const (
 	ClassCancelled
 )
 
-// String returns the class name used in journal records and wire results.
+// String returns the class name used in journal records and degraded blocks.
 func (c Class) String() string {
 	switch c {
 	case ClassNone:
@@ -53,7 +52,7 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// parseClass is String's inverse for journal/wire records; unknown strings
+// parseClass is String's inverse for journal records; unknown strings
 // read as deterministic (the conservative, never-retry interpretation).
 func parseClass(s string) Class {
 	switch s {
@@ -70,47 +69,12 @@ func parseClass(s string) Class {
 // ErrTransient marks host-side failures the retry policy may re-run. Cell
 // implementations wrap it (fmt.Errorf("...: %w", campaign.ErrTransient))
 // to flag their own transient conditions — fault-seeded I/O in tests, for
-// example — and the isolation layer's crash errors unwrap to it.
+// example.
 var ErrTransient = errors.New("transient failure")
 
 // classer lets error types carry their own class through wrapping; Classify
 // checks it before the sentinel rules.
 type classer interface{ campaignClass() Class }
-
-// WorkerCrashError reports an isolated worker process that died without
-// delivering a result — killed, OOMed, crashed, or emitting garbage. Always
-// transient: the simulated work is deterministic, so a re-run in a fresh
-// process is safe and likely to succeed.
-type WorkerCrashError struct {
-	Cell   string
-	Err    error  // the exec-level failure, when any
-	Stderr string // tail of the worker's stderr, for diagnosis
-}
-
-func (e *WorkerCrashError) Error() string {
-	msg := fmt.Sprintf("isolated worker for %s crashed", e.Cell)
-	if e.Err != nil {
-		msg += ": " + e.Err.Error()
-	}
-	if e.Stderr != "" {
-		msg += "\nworker stderr:\n" + e.Stderr
-	}
-	return msg
-}
-
-// Unwrap makes errors.Is(err, ErrTransient) true.
-func (e *WorkerCrashError) Unwrap() error { return ErrTransient }
-
-// RemoteError is a failure an isolated worker reported over the wire,
-// classified by the worker (which held the typed error) since only its text
-// survives process boundaries.
-type RemoteError struct {
-	Msg   string
-	Class Class
-}
-
-func (e *RemoteError) Error() string        { return e.Msg }
-func (e *RemoteError) campaignClass() Class { return e.Class }
 
 // PanicError is a panic recovered inside an in-process cell run. The
 // simulator is deterministic, so a panic reproduces on retry: deterministic.
@@ -137,13 +101,11 @@ func (e *journaledError) campaignClass() Class { return e.class }
 // Classify maps a cell failure to its retry class:
 //
 //	nil                                  -> ClassNone
-//	carries its own class (RemoteError,
-//	  PanicError, journaled failures)    -> that class
+//	carries its own class (PanicError,
+//	  journaled failures)                -> that class
 //	context.Canceled                     -> ClassCancelled (campaign shutdown)
 //	context.DeadlineExceeded             -> ClassTransient (wall-clock timeout)
-//	ErrTransient (WorkerCrashError,
-//	  fault-seeded I/O wrappers)         -> ClassTransient
-//	*exec.ExitError                      -> ClassTransient (subprocess died)
+//	ErrTransient (fault-seeded I/O)      -> ClassTransient
 //	sim.ErrCycleBudget                   -> ClassDeterministic
 //	invariant.ErrDeadlock / ErrViolation -> ClassDeterministic
 //	anything else                        -> ClassDeterministic (fail fast)
@@ -164,10 +126,6 @@ func Classify(err error) Class {
 	case errors.Is(err, context.DeadlineExceeded):
 		return ClassTransient
 	case errors.Is(err, ErrTransient):
-		return ClassTransient
-	}
-	var exitErr *exec.ExitError
-	if errors.As(err, &exitErr) {
 		return ClassTransient
 	}
 	if errors.Is(err, sim.ErrCycleBudget) ||

@@ -1,17 +1,13 @@
 package campaign
 
 // Shared CLI surface: every campaign CLI (benchtable, leakscan, conformfuzz)
-// exposes the same resilience flags and the same -cellworker re-exec entry
-// point, so the journaling/retry/isolation semantics are uniform across
-// artifacts.
+// exposes the same resilience flags, so the journaling and retry semantics
+// are uniform across artifacts.
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"invisispec/internal/artifact"
 )
@@ -23,42 +19,10 @@ func AddFlags(fs *flag.FlagSet) func() Options {
 		journal = fs.String("journal", "", "append-only JSONL checkpoint journal path (\"\" = no checkpointing)")
 		resume  = fs.Bool("resume", false, "skip cells already terminal in -journal and replay their values byte-identically")
 		retries = fs.Int("retries", 2, "re-runs per cell after a transient failure (deterministic failures never retry)")
-		isolate = fs.Bool("isolate", false, "run each cell attempt in a kill-on-hang child worker process")
-		seed    = fs.Int64("retry-seed", 0, "seed for the deterministic retry-backoff jitter")
 	)
 	return func() Options {
-		o := Options{Journal: *journal, Resume: *resume, Retries: *retries, Seed: *seed}
-		if *isolate {
-			o.Isolate = &IsolateOptions{}
-		}
-		return o
+		return Options{Journal: *journal, Resume: *resume, Retries: *retries}
 	}
-}
-
-// WorkerMain intercepts the -cellworker re-exec mode: when argv requests it,
-// one wire-encoded cell is served on stdin/stdout via handler and WorkerMain
-// returns (exit code, true); otherwise it returns (0, false) and the CLI
-// proceeds normally. Call before flag.Parse — the worker mode takes no other
-// arguments.
-func WorkerMain(argv []string, handler func(ctx context.Context, name string, spec json.RawMessage) (any, error)) (int, bool) {
-	if len(argv) < 2 || argv[1] != "-cellworker" {
-		return 0, false
-	}
-	if err := ServeWorker(os.Stdin, os.Stdout, handler); err != nil {
-		fmt.Fprintf(os.Stderr, "cellworker: %v\n", err)
-		return 2, true
-	}
-	return 0, true
-}
-
-// DecodeSpec unmarshals a wire spec into the CLI's concrete spec type with a
-// uniform error message.
-func DecodeSpec[T any](spec json.RawMessage) (T, error) {
-	var s T
-	if err := json.Unmarshal(spec, &s); err != nil {
-		return s, fmt.Errorf("campaign: decoding worker spec: %w", err)
-	}
-	return s, nil
 }
 
 // PrintDegraded renders an artifact's degraded block the way every campaign

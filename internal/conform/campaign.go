@@ -3,11 +3,10 @@ package conform
 // The campaign fans generated programs through the resilient execution
 // layer (internal/campaign): one cell per program, each cell running the
 // full configuration matrix against the golden model, with journaled
-// checkpoints, transient-failure retries, and optional subprocess
-// isolation. The report artifact follows the repo's bench/leakage pattern
-// — a schema-versioned JSON whose deterministic payload is byte-identical
-// for the same (seed, n) at any worker count, with all wall-clock data
-// quarantined in a host block.
+// checkpoints and transient-failure retries. The report artifact follows
+// the repo's bench/leakage pattern — a schema-versioned JSON whose
+// deterministic payload is byte-identical for the same (seed, n) at any
+// worker count, with all wall-clock data quarantined in a host block.
 
 import (
 	"context"
@@ -42,9 +41,8 @@ type Options struct {
 	MaxShrinkEvals int       // oracle budget per shrink (default 2000)
 	Progress       io.Writer // optional per-program progress lines
 	Timeout        time.Duration
-	// Campaign carries the resilience knobs (journal/resume/retries/
-	// isolation/chaos); Jobs, Timeout, and Progress above override its
-	// pool fields.
+	// Campaign carries the resilience knobs (journal/resume/retries/chaos);
+	// Jobs, Timeout, and Progress above override its pool fields.
 	Campaign campaign.Options
 	// Repro, when non-nil, overrides the default reproduction command
 	// recorded for a degraded cell.
@@ -53,7 +51,7 @@ type Options struct {
 
 // ProgSpec is one conformance cell's content identity: everything that
 // determines the program's deterministic outcome. It is the journal hash
-// key and the isolation wire format for conformance campaigns.
+// key for conformance campaigns.
 type ProgSpec struct {
 	CampaignSeed   uint64 `json:"campaign_seed"`
 	Index          int    `json:"index"`
@@ -111,12 +109,12 @@ type Report struct {
 }
 
 // RunProgSpec generates and checks one program from its spec alone,
-// shrinking on divergence — the in-process cell body and the -cellworker
-// handler for isolation mode. Deterministic outcomes (golden-model
-// failures, divergences) are embedded in the ProgramResult; only
-// execution-layer failures (context cancellation or expiry) surface as
-// the returned error, so the campaign's retry policy never re-runs a
-// divergence but does re-run a timed-out cell.
+// shrinking on divergence; it is the cell body Campaign builds.
+// Deterministic outcomes (golden-model failures, divergences) are
+// embedded in the ProgramResult; only execution-layer failures (context
+// cancellation or expiry) surface as the returned error, so the campaign's
+// retry policy never re-runs a divergence but does re-run a timed-out
+// cell.
 func RunProgSpec(ctx context.Context, s ProgSpec) (ProgramResult, error) {
 	seed := Mix(s.CampaignSeed, uint64(s.Index))
 	p := Generate(seed)

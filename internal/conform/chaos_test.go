@@ -47,7 +47,6 @@ func TestChaosConformKillResume(t *testing.T) {
 				opts.Campaign = campaign.Options{
 					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
 					Retries: 1,
-					Seed:    seed,
 				}
 				opts.Campaign.Chaos = &campaign.ChaosOptions{
 					Seed:         rng.Int63(),

@@ -90,21 +90,41 @@ var table = []Scheme{
 	{Name: "BasicBlocker", StallAtBlocks: true},
 }
 
-// Register appends a scheme to the table, rejecting empty, separator-laden
-// and duplicate names. The built-in rows need no registration; tests use it
-// to add schemes of their own.
+// Register appends a scheme to the table under CheckName's rule. The
+// built-in rows need no registration; tests use it to add schemes of their
+// own.
 func Register(s Scheme) error {
-	switch {
-	case s.Name == "":
-		return fmt.Errorf("defense: Register: scheme has empty name")
-	case strings.ContainsAny(s.Name, ", \t\n"):
-		return fmt.Errorf("defense: Register: name %q contains separator characters", s.Name)
-	}
-	if _, err := Lookup(s.Name); err == nil {
-		return fmt.Errorf("defense: Register: duplicate scheme name %q", s.Name)
+	_, lookupErr := Lookup(s.Name)
+	if err := CheckName("defense", "scheme", s.Name, lookupErr == nil); err != nil {
+		return err
 	}
 	table = append(table, s)
 	return nil
+}
+
+// CheckName is the name rule of every registry in the repo, this one and
+// internal/workload's: a name must be non-empty, free of the separators the
+// comma-separated -defenses and -names flags split on, and not yet taken.
+// pkg and kind word the error ("defense", "scheme").
+func CheckName(pkg, kind, name string, taken bool) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("%s: Register: %s has empty name", pkg, kind)
+	case strings.ContainsAny(name, ", \t\n"):
+		return fmt.Errorf("%s: Register: name %q contains separator characters", pkg, name)
+	case taken:
+		return fmt.Errorf("%s: Register: duplicate %s name %q", pkg, kind, name)
+	}
+	return nil
+}
+
+// UnknownName is the error a registry's Lookup returns for an unregistered
+// name. It lists the registered names, sorted, so a CLI typo is
+// self-diagnosing.
+func UnknownName(pkg, kind, name string, registered []string) error {
+	known := append([]string(nil), registered...)
+	sort.Strings(known)
+	return fmt.Errorf("%s: unknown %s %q (registered: %s)", pkg, kind, name, strings.Join(known, ", "))
 }
 
 // All returns a copy of every registered scheme in matrix order.
@@ -129,8 +149,5 @@ func Lookup(name string) (Scheme, error) {
 			return s, nil
 		}
 	}
-	known := Names()
-	sort.Strings(known)
-	return Scheme{}, fmt.Errorf("defense: unknown scheme %q (registered: %s)",
-		name, strings.Join(known, ", "))
+	return Scheme{}, UnknownName("defense", "scheme", name, Names())
 }

@@ -55,7 +55,6 @@ func TestChaosLeakageKillResume(t *testing.T) {
 				opts.Campaign = campaign.Options{
 					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
 					Retries: 1,
-					Seed:    seed,
 				}
 				// Kill the scan at a random checkpoint append, then resume;
 				// a kill point past the remaining appends means the scan

@@ -39,9 +39,9 @@ type ScanOptions struct {
 	Progress io.Writer
 	// Name labels the report (e.g. "smoke" or "fuzz-seed42").
 	Name string
-	// Campaign carries the resilience knobs (journal/resume/retries/
-	// isolation/chaos) through to the execution layer; Jobs, Timeout, and
-	// Progress above override its pool fields.
+	// Campaign carries the resilience knobs (journal/resume/retries/chaos)
+	// through to the execution layer; Jobs, Timeout, and Progress above
+	// override its pool fields.
 	Campaign campaign.Options
 	// Repro, when non-nil, builds the ready-to-run reproduction command
 	// recorded for a degraded cell (cmd/leakscan supplies one from its
@@ -51,7 +51,7 @@ type ScanOptions struct {
 
 // TrialSpec is one scan cell's content identity — attack, defense,
 // consistency model, trial index, cycle budget — used as the journal hash
-// key and shipped to isolated workers, which re-run it via RunTrialSpec.
+// key; RunTrialSpec runs it.
 type TrialSpec struct {
 	Attack      AttackSpec         `json:"attack"`
 	Defense     config.Defense     `json:"defense"`
@@ -61,8 +61,7 @@ type TrialSpec struct {
 }
 
 // RunTrialSpec executes one trial from its spec alone and returns the
-// probe-line latencies — the in-process cell body and the -cellworker
-// handler for isolation mode.
+// probe-line latencies; it is the cell body Scan builds.
 func RunTrialSpec(ctx context.Context, ts TrialSpec) ([]uint64, error) {
 	return runTrial(ctx, ts.Attack, ts.Defense, ts.Consistency, ts.Trial, ts.MaxCycles)
 }

@@ -244,7 +244,6 @@ func TestChaosSearchKillResume(t *testing.T) {
 				opts.Campaign = campaign.Options{
 					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
 					Retries: 1,
-					Seed:    seed,
 				}
 				opts.Campaign.Chaos = &campaign.ChaosOptions{
 					Seed:         rng.Int63(),

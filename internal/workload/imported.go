@@ -15,8 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
 
 	"invisispec/internal/isa"
 	"invisispec/internal/trace"
@@ -133,48 +131,4 @@ func ImportDir(dir string) ([]string, error) {
 		names = append(names, w.Name())
 	}
 	return names, nil
-}
-
-// EnvImportDirs is the environment variable through which import
-// directories propagate to re-executed campaign cell workers: the parent
-// process sets it (SetImportDirs) before spawning, the worker inherits
-// the environment and calls ImportFromEnv before serving cells, and both
-// sides end up with the identical registry the journal identities assume.
-const EnvImportDirs = "INVISISPEC_IMPORT"
-
-var importEnvOnce sync.Once
-
-// SetImportDirs records dir in the process environment (appending to any
-// existing list) so isolation-spawned workers import the same corpus.
-func SetImportDirs(dir string) error {
-	val := dir
-	if prev := os.Getenv(EnvImportDirs); prev != "" {
-		val = prev + string(os.PathListSeparator) + dir
-	}
-	return os.Setenv(EnvImportDirs, val)
-}
-
-// ImportFromEnv imports every directory listed in EnvImportDirs, once per
-// process (idempotent across the campaign worker's cell loop). CLIs call
-// it at startup, before flag handling: in the parent the variable is
-// normally unset and this is a no-op; in a re-executed -cellworker child
-// it reconstructs the parent's imported registry.
-func ImportFromEnv() error {
-	val := os.Getenv(EnvImportDirs)
-	if val == "" {
-		return nil
-	}
-	var err error
-	importEnvOnce.Do(func() {
-		for _, dir := range strings.Split(val, string(os.PathListSeparator)) {
-			if dir == "" {
-				continue
-			}
-			if _, e := ImportDir(dir); e != nil {
-				err = e
-				return
-			}
-		}
-	})
-	return err
 }

@@ -9,9 +9,8 @@ package workload
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
+	"invisispec/internal/defense"
 	"invisispec/internal/isa"
 )
 
@@ -68,20 +67,16 @@ var registry struct {
 	order  []Workload
 }
 
-// Register adds a workload to the registry, rejecting empty and duplicate
-// names. Built-in kernels register from init via MustRegister; the error
-// form exists for runtime registration (imported traces) and so tests can
-// exercise the rejection paths without panics.
+// Register adds a workload to the registry under the name rule the defense
+// registry applies too (defense.CheckName). Built-in kernels register from
+// init via MustRegister; the error form exists for runtime registration
+// (imported traces) and so tests can exercise the rejection paths without
+// panics.
 func Register(w Workload) error {
 	name := w.Name()
-	if name == "" {
-		return fmt.Errorf("workload: Register: workload has empty name")
-	}
-	if strings.ContainsAny(name, ", \t\n") {
-		return fmt.Errorf("workload: Register: name %q contains separator characters", name)
-	}
-	if _, dup := registry.byName[name]; dup {
-		return fmt.Errorf("workload: Register: duplicate workload name %q", name)
+	_, taken := registry.byName[name]
+	if err := defense.CheckName("workload", "workload", name, taken); err != nil {
+		return err
 	}
 	if registry.byName == nil {
 		registry.byName = make(map[string]Workload)
@@ -123,10 +118,7 @@ func Lookup(name string) (Workload, error) {
 	if w, ok := registry.byName[name]; ok {
 		return w, nil
 	}
-	known := Names()
-	sort.Strings(known)
-	return nil, fmt.Errorf("workload: unknown workload %q (registered: %s)",
-		name, strings.Join(known, ", "))
+	return nil, defense.UnknownName("workload", "workload", name, Names())
 }
 
 // SuiteNames returns one figure axis of the bench suite in paper order:
