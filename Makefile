@@ -12,6 +12,7 @@ SMOKE_FLAGS = -fig 4 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
 PARSEC_FLAGS = -fig 7 -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet
 LEAK_FLAGS = -corpus smoke -trials 3 -jobs $(JOBS)
 SEARCH_FLAGS = -search -search-budget 3 -seed 1 -trials 2 -jobs $(JOBS)
+SMOKE_CACHE = $(BIN)/smoke-cache
 
 .PHONY: all build tools test vet lint loc race check ci benchtest bench smoke benchdiff baseline baselinecheck leakscan leaksearch kernelcheck conform chaos serve
 
@@ -60,11 +61,12 @@ race:
 
 check: build vet race
 
-# What CI invokes; kept separate from `check` so CI-only steps can be
-# attached without changing the local gate. One race-instrumented suite
-# pass (inside check) covers kernelcheck and chaos; the CLI gates reuse
-# the binaries `tools` built.
-ci: check lint leakscan leaksearch conform benchtest
+# Every gate CI runs on a push, each once: CI runs these targets in
+# separate jobs (check and benchtest, lint, smoke, leakscan and
+# leaksearch, conform). One race-instrumented suite pass (inside check)
+# covers kernelcheck and chaos; the CLI gates reuse the binaries `tools`
+# built, and the gates with a committed baseline cmp against it.
+ci: check lint benchtest smoke leakscan leaksearch conform
 
 # The host-performance benchmark is a module of its own (bench/go.mod), so
 # `go test ./...` never builds it. Its traced run rebuilds machines the way
@@ -73,11 +75,12 @@ ci: check lint leakscan leaksearch conform benchtest
 benchtest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Resilience gate: the seeded chaos self-tests kill journaled bench,
-# leakage, and conformance campaigns at randomized checkpoint appends
-# (torn tail included), inject transient faults, resume, and assert the
-# final deterministic payload is byte-identical to an uninterrupted run
-# at 1 and 4 workers. (Also runs as part of `make race`.)
+# Resilience gate: the seeded chaos self-tests run bench, leakage, and
+# conformance campaigns over a memo store (the -cache seam), cancel them
+# after a seeded number of stored cells, inject transient faults, rerun
+# over the same store, and assert the final deterministic payload is
+# byte-identical to an uninterrupted run at 1 and 4 workers and that the
+# rerun served cells from the store. (Also runs as part of `make race`.)
 chaos:
 	$(GO) test -run 'TestChaos' -count=1 ./internal/campaign ./internal/leakage ./internal/conform
 
@@ -108,10 +111,18 @@ kernelcheck:
 # -comparekernels re-runs the sweep under the stepped kernel, fails on any
 # divergence, and records both kernels' wall time in the artifact's host
 # block so benchdiff trajectories show the fast-forward speedup. The
-# Figure-7 sweep does the same for the 8-core PARSEC machines.
+# Figure-7 sweep does the same for the 8-core PARSEC machines. Each sweep
+# stores its cells in a fresh $(SMOKE_CACHE); a second, host-free
+# assembly of the same matrix is served from it without simulating and
+# must equal the committed baseline byte for byte.
 smoke: tools
-	$(BIN)/benchtable $(SMOKE_FLAGS) -comparekernels -benchjson BENCH_smoke.json -benchname smoke
-	$(BIN)/benchtable $(PARSEC_FLAGS) -comparekernels -benchjson $(BIN)/parsec_smoke.json -benchname parsec-smoke
+	rm -rf $(SMOKE_CACHE)
+	$(BIN)/benchtable $(SMOKE_FLAGS) -comparekernels -cache $(SMOKE_CACHE) -benchjson BENCH_smoke.json -benchname smoke
+	$(BIN)/benchtable $(SMOKE_FLAGS) -cache $(SMOKE_CACHE) -benchjson $(BIN)/baselinecheck.json -benchname smoke -benchhost=false
+	cmp $(BIN)/baselinecheck.json BENCH_baseline.json
+	$(BIN)/benchtable $(PARSEC_FLAGS) -comparekernels -cache $(SMOKE_CACHE) -benchjson $(BIN)/parsec_smoke.json -benchname parsec-smoke
+	$(BIN)/benchtable $(PARSEC_FLAGS) -cache $(SMOKE_CACHE) -benchjson $(BIN)/parsec_baselinecheck.json -benchname parsec-smoke -benchhost=false
+	cmp $(BIN)/parsec_baselinecheck.json BENCH_parsec_baseline.json
 
 benchdiff: smoke
 	$(BIN)/benchdiff BENCH_baseline.json BENCH_smoke.json
@@ -121,17 +132,21 @@ benchdiff: smoke
 # configuration leaks, any expected leak (undefended Base, designed
 # threat-model gaps) stops leaking, or any trial errors. Writes the
 # deterministic leakage-report/v1 artifact CI uploads next to the bench
-# artifact.
+# artifact, which must equal the committed LEAKAGE_baseline.json.
 leakscan: tools
 	$(BIN)/leakscan $(LEAK_FLAGS) -json LEAKAGE_smoke.json
+	cmp LEAKAGE_smoke.json LEAKAGE_baseline.json
 
 # Feedback-driven attack search smoke: a fixed-seed, small-budget
 # hill-climb over every template class against the full defense matrix.
 # Fails (exit 1) if any searched candidate leaks through a defense the
-# expected-outcome matrix says blocks it. The nightly workflow runs the
-# same search at a deep budget with a journaled -resume.
+# expected-outcome matrix says blocks it, and the report must equal the
+# committed SEARCH_baseline.json. The nightly workflow runs the same
+# search at a deep budget over a -cache directory its re-run attempts
+# restore.
 leaksearch: tools
 	$(BIN)/leakscan $(SEARCH_FLAGS) -json SEARCH_smoke.json
+	cmp SEARCH_smoke.json SEARCH_baseline.json
 
 # Conformance-fuzzing gate: a fixed-seed campaign of generated programs
 # differentially checked against the golden interpreter across the full
@@ -154,22 +169,14 @@ baseline: tools
 	$(BIN)/leakscan $(LEAK_FLAGS) -json LEAKAGE_baseline.json
 	$(BIN)/leakscan $(SEARCH_FLAGS) -json SEARCH_baseline.json
 
-# Byte-identity gate on the committed baselines: rerun `make baseline`'s
-# runs into scratch files under $(BIN) and require them to equal
-# BENCH_baseline.json, BENCH_parsec_baseline.json, LEAKAGE_baseline.json
-# and SEARCH_baseline.json byte for byte. benchdiff tolerates CPI drift and
-# the leakage gates only verdicts; this does not, so a change that moves
-# any simulated statistic or probe latency fails here until the baselines
-# are regenerated on purpose.
-baselinecheck: tools
-	$(BIN)/benchtable $(SMOKE_FLAGS) -benchjson $(BIN)/baselinecheck.json -benchname smoke -benchhost=false
-	cmp $(BIN)/baselinecheck.json BENCH_baseline.json
-	$(BIN)/benchtable $(PARSEC_FLAGS) -benchjson $(BIN)/parsec_baselinecheck.json -benchname parsec-smoke -benchhost=false
-	cmp $(BIN)/parsec_baselinecheck.json BENCH_parsec_baseline.json
-	$(BIN)/leakscan $(LEAK_FLAGS) -json $(BIN)/leakage_baselinecheck.json
-	cmp $(BIN)/leakage_baselinecheck.json LEAKAGE_baseline.json
-	$(BIN)/leakscan $(SEARCH_FLAGS) -json $(BIN)/search_baselinecheck.json
-	cmp $(BIN)/search_baselinecheck.json SEARCH_baseline.json
+# Byte-identity gate on the committed baselines: the smoke, leakscan and
+# leaksearch gates, whose runs must equal BENCH_baseline.json,
+# BENCH_parsec_baseline.json, LEAKAGE_baseline.json and
+# SEARCH_baseline.json byte for byte. benchdiff tolerates CPI drift and
+# the leakage verdicts ignore latencies; these cmps do not, so a change
+# that moves any simulated statistic or probe latency fails here until
+# the baselines are regenerated on purpose.
+baselinecheck: smoke leakscan leaksearch
 
 # Simulation-as-a-service (DESIGN.md §14): a long-running HTTP job server
 # with content-addressed cell memoization and the HTML dashboard. Sweep

@@ -56,8 +56,8 @@ var (
 	impDir  = flag.String("import", "", "import *.trace files from this directory as workloads (selectable via -names)")
 	quiet   = flag.Bool("quiet", false, "suppress per-job progress lines on stderr")
 
-	// campaignFlags registers the uniform -journal/-resume/-retries
-	// resilience flags (internal/campaign).
+	// campaignFlags registers the uniform -cache/-retries resilience
+	// flags (internal/campaign).
 	campaignFlags = campaign.AddFlags(flag.CommandLine)
 
 	csvW *csv.Writer
@@ -178,9 +178,9 @@ func reproFor(name string, j runner.Job) string {
 	return cmd
 }
 
-// runMatrix sweeps the jobs through campaign.Sweep (checkpoint journal and
-// typed retries — see the -journal/-resume/-retries flags), records every
-// measurement in the CSV and bench-JSON sinks, and degrades gracefully:
+// runMatrix sweeps the jobs through campaign.Sweep (cached cells and typed
+// retries — see the -cache/-retries flags), records every measurement in
+// the CSV and bench-JSON sinks, and degrades gracefully:
 // cells that fail permanently land in the artifact's degraded block with a
 // repro command and the sweep exits non-zero after writing everything,
 // instead of aborting on first error.
@@ -188,18 +188,23 @@ func reproFor(name string, j runner.Job) string {
 // -comparekernels is the CI-level half of the kernel-equivalence oracle
 // (the unit-level half is internal/sim's TestKernelEquivalence): a second
 // pass of the same campaign sweeps the matrix under the cycle-by-cycle
-// reference stepper, sharing the first pass's journal, and the sweep fails
+// reference stepper, sharing the first pass's -cache, and the sweep fails
 // unless the deterministic bench payload — every counter of every run — is
 // byte-identical to the fast kernel's. Both passes' wall times land in the
 // artifact's quarantined host block, so benchdiff trajectories record the
-// fast-forward speedup without gating on it.
+// fast-forward speedup without gating on it. Cells served from -cache do
+// not simulate, so their wall time is a read and the comparison covers
+// the values the cache holds: measure the speedup from an empty cache.
 func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
 	artName := name
 	if *bjName != "" {
 		artName = *bjName
 	}
 	repro := func(j runner.Job) string { return reproFor(name, j) }
-	copts := campaignFlags()
+	copts, err := campaignFlags.Options()
+	if err != nil {
+		fail(err)
+	}
 	copts.Workers = *jobsN
 	if !*quiet {
 		copts.Progress = os.Stderr
@@ -221,11 +226,6 @@ func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
 	if *cmpK {
 		if len(b.Degraded) > 0 {
 			fail(fmt.Errorf("-comparekernels: %d cell(s) degraded, cannot certify kernel equivalence", len(b.Degraded)))
-		}
-		// One journal checkpoints both passes: the stepped pass must
-		// resume from it, not truncate the fast pass's cells.
-		if copts.Journal != "" {
-			copts.Resume = true
 		}
 		start = time.Now()
 		_, stepped, err := campaign.Sweep(context.Background(), artName, jobs, engine.KernelStepped, copts, repro)
@@ -258,6 +258,7 @@ func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
 			b.WithKernelWall(engine.KernelStepped.String(), steppedWall)
 		}
 	}
+	campaignFlags.Close(os.Stderr, "benchtable")
 	if *bjPath != "" {
 		if err := artifact.Write(*bjPath, func(w io.Writer) error {
 			return runner.WriteBenchJSON(w, b)

@@ -5,9 +5,10 @@
 // optionally auto-shrunk to minimized reproducers.
 //
 // The campaign runs on the resilient execution layer (internal/campaign):
-// -journal checkpoints every finished program, -resume skips programs a
-// previous (possibly killed) run already finished and replays their results
-// byte-identically, and -retries re-runs transient failures.
+// -cache DIR keeps every finished program in a memo store, so a rerun over
+// the same directory (after a kill, say) skips the programs stored there
+// and reads their results back byte-identically, and -retries re-runs
+// transient failures.
 //
 // Imported traces join the gate too: -import DIR replays every *.trace
 // admitted by the workload registry under the full configuration matrix
@@ -54,7 +55,7 @@ func run() int {
 		impDir  = flag.String("import", "", "replay-check every *.trace in this directory against the configuration matrix (combine with -n 0 to run only that check)")
 		emitDir = flag.String("emittrace", "", "write each conforming generated program to this directory as a replayable .trace")
 	)
-	copts := campaign.AddFlags(flag.CommandLine)
+	campaignFlags := campaign.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if *n <= 0 && !(*n == 0 && *impDir != "") {
 		fmt.Fprintln(os.Stderr, "conformfuzz: -n must be positive (-n 0 is allowed only with -import)")
@@ -107,13 +108,19 @@ func run() int {
 		return 0
 	}
 
+	copts, err := campaignFlags.Options()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "conformfuzz:", err)
+		return 2
+	}
+	defer campaignFlags.Close(os.Stderr, "conformfuzz")
 	opts := conform.Options{
 		Seed:           *seed,
 		N:              *n,
 		Jobs:           *jobs,
 		Shrink:         *shrink,
 		MaxShrinkEvals: *evals,
-		Campaign:       copts(),
+		Campaign:       copts,
 	}
 	if *defsF != "" {
 		opts.Defenses = defs

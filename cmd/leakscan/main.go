@@ -17,9 +17,10 @@
 // -full).
 //
 // The scan runs on the resilient execution layer (internal/campaign):
-// -journal checkpoints every finished trial, -resume skips trials a
-// previous (possibly killed) run already finished and replays their
-// latencies byte-identically, and -retries re-runs transient failures.
+// -cache DIR keeps every finished trial in a memo store, so a rerun over
+// the same directory (after a kill, say) skips the trials stored there
+// and reads their latencies back byte-identically, and -retries re-runs
+// transient failures.
 //
 // The report's deterministic payload is byte-identical at any -jobs
 // width; host facts (wall time, worker count) are quarantined in the
@@ -74,11 +75,22 @@ func main() {
 		secret = flag.Int("secret", 84, "secret byte value, 1-255 (-fig5; the paper uses 84)")
 		full   = flag.Bool("full", false, "print all probe latencies from a single fault-free run, not only the summary (-fig5)")
 	)
-	copts := campaign.AddFlags(flag.CommandLine)
+	campaignFlags := campaign.AddFlags(flag.CommandLine)
 	flag.Parse()
 
+	if *impDir != "" {
+		if _, err := workload.ImportDir(*impDir); err != nil {
+			fmt.Fprintln(os.Stderr, "leakscan:", err)
+			os.Exit(2)
+		}
+	}
 	if *fig5 {
 		os.Exit(runFig5(*secret, *trials, *jobs, *timeout, *full))
+	}
+	copts, err := campaignFlags.Options()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "leakscan:", err)
+		os.Exit(2)
 	}
 	if *search {
 		defs, err := config.ParseDefenses(*defsF)
@@ -90,7 +102,7 @@ func main() {
 		if searchName == "" {
 			searchName = "search"
 		}
-		os.Exit(runSearch(searchConfig{
+		code := runSearch(searchConfig{
 			seed:         *seed,
 			budget:       *searchBudget,
 			classes:      *searchSeeds,
@@ -104,15 +116,10 @@ func main() {
 			shrinkBudget: *shrinkBudget,
 			name:         searchName,
 			verbose:      *verbose,
-			campaign:     copts(),
-		}))
-	}
-
-	if *impDir != "" {
-		if _, err := workload.ImportDir(*impDir); err != nil {
-			fmt.Fprintln(os.Stderr, "leakscan:", err)
-			os.Exit(2)
-		}
+			campaign:     copts,
+		})
+		campaignFlags.Close(os.Stderr, "leakscan")
+		os.Exit(code)
 	}
 
 	defs, err := config.ParseDefenses(*defsF)
@@ -154,7 +161,7 @@ func main() {
 		Jobs:     *jobs,
 		Timeout:  *timeout,
 		Name:     reportName,
-		Campaign: copts(),
+		Campaign: copts,
 		Repro: func(ts leakage.TrialSpec) string {
 			// One scan of just the failing attack reproduces all its trials
 			// (the per-trial fault seeds derive from the cell identity, not
@@ -170,6 +177,7 @@ func main() {
 	}
 	start := time.Now()
 	rep, err := leakage.Scan(context.Background(), specs, opts)
+	campaignFlags.Close(os.Stderr, "leakscan")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "leakscan:", err)
 		os.Exit(2)

@@ -21,8 +21,8 @@ import (
 
 // JobSpec is a bench cell's content identity: every input that determines
 // the run's deterministic output, and nothing host-dependent (timeouts and
-// worker counts deliberately excluded). It is the journal hash key for
-// bench campaigns.
+// worker counts deliberately excluded). Its hash is a bench cell's
+// content key.
 type JobSpec struct {
 	Workload    string             `json:"workload"`
 	Parsec      bool               `json:"parsec,omitempty"`
@@ -59,7 +59,7 @@ func RunJobSpec(ctx context.Context, s JobSpec) (harness.Result, error) {
 	if s.FaultSeed != 0 {
 		opts = append(opts, harness.WithFaultSeed(s.FaultSeed))
 	}
-	// s.Parsec stays part of the content identity (journal hashes predate
+	// s.Parsec stays part of the content identity (cached keys predate
 	// the registry) but dispatch is the registry's job now.
 	return harness.MeasureWorkload(s.Workload, s.Defense, s.Consistency, s.Warmup, s.Measure, opts...)
 }
@@ -83,7 +83,7 @@ func JobCells(jobs []runner.Job, kernel engine.Kernel, timeout time.Duration) []
 }
 
 // JobResults converts campaign outcomes (parallel to the jobs that built the
-// cells) back into the runner's JobResult shape: journaled and fresh values
+// cells) back into the runner's JobResult shape: cached and fresh values
 // decode identically, failed cells carry their terminal error.
 func JobResults(jobs []runner.Job, outcomes []Outcome) ([]runner.JobResult, error) {
 	if len(jobs) != len(outcomes) {
@@ -96,7 +96,7 @@ func JobResults(jobs []runner.Job, outcomes []Outcome) ([]runner.JobResult, erro
 			continue
 		}
 		if err := json.Unmarshal(o.Value, &results[i].Result); err != nil {
-			return nil, fmt.Errorf("campaign: decoding journaled result for %s: %w", o.Name, err)
+			return nil, fmt.Errorf("campaign: decoding result for %s: %w", o.Name, err)
 		}
 	}
 	return results, nil
@@ -107,11 +107,8 @@ func JobResults(jobs []runner.Job, outcomes []Outcome) ([]runner.JobResult, erro
 // Run, JobResults, runner.NewBench, and the degraded block, whose repro
 // commands come from repro (nil leaves them empty). The artifact's budget
 // is the matrix's, which every job of it shares. The artifact carries no
-// host block; callers that want one attach it.
-//
-// Sweeping the same matrix under both kernels into one journal needs
-// Resume on the second pass, or it truncates the first pass's
-// checkpoints: cell keys differ by kernel, so the passes never collide.
+// host block; callers that want one attach it. Cell keys differ by
+// kernel, so both kernels' sweeps of one matrix can share a cache.
 func Sweep(ctx context.Context, name string, jobs []runner.Job, kernel engine.Kernel, opts Options, repro func(runner.Job) string) ([]runner.JobResult, *runner.Bench, error) {
 	outcomes, err := Run(ctx, "sweep-"+name, JobCells(jobs, kernel, 0), opts)
 	if err != nil {

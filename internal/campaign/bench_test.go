@@ -3,10 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -21,9 +18,9 @@ import (
 //   - a 4-worker sweep's bench JSON is byte-identical to a 1-worker sweep's,
 //     and every cell equals a direct serial harness measurement;
 //   - the stepped kernel's artifact is byte-identical to the fast kernel's;
-//   - a fast and a stepped pass checkpoint into one journal (one header plus
-//     one line per cell per kernel), and resuming both replays every cell
-//     from it without running any.
+//   - a fast and a stepped pass store into one cache (one entry per cell
+//     per kernel), and rerunning both serves every cell from it without
+//     running any.
 func TestSweepDeterminism(t *testing.T) {
 	jobs := runner.Matrix([]string{"sjeng", "libquantum"}, false,
 		[]config.Consistency{config.TSO}, config.AllDefenses(), nil, 2000, 4000)
@@ -60,32 +57,23 @@ func TestSweepDeterminism(t *testing.T) {
 		t.Fatalf("stepped-kernel bench JSON differs from fast:\n--- fast ---\n%s\n--- stepped ---\n%s", serial, stepped)
 	}
 
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	lines := func() int {
-		t.Helper()
-		data, err := os.ReadFile(journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bytes.Count(data, []byte("\n"))
-	}
-	opts := Options{Workers: 4, Journal: journal}
+	store := openStore(t, t.TempDir())
+	opts := Options{Workers: 4, Exec: CacheExec(store, nil, nil)}
 	sweep(engine.KernelFast, opts)
-	opts.Resume = true
 	sweep(engine.KernelStepped, opts)
-	if got, want := lines(), 1+2*len(jobs); got != want {
-		t.Fatalf("journal holds %d lines after both passes, want %d", got, want)
+	if got, want := store.Stats().Entries, 2*len(jobs); got != want {
+		t.Fatalf("cache holds %d entries after both passes, want %d", got, want)
 	}
-	opts.Exec = func(ctx context.Context, c Cell, key string) (json.RawMessage, error) {
-		t.Errorf("cell %s ran on a resume of a complete journal", c.Name)
+	opts.Exec = CacheExec(store, func(ctx context.Context, c Cell) (any, error) {
+		t.Errorf("cell %s ran with its value cached", c.Name)
 		return nil, errors.New("cell re-ran")
-	}
+	}, nil)
 	for _, k := range []engine.Kernel{engine.KernelFast, engine.KernelStepped} {
-		if _, resumed := sweep(k, opts); !bytes.Equal(serial, resumed) {
-			t.Fatalf("%s pass resumed from the journal differs:\n%s", k, resumed)
+		if _, cached := sweep(k, opts); !bytes.Equal(serial, cached) {
+			t.Fatalf("%s pass served from the cache differs:\n%s", k, cached)
 		}
 	}
-	if got, want := lines(), 1+2*len(jobs); got != want {
-		t.Fatalf("journal holds %d lines after the replay, want %d", got, want)
+	if st := store.Stats(); st.Entries != 2*len(jobs) || st.Hits != uint64(2*len(jobs)) {
+		t.Fatalf("cache stats after the cached passes: %+v, want %d entries and as many hits", st, 2*len(jobs))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"invisispec/internal/invariant"
+	"invisispec/internal/memo"
+	"invisispec/internal/runner"
 	"invisispec/internal/sim"
 )
 
@@ -68,22 +71,27 @@ func noSleep(opts *Options) {
 	opts.sleep = func(ctx context.Context, d time.Duration) error { return nil }
 }
 
-// journalRecords reads every record of the journal at path.
-func journalRecords(t *testing.T, path string) []journalRecord {
+// countRuns makes every cell count its runs in runs.
+func countRuns(cells []Cell, runs *atomic.Int32) []Cell {
+	for i := range cells {
+		run := cells[i].Run
+		cells[i].Run = func(ctx context.Context) (any, error) {
+			runs.Add(1)
+			return run(ctx)
+		}
+	}
+	return cells
+}
+
+// openStore opens a memo store in dir for the cache tests.
+func openStore(t *testing.T, dir string) *memo.Store {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	store, err := memo.Open(dir, memo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []journalRecord
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
-		}
-		recs = append(recs, rec)
-	}
-	return recs
+	t.Cleanup(func() { store.Close() })
+	return store
 }
 
 func TestRunBasicOrderAndValues(t *testing.T) {
@@ -99,8 +107,8 @@ func TestRunBasicOrderAndValues(t *testing.T) {
 		if o.Index != i || o.Name != cells[i].Name {
 			t.Errorf("outcome %d: index %d name %q", i, o.Index, o.Name)
 		}
-		if o.Err != nil || o.Attempts != 1 || o.FromJournal {
-			t.Errorf("outcome %d: err=%v attempts=%d fromJournal=%v", i, o.Err, o.Attempts, o.FromJournal)
+		if o.Err != nil || o.Attempts != 1 {
+			t.Errorf("outcome %d: err=%v attempts=%d", i, o.Err, o.Attempts)
 		}
 		want, _ := json.Marshal(synthValue{I: i, Sq: i * i})
 		if string(o.Value) != string(want) {
@@ -139,7 +147,6 @@ func TestClassifyTable(t *testing.T) {
 		{"deadlock", &invariant.DeadlockError{}, ClassDeterministic},
 		{"violation", &invariant.ViolationError{Err: errors.New("x")}, ClassDeterministic},
 		{"panic", &PanicError{Cell: "c", Value: "boom"}, ClassDeterministic},
-		{"journaled transient", &journaledError{msg: "m", class: ClassTransient}, ClassTransient},
 		{"unknown", errors.New("mystery"), ClassDeterministic},
 	}
 	for _, c := range cases {
@@ -149,14 +156,13 @@ func TestClassifyTable(t *testing.T) {
 	}
 }
 
-func TestClassStringRoundTrip(t *testing.T) {
-	for _, c := range []Class{ClassNone, ClassTransient, ClassDeterministic, ClassCancelled} {
-		if got := parseClass(c.String()); got != c {
-			t.Errorf("parseClass(%q) = %v, want %v", c.String(), got, c)
+// TestClassString pins the class names degraded blocks record.
+func TestClassString(t *testing.T) {
+	want := map[Class]string{ClassNone: "ok", ClassTransient: "transient", ClassDeterministic: "deterministic", ClassCancelled: "cancelled"}
+	for c, name := range want {
+		if got := c.String(); got != name {
+			t.Errorf("Class(%d).String() = %q, want %q", int(c), got, name)
 		}
-	}
-	if got := parseClass("garbage"); got != ClassDeterministic {
-		t.Errorf("unknown class parsed as %v, want deterministic", got)
 	}
 }
 
@@ -285,9 +291,8 @@ func TestRetrySleepsObserveBackoff(t *testing.T) {
 
 // TestAttemptTimeout: the per-attempt context deadline is a cell's only
 // wall-clock bound. A cell that blocks until its context ends times out
-// transiently, so with Retries 1 it runs twice, then degrades and is
-// journaled; a resume replays it without running it; and a cell's own
-// Timeout overrides a long CellTimeout.
+// transiently, so with Retries 1 it runs twice and then degrades; and a
+// cell's own Timeout overrides a long CellTimeout.
 func TestAttemptTimeout(t *testing.T) {
 	var runs atomic.Int32
 	hang := func(ctx context.Context) (any, error) {
@@ -296,8 +301,7 @@ func TestAttemptTimeout(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	cells := []Cell{{Name: "hang", Spec: synthSpec{Campaign: "timeout", I: 0}, Run: hang}}
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	opts := Options{CellTimeout: 5 * time.Millisecond, Retries: 1, Journal: path}
+	opts := Options{CellTimeout: 5 * time.Millisecond, Retries: 1}
 	noSleep(&opts)
 	outcomes, err := Run(context.Background(), "timeout", cells, opts)
 	if err != nil {
@@ -312,22 +316,6 @@ func TestAttemptTimeout(t *testing.T) {
 	}
 	if deg := Degraded(outcomes, nil); len(deg) != 1 || deg[0].Class != "transient" || deg[0].Attempts != 2 {
 		t.Fatalf("degraded block %+v, want the timed-out cell after 2 attempts", deg)
-	}
-	journaled := false
-	for _, rec := range journalRecords(t, path) {
-		journaled = journaled || rec.Kind == "cell" && rec.Key == o.Key && rec.Class == "transient" && rec.Attempts == 2
-	}
-	if !journaled {
-		t.Fatalf("timed-out cell not journaled: %+v", journalRecords(t, path))
-	}
-
-	opts.Resume = true
-	resumed, err := Run(context.Background(), "timeout", cells, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := resumed[0]; runs.Load() != 2 || !r.FromJournal || r.Class != ClassTransient || r.Err.Error() != o.Err.Error() {
-		t.Fatalf("resume ran the cell (%d runs) or drifted: %+v", runs.Load(), r)
 	}
 
 	// Were the cell's own Timeout ignored, the hour-long CellTimeout would
@@ -344,15 +332,14 @@ func TestAttemptTimeout(t *testing.T) {
 	}
 }
 
-// TestCancelledCellsNotJournaled: a cancelled campaign journals nothing for
-// the interrupted cells, so a resume re-runs them.
-func TestCancelledCellsNotJournaled(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "j.jsonl")
+// TestCancelledCellsNotCached: a cancelled campaign stores nothing for the
+// interrupted cells, so a rerun over the same cache runs them.
+func TestCancelledCellsNotCached(t *testing.T) {
+	store := openStore(t, t.TempDir())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cells := synthCells("cancel", 4, nil)
-	outcomes, err := Run(ctx, "cancel", cells, Options{Journal: journal})
+	outcomes, err := Run(ctx, "cancel", cells, Options{Exec: CacheExec(store, nil, nil)})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v", err)
 	}
@@ -364,20 +351,21 @@ func TestCancelledCellsNotJournaled(t *testing.T) {
 			t.Fatalf("cell %s classified %v, want cancelled", o.Name, o.Class)
 		}
 	}
-	for _, rec := range journalRecords(t, journal) {
-		if rec.Kind == "cell" {
-			t.Fatalf("cancelled cell journaled: %+v", rec)
-		}
+	if st := store.Stats(); st.Entries != 0 {
+		t.Fatalf("cancelled cells were cached: %+v", st)
 	}
-	// Resume after the abort: every cell runs fresh.
-	outcomes, err = Run(context.Background(), "cancel", cells, Options{Journal: journal, Resume: true})
+	// Rerun after the abort: every cell runs fresh.
+	outcomes, err = Run(context.Background(), "cancel", cells, Options{Exec: CacheExec(store, nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range outcomes {
-		if o.Err != nil || o.FromJournal {
-			t.Fatalf("cell %s after resume: err=%v fromJournal=%v", o.Name, o.Err, o.FromJournal)
+		if o.Err != nil {
+			t.Fatalf("cell %s after the rerun: %v", o.Name, o.Err)
 		}
+	}
+	if st := store.Stats(); st.Hits != 0 || st.Entries != len(cells) {
+		t.Fatalf("rerun store stats %+v, want %d fresh entries and no hits", st, len(cells))
 	}
 }
 
@@ -412,145 +400,111 @@ func TestDegradedBlock(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailTolerated: a SIGKILL mid-append leaves a half-written
-// final line; resume must shrug it off and re-run only that cell.
-func TestJournalTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "j.jsonl")
-	cells := synthCells("torn", 3, nil)
-	outcomes, err := Run(context.Background(), "torn", cells, Options{Journal: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tear the final line in half.
-	data, _ := os.ReadFile(path)
-	trimmed := data[:len(data)-1] // drop trailing newline
-	cut := len(trimmed) - len(trimmed)/4
-	if err := os.WriteFile(path, trimmed[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Run(context.Background(), "torn", cells, Options{Journal: path, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJournal := 0
-	for i, o := range resumed {
-		if o.Err != nil {
-			t.Fatalf("cell %s failed on resume: %v", o.Name, o.Err)
-		}
-		if string(o.Value) != string(outcomes[i].Value) {
-			t.Fatalf("cell %s drifted across torn-tail resume:\n%s\nvs\n%s", o.Name, o.Value, outcomes[i].Value)
-		}
-		if o.FromJournal {
-			fromJournal++
-		}
-	}
-	if fromJournal != 2 {
-		t.Fatalf("%d cells replayed from torn journal, want 2", fromJournal)
-	}
-}
-
-// TestJournalValidation: corrupt middle lines, missing headers, wrong
-// schemas, and wrong campaign names all refuse to resume.
-func TestJournalValidation(t *testing.T) {
-	header := fmt.Sprintf(`{"kind":"header","schema":%q,"campaign":"c"}`, JournalSchema)
-	cases := []struct {
-		name, content, wantErr string
-	}{
-		{"corrupt middle", header + "\n{garbage}\n" + `{"kind":"cell","key":"k"}` + "\n", "corrupt at line 2"},
-		{"no header", `{"kind":"cell","key":"k"}` + "\n", "no header"},
-		{"bad schema", `{"kind":"header","schema":"other/v9","campaign":"c"}` + "\n", "schema"},
-		{"wrong campaign", fmt.Sprintf(`{"kind":"header","schema":%q,"campaign":"other"}`, JournalSchema) + "\n", "belongs to campaign"},
-		{"unknown kind", header + "\n" + `{"kind":"mystery"}` + "\n", "unknown record kind"},
-		{"cell without key", header + "\n" + `{"kind":"cell"}` + "\n", "without key"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "j.jsonl")
-			if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err := openJournal(path, "c", true, nil)
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("got %v, want error containing %q", err, c.wantErr)
-			}
-		})
-	}
-}
-
-// TestJournalLaterDuplicateWins: when a key appears twice (a re-run appended
-// behind an earlier record), resume uses the later record.
-func TestJournalLaterDuplicateWins(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	content := fmt.Sprintf(`{"kind":"header","schema":%q,"campaign":"c"}`, JournalSchema) + "\n" +
-		`{"kind":"cell","key":"k","name":"n","attempts":1,"error":"first try","class":"transient"}` + "\n" +
-		`{"kind":"cell","key":"k","name":"n","attempts":2,"value":{"fixed":true}}` + "\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, err := openJournal(path, "c", true, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.close()
-	rec, ok := j.prior["k"]
-	if !ok || rec.Error != "" || string(rec.Value) != `{"fixed":true}` || rec.Attempts != 2 {
-		t.Fatalf("later record did not win: %+v", rec)
-	}
-}
-
-// TestJournalFreshTruncates: without -resume an existing journal is
-// truncated, not appended to.
-func TestJournalFreshTruncates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	cells := synthCells("fresh", 2, nil)
-	// One worker: the journal lists cells in completion order, so the two
-	// files compare equal only when the cells finish in the same order.
-	opts := Options{Journal: path, Workers: 1}
-	if _, err := Run(context.Background(), "fresh", cells, opts); err != nil {
-		t.Fatal(err)
-	}
-	first, _ := os.ReadFile(path)
-	if _, err := Run(context.Background(), "fresh", cells, opts); err != nil {
-		t.Fatal(err)
-	}
-	second, _ := os.ReadFile(path)
-	if string(first) != string(second) {
-		t.Fatalf("re-run without resume did not truncate:\n%s\nvs\n%s", first, second)
-	}
-}
-
-// TestJournaledFailureReplaysOnResume: terminal failures are journaled too,
-// so a resumed campaign preserves the degraded block byte-for-byte instead
-// of silently re-running known-bad cells.
-func TestJournaledFailureReplaysOnResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
+// TestFailedCellsRunAgain: a cache keeps only values. A rerun over the
+// same store serves the successes without running them, while a cell that
+// failed deterministically runs again and fails with the same error.
+func TestFailedCellsRunAgain(t *testing.T) {
+	store := openStore(t, t.TempDir())
 	boom := errors.New("deterministically broken")
-	cells := synthCells("degjournal", 3, map[int]error{1: boom})
-	opts := Options{Journal: path}
-	noSleep(&opts)
-	outcomes, err := Run(context.Background(), "degjournal", cells, opts)
+	var runs atomic.Int32
+	cells := countRuns(synthCells("rerun", 3, map[int]error{1: boom}), &runs)
+	opts := Options{Exec: CacheExec(store, nil, nil)}
+	outcomes, err := Run(context.Background(), "rerun", cells, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Resume = true
-	var reruns atomic.Int32
-	cells[1].Run = func(ctx context.Context) (any, error) {
-		reruns.Add(1)
-		return nil, boom
-	}
-	resumed, err := Run(context.Background(), "degjournal", cells, opts)
+	rerun, err := Run(context.Background(), "rerun", cells, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reruns.Load() != 0 {
-		t.Fatalf("journaled failure re-ran %d times on resume", reruns.Load())
+	if runs.Load() != 4 {
+		t.Fatalf("cells ran %d times over two runs, want 4 (the failing cell twice)", runs.Load())
 	}
-	if !resumed[1].FromJournal || resumed[1].Err == nil {
-		t.Fatalf("failure not replayed from journal: %+v", resumed[1])
+	if got, want := payload(t, rerun), payload(t, outcomes); got != want {
+		t.Fatalf("rerun drifted:\n%s\nvs\n%s", got, want)
 	}
-	if resumed[1].Err.Error() != outcomes[1].Err.Error() || resumed[1].Class != outcomes[1].Class {
-		t.Fatalf("degraded cell drifted across resume: %v (%v) vs %v (%v)",
-			resumed[1].Err, resumed[1].Class, outcomes[1].Err, outcomes[1].Class)
+	if st := store.Stats(); st.Hits != 2 {
+		t.Fatalf("store hits %d, want the 2 successes served on the rerun", st.Hits)
+	}
+}
+
+// TestProgressCountsFailedCells: a cell's terminal failure reaches the
+// pool's progress line and its structured event, while the Outcome keeps
+// its class and attempts.
+func TestProgressCountsFailedCells(t *testing.T) {
+	cells := synthCells("progress", 2, map[int]error{1: errors.New("boom")})
+	var (
+		lines strings.Builder
+		last  runner.ProgressEvent
+	)
+	outcomes, err := Run(context.Background(), "progress", cells, Options{
+		Workers:    1,
+		Progress:   &lines,
+		OnProgress: func(ev runner.ProgressEvent) { last = ev },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.TrimSpace(lines.String())
+	final := text[strings.LastIndex(text, "\n")+1:]
+	if !strings.Contains(final, "2/2 done (1 failed)") || !strings.Contains(final, "progress-1") || !strings.Contains(final, "FAIL") {
+		t.Fatalf("last progress line %q, want the failed cell counted and marked FAIL", final)
+	}
+	if last.Failed != 1 || last.Name != "progress-1" || last.Err == nil || !strings.Contains(last.Err.Error(), "boom") {
+		t.Fatalf("last progress event %+v, want the failing cell with Failed 1", last)
+	}
+	if o := outcomes[1]; o.Class != ClassDeterministic || o.Attempts != 1 || o.Err.Error() != "boom" {
+		t.Fatalf("failed cell's outcome %+v lost its class, attempts or error", o)
+	}
+}
+
+// TestCacheFlag: -cache DIR serves the cells stored there without running
+// them and stores every newly computed cell; a missing DIR starts fresh,
+// and Close warns about a cell the store could not write.
+func TestCacheFlag(t *testing.T) {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	flags := AddFlags(fs)
+	dir := filepath.Join(t.TempDir(), "cache")
+	if err := fs.Parse([]string{"-cache", dir, "-retries", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	opts, err := flags.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Retries != 3 || opts.Exec == nil {
+		t.Fatalf("options %+v, want Retries 3 and a cache Exec", opts)
+	}
+	var runs atomic.Int32
+	cells := countRuns(synthCells("flag", 3, nil), &runs)
+	first, err := Run(context.Background(), "flag", cells, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run(context.Background(), "flag", cells, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs.Load() != 3 || payload(t, first) != payload(t, second) {
+		t.Fatalf("cells ran %d times over two runs, want 3; payloads %q vs %q", runs.Load(), payload(t, first), payload(t, second))
+	}
+	var warn strings.Builder
+	flags.Close(&warn, "campaign")
+	if warn.Len() != 0 {
+		t.Fatalf("Close warned on a healthy store: %q", warn.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
+		t.Fatalf("Close did not persist the index: %v", err)
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), "flag-lost", synthCells("flag-lost", 1, nil), opts); err != nil {
+		t.Fatal(err)
+	}
+	flags.Close(&warn, "campaign")
+	if !strings.Contains(warn.String(), "1 entries failed their integrity check or could not be written") {
+		t.Fatalf("Close after a failed write warned %q", warn.String())
 	}
 }

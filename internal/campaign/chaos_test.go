@@ -1,59 +1,111 @@
 package campaign
 
-// The seeded chaos harness self-tests: kill a journaled campaign at
-// randomized checkpoint appends (torn final line included), resume it, and
+// The seeded kill/resume self-tests: run a campaign over a memo store (the
+// -cache seam), cancel it after a seeded number of stored cells — the
+// in-process stand-in for kill -9 — rerun it over the same store, and
 // assert the final outcome stream is byte-identical to an uninterrupted
-// run — at 1 and 4 workers, with transient fault injection layered on top.
-// `make chaos` runs these plus the leakage/conform equivalents.
+// run's and that the rerun served cells from the store — at 1 and 4
+// workers, with seeded transient faults layered on top. `make chaos` runs
+// these plus the leakage/conform equivalents.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
-	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"invisispec/internal/config"
 	"invisispec/internal/engine"
+	"invisispec/internal/memo"
 	"invisispec/internal/runner"
 )
 
-// runToCompletionViaKills drives a journaled campaign to completion through
-// a sequence of chaos kills: each round kills at a seeded random append
-// until a final run (no chaos) finishes. Returns the completed outcomes.
-func runToCompletionViaKills(t *testing.T, rng *rand.Rand, name string, cells []Cell, opts Options, kills int) []Outcome {
+// chaosRun runs the campaign once over the memo store in dir, as a process
+// that may be killed would: it cancels the campaign once kill new cells
+// are stored (0: never), and the first attempt of every key whose seeded
+// hash is 0 mod faultEvery (0: none) fails transiently. It returns the
+// outcomes, the campaign's error and the store's hits.
+func chaosRun(t *testing.T, dir, name string, cells []Cell, opts Options, seed int64, kill, faultEvery int) ([]Outcome, uint64, error) {
 	t.Helper()
+	store, err := memo.Open(dir, memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		mu     sync.Mutex
+		stored int
+		tried  = map[string]bool{}
+	)
+	cached := CacheExec(store, nil, func(hit bool, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !hit && err == nil {
+			if stored++; stored == kill {
+				cancel()
+			}
+		}
+	})
+	opts.Exec = func(ctx context.Context, c Cell, key string) (json.RawMessage, error) {
+		if faultEvery > 0 {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%d|%s", seed, key)
+			mu.Lock()
+			first := !tried[key]
+			tried[key] = true
+			mu.Unlock()
+			if first && h.Sum64()%uint64(faultEvery) == 0 {
+				return nil, fmt.Errorf("campaign: %s: injected fault: %w", c.Name, ErrTransient)
+			}
+		}
+		return cached(ctx, c, key)
+	}
+	outcomes, err := Run(ctx, name, cells, opts)
+	return outcomes, store.Stats().Hits, err
+}
+
+// runToCompletionViaKills drives a cached campaign to completion through a
+// sequence of kills, each after a seeded random number of stored cells,
+// then a final uninterrupted run over the same store. It returns the final
+// run's outcomes and fails the test unless that run served cells from the
+// store.
+func runToCompletionViaKills(t *testing.T, rng *rand.Rand, name string, cells []Cell, opts Options, seed int64, kills, faultEvery int) []Outcome {
+	t.Helper()
+	dir := t.TempDir()
 	for k := 0; k < kills; k++ {
-		chaos := opts
-		chaos.Resume = k > 0
-		chaos.Chaos = &ChaosOptions{Seed: rng.Int63(), KillAtAppend: 1 + rng.Intn(len(cells))}
-		_, err := Run(context.Background(), name, cells, chaos)
+		_, _, err := chaosRun(t, dir, name, cells, opts, seed, 1+rng.Intn(len(cells)), faultEvery)
 		if err == nil {
-			// The kill point landed beyond the appends this round needed
-			// (earlier cells were already journaled); the campaign is done.
+			// The kill point lay beyond the cells this round computed
+			// (earlier rounds stored the rest); the campaign is done.
 			break
 		}
-		if !errors.Is(err, ErrKilled) {
+		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("kill round %d: %v", k, err)
 		}
 	}
-	final := opts
-	final.Resume = true
-	outcomes, err := Run(context.Background(), name, cells, final)
+	outcomes, hits, err := chaosRun(t, dir, name, cells, opts, seed, 0, faultEvery)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hits == 0 {
+		t.Fatal("the final run served nothing from the cache — the kills stored no cell")
 	}
 	return outcomes
 }
 
 // TestChaosKillResumeByteIdentity is the core resilience proof on synthetic
-// cells: for three seeds, at 1 and 4 workers, a campaign SIGKILLed at
-// randomized journal appends (including one permanently failing cell and
-// injected transient faults) resumes to an outcome stream byte-identical to
-// an uninterrupted run's.
+// cells: for three seeds, at 1 and 4 workers, a cached campaign killed
+// after seeded numbers of stored cells (with one permanently failing cell
+// and injected transient faults) reruns to an outcome stream
+// byte-identical to an uninterrupted run's.
 func TestChaosKillResumeByteIdentity(t *testing.T) {
 	boom := errors.New("cell 5 is deterministically broken")
 	for _, seed := range []int64{101, 202, 303} {
@@ -61,32 +113,19 @@ func TestChaosKillResumeByteIdentity(t *testing.T) {
 			t.Run(fmt.Sprintf("seed%d-w%d", seed, workers), func(t *testing.T) {
 				name := fmt.Sprintf("chaos-%d-%d", seed, workers)
 				cells := synthCells(name, 8, map[int]error{5: boom})
-				base := Options{Workers: workers, Retries: 2}
-				noSleep(&base)
+				opts := Options{Workers: workers, Retries: 2}
+				noSleep(&opts)
 
-				clean, err := Run(context.Background(), name, cells, base)
+				clean, err := Run(context.Background(), name, cells, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cleanPayload := payload(t, clean)
 
 				rng := rand.New(rand.NewSource(seed))
-				opts := base
-				opts.Journal = filepath.Join(t.TempDir(), "j.jsonl")
-				opts.Chaos = &ChaosOptions{Seed: seed, FaultEveryN: 3}
-				resumed := runToCompletionViaKills(t, rng, name, cells, opts, 2)
-
+				resumed := runToCompletionViaKills(t, rng, name, cells, opts, seed, 2, 3)
 				if got := payload(t, resumed); got != cleanPayload {
 					t.Fatalf("resumed payload drifted from clean run:\n--- clean ---\n%s--- resumed ---\n%s", cleanPayload, got)
-				}
-				replayed := 0
-				for _, o := range resumed {
-					if o.FromJournal {
-						replayed++
-					}
-				}
-				if replayed == 0 {
-					t.Fatal("final resume replayed nothing from the journal — the kills never landed")
 				}
 				cleanDeg := Degraded(clean, nil)
 				resumedDeg := Degraded(resumed, nil)
@@ -103,15 +142,13 @@ func TestChaosKillResumeByteIdentity(t *testing.T) {
 // payload matches the fault-free run exactly.
 func TestChaosFaultInjectionRetriesRecover(t *testing.T) {
 	cells := synthCells("chaosfault", 6, nil)
-	base := Options{Workers: 2, Retries: 1}
-	noSleep(&base)
-	clean, err := Run(context.Background(), "chaosfault", cells, base)
+	opts := Options{Workers: 2, Retries: 1}
+	noSleep(&opts)
+	clean, err := Run(context.Background(), "chaosfault", cells, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := base
-	faulty.Chaos = &ChaosOptions{Seed: 9, FaultEveryN: 1}
-	injected, err := Run(context.Background(), "chaosfault", cells, faulty)
+	injected, _, err := chaosRun(t, t.TempDir(), "chaosfault", cells, opts, 9, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +163,9 @@ func TestChaosFaultInjectionRetriesRecover(t *testing.T) {
 }
 
 // TestChaosBenchKillResume: the bench campaign (real harness.Measure cells
-// through JobCells) killed at seeded checkpoints resumes to a bench-JSON
-// deterministic payload byte-identical to an uninterrupted run, at 1 and 4
-// workers.
+// through JobCells) killed after a seeded number of stored cells reruns
+// over its cache to a bench-JSON deterministic payload byte-identical to
+// an uninterrupted run, at 1 and 4 workers.
 func TestChaosBenchKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench chaos in -short")
@@ -164,10 +201,9 @@ func TestChaosBenchKillResume(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, workers := range []int{1, 4} {
 			rng := rand.New(rand.NewSource(seed))
-			opts := Options{Workers: workers, Retries: 1,
-				Journal: filepath.Join(t.TempDir(), "j.jsonl")}
+			opts := Options{Workers: workers, Retries: 1}
 			noSleep(&opts)
-			outcomes := runToCompletionViaKills(t, rng, "bench-chaos", cells, opts, 1)
+			outcomes := runToCompletionViaKills(t, rng, "bench-chaos", cells, opts, seed, 1, 0)
 			if got := benchPayload(outcomes); !bytes.Equal(got, want) {
 				t.Fatalf("seed %d workers %d: resumed bench payload drifted:\n%s\n--- want ---\n%s", seed, workers, got, want)
 			}

@@ -33,11 +33,11 @@ const (
 	ClassDeterministic
 	// ClassCancelled means the campaign itself was cancelled while the cell
 	// ran (or before it started). Cancelled cells are neither retried nor
-	// journaled, so a resumed campaign re-runs them.
+	// cached, so a rerun runs them.
 	ClassCancelled
 )
 
-// String returns the class name used in journal records and degraded blocks.
+// String returns the class name degraded blocks record.
 func (c Class) String() string {
 	switch c {
 	case ClassNone:
@@ -52,29 +52,11 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// parseClass is String's inverse for journal records; unknown strings
-// read as deterministic (the conservative, never-retry interpretation).
-func parseClass(s string) Class {
-	switch s {
-	case "ok":
-		return ClassNone
-	case "transient":
-		return ClassTransient
-	case "cancelled":
-		return ClassCancelled
-	}
-	return ClassDeterministic
-}
-
 // ErrTransient marks host-side failures the retry policy may re-run. Cell
 // implementations wrap it (fmt.Errorf("...: %w", campaign.ErrTransient))
 // to flag their own transient conditions — fault-seeded I/O in tests, for
 // example.
 var ErrTransient = errors.New("transient failure")
-
-// classer lets error types carry their own class through wrapping; Classify
-// checks it before the sentinel rules.
-type classer interface{ campaignClass() Class }
 
 // PanicError is a panic recovered inside an in-process cell run. The
 // simulator is deterministic, so a panic reproduces on retry: deterministic.
@@ -86,28 +68,16 @@ type PanicError struct {
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("%s: panic: %v", e.Cell, e.Value)
 }
-func (e *PanicError) campaignClass() Class { return ClassDeterministic }
-
-// journaledError replays a terminal failure recorded in the checkpoint
-// journal, preserving its classification across the resume.
-type journaledError struct {
-	msg   string
-	class Class
-}
-
-func (e *journaledError) Error() string        { return e.msg }
-func (e *journaledError) campaignClass() Class { return e.class }
 
 // Classify maps a cell failure to its retry class:
 //
 //	nil                                  -> ClassNone
-//	carries its own class (PanicError,
-//	  journaled failures)                -> that class
 //	context.Canceled                     -> ClassCancelled (campaign shutdown)
 //	context.DeadlineExceeded             -> ClassTransient (wall-clock timeout)
 //	ErrTransient (fault-seeded I/O)      -> ClassTransient
 //	sim.ErrCycleBudget                   -> ClassDeterministic
 //	invariant.ErrDeadlock / ErrViolation -> ClassDeterministic
+//	PanicError (a recovered panic)       -> ClassDeterministic
 //	anything else                        -> ClassDeterministic (fail fast)
 //
 // The explicit deterministic rules are redundant with the default but are
@@ -115,10 +85,6 @@ func (e *journaledError) campaignClass() Class { return e.class }
 func Classify(err error) Class {
 	if err == nil {
 		return ClassNone
-	}
-	var c classer
-	if errors.As(err, &c) {
-		return c.campaignClass()
 	}
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -128,9 +94,11 @@ func Classify(err error) Class {
 	case errors.Is(err, ErrTransient):
 		return ClassTransient
 	}
+	var panicked *PanicError
 	if errors.Is(err, sim.ErrCycleBudget) ||
 		errors.Is(err, invariant.ErrDeadlock) ||
-		errors.Is(err, invariant.ErrViolation) {
+		errors.Is(err, invariant.ErrViolation) ||
+		errors.As(err, &panicked) {
 		return ClassDeterministic
 	}
 	return ClassDeterministic

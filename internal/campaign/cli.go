@@ -1,7 +1,7 @@
 package campaign
 
 // Shared CLI surface: every campaign CLI (benchtable, leakscan, conformfuzz)
-// exposes the same resilience flags, so the journaling and retry semantics
+// exposes the same resilience flags, so the caching and retry semantics
 // are uniform across artifacts.
 
 import (
@@ -10,18 +10,56 @@ import (
 	"io"
 
 	"invisispec/internal/artifact"
+	"invisispec/internal/memo"
 )
 
-// AddFlags registers the uniform resilience flags on fs and returns a
-// builder that assembles the Options they selected after fs.Parse.
-func AddFlags(fs *flag.FlagSet) func() Options {
-	var (
-		journal = fs.String("journal", "", "append-only JSONL checkpoint journal path (\"\" = no checkpointing)")
-		resume  = fs.Bool("resume", false, "skip cells already terminal in -journal and replay their values byte-identically")
-		retries = fs.Int("retries", 2, "re-runs per cell after a transient failure (deterministic failures never retry)")
-	)
-	return func() Options {
-		return Options{Journal: *journal, Resume: *resume, Retries: *retries}
+// Flags holds the uniform resilience flags: -cache, the memo store that
+// keeps finished cells, and -retries.
+type Flags struct {
+	cache   *string
+	retries *int
+	store   *memo.Store
+}
+
+// AddFlags registers the uniform resilience flags on fs.
+func AddFlags(fs *flag.FlagSet) *Flags {
+	return &Flags{
+		cache:   fs.String("cache", "", "memo store directory: cells stored there do not run, and every newly computed cell is stored (\"\" = no cache; an empty or missing directory starts fresh)"),
+		retries: fs.Int("retries", 2, "re-runs per cell after a transient failure (deterministic failures never retry)"),
+	}
+}
+
+// Options assembles the Options the flags selected after fs.Parse, opening
+// the -cache store on the first call.
+func (f *Flags) Options() (Options, error) {
+	opts := Options{Retries: *f.retries}
+	if *f.cache == "" {
+		return opts, nil
+	}
+	if f.store == nil {
+		store, err := memo.Open(*f.cache, memo.Options{})
+		if err != nil {
+			return Options{}, err
+		}
+		f.store = store
+	}
+	opts.Exec = CacheExec(f.store, nil, nil)
+	return opts, nil
+}
+
+// Close persists the -cache store's index and warns on w, as prog, when
+// the store counted entries that failed their integrity check or could
+// not be written: a cell that was not written runs again next time. A
+// store that was never opened is a no-op.
+func (f *Flags) Close(w io.Writer, prog string) {
+	if f.store == nil {
+		return
+	}
+	if n := f.store.Stats().Corrupt; n > 0 {
+		fmt.Fprintf(w, "%s: warning: -cache %s: %d entries failed their integrity check or could not be written; a cell not written runs again next time\n", prog, *f.cache, n)
+	}
+	if err := f.store.Close(); err != nil {
+		fmt.Fprintf(w, "%s: warning: -cache %s: %v\n", prog, *f.cache, err)
 	}
 }
 

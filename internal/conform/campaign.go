@@ -2,8 +2,8 @@ package conform
 
 // The campaign fans generated programs through the resilient execution
 // layer (internal/campaign): one cell per program, each cell running the
-// full configuration matrix against the golden model, with journaled
-// checkpoints and transient-failure retries. The report artifact follows
+// full configuration matrix against the golden model, with an optional
+// cache of finished cells and transient-failure retries. The report artifact follows
 // the repo's bench/leakage pattern — a schema-versioned JSON whose
 // deterministic payload is byte-identical for the same (seed, n) at any
 // worker count, with all wall-clock data quarantined in a host block.
@@ -41,8 +41,8 @@ type Options struct {
 	MaxShrinkEvals int       // oracle budget per shrink (default 2000)
 	Progress       io.Writer // optional per-program progress lines
 	Timeout        time.Duration
-	// Campaign carries the resilience knobs (journal/resume/retries/chaos);
-	// Jobs, Timeout, and Progress above override its pool fields.
+	// Campaign carries the resilience knobs (cache, retries); Jobs,
+	// Timeout, and Progress above override its pool fields.
 	Campaign campaign.Options
 	// Repro, when non-nil, overrides the default reproduction command
 	// recorded for a degraded cell.
@@ -50,8 +50,8 @@ type Options struct {
 }
 
 // ProgSpec is one conformance cell's content identity: everything that
-// determines the program's deterministic outcome. It is the journal hash
-// key for conformance campaigns.
+// determines the program's deterministic outcome. Its hash is a
+// conformance cell's content key.
 type ProgSpec struct {
 	CampaignSeed   uint64 `json:"campaign_seed"`
 	Index          int    `json:"index"`
@@ -59,7 +59,7 @@ type ProgSpec struct {
 	MaxShrinkEvals int    `json:"max_shrink_evals,omitempty"`
 	// Defenses restricts the configuration matrix to these registry names
 	// (nil: every registered scheme). Part of the spec — and therefore the
-	// journal identity — because the cell's outcome depends on it.
+	// content key — because the cell's outcome depends on it.
 	Defenses []string `json:"defenses,omitempty"`
 }
 
@@ -128,8 +128,8 @@ func RunProgSpec(ctx context.Context, s ProgSpec) (ProgramResult, error) {
 	res.Retired, res.Faults = ref.Retired, ref.Faults
 	cfgs, err := s.configs()
 	if err != nil {
-		// A stale journal or hand-edited spec naming an unregistered
-		// scheme is a deterministic input error, not a transient failure:
+		// A hand-edited spec naming an unregistered scheme is a
+		// deterministic input error, not a transient failure:
 		// embed it so the retry policy never re-runs the cell.
 		res.Error = err.Error()
 		return res, nil
@@ -198,9 +198,9 @@ func (o Options) indices() []int {
 // Campaign runs the selected programs through the matrix via the campaign
 // layer and assembles the report. Runs are addressed by cell index, so the
 // deterministic payload is byte-identical regardless of worker count,
-// completion order, or whether cells were replayed from a resume journal.
-// The returned error is execution-layer only (a journal failure or an
-// injected chaos kill); per-program failures degrade into the report.
+// completion order, or whether cells were served from a cache. The
+// returned error is execution-layer only (a cancelled context);
+// per-program failures degrade into the report.
 func Campaign(ctx context.Context, opts Options) (*Report, error) {
 	idxs := opts.indices()
 	var defNames []string
@@ -256,7 +256,7 @@ func Campaign(ctx context.Context, opts Options) (*Report, error) {
 			rep.Runs[i] = ProgramResult{Index: idx, Seed: Mix(opts.Seed, uint64(idx)), Error: o.Err.Error()}
 		default:
 			if err := json.Unmarshal(o.Value, &rep.Runs[i]); err != nil {
-				return nil, fmt.Errorf("conform: decoding journaled result for %s: %w", o.Name, err)
+				return nil, fmt.Errorf("conform: decoding result for %s: %w", o.Name, err)
 			}
 		}
 		if rep.Runs[i].Error != "" {

@@ -1,9 +1,11 @@
 package conform
 
-// Chaos self-test for the conformance campaign: a journaled fuzz campaign
-// SIGKILLed at seeded random checkpoint appends must resume to a report
-// whose deterministic payload is byte-identical to an uninterrupted run's,
-// at 1 and 4 workers. Part of `make chaos`.
+// Kill/resume self-test for the conformance campaign: a fuzz campaign over
+// a memo store (the -cache seam), cancelled after a seeded number of
+// stored programs and rerun over the same store, must reach a report whose
+// deterministic payload is byte-identical to an uninterrupted run's, at 1
+// and 4 workers, with the rerun serving programs from the store. Part of
+// `make chaos`.
 
 import (
 	"bytes"
@@ -11,11 +13,34 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"invisispec/internal/campaign"
+	"invisispec/internal/memo"
 )
+
+// chaosCampaign opens the memo store in dir and returns a context plus
+// campaign options that serve cells from the store and cancel the context
+// once kill new cells are stored (0: never) — the in-process stand-in for
+// kill -9. The store's Hits show what a run was served.
+func chaosCampaign(t *testing.T, dir string, kill int) (context.Context, campaign.Options, *memo.Store) {
+	t.Helper()
+	store, err := memo.Open(dir, memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var stored atomic.Int32
+	exec := campaign.CacheExec(store, nil, func(hit bool, err error) {
+		if !hit && err == nil && int(stored.Add(1)) == kill {
+			cancel()
+		}
+	})
+	return ctx, campaign.Options{Exec: exec, Retries: 1}, store
+}
 
 func TestChaosConformKillResume(t *testing.T) {
 	if testing.Short() {
@@ -42,31 +67,28 @@ func TestChaosConformKillResume(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("seed%d-w%d", seed, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
+				dir := t.TempDir()
 				opts := base
 				opts.Jobs = workers
-				opts.Campaign = campaign.Options{
-					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
-					Retries: 1,
+				// Kill the campaign after a random number of stored
+				// programs, then rerun it over the same cache; a kill point
+				// past the programs means it completed this round.
+				ctx, copts, _ := chaosCampaign(t, dir, 1+rng.Intn(base.N))
+				opts.Campaign = copts
+				if _, err := Campaign(ctx, opts); err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatal(err)
 				}
-				opts.Campaign.Chaos = &campaign.ChaosOptions{
-					Seed:         rng.Int63(),
-					KillAtAppend: 1 + rng.Intn(base.N),
-				}
-				rep, err := Campaign(context.Background(), opts)
+				ctx, copts, store := chaosCampaign(t, dir, 0)
+				opts.Campaign = copts
+				rep, err := Campaign(ctx, opts)
 				if err != nil {
-					if !errors.Is(err, campaign.ErrKilled) {
-						t.Fatal(err)
-					}
-					resumed := opts
-					resumed.Campaign.Chaos = nil
-					resumed.Campaign.Resume = true
-					rep, err = Campaign(context.Background(), resumed)
-					if err != nil {
-						t.Fatal(err)
-					}
+					t.Fatal(err)
 				}
 				if got := payload(rep); !bytes.Equal(got, want) {
 					t.Fatalf("resumed conform payload drifted from clean run:\n%s\n--- want ---\n%s", got, want)
+				}
+				if store.Stats().Hits == 0 {
+					t.Fatal("the rerun served no program from the cache")
 				}
 			})
 		}

@@ -1,9 +1,11 @@
 package leakage
 
-// Chaos self-test for the leakage campaign: a journaled scan SIGKILLed at
-// seeded random checkpoint appends must resume to a report whose
-// deterministic payload is byte-identical to an uninterrupted scan's, at 1
-// and 4 workers. Part of `make chaos`.
+// Kill/resume self-test for the leakage campaign: a scan over a memo store
+// (the -cache seam), cancelled after a seeded number of stored trials and
+// rerun over the same store, must reach a report whose deterministic
+// payload is byte-identical to an uninterrupted scan's, at 1 and 4
+// workers, with the rerun serving trials from the store. Part of `make
+// chaos`.
 
 import (
 	"bytes"
@@ -12,12 +14,35 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"invisispec/internal/campaign"
 	"invisispec/internal/config"
+	"invisispec/internal/memo"
 )
+
+// chaosCampaign opens the memo store in dir and returns a context plus
+// campaign options that serve cells from the store and cancel the context
+// once kill new cells are stored (0: never) — the in-process stand-in for
+// kill -9. The store's Hits show what a run was served.
+func chaosCampaign(t *testing.T, dir string, kill int) (context.Context, campaign.Options, *memo.Store) {
+	t.Helper()
+	store, err := memo.Open(dir, memo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var stored atomic.Int32
+	exec := campaign.CacheExec(store, nil, func(hit bool, err error) {
+		if !hit && err == nil && int(stored.Add(1)) == kill {
+			cancel()
+		}
+	})
+	return ctx, campaign.Options{Exec: exec, Retries: 1}, store
+}
 
 func TestChaosLeakageKillResume(t *testing.T) {
 	if testing.Short() {
@@ -50,34 +75,28 @@ func TestChaosLeakageKillResume(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("seed%d-w%d", seed, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
+				dir := t.TempDir()
 				opts := base
 				opts.Jobs = workers
-				opts.Campaign = campaign.Options{
-					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
-					Retries: 1,
+				// Kill the scan after a random number of stored trials,
+				// then rerun it over the same cache; a kill point past the
+				// trials means the scan completed this round.
+				ctx, copts, _ := chaosCampaign(t, dir, 1+rng.Intn(cellCount))
+				opts.Campaign = copts
+				if _, err := Scan(ctx, specs, opts); err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatal(err)
 				}
-				// Kill the scan at a random checkpoint append, then resume;
-				// a kill point past the remaining appends means the scan
-				// completed this round.
-				opts.Campaign.Chaos = &campaign.ChaosOptions{
-					Seed:         rng.Int63(),
-					KillAtAppend: 1 + rng.Intn(cellCount),
-				}
-				rep, err := Scan(context.Background(), specs, opts)
+				ctx, copts, store := chaosCampaign(t, dir, 0)
+				opts.Campaign = copts
+				rep, err := Scan(ctx, specs, opts)
 				if err != nil {
-					if !errors.Is(err, campaign.ErrKilled) {
-						t.Fatal(err)
-					}
-					resumed := opts
-					resumed.Campaign.Chaos = nil
-					resumed.Campaign.Resume = true
-					rep, err = Scan(context.Background(), specs, resumed)
-					if err != nil {
-						t.Fatal(err)
-					}
+					t.Fatal(err)
 				}
 				if got := payload(rep); !bytes.Equal(got, want) {
 					t.Fatalf("resumed leakage payload drifted from clean run:\n%s\n--- want ---\n%s", got, want)
+				}
+				if store.Stats().Hits == 0 {
+					t.Fatal("the rerun served no trial from the cache")
 				}
 			})
 		}

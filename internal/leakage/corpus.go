@@ -42,7 +42,7 @@ func (s AttackSpec) withID() AttackSpec {
 // ViaWorkload returns a copy of the spec that resolves its programs
 // through the named registry workload — an imported trace recorded from a
 // program this spec's parameters describe. The ID gains an "@workload"
-// suffix so scan cells and journal identities stay distinct from the
+// suffix so scan cells and their content keys stay distinct from the
 // template-assembled spec's.
 func (s AttackSpec) ViaWorkload(name string) AttackSpec {
 	s.Workload = name

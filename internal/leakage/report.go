@@ -84,7 +84,7 @@ type Report struct {
 
 // DeterministicPayload returns a copy with the host block stripped — the
 // bytes that must be identical across worker counts, kernel choices, and
-// interrupted-then-resumed campaigns. The chaos tests compare these.
+// killed campaigns rerun over their cache. The chaos tests compare these.
 func (r *Report) DeterministicPayload() *Report {
 	cp := *r
 	cp.Host = nil

@@ -39,9 +39,9 @@ type ScanOptions struct {
 	Progress io.Writer
 	// Name labels the report (e.g. "smoke" or "fuzz-seed42").
 	Name string
-	// Campaign carries the resilience knobs (journal/resume/retries/chaos)
-	// through to the execution layer; Jobs, Timeout, and Progress above
-	// override its pool fields.
+	// Campaign carries the resilience knobs (cache, retries) through to
+	// the execution layer; Jobs, Timeout, and Progress above override its
+	// pool fields.
 	Campaign campaign.Options
 	// Repro, when non-nil, builds the ready-to-run reproduction command
 	// recorded for a degraded cell (cmd/leakscan supplies one from its
@@ -50,8 +50,8 @@ type ScanOptions struct {
 }
 
 // TrialSpec is one scan cell's content identity — attack, defense,
-// consistency model, trial index, cycle budget — used as the journal hash
-// key; RunTrialSpec runs it.
+// consistency model, trial index, cycle budget — hashed into the cell's
+// content key; RunTrialSpec runs it.
 type TrialSpec struct {
 	Attack      AttackSpec         `json:"attack"`
 	Defense     config.Defense     `json:"defense"`
@@ -147,7 +147,7 @@ func Scan(ctx context.Context, specs []AttackSpec, opts ScanOptions) (*Report, e
 				}
 				var trial []uint64
 				if err := json.Unmarshal(tr.Value, &trial); err != nil {
-					return nil, fmt.Errorf("leakage: decoding journaled trial %s: %w", tr.Name, err)
+					return nil, fmt.Errorf("leakage: decoding trial %s: %w", tr.Name, err)
 				}
 				lats = append(lats, trial)
 			}

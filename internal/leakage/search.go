@@ -23,9 +23,9 @@ package leakage
 //
 // Everything is deterministic at any worker count: mutation draws happen
 // on the single search goroutine in lane order, scores come from the
-// scan's byte-identical cells, and the journal keys every trial by the
-// full parameter set (campaign.Key over TrialSpec, which embeds the whole
-// AttackSpec), so -resume can never serve a stale cell for a renamed or
+// scan's byte-identical cells, and every trial is keyed by the full
+// parameter set (campaign.Key over TrialSpec, which embeds the whole
+// AttackSpec), so a -cache can never serve a stale cell for a renamed or
 // re-parameterized mutant.
 
 import (
@@ -67,13 +67,12 @@ type SearchOptions struct {
 	Timeout   time.Duration
 	MaxCycles uint64
 	Progress  io.Writer
-	// Campaign carries the resilience knobs. When a Journal is set, every
-	// iteration after the first resumes from it automatically (the cells
-	// of earlier iterations are already journaled), so one journal file
-	// checkpoints the whole search and a killed search resumes to a
+	// Campaign carries the resilience knobs to every iteration's scan.
+	// With a cache Exec (campaign.CacheExec), one store keeps the whole
+	// search's trials, so a killed search rerun over it reaches a
 	// byte-identical report.
 	Campaign campaign.Options
-	// Name labels the report and the campaign journal entries.
+	// Name labels the report and its campaigns.
 	Name string
 	// Blind disables the hill-climb: every mutation starts from the lane's
 	// seed spec instead of its incumbent, so improvements cannot compound.
@@ -101,8 +100,8 @@ type SearchStep struct {
 	// Best is the lane's incumbent score after this step.
 	Best float64 `json:"best"`
 	// Repeat marks a candidate whose parameters were already evaluated
-	// this search (the mutator re-drew a visited point); its journaled
-	// score is replayed without re-scanning.
+	// this search (the mutator re-drew a visited point); its recorded
+	// score is reused without re-scanning.
 	Repeat bool `json:"repeat,omitempty"`
 }
 
@@ -342,16 +341,8 @@ func Search(ctx context.Context, opts SearchOptions) (*SearchReport, []*trace.Tr
 				Timeout:   opts.Timeout,
 				MaxCycles: opts.MaxCycles,
 				Progress:  opts.Progress,
-				// Every iteration scans under the same campaign name: the
-				// journal binds to it, and one journal checkpoints the
-				// whole search.
-				Name:     opts.Name,
-				Campaign: opts.Campaign,
-			}
-			// One journal file checkpoints the whole search: iterations
-			// after the first must resume from it, not truncate it.
-			if iter > 0 && sopts.Campaign.Journal != "" {
-				sopts.Campaign.Resume = true
+				Name:      opts.Name,
+				Campaign:  opts.Campaign,
 			}
 			scanRep, err := Scan(ctx, batch, sopts)
 			if err != nil {
@@ -404,7 +395,7 @@ func Search(ctx context.Context, opts SearchOptions) (*SearchReport, []*trace.Tr
 			} else {
 				// A repeat is a re-drawn point: the mutator could not
 				// leave the parent, or the candidate was already scored
-				// in an earlier round. Its journaled score is replayed,
+				// in an earlier round. Its recorded score is reused,
 				// and it may still be accepted (another lane's earlier
 				// candidate can beat this lane's incumbent).
 				step.Repeat = c.ID == parents[li].ID || prescored[c.ID]

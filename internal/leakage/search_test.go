@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"invisispec/internal/campaign"
@@ -164,10 +163,10 @@ func TestSearchFindMinimizesAndPromotes(t *testing.T) {
 	}
 }
 
-// TestTrialSpecKeyHashesFullParams is the satellite-3 audit: the campaign
-// journal key must be a content hash of the FULL parameter set, so a
-// mutant that reuses an ID with different parameters (or renames the same
-// parameters) can never be served a stale journaled cell.
+// TestTrialSpecKeyHashesFullParams: a trial's content key must hash the
+// FULL parameter set, so a mutant that reuses an ID with different
+// parameters (or renames the same parameters) can never be served a stale
+// cached cell.
 func TestTrialSpecKeyHashesFullParams(t *testing.T) {
 	base := TrialSpec{Attack: CanonicalSSBSpec(84), Defense: config.Base, Consistency: config.TSO, Trial: 0, MaxCycles: 1000}
 	key := func(ts TrialSpec) string {
@@ -185,12 +184,12 @@ func TestTrialSpecKeyHashesFullParams(t *testing.T) {
 	mutated := base
 	mutated.Attack.TrainRounds = 16 // same ID string, different parameters
 	if key(base) == key(mutated) {
-		t.Fatal("journal key ignores TrainRounds: a stale cell could be served for a mutated spec")
+		t.Fatal("content key ignores TrainRounds: a stale cell could be served for a mutated spec")
 	}
 	renamed := base
 	renamed.Attack.ID = "renamed"
 	if key(base) == key(renamed) {
-		t.Fatal("journal key ignores the ID: distinct report rows would collide in the journal")
+		t.Fatal("content key ignores the ID: distinct report rows would collide in a cache")
 	}
 	for _, mut := range []func(*TrialSpec){
 		func(ts *TrialSpec) { ts.Attack.Secret = 85 },
@@ -204,14 +203,15 @@ func TestTrialSpecKeyHashesFullParams(t *testing.T) {
 		m := base
 		mut(&m)
 		if key(base) == key(m) {
-			t.Fatalf("journal key collision after mutation: %+v vs %+v", base, m)
+			t.Fatalf("content key collision after mutation: %+v vs %+v", base, m)
 		}
 	}
 }
 
-// TestChaosSearchKillResume: a journaled search SIGKILLed at seeded
-// random checkpoint appends must resume to a byte-identical report — the
-// kill-mid-search coverage of the satellite-3 journal-identity audit.
+// TestChaosSearchKillResume: a cached search cancelled after a seeded
+// number of stored trials must rerun over its cache to a byte-identical
+// report, with the rerun serving trials from the store — the kill-mid-search
+// coverage of the full-parameter content key.
 func TestChaosSearchKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search chaos in -short")
@@ -219,11 +219,11 @@ func TestChaosSearchKillResume(t *testing.T) {
 	base := searchOpts(false)
 	base.Budget = 6
 
-	run := func(opts SearchOptions) (*SearchReport, error) {
-		rep, _, err := Search(context.Background(), opts)
+	run := func(ctx context.Context, opts SearchOptions) (*SearchReport, error) {
+		rep, _, err := Search(ctx, opts)
 		return rep, err
 	}
-	clean, err := run(base)
+	clean, err := run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,36 +231,27 @@ func TestChaosSearchKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Upper bound on journal appends: every iteration could scan one new
+	// Upper bound on stored trials: every iteration could scan one new
 	// candidate across all defense columns and trials.
-	maxAppends := base.Budget * len(base.Defenses) * base.Trials
+	maxStored := base.Budget * len(base.Defenses) * base.Trials
 
 	for _, seed := range []int64{11, 22, 33} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("seed%d-w%d", seed, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
+				dir := t.TempDir()
 				opts := base
 				opts.Jobs = workers
-				opts.Campaign = campaign.Options{
-					Journal: filepath.Join(t.TempDir(), "j.jsonl"),
-					Retries: 1,
+				ctx, copts, _ := chaosCampaign(t, dir, 1+rng.Intn(maxStored))
+				opts.Campaign = copts
+				if _, err := run(ctx, opts); err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatal(err)
 				}
-				opts.Campaign.Chaos = &campaign.ChaosOptions{
-					Seed:         rng.Int63(),
-					KillAtAppend: 1 + rng.Intn(maxAppends),
-				}
-				rep, err := run(opts)
+				ctx, copts, store := chaosCampaign(t, dir, 0)
+				opts.Campaign = copts
+				rep, err := run(ctx, opts)
 				if err != nil {
-					if !errors.Is(err, campaign.ErrKilled) {
-						t.Fatal(err)
-					}
-					resumed := opts
-					resumed.Campaign.Chaos = nil
-					resumed.Campaign.Resume = true
-					rep, err = run(resumed)
-					if err != nil {
-						t.Fatal(err)
-					}
+					t.Fatal(err)
 				}
 				got, err := json.Marshal(rep)
 				if err != nil {
@@ -268,6 +259,9 @@ func TestChaosSearchKillResume(t *testing.T) {
 				}
 				if !bytes.Equal(got, want) {
 					t.Fatalf("resumed search report drifted from clean run:\n%s\n--- want ---\n%s", got, want)
+				}
+				if store.Stats().Hits == 0 {
+					t.Fatal("the rerun served no trial from the cache")
 				}
 			})
 		}

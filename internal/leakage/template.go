@@ -9,8 +9,9 @@ import (
 )
 
 // Template selects which transient-attack program family a spec
-// instantiates. Its integer values are serialized in journals and worker
-// specs; a new template takes the next value and a row in templates.
+// instantiates. Its integer values are serialized in cell specs, and so
+// in their content keys; a new template takes the next value and a row in
+// templates.
 type Template int
 
 const (
@@ -152,7 +153,7 @@ func one(build func(workload.SpectreParams) (*isa.Program, error)) func(workload
 }
 
 // unknownTemplate is the row of a Template outside the table — one can
-// arrive in journal or worker JSON. It has no builder, so Validate and
+// arrive in hand-written spec JSON. It has no builder, so Validate and
 // Programs reject the spec, and no cores, so no machine runs it.
 var unknownTemplate templateInfo
 

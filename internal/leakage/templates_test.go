@@ -54,9 +54,9 @@ func TestTemplateRoundBounds(t *testing.T) {
 	}
 }
 
-// TestUnknownTemplateRejected: a Template value outside the table, as a
-// journal or a worker request can carry it, is an error everywhere a spec
-// is checked or run, never a panic.
+// TestUnknownTemplateRejected: a Template value outside the table, as
+// hand-written spec JSON can carry it, is an error everywhere a spec is
+// checked or run, never a panic.
 func TestUnknownTemplateRejected(t *testing.T) {
 	var ts TrialSpec
 	body := `{"attack":{"ID":"x","Template":99,"Secret":84,"TrainRounds":16,"ProbeLines":256,"ProbeStride":64,"FlushBounds":true,"FlushProbe":true},"defense":"Base","trial":0,"max_cycles":1000}`

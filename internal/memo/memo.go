@@ -1,5 +1,6 @@
 // Package memo is the content-addressed result store behind the simulation
-// service (internal/serve): a deterministic cell's canonical JSON value,
+// service (internal/serve) and the campaign CLIs' -cache flag (through
+// campaign.CacheExec): a deterministic cell's canonical JSON value,
 // keyed by the content hash of its spec (campaign.Key over workload, defense,
 // consistency, seed, budget, kernel). Because every simulation in this repo
 // is proven byte-deterministic, a memoized value is byte-exact — a cache hit
@@ -65,7 +66,7 @@ type Options struct {
 // Stats is a snapshot of the store's counters. Hits counts disk hits plus
 // in-flight dedup hits (FlightHits is the dedup share of that total);
 // Corrupt counts entries that failed their integrity check and were
-// discarded.
+// discarded, plus values Do computed but could not store.
 type Stats struct {
 	Hits       uint64 `json:"hits"`
 	FlightHits uint64 `json:"flight_hits"`
@@ -351,8 +352,7 @@ func (s *Store) evictLocked(justPut string) {
 // concurrent computation rather than this call's own compute. A compute
 // failure is returned to the leader and every follower, and nothing is
 // cached, so a later Do retries. A failed Put does not fail Do — the value
-// is correct, only its durability is lost — but the error is counted in
-// Corrupt and surfaces on the next miss.
+// is correct, only its durability is lost — but it is counted in Corrupt.
 func (s *Store) Do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (val []byte, hit bool, err error) {
 	s.mu.Lock()
 	if f, ok := s.flights[key]; ok {
@@ -377,11 +377,14 @@ func (s *Store) Do(ctx context.Context, key string, compute func(ctx context.Con
 	s.mu.Unlock()
 
 	f.val, f.err = compute(ctx)
+	var perr error
 	if f.err == nil {
-		// Best-effort durability; the in-memory result is already correct.
-		_ = s.Put(key, f.val)
+		perr = s.Put(key, f.val)
 	}
 	s.mu.Lock()
+	if perr != nil {
+		s.stats.Corrupt++
+	}
 	delete(s.flights, key)
 	s.mu.Unlock()
 	close(f.done)

@@ -215,6 +215,25 @@ func TestComputeErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestFailedPutCounted: a value Do computes but cannot store still reaches
+// the caller, and the failed write is counted in Corrupt.
+func TestFailedPutCounted(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, hit, err := s.Do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
+		return []byte(`{"ok":true}`), nil
+	})
+	if err != nil || hit || string(got) != `{"ok":true}` {
+		t.Fatalf("Do over a removed store: val=%q hit=%v err=%v", got, hit, err)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Entries != 0 {
+		t.Fatalf("stats after a failed write: %+v, want Corrupt 1 and no entries", st)
+	}
+}
+
 // TestEvictionLRU: past MaxEntries the least-recently-used entry is evicted,
 // and touching an entry protects it.
 func TestEvictionLRU(t *testing.T) {

@@ -4,7 +4,7 @@
 // slice of tasks across a bounded pool and aggregates results in task-index
 // order, so parallel output is byte-identical to serial output; bench.go
 // turns measured jobs into the bench-JSON artifact and diff.go compares two
-// of them. Executing a job matrix — journal, retries, degraded cells — is
+// of them. Executing a job matrix — cache, retries, degraded cells — is
 // internal/campaign's job (campaign.Sweep), which builds on this pool.
 //
 // Each simulated Machine is single-goroutine and fully deterministic, so a

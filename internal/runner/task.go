@@ -2,10 +2,10 @@ package runner
 
 // The worker pool: a Task is an arbitrary unit of work identified by name,
 // and RunTasks shards a slice of them across a bounded pool with
-// index-addressed deterministic aggregation, per-task wall-clock timeouts
-// enforced through the task's context, panic isolation, and
+// index-addressed deterministic aggregation, panic isolation, and
 // fail-fast-free cancellation. internal/campaign runs every bench,
-// leakage and conformance cell through it.
+// leakage and conformance cell through it, each under its own per-attempt
+// deadline.
 
 import (
 	"context"
@@ -18,10 +18,6 @@ import (
 type Task struct {
 	// Name labels the task in errors and progress lines.
 	Name string
-	// Timeout, when non-zero, bounds the task's host wall-clock time via
-	// its context. Work must poll the context to honour it (the simulator
-	// loops do, every sim.ctxCheckStride cycles).
-	Timeout time.Duration
 	// Run does the work. It must be self-contained: tasks run concurrently
 	// and share nothing but the pool.
 	Run func(ctx context.Context) (any, error)
@@ -31,6 +27,8 @@ type Task struct {
 type TaskResult struct {
 	Name  string
 	Index int // position in the submitted slice
+	// Value is what Run returned, alongside an error too (nil for a task
+	// that never started or panicked).
 	Value any
 	// Err is the task's failure, if any: an error from Run, a context
 	// cancellation/timeout, or a recovered panic. A failed task never
@@ -104,14 +102,8 @@ func notStarted(t Task, err error) error {
 	return fmt.Errorf("runner: %s not started: %w", t.Name, err)
 }
 
-// runOneTask executes a single task with its timeout applied and panics
-// converted to errors.
+// runOneTask executes a single task with panics converted to errors.
 func runOneTask(ctx context.Context, t Task) (v any, err error) {
-	if t.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t.Timeout)
-		defer cancel()
-	}
 	defer func() {
 		// Guard the pool against panics anywhere on the task path so one
 		// bad task cannot take down the other workers' tasks.
@@ -121,7 +113,7 @@ func runOneTask(ctx context.Context, t Task) (v any, err error) {
 	}()
 	v, err = t.Run(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("runner: %s: %w", t.Name, err)
+		return v, fmt.Errorf("runner: %s: %w", t.Name, err)
 	}
 	return v, nil
 }

@@ -168,56 +168,45 @@ func (s *Server) isDraining() bool {
 }
 
 // execFor builds a job's campaign Exec hook: the memoization seam. Every
-// cell resolves through the content-addressed store; only a miss acquires a
-// global compute slot and runs the simulation. Fresh computes are refused
-// while draining with a cancellation-classed error so they are never
-// cached and re-run cleanly on resubmission.
+// cell resolves through the content-addressed store (campaign.CacheExec);
+// only a miss acquires a global compute slot and runs the simulation. Fresh
+// computes are refused while draining with a cancellation-classed error so
+// they are never cached and re-run cleanly on resubmission.
 func (s *Server) execFor(job *Job) func(ctx context.Context, c campaign.Cell, key string) (json.RawMessage, error) {
-	return func(ctx context.Context, c campaign.Cell, key string) (json.RawMessage, error) {
-		val, hit, err := s.store.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
-			if s.isDraining() {
-				return nil, fmt.Errorf("serve: draining, cell %s refused: %w", c.Name, context.Canceled)
-			}
-			s.queueDepth.Add(1)
-			select {
-			case s.slots <- struct{}{}:
-				s.queueDepth.Add(-1)
-			case <-ctx.Done():
-				s.queueDepth.Add(-1)
-				return nil, ctx.Err()
-			}
-			defer func() { <-s.slots }()
-			s.busy.Add(1)
-			defer s.busy.Add(-1)
-			// Re-check after the (possibly long) queue wait: a drain that
-			// started while this cell queued must still refuse it.
-			if s.isDraining() {
-				return nil, fmt.Errorf("serve: draining, cell %s refused: %w", c.Name, context.Canceled)
-			}
-			if h := s.testHook; h != nil {
-				h(c.Name)
-			}
-			v, err := c.Run(ctx)
-			if err != nil {
-				return nil, err
-			}
-			raw, err := json.Marshal(v)
-			if err != nil {
-				return nil, fmt.Errorf("serve: marshaling cell %s value: %w", c.Name, err)
-			}
-			return raw, nil
-		})
-		if err != nil {
-			job.cancelledOrFailed(err)
-			return nil, err
+	return campaign.CacheExec(s.store, func(ctx context.Context, c campaign.Cell) (any, error) {
+		if s.isDraining() {
+			return nil, fmt.Errorf("serve: draining, cell %s refused: %w", c.Name, context.Canceled)
 		}
-		if hit {
+		s.queueDepth.Add(1)
+		select {
+		case s.slots <- struct{}{}:
+			s.queueDepth.Add(-1)
+		case <-ctx.Done():
+			s.queueDepth.Add(-1)
+			return nil, ctx.Err()
+		}
+		defer func() { <-s.slots }()
+		s.busy.Add(1)
+		defer s.busy.Add(-1)
+		// Re-check after the (possibly long) queue wait: a drain that
+		// started while this cell queued must still refuse it.
+		if s.isDraining() {
+			return nil, fmt.Errorf("serve: draining, cell %s refused: %w", c.Name, context.Canceled)
+		}
+		if h := s.testHook; h != nil {
+			h(c.Name)
+		}
+		return c.Run(ctx)
+	}, func(hit bool, err error) {
+		switch {
+		case err != nil:
+			job.cancelledOrFailed(err)
+		case hit:
 			job.cacheHits.Add(1)
-		} else {
+		default:
 			job.cacheMisses.Add(1)
 		}
-		return json.RawMessage(val), nil
-	}
+	})
 }
 
 // campaignOpts assembles a job's campaign options: the memoized executor

@@ -27,8 +27,8 @@ type TraceWorkload struct {
 	t *trace.Trace
 }
 
-// Name is the trace header's name — the registry key and the journal
-// identity, independent of the file path the trace was loaded from.
+// Name is the trace header's name — the registry key and the name cell
+// keys carry, independent of the file path the trace was loaded from.
 func (w *TraceWorkload) Name() string { return w.t.Name }
 
 // Class marks the workload as a runtime import.
@@ -112,8 +112,15 @@ func ImportFile(path string) (*TraceWorkload, error) {
 // file name for deterministic registration order) and registers each as a
 // workload. It returns the registered names. A name collision — two trace
 // headers with the same name, or a trace named after a built-in kernel —
-// fails the import; record with a distinct name instead.
+// fails the import; record with a distinct name instead. A missing dir, or
+// one that is not a directory, fails too; an empty directory imports
+// nothing.
 func ImportDir(dir string) ([]string, error) {
+	if info, err := os.Stat(dir); err != nil {
+		return nil, fmt.Errorf("workload: import: %w", err)
+	} else if !info.IsDir() {
+		return nil, fmt.Errorf("workload: import %s: not a directory", dir)
+	}
 	paths, err := filepath.Glob(filepath.Join(dir, "*.trace"))
 	if err != nil {
 		return nil, err

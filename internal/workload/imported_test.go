@@ -99,6 +99,30 @@ func TestImportDirRegisters(t *testing.T) {
 	}
 }
 
+// TestImportDirRejectsMissingPath: a path that does not exist, or is not a
+// directory, fails the import instead of reading as an empty corpus; an
+// existing empty directory still imports nothing.
+func TestImportDirRejectsMissingPath(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := workload.ImportDir(filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing dir: err = %v, want os.ErrNotExist", err)
+	}
+	file := filepath.Join(dir, "not-a-dir.trace")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := workload.ImportDir(file); err == nil || !strings.Contains(err.Error(), "not a directory") {
+		t.Errorf("file path: err = %v, want a not-a-directory rejection", err)
+	}
+	empty := filepath.Join(dir, "empty")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := workload.ImportDir(empty); err != nil || len(names) != 0 {
+		t.Errorf("empty dir: names %v, err %v; want none and no error", names, err)
+	}
+}
+
 func TestImportRejectsCorruptCRC(t *testing.T) {
 	path := writeHmmerTrace(t, t.TempDir(), "imported-crc-test", 300)
 	raw, err := os.ReadFile(path)
