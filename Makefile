@@ -44,9 +44,11 @@ lint: vet
 	fi
 
 # Code size: the non-test Go lines outside the bench/ module, the number
-# the ROADMAP's simplicity aim tracks. CI's lint job prints it.
+# the ROADMAP's simplicity aim tracks, and the test Go lines beside them.
+# CI's lint job prints both.
 loc:
 	@echo "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l) non-test Go lines outside bench/"
+	@echo "$$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l) test Go lines outside bench/"
 
 # Fast, race-free test run for local iteration.
 test:

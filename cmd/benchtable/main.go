@@ -136,14 +136,8 @@ func main() {
 	}
 	csvClose = csvOpen()
 	switch {
-	case *figure == 4:
-		execTimeFigure(false)
-	case *figure == 6:
-		trafficFigure(false)
-	case *figure == 7:
-		execTimeFigure(true)
-	case *figure == 8:
-		trafficFigure(true)
+	case *figure == 4, *figure == 6, *figure == 7, *figure == 8:
+		normFigure(*figure)
 	case *table == 6:
 		table6()
 	case *table == 7:
@@ -344,6 +338,32 @@ func selectNames(parsec bool) []string {
 	return out
 }
 
+// column is one figure column: a defense's normalized value or, with share
+// set, the share of that defense's bytes in one traffic class.
+type column struct {
+	head  string
+	def   config.Defense
+	share bool
+	class stats.TrafficClass
+}
+
+// figureColumns lays out a figure's columns along the defense axis. With
+// shares, every invisible-load scheme gets its Spec-GetS and
+// expose/validate share columns right after its own, so a newly
+// registered scheme lands in the figure without a layout edit.
+func figureColumns(defs []config.Defense, shares bool) []column {
+	var cols []column
+	for _, d := range defs {
+		cols = append(cols, column{head: d.String(), def: d})
+		if shares && d.UsesInvisiSpec() {
+			cols = append(cols,
+				column{head: "spec%", def: d, share: true, class: stats.TrafficSpecLoad},
+				column{head: "ve%", def: d, share: true, class: stats.TrafficValExp})
+		}
+	}
+	return cols
+}
+
 // colWidth sizes a column for its heading: the classic 8-character figure
 // column unless the defense name (e.g. BasicBlocker) needs more.
 func colWidth(c string) int {
@@ -353,12 +373,31 @@ func colWidth(c string) int {
 	return 8
 }
 
-func header(cols []string) {
+func header(cols []column) {
 	fmt.Printf("%-12s", "workload")
 	for _, c := range cols {
-		fmt.Printf("%*s", colWidth(c), c)
+		fmt.Printf("%*s", colWidth(c.head), c.head)
 	}
 	fmt.Println()
+}
+
+// printRow prints one figure row under cols: norm[def] in a defense's
+// column, share(c) in a share column, and blank share columns when share
+// is nil (the average rows).
+func printRow(label string, cols []column, norm map[config.Defense]float64, share func(column) float64) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s", label)
+	for _, c := range cols {
+		switch w := colWidth(c.head); {
+		case !c.share:
+			fmt.Fprintf(&b, "%*.2f", w, norm[c.def])
+		case share != nil:
+			fmt.Fprintf(&b, "%*.1f", w, share(c))
+		default:
+			fmt.Fprintf(&b, "%*s", w, "")
+		}
+	}
+	fmt.Println(strings.TrimRight(b.String(), " "))
 }
 
 // groupKey buckets aggregated results the way the figures read them.
@@ -383,82 +422,37 @@ func group(results []runner.JobResult) map[groupKey]map[config.Defense]harness.R
 
 var bothModels = []config.Consistency{config.TSO, config.RC}
 
-// execTimeFigure prints Figure 4 (SPEC) or Figure 7 (PARSEC): per-workload
-// execution time under each defense normalized to Base, under TSO, plus
-// the RC-average row. The whole name x model x defense matrix runs through
-// the worker pool before anything prints.
-func execTimeFigure(parsec bool) {
-	which := 4
-	suite := "SPEC"
-	if parsec {
-		which = 7
-		suite = "PARSEC"
-	}
+// normFigure prints one normalized figure: a TSO row per workload, then
+// the TSO and RC average rows. Figures 4 (SPEC) and 7 (PARSEC) show
+// execution time normalized to Base; Figures 6 (SPEC) and 8 (PARSEC) show
+// network traffic normalized to Base, with every invisible-load scheme's
+// bytes split into Spec-GetS and expose/validate shares. The whole name x
+// model x defense matrix runs through the worker pool before anything
+// prints.
+func normFigure(which int) {
+	parsec := which == 7 || which == 8
+	traffic := which == 6 || which == 8
 	defs := selectDefenses(true)
 	ns := selectNames(parsec)
 	res := group(runMatrix(
 		runner.Matrix(ns, parsec, bothModels, defs, seedAxis(), *warmup, *measure),
 		fmt.Sprintf("fig%d", which)))
 
-	fmt.Printf("Figure %d: normalized execution time, %s (higher is slower)\n\n", which, suite)
-	cols := make([]string, len(defs))
-	for i, d := range defs {
-		cols[i] = d.String()
-	}
-	header(cols)
-
-	sums := map[config.Consistency]map[config.Defense]float64{
-		config.TSO: {}, config.RC: {},
-	}
-	for _, name := range ns {
-		for _, cm := range bothModels {
-			norm := harness.NormalizedTime(res[groupKey{name, cm, firstSeed()}])
-			for _, d := range defs {
-				sums[cm][d] += norm[d]
-			}
-			if cm == config.TSO {
-				fmt.Printf("%-12s", name)
-				for _, d := range defs {
-					fmt.Printf("%*.2f", colWidth(d.String()), norm[d])
-				}
-				fmt.Println()
-			}
-		}
-	}
-	printAverages(defs, sums, float64(len(ns)))
-}
-
-// trafficFigure prints Figure 6 (SPEC) or Figure 8 (PARSEC): per-workload
-// network traffic normalized to Base, with the InvisiSpec columns split
-// into Spec-GetS and expose/validate shares.
-func trafficFigure(parsec bool) {
-	which := 6
 	suite := "SPEC"
 	if parsec {
-		which = 8
 		suite = "PARSEC"
 	}
-	defs := selectDefenses(true)
-	ns := selectNames(parsec)
-	res := group(runMatrix(
-		runner.Matrix(ns, parsec, bothModels, defs, seedAxis(), *warmup, *measure),
-		fmt.Sprintf("fig%d", which)))
-
-	fmt.Printf("Figure %d: normalized network traffic, %s\n", which, suite)
-	fmt.Printf("(spec%%/ve%% = share of the invisible-load config's bytes from Spec-GetS / expose+validate;\n")
-	fmt.Printf(" rows where the baseline moves almost no bytes — fully cache-resident kernels —\n")
-	fmt.Printf(" normalize against a floor of 1/16 B/instr and read as ~0)\n\n")
-	// Column layout follows the defense axis: every invisible-load scheme
-	// gets its Spec-GetS and expose/validate share columns right after its
-	// normalized-traffic column, so a newly registered scheme lands in the
-	// figure without a layout edit.
-	var cols []string
-	for _, d := range defs {
-		cols = append(cols, d.String())
-		if d.UsesInvisiSpec() {
-			cols = append(cols, "spec%", "ve%")
-		}
+	normalize := harness.NormalizedTime
+	if traffic {
+		normalize = harness.NormalizedTraffic
+		fmt.Printf("Figure %d: normalized network traffic, %s\n", which, suite)
+		fmt.Printf("(spec%%/ve%% = share of the invisible-load config's bytes from Spec-GetS / expose+validate;\n")
+		fmt.Printf(" rows where the baseline moves almost no bytes — fully cache-resident kernels —\n")
+		fmt.Printf(" normalize against a floor of 1/16 B/instr and read as ~0)\n\n")
+	} else {
+		fmt.Printf("Figure %d: normalized execution time, %s (higher is slower)\n\n", which, suite)
 	}
+	cols := figureColumns(defs, traffic)
 	header(cols)
 
 	sums := map[config.Consistency]map[config.Defense]float64{
@@ -467,45 +461,37 @@ func trafficFigure(parsec bool) {
 	for _, name := range ns {
 		for _, cm := range bothModels {
 			byDef := res[groupKey{name, cm, firstSeed()}]
-			norm := harness.NormalizedTraffic(byDef)
+			norm := normalize(byDef)
 			for _, d := range defs {
 				sums[cm][d] += norm[d]
 			}
 			if cm == config.TSO {
-				share := func(d config.Defense, tc stats.TrafficClass) float64 {
-					r := byDef[d]
+				printRow(name, cols, norm, func(c column) float64 {
+					r := byDef[c.def]
 					if r.TotalTraffic() == 0 {
 						return 0
 					}
-					return 100 * float64(r.Traffic[tc]) / float64(r.TotalTraffic())
-				}
-				fmt.Printf("%-12s", name)
-				for _, d := range defs {
-					fmt.Printf("%*.2f", colWidth(d.String()), norm[d])
-					if d.UsesInvisiSpec() {
-						fmt.Printf("%8.1f%8.1f",
-							share(d, stats.TrafficSpecLoad),
-							share(d, stats.TrafficValExp))
-					}
-				}
-				fmt.Println()
+					return 100 * float64(r.Traffic[c.class]) / float64(r.TotalTraffic())
+				})
 			}
 		}
 	}
-	printAverages(defs, sums, float64(len(ns)))
+	printAverages(cols, sums, float64(len(ns)))
 }
 
-func printAverages(defs []config.Defense, sums map[config.Consistency]map[config.Defense]float64, n float64) {
-	fmt.Printf("%-12s", "average")
-	for _, d := range defs {
-		fmt.Printf("%*.2f", colWidth(d.String()), sums[config.TSO][d]/n)
+// printAverages prints the TSO and RC average rows: each defense's mean
+// over n workloads under its own heading, with the share columns blank.
+func printAverages(cols []column, sums map[config.Consistency]map[config.Defense]float64, n float64) {
+	for _, row := range []struct {
+		label string
+		cm    config.Consistency
+	}{{"average", config.TSO}, {"RC-average", config.RC}} {
+		avg := make(map[config.Defense]float64, len(sums[row.cm]))
+		for d, sum := range sums[row.cm] {
+			avg[d] = sum / n
+		}
+		printRow(row.label, cols, avg, nil)
 	}
-	fmt.Println()
-	fmt.Printf("%-12s", "RC-average")
-	for _, d := range defs {
-		fmt.Printf("%*.2f", colWidth(d.String()), sums[config.RC][d]/n)
-	}
-	fmt.Println()
 }
 
 // table6 prints the InvisiSpec operation characterization (paper Table VI)

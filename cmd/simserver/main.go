@@ -16,7 +16,10 @@
 // SIGINT/SIGTERM triggers a graceful drain: the listener stops, new
 // submissions get 503, in-flight cells finish and are cached, fresh cell
 // computations are refused (they re-run — mostly from cache — on
-// resubmission after restart), and the cache index is persisted.
+// resubmission after restart), and simserver prints "simserver drained".
+// The cache directory holds one file per finished cell and nothing else;
+// each entry is stamped with the simserver build that wrote it, and an
+// entry another build wrote is recomputed.
 package main
 
 import (
@@ -46,16 +49,15 @@ func realMain(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("simserver", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr       = fs.String("addr", ":8080", "listen address")
-		cacheDir   = fs.String("cache", "simcache", "content-addressed memo cache directory")
-		maxEntries = fs.Int("max-entries", 0, "cache entry bound (LRU eviction; 0 = unlimited)")
-		workers    = fs.Int("workers", 0, "global compute slots (0 = GOMAXPROCS)")
-		history    = fs.String("history", "", "directory of committed BENCH_*.json artifacts for the trends page")
-		baseline   = fs.String("baseline", "", "bench artifact to gate sweep jobs against (benchdiff verdict)")
-		retries    = fs.Int("retries", 0, "transient-failure retries per cell")
-		timeout    = fs.Duration("cell-timeout", 5*time.Minute, "per-cell wall-clock timeout (0 = none)")
-		drainWait  = fs.Duration("drain-timeout", 10*time.Minute, "max wait for in-flight cells on shutdown")
-		impDir     = fs.String("import", "", "import *.trace files from this directory as workloads before serving")
+		addr      = fs.String("addr", ":8080", "listen address")
+		cacheDir  = fs.String("cache", "simcache", "content-addressed memo cache directory")
+		workers   = fs.Int("workers", 0, "global compute slots (0 = GOMAXPROCS)")
+		history   = fs.String("history", "", "directory of committed BENCH_*.json artifacts for the trends page")
+		baseline  = fs.String("baseline", "", "bench artifact to gate sweep jobs against (benchdiff verdict)")
+		retries   = fs.Int("retries", 0, "transient-failure retries per cell")
+		timeout   = fs.Duration("cell-timeout", 5*time.Minute, "per-cell wall-clock timeout (0 = none)")
+		drainWait = fs.Duration("drain-timeout", 10*time.Minute, "max wait for in-flight cells on shutdown")
+		impDir    = fs.String("import", "", "import *.trace files from this directory as workloads before serving")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -67,14 +69,13 @@ func realMain(args []string, stdout, stderr *os.File) int {
 		}
 	}
 	srv, err := serve.New(serve.Options{
-		Workers:         *workers,
-		CacheDir:        *cacheDir,
-		MaxCacheEntries: *maxEntries,
-		HistoryDir:      *history,
-		Baseline:        *baseline,
-		Retries:         *retries,
-		CellTimeout:     *timeout,
-		LogWriter:       stderr,
+		Workers:     *workers,
+		CacheDir:    *cacheDir,
+		HistoryDir:  *history,
+		Baseline:    *baseline,
+		Retries:     *retries,
+		CellTimeout: *timeout,
+		LogWriter:   stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "simserver:", err)
@@ -102,7 +103,7 @@ func realMain(args []string, stdout, stderr *os.File) int {
 	select {
 	case <-ctx.Done():
 		// Stop accepting connections, then drain: in-flight cells finish
-		// and are cached, the cache index is persisted.
+		// and are cached.
 		fmt.Fprintln(stderr, "simserver: signal received, draining")
 		shutCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()

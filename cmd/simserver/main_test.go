@@ -2,8 +2,9 @@ package main
 
 // The graceful-shutdown test uses the exec-helper pattern: the test binary
 // re-execs itself into realMain, the parent submits a job over HTTP, sends
-// SIGTERM mid-job, and asserts the drain semantics — clean exit, persisted
-// cache index, and a warm restart that re-runs only the refused cells.
+// SIGTERM mid-job, and asserts the drain semantics — clean exit, the
+// finished cells' entries on disk, and a warm restart that re-runs only the
+// refused cells.
 
 import (
 	"bufio"
@@ -158,9 +159,9 @@ func TestGracefulShutdownMidJob(t *testing.T) {
 		t.Fatalf("server exit: %v; stderr:\n%s", err, srv.errb)
 	}
 
-	// The drain persisted the cache index.
-	if _, err := os.Stat(filepath.Join(cacheDir, "index.json")); err != nil {
-		t.Errorf("cache index not persisted: %v", err)
+	// The cell that finished before the signal left its entry.
+	if cells, err := filepath.Glob(filepath.Join(cacheDir, "*.cell")); err != nil || len(cells) == 0 {
+		t.Errorf("drain left %d .cell files in the cache (err %v), want at least 1", len(cells), err)
 	}
 
 	// Warm restart over the same cache: the resubmitted job re-runs only the

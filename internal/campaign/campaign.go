@@ -17,7 +17,9 @@
 // A cell's only wall-clock bound is its context: the simulation loop polls
 // it, and a cell body that never polls it cannot be stopped. A campaign
 // that dies anyway (a hang, an out-of-memory kill) reruns with the same
-// -cache directory.
+// -cache directory. The key hashes a cell's spec, not the simulator; the
+// store stamps each entry with the build that wrote it and recomputes an
+// entry another build wrote, so a rebuilt binary never reads a stale cell.
 //
 // Byte-identity across interruption is the design invariant everything hangs
 // off: a cell's value is marshaled to canonical JSON exactly once, at the

@@ -86,11 +86,10 @@ func countRuns(cells []Cell, runs *atomic.Int32) []Cell {
 // openStore opens a memo store in dir for the cache tests.
 func openStore(t *testing.T, dir string) *memo.Store {
 	t.Helper()
-	store, err := memo.Open(dir, memo.Options{})
+	store, err := memo.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { store.Close() })
 	return store
 }
 
@@ -493,8 +492,8 @@ func TestCacheFlag(t *testing.T) {
 	if warn.Len() != 0 {
 		t.Fatalf("Close warned on a healthy store: %q", warn.String())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatalf("Close did not persist the index: %v", err)
+	if n := openStore(t, dir).Stats().Entries; n != 3 {
+		t.Fatalf("the store holds %d entries, want the 3 cells", n)
 	}
 
 	if err := os.RemoveAll(dir); err != nil {

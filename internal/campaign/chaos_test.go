@@ -33,11 +33,10 @@ import (
 // outcomes, the campaign's error and the store's hits.
 func chaosRun(t *testing.T, dir, name string, cells []Cell, opts Options, seed int64, kill, faultEvery int) ([]Outcome, uint64, error) {
 	t.Helper()
-	store, err := memo.Open(dir, memo.Options{})
+	store, err := memo.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var (

@@ -37,7 +37,7 @@ func (f *Flags) Options() (Options, error) {
 		return opts, nil
 	}
 	if f.store == nil {
-		store, err := memo.Open(*f.cache, memo.Options{})
+		store, err := memo.Open(*f.cache)
 		if err != nil {
 			return Options{}, err
 		}
@@ -47,19 +47,16 @@ func (f *Flags) Options() (Options, error) {
 	return opts, nil
 }
 
-// Close persists the -cache store's index and warns on w, as prog, when
-// the store counted entries that failed their integrity check or could
-// not be written: a cell that was not written runs again next time. A
-// store that was never opened is a no-op.
+// Close warns on w, as prog, when the -cache store counted entries that
+// failed their integrity check or could not be written: a cell that was
+// not written runs again next time. A store that was never opened is a
+// no-op.
 func (f *Flags) Close(w io.Writer, prog string) {
 	if f.store == nil {
 		return
 	}
 	if n := f.store.Stats().Corrupt; n > 0 {
 		fmt.Fprintf(w, "%s: warning: -cache %s: %d entries failed their integrity check or could not be written; a cell not written runs again next time\n", prog, *f.cache, n)
-	}
-	if err := f.store.Close(); err != nil {
-		fmt.Fprintf(w, "%s: warning: -cache %s: %v\n", prog, *f.cache, err)
 	}
 }
 

@@ -28,11 +28,10 @@ import (
 // kill -9. The store's Hits show what a run was served.
 func chaosCampaign(t *testing.T, dir string, kill int) (context.Context, campaign.Options, *memo.Store) {
 	t.Helper()
-	store, err := memo.Open(dir, memo.Options{})
+	store, err := memo.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { store.Close() })
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	var stored atomic.Int32

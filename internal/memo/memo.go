@@ -7,12 +7,23 @@
 // is indistinguishable from a fresh run, so repeated traffic for the same
 // cell costs one disk read instead of one simulation.
 //
-// Three layers of protection keep the cache trustworthy:
+// The store is its directory: one entry file per key and nothing else. No
+// index mirrors it, so there is nothing to persist on exit and nothing to
+// reconcile on Open; Stats counts the entry files each time it is asked.
+// The store has no size bound: to shrink or reset it, delete the directory
+// or point the store at a fresh one.
+//
+// Four layers of protection keep the cache trustworthy:
 //
 //   - Integrity: every entry file carries a header with the sha256 and length
 //     of its value bytes. A truncated, torn, or bit-flipped entry fails the
 //     check on read and is deleted and recomputed — corruption can degrade a
 //     hit into a miss, never into a wrong answer.
+//   - Build stamp: the header also records a digest of the executable that
+//     wrote the entry. A cell's key hashes its spec, not the simulator's
+//     code, so an entry another build wrote is a plain miss, recomputed and
+//     overwritten, and never served. Each binary (benchtable, leakscan,
+//     simserver, a test binary) is a build of its own.
 //   - Atomicity: entries are written to a temp file and renamed into place,
 //     so a crash mid-write leaves either no entry or a whole one (the rename
 //     is atomic on POSIX filesystems).
@@ -20,58 +31,38 @@
 //     same key run the compute function once; followers wait and share the
 //     leader's bytes. Identical requests from many users cost one simulation
 //     even before the value reaches disk.
-//
-// The store is bounded: past MaxEntries, the least-recently-used entry is
-// evicted. Recency is a persisted logical sequence number (never wall-clock),
-// so eviction order is reproducible. Close persists the index (keys, sizes,
-// recency) to index.json; Open reloads it and reconciles against the entry
-// files actually on disk, so a SIGKILL between index writes costs nothing
-// but a cold recency order.
 package memo
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
 
-// IndexSchema identifies the persisted index format; Open ignores others and
-// falls back to a directory scan.
-const IndexSchema = "simcache-index/v1"
-
 // entrySchema identifies the per-entry header format.
-const entrySchema = "simcache/v1"
-
-// indexName is the persisted index file inside the store directory.
-const indexName = "index.json"
+const entrySchema = "simcache/v2"
 
 // entrySuffix marks entry files; everything else in the directory is ignored.
 const entrySuffix = ".cell"
 
-// Options tunes a store.
-type Options struct {
-	// MaxEntries bounds the store; 0 means unlimited. When a Put would
-	// exceed it, least-recently-used entries are evicted first.
-	MaxEntries int
-}
-
 // Stats is a snapshot of the store's counters. Hits counts disk hits plus
 // in-flight dedup hits (FlightHits is the dedup share of that total);
 // Corrupt counts entries that failed their integrity check and were
-// discarded, plus values Do computed but could not store.
+// discarded, plus values Do computed but could not store. Entries and Bytes
+// are the entry files in the directory when Stats was called.
 type Stats struct {
 	Hits       uint64 `json:"hits"`
 	FlightHits uint64 `json:"flight_hits"`
 	Misses     uint64 `json:"misses"`
-	Evictions  uint64 `json:"evictions"`
 	Corrupt    uint64 `json:"corrupt"`
 	Entries    int    `json:"entries"`
 	Bytes      int64  `json:"bytes"`
@@ -86,20 +77,21 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// entry is one cached value's index record.
-type entry struct {
-	Size int64  `json:"size"`
-	Seq  uint64 `json:"seq"` // logical recency; higher = more recent
-}
-
 // entryHeader is the first line of an entry file; the value bytes follow the
 // newline.
 type entryHeader struct {
 	Schema string `json:"schema"`
 	Key    string `json:"key"`
+	Build  string `json:"build"`
 	SHA256 string `json:"sha256"`
 	Len    int64  `json:"len"`
 }
+
+// errOtherBuild marks an entry another build wrote: a miss, not corruption.
+var errOtherBuild = errors.New("memo: entry written by another build")
+
+// errPanicked is what a flight's followers get when its compute panics.
+var errPanicked = errors.New("memo: the computation this call waited on panicked")
 
 // flight is one in-progress computation other callers can wait on.
 type flight struct {
@@ -111,99 +103,44 @@ type flight struct {
 // Store is the on-disk content-addressed cache. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir  string
-	opts Options
+	dir   string
+	build string // digest of the running executable, stamped on every entry
 
 	mu      sync.Mutex
-	entries map[string]*entry
 	flights map[string]*flight
-	seq     uint64
-	stats   Stats
+	stats   Stats // counters only; Stats reads Entries and Bytes from dir
 }
 
-// persistedIndex is the index.json format.
-type persistedIndex struct {
-	Schema  string `json:"schema"`
-	Seq     uint64 `json:"seq"`
-	Entries []struct {
-		Key  string `json:"key"`
-		Size int64  `json:"size"`
-		Seq  uint64 `json:"seq"`
-	} `json:"entries"`
-}
+// runningBuild is the sha256 of the running executable, hashed once per
+// process.
+var runningBuild = sync.OnceValues(func() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+})
 
-// Open creates (or reopens) the store rooted at dir. An existing index.json
-// seeds the recency order; entry files on disk that the index does not know
-// about (a crash before the last Close) are adopted with cold recency, and
-// index records whose files vanished are dropped.
-func Open(dir string, opts Options) (*Store, error) {
+// Open creates (or reopens) the store rooted at dir. The first Open in a
+// process hashes the running executable for the entries' build stamp.
+func Open(dir string) (*Store, error) {
+	build, err := runningBuild()
+	if err != nil {
+		return nil, fmt.Errorf("memo: identifying the running build: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("memo: creating store dir %s: %w", dir, err)
 	}
-	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		entries: make(map[string]*entry),
-		flights: make(map[string]*flight),
-	}
-	// Seed from the persisted index, if one survives and parses. Any
-	// problem falls through to the directory scan — the index is a recency
-	// optimization, never the source of truth.
-	if data, err := os.ReadFile(filepath.Join(dir, indexName)); err == nil {
-		var idx persistedIndex
-		if json.Unmarshal(data, &idx) == nil && idx.Schema == IndexSchema {
-			s.seq = idx.Seq
-			for _, e := range idx.Entries {
-				s.entries[e.Key] = &entry{Size: e.Size, Seq: e.Seq}
-			}
-		}
-	}
-	// Reconcile against the files actually present.
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("memo: scanning store dir %s: %w", dir, err)
-	}
-	onDisk := make(map[string]int64)
-	for _, de := range names {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), entrySuffix) {
-			continue
-		}
-		key := strings.TrimSuffix(de.Name(), entrySuffix)
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		onDisk[key] = info.Size()
-	}
-	for key := range s.entries {
-		if _, ok := onDisk[key]; !ok {
-			delete(s.entries, key)
-		}
-	}
-	// Adopt orphans in sorted order so their relative recency is
-	// deterministic.
-	var orphans []string
-	for key := range onDisk {
-		if _, ok := s.entries[key]; !ok {
-			orphans = append(orphans, key)
-		}
-	}
-	sort.Strings(orphans)
-	for _, key := range orphans {
-		s.seq++
-		s.entries[key] = &entry{Size: onDisk[key], Seq: s.seq}
-	}
-	s.recountLocked()
-	return s, nil
-}
-
-// recountLocked refreshes the entry-count/byte-size stats. Callers hold mu.
-func (s *Store) recountLocked() {
-	s.stats.Entries = len(s.entries)
-	s.stats.Bytes = 0
-	for _, e := range s.entries {
-		s.stats.Bytes += e.Size
-	}
+	return &Store{dir: dir, build: build, flights: make(map[string]*flight)}, nil
 }
 
 // path returns the entry file for a key.
@@ -211,56 +148,31 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+entrySuffix)
 }
 
-// Get returns the cached value for key, verifying its integrity. A missing,
-// truncated, or corrupted entry counts as a miss (and is removed so the next
-// Put rewrites it cleanly).
-func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	val, ok := s.getLocked(key)
-	if ok {
-		s.stats.Hits++
-	} else {
-		s.stats.Misses++
-	}
-	return val, ok
-}
-
-// getLocked is Get without the hit/miss accounting, for Do. Callers hold mu.
+// getLocked returns the stored value for key, verifying its integrity. A
+// missing entry or one another build wrote is a miss; a truncated or
+// corrupted one is a miss too, counted in Corrupt and removed so the next
+// put rewrites it cleanly. Callers hold mu.
 func (s *Store) getLocked(key string) ([]byte, bool) {
-	e, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	val, err := readEntry(s.path(key), key)
+	path := s.path(key)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		// Integrity failure: drop the entry so it is recomputed. The
-		// distinction between "file vanished" and "file corrupt" does not
-		// matter to the caller — both are a miss.
-		s.stats.Corrupt++
-		delete(s.entries, key)
-		os.Remove(s.path(key))
-		s.recountLocked()
 		return nil, false
 	}
-	s.seq++
-	e.Seq = s.seq
+	val, err := s.verify(data, key)
+	if errors.Is(err, errOtherBuild) {
+		return nil, false
+	}
+	if err != nil {
+		s.stats.Corrupt++
+		os.Remove(path)
+		return nil, false
+	}
 	return val, true
 }
 
-// readEntry loads and verifies one entry file.
-func readEntry(path, key string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
+// verify checks one entry file's bytes and returns its value.
+func (s *Store) verify(data []byte, key string) ([]byte, error) {
+	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, errors.New("memo: entry has no header line")
 	}
@@ -268,8 +180,8 @@ func readEntry(path, key string) ([]byte, error) {
 	if err := json.Unmarshal(data[:nl], &h); err != nil {
 		return nil, fmt.Errorf("memo: entry header corrupt: %w", err)
 	}
-	if h.Schema != entrySchema {
-		return nil, fmt.Errorf("memo: entry schema %q, want %q", h.Schema, entrySchema)
+	if h.Schema != entrySchema || h.Build != s.build {
+		return nil, errOtherBuild
 	}
 	if h.Key != key {
 		return nil, fmt.Errorf("memo: entry key %q under file for %q", h.Key, key)
@@ -285,13 +197,13 @@ func readEntry(path, key string) ([]byte, error) {
 	return val, nil
 }
 
-// Put stores val under key (atomically: temp file + rename) and evicts the
-// least-recently-used entries if the store exceeds its bound.
-func (s *Store) Put(key string, val []byte) error {
+// put stores val under key atomically: temp file + rename.
+func (s *Store) put(key string, val []byte) error {
 	sum := sha256.Sum256(val)
 	header, err := json.Marshal(entryHeader{
 		Schema: entrySchema,
 		Key:    key,
+		Build:  s.build,
 		SHA256: hex.EncodeToString(sum[:]),
 		Len:    int64(len(val)),
 	})
@@ -313,37 +225,7 @@ func (s *Store) Put(key string, val []byte) error {
 	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
 		return fmt.Errorf("memo: installing entry for %s: %w", key, err)
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	// Size matches what Open's directory scan will see: header + \n + value.
-	s.entries[key] = &entry{Size: int64(len(header)) + 1 + int64(len(val)), Seq: s.seq}
-	s.evictLocked(key)
-	s.recountLocked()
 	return nil
-}
-
-// evictLocked removes least-recently-used entries until the store fits its
-// bound, never evicting the just-written key. Callers hold mu.
-func (s *Store) evictLocked(justPut string) {
-	if s.opts.MaxEntries <= 0 {
-		return
-	}
-	for len(s.entries) > s.opts.MaxEntries {
-		victim, minSeq := "", ^uint64(0)
-		for key, e := range s.entries {
-			if key != justPut && e.Seq < minSeq {
-				victim, minSeq = key, e.Seq
-			}
-		}
-		if victim == "" {
-			return
-		}
-		delete(s.entries, victim)
-		os.Remove(s.path(victim))
-		s.stats.Evictions++
-	}
 }
 
 // Do returns the value for key, computing it at most once across concurrent
@@ -351,8 +233,10 @@ func (s *Store) evictLocked(justPut string) {
 // share the result. hit reports whether the value came from the cache or a
 // concurrent computation rather than this call's own compute. A compute
 // failure is returned to the leader and every follower, and nothing is
-// cached, so a later Do retries. A failed Put does not fail Do — the value
-// is correct, only its durability is lost — but it is counted in Corrupt.
+// cached, so a later Do retries; a compute that panics releases its
+// followers with an error and the panic goes on to the leader's caller. A
+// failed put does not fail Do — the value is correct, only its durability
+// is lost — but it is counted in Corrupt.
 func (s *Store) Do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (val []byte, hit bool, err error) {
 	s.mu.Lock()
 	if f, ok := s.flights[key]; ok {
@@ -372,70 +256,42 @@ func (s *Store) Do(ctx context.Context, key string, compute func(ctx context.Con
 		return v, true, nil
 	}
 	s.stats.Misses++
-	f := &flight{done: make(chan struct{})}
+	// errPanicked stands until compute returns, so it is what followers
+	// see if compute panics.
+	f := &flight{done: make(chan struct{}), err: errPanicked}
 	s.flights[key] = f
 	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.flights, key)
+		s.mu.Unlock()
+		close(f.done)
+	}()
 
 	f.val, f.err = compute(ctx)
-	var perr error
-	if f.err == nil {
-		perr = s.Put(key, f.val)
-	}
-	s.mu.Lock()
-	if perr != nil {
+	if f.err == nil && s.put(key, f.val) != nil {
+		s.mu.Lock()
 		s.stats.Corrupt++
+		s.mu.Unlock()
 	}
-	delete(s.flights, key)
-	s.mu.Unlock()
-	close(f.done)
 	return f.val, false, f.err
 }
 
-// Stats returns a snapshot of the store's counters.
+// Stats returns the store's counters and counts the entry files in its
+// directory.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Close persists the index so the next Open restores the recency order
-// without a cold scan. The entry files themselves are already durable; a
-// crash that skips Close loses only recency, never values.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := persistedIndex{Schema: IndexSchema, Seq: s.seq}
-	keys := make([]string, 0, len(s.entries))
-	for key := range s.entries {
-		keys = append(keys, key)
+	st := s.stats
+	s.mu.Unlock()
+	des, _ := os.ReadDir(s.dir) // a vanished directory holds no entries
+	for _, de := range des {
+		if de.IsDir() || !strings.HasSuffix(de.Name(), entrySuffix) {
+			continue
+		}
+		if info, err := de.Info(); err == nil {
+			st.Entries++
+			st.Bytes += info.Size()
+		}
 	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		e := s.entries[key]
-		idx.Entries = append(idx.Entries, struct {
-			Key  string `json:"key"`
-			Size int64  `json:"size"`
-			Seq  uint64 `json:"seq"`
-		}{Key: key, Size: e.Size, Seq: e.Seq})
-	}
-	out, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("memo: marshaling index: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-index-*")
-	if err != nil {
-		return fmt.Errorf("memo: creating index temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(out, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("memo: writing index: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("memo: closing index: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, indexName)); err != nil {
-		return fmt.Errorf("memo: installing index: %w", err)
-	}
-	return nil
+	return st
 }

@@ -2,8 +2,10 @@ package memo
 
 // Satellite coverage for the content-addressed memo cache: concurrent
 // identical submissions execute once (singleflight), a cache hit returns
-// bytes identical to a fresh computation, and corrupted or truncated entries
-// are detected by the integrity header and recomputed rather than served.
+// bytes identical to a fresh computation, corrupted or truncated entries
+// are detected by the integrity header and recomputed rather than served,
+// entries another build wrote are recomputed, and a panicking compute
+// releases its flight.
 
 import (
 	"bytes"
@@ -14,22 +16,49 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-func mustOpen(t *testing.T, dir string, opts Options) *Store {
+func mustOpen(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(dir, opts)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// mustHit returns the stored value for key and fails the test if Do has to
+// compute it.
+func mustHit(t *testing.T, s *Store, key string) []byte {
+	t.Helper()
+	val, hit, err := s.Do(context.Background(), key, func(ctx context.Context) ([]byte, error) {
+		return nil, fmt.Errorf("%s: not stored", key)
+	})
+	if err != nil || !hit {
+		t.Fatalf("Do(%s): hit=%v err=%v, want a stored value", key, hit, err)
+	}
+	return val
+}
+
+// mustStore computes val under key through Do and fails the test unless
+// Do ran the computation.
+func mustStore(t *testing.T, s *Store, key string, val []byte) {
+	t.Helper()
+	ran := false
+	if _, _, err := s.Do(context.Background(), key, func(ctx context.Context) ([]byte, error) {
+		ran = true
+		return val, nil
+	}); err != nil || !ran {
+		t.Fatalf("Do(%s): computed=%v err=%v, want a fresh computation", key, ran, err)
+	}
+}
+
 // TestDoSingleflight: N concurrent Do calls for the same key run compute
 // exactly once; every caller sees the same bytes, and exactly one caller is
 // the (miss-counted) leader.
 func TestDoSingleflight(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
+	s := mustOpen(t, t.TempDir())
 	var computes atomic.Int64
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -97,7 +126,7 @@ func TestDoSingleflight(t *testing.T) {
 // reopen — are byte-identical to the fresh computation's.
 func TestHitBytesIdentical(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
+	s := mustOpen(t, dir)
 	fresh := []byte(`{"workload":"mcf","cycles":123456,"cpi":1.2345678901234567}`)
 	got, hit, err := s.Do(context.Background(), "cell", func(ctx context.Context) ([]byte, error) {
 		return fresh, nil
@@ -112,14 +141,9 @@ func TestHitBytesIdentical(t *testing.T) {
 	if err != nil || !hit || !bytes.Equal(again, fresh) {
 		t.Fatalf("warm Do: val=%q hit=%v err=%v", again, hit, err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 	// A reopened store (fresh process) serves the same bytes from disk.
-	s2 := mustOpen(t, dir, Options{})
-	reopened, ok := s2.Get("cell")
-	if !ok || !bytes.Equal(reopened, fresh) {
-		t.Fatalf("reopened Get: val=%q ok=%v", reopened, ok)
+	if reopened := mustHit(t, mustOpen(t, dir), "cell"); !bytes.Equal(reopened, fresh) {
+		t.Fatalf("reopened store served %q", reopened)
 	}
 }
 
@@ -165,7 +189,7 @@ func TestCorruptionDetected(t *testing.T) {
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s := mustOpen(t, dir, Options{})
+			s := mustOpen(t, dir)
 			if _, _, err := s.Do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
 				return val, nil
 			}); err != nil {
@@ -190,8 +214,8 @@ func TestCorruptionDetected(t *testing.T) {
 				t.Fatalf("corrupt counter %d, want 1", st.Corrupt)
 			}
 			// The rewritten entry must verify again.
-			if fixed, ok := s.Get("k"); !ok || !bytes.Equal(fixed, val) {
-				t.Fatalf("rewritten entry: val=%q ok=%v", fixed, ok)
+			if fixed := mustHit(t, s, "k"); !bytes.Equal(fixed, val) {
+				t.Fatalf("rewritten entry served %q", fixed)
 			}
 		})
 	}
@@ -200,7 +224,7 @@ func TestCorruptionDetected(t *testing.T) {
 // TestComputeErrorNotCached: a failed compute caches nothing; the next Do
 // retries and can succeed.
 func TestComputeErrorNotCached(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
+	s := mustOpen(t, t.TempDir())
 	boom := fmt.Errorf("transient blip")
 	if _, _, err := s.Do(context.Background(), "k", func(ctx context.Context) ([]byte, error) {
 		return nil, boom
@@ -219,7 +243,7 @@ func TestComputeErrorNotCached(t *testing.T) {
 // the caller, and the failed write is counted in Corrupt.
 func TestFailedPutCounted(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
+	s := mustOpen(t, dir)
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -234,72 +258,107 @@ func TestFailedPutCounted(t *testing.T) {
 	}
 }
 
-// TestEvictionLRU: past MaxEntries the least-recently-used entry is evicted,
-// and touching an entry protects it.
-func TestEvictionLRU(t *testing.T) {
+// TestStatsReadsDirectory: the entry files are the whole store. Stats counts
+// them and their bytes, a file removed behind the store's back is a miss in
+// every store over the directory, and other files are not entries.
+func TestStatsReadsDirectory(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{MaxEntries: 2})
-	put := func(key string) {
-		t.Helper()
-		if err := s.Put(key, []byte(`{"k":"`+key+`"}`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put("a")
-	put("b")
-	if _, ok := s.Get("a"); !ok { // touch a: b becomes LRU
-		t.Fatal("a missing before eviction")
-	}
-	put("c")
-	if _, ok := s.Get("b"); ok {
-		t.Fatal("b survived eviction despite being LRU")
-	}
-	if _, ok := s.Get("a"); !ok {
-		t.Fatal("a evicted despite recent touch")
-	}
-	if st := s.Stats(); st.Evictions != 1 || st.Entries != 2 {
-		t.Fatalf("stats evictions=%d entries=%d, want 1 and 2", st.Evictions, st.Entries)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "b"+entrySuffix)); !os.IsNotExist(err) {
-		t.Fatalf("evicted entry file still on disk (err=%v)", err)
-	}
-}
-
-// TestIndexRoundTrip: Close persists the index; Open restores entries and
-// recency, and reconciles against files added or removed behind its back.
-func TestIndexRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
+	s := mustOpen(t, dir)
 	for _, key := range []string{"a", "b", "c"} {
-		if err := s.Put(key, []byte(`{"k":"`+key+`"}`)); err != nil {
-			t.Fatal(err)
-		}
+		mustStore(t, s, key, []byte(`{"k":"`+key+`"}`))
 	}
-	if err := s.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not an entry"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate out-of-band changes: one entry vanishes, the reopened store
-	// must drop it; the others must still verify.
+	var size int64
+	for _, key := range []string{"a", "b", "c"} {
+		info, err := os.Stat(filepath.Join(dir, key+entrySuffix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += info.Size()
+	}
+	if st := s.Stats(); st.Entries != 3 || st.Bytes != size {
+		t.Fatalf("stats entries=%d bytes=%d, want 3 and %d", st.Entries, st.Bytes, size)
+	}
 	if err := os.Remove(filepath.Join(dir, "b"+entrySuffix)); err != nil {
 		t.Fatal(err)
 	}
-	s2 := mustOpen(t, dir, Options{})
-	if st := s2.Stats(); st.Entries != 2 {
-		t.Fatalf("reopened entries = %d, want 2", st.Entries)
+	s2 := mustOpen(t, dir)
+	for _, st := range []*Store{s, s2} {
+		if got := st.Stats().Entries; got != 2 {
+			t.Fatalf("entries after an out-of-band delete = %d, want 2", got)
+		}
+		if got := mustHit(t, st, "c"); string(got) != `{"k":"c"}` {
+			t.Fatalf("c served %q", got)
+		}
 	}
-	if _, ok := s2.Get("a"); !ok {
-		t.Fatal("a missing after reopen")
+	mustStore(t, s2, "b", []byte(`{"k":"b"}`))
+	if st := s2.Stats(); st.Entries != 3 || st.Corrupt != 0 {
+		t.Fatalf("stats after recomputing b: %+v, want 3 entries and nothing corrupt", st)
 	}
-	if _, ok := s2.Get("b"); ok {
-		t.Fatal("b resurrected after out-of-band delete")
+}
+
+// TestOtherBuildRecomputed: an entry another build wrote is never served.
+// It is a plain miss, not a corrupt entry; the recomputed value replaces it
+// and is served to the next Do.
+func TestOtherBuildRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	old := mustOpen(t, dir)
+	old.build = "another build"
+	mustStore(t, old, "k", []byte(`{"cycles":130}`))
+
+	s := mustOpen(t, dir)
+	mustStore(t, s, "k", []byte(`{"cycles":120}`))
+	if got := mustHit(t, s, "k"); string(got) != `{"cycles":120}` {
+		t.Fatalf("served %q after the recompute, want this build's value", got)
 	}
-	// A store dir with entry files but no index (crash before Close) still
-	// opens and serves.
-	if err := os.Remove(filepath.Join(dir, indexName)); err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Corrupt != 0 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats %+v, want one miss, one entry and nothing corrupt", st)
 	}
-	s3 := mustOpen(t, dir, Options{})
-	if got, ok := s3.Get("c"); !ok || string(got) != `{"k":"c"}` {
-		t.Fatalf("index-less reopen: val=%q ok=%v", got, ok)
+}
+
+// TestPanicReleasesFlight: a compute that panics still ends its flight. The
+// panic reaches the leader's caller, a follower waiting on the flight gets
+// an error at once, and a later Do for the key computes afresh.
+func TestPanicReleasesFlight(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leader := make(chan any)
+	go func() {
+		defer func() { leader <- recover() }()
+		s.Do(ctx, "k", func(ctx context.Context) ([]byte, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	follower := make(chan error)
+	go func() {
+		_, _, err := s.Do(ctx, "k", func(ctx context.Context) ([]byte, error) {
+			t.Error("follower ran compute despite in-flight leader")
+			return nil, nil
+		})
+		follower <- err
+	}()
+	for s.Stats().FlightHits != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-leader; r != "boom" {
+		t.Fatalf("leader's caller recovered %v, want the compute's panic", r)
+	}
+	if err := <-follower; err == nil || ctx.Err() != nil {
+		t.Fatalf("follower got %v (context %v), want the leader's failure before the deadline", err, ctx.Err())
+	}
+	got, hit, err := s.Do(ctx, "k", func(ctx context.Context) ([]byte, error) {
+		return []byte(`{"ok":true}`), nil
+	})
+	if err != nil || hit || string(got) != `{"ok":true}` {
+		t.Fatalf("Do after the panic: val=%q hit=%v err=%v, want a fresh computation", got, hit, err)
 	}
 }

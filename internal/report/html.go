@@ -139,7 +139,6 @@ func RenderIndex(w io.Writer, d IndexData) error {
 	tile(fmt.Sprintf("%d / %d", m.Hits, m.Hits+m.Misses), "hits / lookups")
 	tile(fmt.Sprintf("%d", m.FlightHits), "in-flight dedups")
 	tile(fmt.Sprintf("%d", m.Entries), "entries ("+fmtBytes(m.Bytes)+")")
-	tile(fmt.Sprintf("%d", m.Evictions), "evictions")
 	tile(fmt.Sprintf("%d", m.Corrupt), "corrupt rejected")
 	tile(fmt.Sprintf("%d / %d", m.WorkersBusy, m.WorkersTotal), "workers busy")
 	tile(fmt.Sprintf("%d", m.QueueDepth), "queued cells")

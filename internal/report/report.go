@@ -36,7 +36,7 @@ type JobRow struct {
 type MetricsView struct {
 	HitRate                               float64
 	Hits, Misses, FlightHits              uint64
-	Evictions, Corrupt                    uint64
+	Corrupt                               uint64
 	Entries                               int
 	Bytes                                 int64
 	QueueDepth, WorkersBusy, WorkersTotal int

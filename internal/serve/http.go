@@ -258,8 +258,7 @@ func (s *Server) handleDashIndex(w http.ResponseWriter, r *http.Request) {
 		Jobs: rows,
 		Metrics: report.MetricsView{
 			HitRate: m.CacheHitRate, Hits: m.Cache.Hits, Misses: m.Cache.Misses,
-			FlightHits: m.Cache.FlightHits, Evictions: m.Cache.Evictions,
-			Corrupt: m.Cache.Corrupt, Entries: m.Cache.Entries, Bytes: m.Cache.Bytes,
+			FlightHits: m.Cache.FlightHits, Corrupt: m.Cache.Corrupt, Entries: m.Cache.Entries, Bytes: m.Cache.Bytes,
 			QueueDepth: int(m.QueueDepth), WorkersBusy: int(m.WorkersBusy),
 			WorkersTotal: m.WorkersTotal,
 		},

@@ -9,7 +9,8 @@
 // memoized cell is byte-exact: repeat and concurrent-identical submissions
 // are served from cache or deduplicated in flight (singleflight) without
 // re-running a single simulation, and a sweep artifact fetched over HTTP is
-// byte-identical to the same sweep run via cmd/benchtable.
+// byte-identical to the same sweep run via cmd/benchtable. The store serves
+// only entries this server's build wrote (see internal/memo).
 //
 // The package is transport-complete but binary-agnostic: cmd/simserver
 // wires it to net/http, signals, and flags. Endpoints:
@@ -24,8 +25,8 @@
 //	GET  /, /jobs/{id}, /trends    HTML dashboard (internal/report)
 //
 // Shutdown is a drain, not an abort: Drain refuses new submissions (503)
-// and new cell computations, lets in-flight cells finish and reach the
-// cache, then persists the cache index. Refused cells fail with a
+// and new cell computations and lets in-flight cells finish and reach the
+// cache; the store has nothing else to write. Refused cells fail with a
 // cancellation-classed error, which is never cached — so a resubmitted
 // job gets its finished cells from the cache and computes only the cells
 // the drain refused.
@@ -55,8 +56,6 @@ type Options struct {
 	Workers int
 	// CacheDir roots the content-addressed memo store (required).
 	CacheDir string
-	// MaxCacheEntries bounds the store (memo LRU eviction; 0 = unlimited).
-	MaxCacheEntries int
 	// HistoryDir, when non-empty, is scanned for committed BENCH_*.json
 	// artifacts to draw the dashboard's trend lines.
 	HistoryDir string
@@ -114,7 +113,7 @@ func New(opts Options) (*Server, error) {
 	if opts.CacheDir == "" {
 		return nil, fmt.Errorf("serve: Options.CacheDir is required")
 	}
-	store, err := memo.Open(opts.CacheDir, memo.Options{MaxEntries: opts.MaxCacheEntries})
+	store, err := memo.Open(opts.CacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -135,9 +134,8 @@ func (s *Server) Handler() http.Handler {
 
 // Drain stops the server gracefully: new submissions are refused with 503,
 // fresh cell computations are refused (in-flight cells finish and are cached),
-// every job goroutine is waited for, and the memo index is persisted. The
-// context bounds the wait; on expiry the index is still persisted and the
-// context error returned.
+// and every job goroutine is waited for. The context bounds the wait; on
+// expiry the context error is returned.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -148,17 +146,14 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
-	var werr error
+	var err error
 	select {
 	case <-done:
 	case <-ctx.Done():
-		werr = fmt.Errorf("serve: drain timed out: %w", ctx.Err())
+		err = fmt.Errorf("serve: drain timed out: %w", ctx.Err())
 	}
-	if cerr := s.store.Close(); cerr != nil && werr == nil {
-		werr = cerr
-	}
-	s.logLine("drain", map[string]any{"timed_out": werr != nil})
-	return werr
+	s.logLine("drain", map[string]any{"timed_out": err != nil})
+	return err
 }
 
 func (s *Server) isDraining() bool {

@@ -231,8 +231,8 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 
 // TestDrainMidJob: a drain mid-job lets in-flight cells finish and cache,
 // refuses the rest, marks the job interrupted, refuses new submissions with
-// 503, persists the cache index — and a new server over the same cache dir
-// re-runs only the refused cells.
+// 503 — and a new server over the same cache dir re-runs only the refused
+// cells.
 func TestDrainMidJob(t *testing.T) {
 	cacheDir := ""
 	drainErr := make(chan error, 1)
