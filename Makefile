@@ -116,7 +116,9 @@ kernelcheck:
 # Figure-7 sweep does the same for the 8-core PARSEC machines. Each sweep
 # stores its cells in a fresh $(SMOKE_CACHE); a second, host-free
 # assembly of the same matrix is served from it without simulating and
-# must equal the committed baseline byte for byte.
+# must equal the committed baseline byte for byte. Figures 6 and 8 read
+# the same cells as Figures 4 and 7, so they print from the cache without
+# simulating, and each fails unless both its average rows read Base 1.00.
 smoke: tools
 	rm -rf $(SMOKE_CACHE)
 	$(BIN)/benchtable $(SMOKE_FLAGS) -comparekernels -cache $(SMOKE_CACHE) -benchjson BENCH_smoke.json -benchname smoke
@@ -125,6 +127,12 @@ smoke: tools
 	$(BIN)/benchtable $(PARSEC_FLAGS) -comparekernels -cache $(SMOKE_CACHE) -benchjson $(BIN)/parsec_smoke.json -benchname parsec-smoke
 	$(BIN)/benchtable $(PARSEC_FLAGS) -cache $(SMOKE_CACHE) -benchjson $(BIN)/parsec_baselinecheck.json -benchname parsec-smoke -benchhost=false
 	cmp $(BIN)/parsec_baselinecheck.json BENCH_parsec_baseline.json
+	for f in 6 8; do \
+		$(BIN)/benchtable -fig $$f -warmup 5000 -measure 20000 -jobs $(JOBS) -quiet -cache $(SMOKE_CACHE) > $(BIN)/fig$$f.txt || exit 1; \
+		cat $(BIN)/fig$$f.txt; \
+		awk '$$1 ~ /^(RC-)?average$$/ { n++; if ($$2 != "1.00") bad = 1 } END { exit bad || n != 2 }' $(BIN)/fig$$f.txt \
+			|| { echo "smoke: Figure $$f: an average row's Base column is not 1.00"; exit 1; }; \
+	done
 
 benchdiff: smoke
 	$(BIN)/benchdiff BENCH_baseline.json BENCH_smoke.json

@@ -189,7 +189,7 @@ func reproFor(name string, j runner.Job) string {
 // fast-forward speedup without gating on it. Cells served from -cache do
 // not simulate, so their wall time is a read and the comparison covers
 // the values the cache holds: measure the speedup from an empty cache.
-func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
+func runMatrix(jobs []runner.Job, name string) ([]runner.JobResult, *runner.Bench) {
 	artName := name
 	if *bjName != "" {
 		artName = *bjName
@@ -270,7 +270,7 @@ func runMatrix(jobs []runner.Job, name string) []runner.JobResult {
 		csvClose()
 		os.Exit(1)
 	}
-	return results
+	return results, b
 }
 
 // seedAxis parses -faultseeds. Empty means the fault-free single-seed
@@ -383,115 +383,83 @@ func header(cols []column) {
 
 // printRow prints one figure row under cols: norm[def] in a defense's
 // column, share(c) in a share column, and blank share columns when share
-// is nil (the average rows).
-func printRow(label string, cols []column, norm map[config.Defense]float64, share func(column) float64) {
+// is nil (the average rows); mark, if any, follows the last column.
+func printRow(label string, cols []column, norm map[string]float64, share func(column) float64, mark string) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s", label)
 	for _, c := range cols {
 		switch w := colWidth(c.head); {
 		case !c.share:
-			fmt.Fprintf(&b, "%*.2f", w, norm[c.def])
+			fmt.Fprintf(&b, "%*.2f", w, norm[c.def.String()])
 		case share != nil:
 			fmt.Fprintf(&b, "%*.1f", w, share(c))
 		default:
 			fmt.Fprintf(&b, "%*s", w, "")
 		}
 	}
-	fmt.Println(strings.TrimRight(b.String(), " "))
-}
-
-// groupKey buckets aggregated results the way the figures read them.
-type groupKey struct {
-	name string
-	cm   config.Consistency
-	seed int64
-}
-
-// group indexes results by (workload, consistency, seed) and defense.
-func group(results []runner.JobResult) map[groupKey]map[config.Defense]harness.Result {
-	out := make(map[groupKey]map[config.Defense]harness.Result)
-	for _, r := range results {
-		k := groupKey{r.Job.Workload, r.Job.Consistency, r.Job.FaultSeed}
-		if out[k] == nil {
-			out[k] = make(map[config.Defense]harness.Result, len(config.AllDefenses()))
-		}
-		out[k][r.Job.Defense] = r.Result
-	}
-	return out
+	fmt.Println(strings.TrimRight(b.String(), " ") + mark)
 }
 
 var bothModels = []config.Consistency{config.TSO, config.RC}
 
 // normFigure prints one normalized figure: a TSO row per workload, then
-// the TSO and RC average rows. Figures 4 (SPEC) and 7 (PARSEC) show
-// execution time normalized to Base; Figures 6 (SPEC) and 8 (PARSEC) show
-// network traffic normalized to Base, with every invisible-load scheme's
-// bytes split into Spec-GetS and expose/validate shares. The whole name x
-// model x defense matrix runs through the worker pool before anything
-// prints.
+// the TSO and RC average rows, from the first fault seed's groups.
+// Figures 4 (SPEC) and 7 (PARSEC) show execution time normalized to Base;
+// Figures 6 (SPEC) and 8 (PARSEC) show network traffic normalized to Base,
+// with every invisible-load scheme's bytes split into Spec-GetS and
+// expose/validate shares. The whole name x model x defense matrix runs
+// through the worker pool before anything prints.
 func normFigure(which int) {
 	parsec := which == 7 || which == 8
 	traffic := which == 6 || which == 8
 	defs := selectDefenses(true)
-	ns := selectNames(parsec)
-	res := group(runMatrix(
-		runner.Matrix(ns, parsec, bothModels, defs, seedAxis(), *warmup, *measure),
-		fmt.Sprintf("fig%d", which)))
+	_, b := runMatrix(
+		runner.Matrix(selectNames(parsec), parsec, bothModels, defs, seedAxis(), *warmup, *measure),
+		fmt.Sprintf("fig%d", which))
 
 	suite := "SPEC"
 	if parsec {
 		suite = "PARSEC"
 	}
-	normalize := harness.NormalizedTime
+	metric := runner.Time
 	if traffic {
-		normalize = harness.NormalizedTraffic
+		metric = runner.Traffic
 		fmt.Printf("Figure %d: normalized network traffic, %s\n", which, suite)
 		fmt.Printf("(spec%%/ve%% = share of the invisible-load config's bytes from Spec-GetS / expose+validate;\n")
-		fmt.Printf(" rows where the baseline moves almost no bytes — fully cache-resident kernels —\n")
-		fmt.Printf(" normalize against a floor of 1/16 B/instr and read as ~0)\n\n")
+		fmt.Printf(" rows where the baseline moves under 1/16 B/instr — cache-resident kernels —\n")
+		fmt.Printf(" normalize against that floor instead, are marked floored and stay out of\n")
+		fmt.Printf(" both average rows)\n\n")
 	} else {
 		fmt.Printf("Figure %d: normalized execution time, %s (higher is slower)\n\n", which, suite)
 	}
 	cols := figureColumns(defs, traffic)
 	header(cols)
 
-	sums := map[config.Consistency]map[config.Defense]float64{
-		config.TSO: {}, config.RC: {},
+	groups := b.Groups()
+	printed := func(cm config.Consistency) func(*runner.Group) bool {
+		return func(g *runner.Group) bool { return g.Consistency == cm.String() && g.FaultSeed == firstSeed() }
 	}
-	for _, name := range ns {
-		for _, cm := range bothModels {
-			byDef := res[groupKey{name, cm, firstSeed()}]
-			norm := normalize(byDef)
-			for _, d := range defs {
-				sums[cm][d] += norm[d]
+	for i := range groups {
+		if g := &groups[i]; printed(config.TSO)(g) {
+			norm := make(map[string]float64, len(g.Runs))
+			for _, r := range g.Runs {
+				norm[r.Defense], _ = g.Value(r, metric)
 			}
-			if cm == config.TSO {
-				printRow(name, cols, norm, func(c column) float64 {
-					r := byDef[c.def]
-					if r.TotalTraffic() == 0 {
-						return 0
-					}
-					return 100 * float64(r.Traffic[c.class]) / float64(r.TotalTraffic())
-				})
+			mark := ""
+			if traffic && g.Floored() {
+				mark = "  floored"
 			}
+			printRow(g.Workload, cols, norm, func(c column) float64 {
+				r := g.Run(c.def.String())
+				if r.TrafficTotal == 0 {
+					return 0
+				}
+				return 100 * float64(r.Traffic[c.class.String()]) / float64(r.TrafficTotal)
+			}, mark)
 		}
 	}
-	printAverages(cols, sums, float64(len(ns)))
-}
-
-// printAverages prints the TSO and RC average rows: each defense's mean
-// over n workloads under its own heading, with the share columns blank.
-func printAverages(cols []column, sums map[config.Consistency]map[config.Defense]float64, n float64) {
-	for _, row := range []struct {
-		label string
-		cm    config.Consistency
-	}{{"average", config.TSO}, {"RC-average", config.RC}} {
-		avg := make(map[config.Defense]float64, len(sums[row.cm]))
-		for d, sum := range sums[row.cm] {
-			avg[d] = sum / n
-		}
-		printRow(row.label, cols, avg, nil)
-	}
+	printRow("average", cols, runner.Average(groups, metric, printed(config.TSO)).Value, nil, "")
+	printRow("RC-average", cols, runner.Average(groups, metric, printed(config.RC)).Value, nil, "")
 }
 
 // table6 prints the InvisiSpec operation characterization (paper Table VI)
@@ -501,7 +469,7 @@ func table6() {
 	tso := []config.Consistency{config.TSO}
 	jobs := runner.Matrix(selectNames(false), false, tso, isDefs, seedAxis(), *warmup, *measure)
 	jobs = append(jobs, runner.Matrix(selectNames(true), true, tso, isDefs, seedAxis(), *warmup, *measure)...)
-	results := runMatrix(jobs, "table6")
+	results, _ := runMatrix(jobs, "table6")
 
 	fmt.Println("Table VI: characterization of InvisiSpec's operation under TSO")
 	fmt.Println("(Sp = IS-Spectre, Fu = IS-Future)")

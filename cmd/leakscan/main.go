@@ -35,7 +35,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -186,13 +185,7 @@ func main() {
 		rep.Seed, rep.Count = *seed, *n
 	}
 	if *host {
-		rep.Host = &leakage.ReportHost{
-			WallMS: float64(time.Since(start).Microseconds()) / 1000,
-			Jobs:   *jobs,
-			CPUs:   runtime.NumCPU(),
-			GoOS:   runtime.GOOS,
-			GoVer:  runtime.Version(),
-		}
+		rep.Host = artifact.NewHost(time.Since(start), *jobs)
 	}
 
 	fmt.Printf("leakscan: %d attacks x %d defenses, %d trials each\n\n",

@@ -1,9 +1,10 @@
 // Package artifact holds the pieces shared by every campaign artifact the
 // repo emits (bench-JSON, leakage-report, conform-report): the uniform
 // file-writing path that guarantees a CLI cannot exit zero after a silently
-// truncated or unflushed artifact, and the degraded-cell block that resilient
+// truncated or unflushed artifact, the degraded-cell block that resilient
 // campaigns (internal/campaign) attach to an artifact instead of aborting
-// when cells fail permanently.
+// when cells fail permanently, and the host block that quarantines
+// wall-clock facts.
 //
 // The package sits below both internal/runner and internal/campaign on
 // purpose: runner's bench artifact and the leakage/conform reports embed
@@ -15,7 +16,27 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"time"
 )
+
+// Host is an artifact's nondeterministic side: how long the campaign ran,
+// with how many workers, on what host. Everything outside it is
+// byte-stable, and each artifact's DeterministicPayload strips it.
+type Host struct {
+	WallMS float64 `json:"wall_ms"`
+	Jobs   int     `json:"jobs"`
+	CPUs   int     `json:"cpus"`
+	GoOS   string  `json:"goos"`
+	GoVer  string  `json:"go"`
+}
+
+// NewHost returns the host block of a campaign that ran for wall on jobs
+// workers on this host.
+func NewHost(wall time.Duration, jobs int) *Host {
+	return &Host{WallMS: float64(wall.Nanoseconds()) / 1e6, Jobs: jobs,
+		CPUs: runtime.NumCPU(), GoOS: runtime.GOOS, GoVer: runtime.Version()}
+}
 
 // DegradedCell records one campaign cell that failed permanently — a
 // deterministic simulator outcome, or a transient failure that exhausted its

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"invisispec/internal/artifact"
@@ -81,15 +80,6 @@ type ProgramResult struct {
 	ReproGo      string   `json:"repro_go,omitempty"`
 }
 
-// Host quarantines the nondeterministic side of the artifact.
-type Host struct {
-	WallMS float64 `json:"wall_ms"`
-	Jobs   int     `json:"jobs"`
-	CPUs   int     `json:"cpus"`
-	GoOS   string  `json:"goos"`
-	GoVer  string  `json:"go"`
-}
-
 // Report is a full campaign artifact.
 type Report struct {
 	Schema    string          `json:"schema"`
@@ -105,7 +95,7 @@ type Report struct {
 	// them, the CLI exits non-zero, and each entry carries a ready-to-run
 	// repro command.
 	Degraded []artifact.DegradedCell `json:"degraded,omitempty"`
-	Host     *Host                   `json:"host,omitempty"`
+	Host     *artifact.Host          `json:"host,omitempty"`
 }
 
 // RunProgSpec generates and checks one program from its spec alone,
@@ -273,13 +263,7 @@ func Campaign(ctx context.Context, opts Options) (*Report, error) {
 		}
 		return fmt.Sprintf("go run ./cmd/conformfuzz -seed %d -n %d -only %d -shrink", opts.Seed, opts.N, spec.Index)
 	})
-	rep.Host = &Host{
-		WallMS: float64(time.Since(start).Nanoseconds()) / 1e6,
-		Jobs:   opts.Jobs,
-		CPUs:   runtime.NumCPU(),
-		GoOS:   runtime.GOOS,
-		GoVer:  runtime.Version(),
-	}
+	rep.Host = artifact.NewHost(time.Since(start), opts.Jobs)
 	return rep, nil
 }
 

@@ -295,31 +295,3 @@ func MeasureWorkload(name string, d config.Defense, cm config.Consistency, warmu
 	run := config.Run{Machine: config.Default(cores), Defense: d, Consistency: cm}
 	return Measure(run, name, progs, warmup, measure, opts...)
 }
-
-// NormalizedTime returns each defense's execution-time slowdown relative to
-// Base for the same amount of work (Figures 4 and 7 bars).
-func NormalizedTime(res map[config.Defense]Result) map[config.Defense]float64 {
-	out := make(map[config.Defense]float64, len(res))
-	base := res[config.Base].CPI()
-	for d, r := range res {
-		out[d] = r.CPI() / base
-	}
-	return out
-}
-
-// NormalizedTraffic returns each defense's bytes-per-instruction relative
-// to Base (Figures 6 and 8 bars). When the baseline moves almost no bytes
-// (a fully cache-resident kernel), normalization is meaningless: the
-// denominator is floored at one byte per 16 instructions so such rows read
-// as ~0 rather than as noise blow-ups.
-func NormalizedTraffic(res map[config.Defense]Result) map[config.Defense]float64 {
-	out := make(map[config.Defense]float64, len(res))
-	base := float64(res[config.Base].TotalTraffic()) / float64(res[config.Base].Instructions)
-	if base < 1.0/16 {
-		base = 1.0 / 16
-	}
-	for d, r := range res {
-		out[d] = (float64(r.TotalTraffic()) / float64(r.Instructions)) / base
-	}
-	return out
-}

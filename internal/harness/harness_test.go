@@ -8,6 +8,7 @@ import (
 
 	"invisispec/internal/config"
 	"invisispec/internal/harness"
+	"invisispec/internal/runner"
 	"invisispec/internal/stats"
 )
 
@@ -22,6 +23,24 @@ func sweep(t *testing.T, name string, warmup, measure uint64) map[config.Defense
 			t.Fatalf("%s/%s: %v", name, d, err)
 		}
 		out[d] = r
+	}
+	return out
+}
+
+// normalized returns each defense's m in a sweep's runner group, the
+// values a figure row prints.
+func normalized(name string, res map[config.Defense]harness.Result, m runner.Metric) map[config.Defense]float64 {
+	var results []runner.JobResult
+	for _, d := range config.AllDefenses() {
+		results = append(results, runner.JobResult{
+			Job:    runner.Job{Workload: name, Defense: d, Consistency: config.TSO},
+			Result: res[d],
+		})
+	}
+	g := runner.NewBench(name, 0, 0, results).Groups()[0]
+	out := make(map[config.Defense]float64, len(g.Runs))
+	for _, r := range g.Runs {
+		out[config.Defense(r.Defense)], _ = g.Value(r, m)
 	}
 	return out
 }
@@ -48,7 +67,7 @@ func TestMeasureDeltasExcludeWarmup(t *testing.T) {
 func TestSweepShape(t *testing.T) {
 	// The paper's headline ordering on a single kernel: Base is fastest;
 	// InvisiSpec beats the corresponding fence design.
-	norm := harness.NormalizedTime(sweep(t, "sjeng", 5000, 15000))
+	norm := normalized("sjeng", sweep(t, "sjeng", 5000, 15000), runner.Time)
 	if norm[config.Base] != 1.0 {
 		t.Fatalf("Base normalizes to %f", norm[config.Base])
 	}
@@ -74,7 +93,7 @@ func TestSweepShape(t *testing.T) {
 	if mres[config.Base].Traffic[stats.TrafficSpecLoad] != 0 {
 		t.Error("Base produced Spec-GetS traffic")
 	}
-	tr := harness.NormalizedTraffic(mres)
+	tr := normalized("libquantum", mres, runner.Traffic)
 	if tr[config.ISFuture] <= 1.0 {
 		t.Errorf("IS-Fu normalized traffic %.2f not above Base", tr[config.ISFuture])
 	}

@@ -52,16 +52,6 @@ type Cell struct {
 	Error string `json:"error,omitempty"`
 }
 
-// ReportHost quarantines the nondeterministic host facts, mirroring the
-// bench artifact's host block: everything outside it is byte-stable.
-type ReportHost struct {
-	WallMS float64 `json:"wall_ms"`
-	Jobs   int     `json:"jobs"`
-	CPUs   int     `json:"cpus"`
-	GoOS   string  `json:"goos"`
-	GoVer  string  `json:"go"`
-}
-
 // Report is a full leakage-scan artifact.
 type Report struct {
 	Schema string `json:"schema"`
@@ -79,7 +69,7 @@ type Report struct {
 	// CLI exits non-zero, and each entry carries a ready-to-run repro
 	// command.
 	Degraded []artifact.DegradedCell `json:"degraded,omitempty"`
-	Host     *ReportHost             `json:"host,omitempty"`
+	Host     *artifact.Host          `json:"host,omitempty"`
 }
 
 // DeterministicPayload returns a copy with the host block stripped — the

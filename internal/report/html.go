@@ -8,6 +8,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -201,66 +202,80 @@ func RenderJob(w io.Writer, p JobPage) error {
 // renderBench writes the sweep view: one normalized-time matrix per
 // consistency model (cells link to the drilldown), the Table V-style defense
 // comparison, the verdict checks, and — when a cell is selected — the full
-// run record.
+// run record, each in the artifact's order of first appearance.
 func renderBench(e *errWriter, p JobPage) {
-	v := buildBenchView(p.Bench, p.Cell)
+	var defs, cms []string
+	for _, r := range p.Bench.Runs {
+		if !slices.Contains(defs, r.Defense) {
+			defs = append(defs, r.Defense)
+		}
+		if !slices.Contains(cms, r.Consistency) {
+			cms = append(cms, r.Consistency)
+		}
+	}
+	groups := p.Bench.Groups()
 
 	e.printf("<div class=\"legend\">")
-	for _, d := range v.Defenses {
+	for _, d := range defs {
 		e.printf("<span>%s%s</span>", chip(seriesSlot(d)), esc(d))
 	}
 	e.printf("</div>\n")
 
-	for _, sec := range v.Sections {
-		e.printf("<h2>Normalized execution time — %s</h2>\n<table>\n<tr><th>workload</th>", esc(sec.Consistency))
-		for _, d := range v.Defenses {
+	avgs := make([]runner.Mean, len(cms))
+	for k, cm := range cms {
+		e.printf("<h2>Normalized execution time — %s</h2>\n<table>\n<tr><th>workload</th>", esc(cm))
+		for _, d := range defs {
 			e.printf("<th class=\"num\">%s</th>", esc(d))
 		}
 		e.printf("</tr>\n")
-		for _, row := range sec.Rows {
-			label := row.Workload
-			if row.Seed != 0 {
-				label = fmt.Sprintf("%s (seed %d)", row.Workload, row.Seed)
+		for i := range groups {
+			g := &groups[i]
+			if g.Consistency != cm {
+				continue
+			}
+			label := g.Workload
+			if g.FaultSeed != 0 {
+				label = fmt.Sprintf("%s (seed %d)", g.Workload, g.FaultSeed)
 			}
 			e.printf("<tr><td>%s</td>", esc(label))
-			for _, c := range row.Cells {
+			for _, d := range defs {
+				r := g.Run(d)
 				switch {
-				case !c.Present:
+				case r == nil:
 					e.printf("<td class=\"num muted\">&#8212;</td>")
-				case c.Err != "":
+				case r.Error != "":
 					e.printf("<td class=\"num\"><a class=\"fail\" href=\"/jobs/%s?cell=%s\" title=\"%s\">err</a></td>",
-						esc(p.Job.ID), esc(c.Key), esc(c.Err))
+						esc(p.Job.ID), esc(r.RunKey()), esc(r.Error))
 				default:
-					val := c.Norm
-					txt := f3(val)
-					if val == 0 { // no Base in group: show raw CPI
-						txt = fmt.Sprintf("%.3f&#8201;cpi", c.CPI)
+					txt := fmt.Sprintf("%.3f&#8201;cpi", r.CPI) // no Base in group: show raw CPI
+					if v, ok := g.Value(r, runner.Time); ok {
+						txt = f3(v)
 					}
 					e.printf("<td class=\"num\"><a href=\"/jobs/%s?cell=%s\">%s</a></td>",
-						esc(p.Job.ID), esc(c.Key), txt)
+						esc(p.Job.ID), esc(r.RunKey()), txt)
 				}
 			}
 			e.printf("</tr>\n")
 		}
+		avgs[k] = runner.Average(groups, runner.Time, func(g *runner.Group) bool { return g.Consistency == cm })
 		e.printf("<tr><td class=\"muted\">average</td>")
-		for _, d := range v.Defenses {
-			e.printf("<td class=\"num\">%s</td>", f3(sec.Avg[d]))
+		for _, d := range defs {
+			e.printf("<td class=\"num\">%s</td>", f3(avgs[k].Value[d]))
 		}
 		e.printf("</tr>\n</table>\n")
 	}
 
 	e.printf("<h2>Defense comparison</h2>\n<table>\n<tr><th>defense</th><th class=\"num\">runs</th><th class=\"num\">avg CPI</th>")
-	var cms []string
-	for _, sec := range v.Sections {
-		cms = append(cms, sec.Consistency)
-		e.printf("<th class=\"num\">avg norm (%s)</th>", esc(sec.Consistency))
+	for _, cm := range cms {
+		e.printf("<th class=\"num\">avg norm (%s)</th>", esc(cm))
 	}
 	e.printf("</tr>\n")
-	for _, row := range v.Compare {
+	cpi := runner.Average(groups, runner.CPI, nil)
+	for _, d := range defs {
 		e.printf("<tr><td>%s%s</td><td class=\"num\">%d</td><td class=\"num\">%.3f</td>",
-			chip(seriesSlot(row.Defense)), esc(row.Defense), row.Runs, row.AvgCPI)
-		for _, cm := range cms {
-			e.printf("<td class=\"num\">%s</td>", f3(row.AvgNorm[cm]))
+			chip(seriesSlot(d)), esc(d), cpi.Runs[d], cpi.Value[d])
+		for k := range cms {
+			e.printf("<td class=\"num\">%s</td>", f3(avgs[k].Value[d]))
 		}
 		e.printf("</tr>\n")
 	}
@@ -269,8 +284,8 @@ func renderBench(e *errWriter, p JobPage) {
 	if p.Verdict != nil {
 		renderVerdict(e, p.Verdict)
 	}
-	if v.Drill != nil {
-		renderDrill(e, v.Drill)
+	if drill, ok := p.Bench.RunsByKey()[p.Cell]; ok {
+		renderDrill(e, &drill)
 	} else if p.Cell != "" {
 		e.printf("<p class=\"banner\">No run with key %s in this artifact.</p>\n", esc(p.Cell))
 	}

@@ -90,161 +90,8 @@ func LoadHistory(dir string) ([]HistoryPoint, error) {
 // summarize reduces one artifact to its per-defense TSO-average normalized
 // time.
 func summarize(file string, b *runner.Bench) HistoryPoint {
-	h := HistoryPoint{File: file, Name: b.Name, Runs: len(b.Runs), Avg: map[string]float64{}}
-	sums := map[string]float64{}
-	ns := map[string]int{}
-	for _, r := range b.Runs {
-		if r.Error != "" || r.Consistency != "TSO" || r.NormalizedTime == 0 {
-			continue
-		}
-		if _, seen := sums[r.Defense]; !seen {
-			h.Defenses = append(h.Defenses, r.Defense)
-		}
-		sums[r.Defense] += r.NormalizedTime
-		ns[r.Defense]++
-	}
-	for _, d := range h.Defenses {
-		h.Avg[d] = sums[d] / float64(ns[d])
-	}
-	return h
-}
-
-// benchView is the aggregated matrix the job page renders for sweeps.
-type benchView struct {
-	Defenses []string
-	Sections []benchSection
-	// Compare is the Table V-style defense comparison: one row per defense
-	// with its per-model averages.
-	Compare []compareRow
-	// Drill is the selected cell's full run, when the page has one.
-	Drill    *runner.BenchRun
-	DrillKey string
-}
-
-type benchSection struct {
-	Consistency string
-	Rows        []benchRow
-	Avg         map[string]float64 // defense -> avg normalized time
-}
-
-type benchRow struct {
-	Workload string
-	Seed     int64
-	Cells    []benchCell
-}
-
-type benchCell struct {
-	Key     string // run key, the drilldown link
-	Norm    float64
-	CPI     float64
-	Err     string
-	Present bool
-}
-
-type compareRow struct {
-	Defense string
-	Runs    int
-	AvgCPI  float64
-	// AvgNorm is per consistency model, keyed like the sections.
-	AvgNorm map[string]float64
-}
-
-// buildBenchView aggregates an artifact into matrix order: defenses and
-// workloads in first-appearance order (the artifact is matrix-ordered), one
-// section per consistency model.
-func buildBenchView(b *runner.Bench, drillKey string) *benchView {
-	v := &benchView{DrillKey: drillKey}
-	defSeen := map[string]bool{}
-	type rowKey struct {
-		cm, wk string
-		seed   int64
-	}
-	rows := map[rowKey]*benchRow{}
-	sections := map[string]*benchSection{}
-	var cmOrder []string
-	var rowOrder []rowKey
-
-	for i := range b.Runs {
-		r := &b.Runs[i]
-		if !defSeen[r.Defense] {
-			defSeen[r.Defense] = true
-			v.Defenses = append(v.Defenses, r.Defense)
-		}
-		if sections[r.Consistency] == nil {
-			sections[r.Consistency] = &benchSection{Consistency: r.Consistency, Avg: map[string]float64{}}
-			cmOrder = append(cmOrder, r.Consistency)
-		}
-		rk := rowKey{r.Consistency, r.Workload, r.FaultSeed}
-		if rows[rk] == nil {
-			rows[rk] = &benchRow{Workload: r.Workload, Seed: r.FaultSeed}
-			rowOrder = append(rowOrder, rk)
-		}
-		if r.RunKey() == drillKey {
-			v.Drill = r
-		}
-	}
-	// Second pass: place each run in its row slot by defense column.
-	idx := map[string]int{}
-	for i, d := range v.Defenses {
-		idx[d] = i
-	}
-	for _, rk := range rowOrder {
-		rows[rk].Cells = make([]benchCell, len(v.Defenses))
-	}
-	avgSum := map[string]map[string]float64{}
-	avgN := map[string]map[string]int{}
-	cmpCPI := map[string]float64{}
-	cmpN := map[string]int{}
-	cmpNorm := map[string]map[string]float64{}
-	for _, r := range b.Runs {
-		rk := rowKey{r.Consistency, r.Workload, r.FaultSeed}
-		rows[rk].Cells[idx[r.Defense]] = benchCell{
-			Key: r.RunKey(), Norm: r.NormalizedTime, CPI: r.CPI, Err: r.Error, Present: true,
-		}
-		if r.Error != "" {
-			continue
-		}
-		if avgSum[r.Consistency] == nil {
-			avgSum[r.Consistency] = map[string]float64{}
-			avgN[r.Consistency] = map[string]int{}
-		}
-		if r.NormalizedTime > 0 {
-			avgSum[r.Consistency][r.Defense] += r.NormalizedTime
-			avgN[r.Consistency][r.Defense]++
-			if cmpNorm[r.Defense] == nil {
-				cmpNorm[r.Defense] = map[string]float64{}
-			}
-		}
-		cmpCPI[r.Defense] += r.CPI
-		cmpN[r.Defense]++
-	}
-	for _, cm := range cmOrder {
-		sec := sections[cm]
-		for _, rk := range rowOrder {
-			if rk.cm == cm {
-				sec.Rows = append(sec.Rows, *rows[rk])
-			}
-		}
-		for _, d := range v.Defenses {
-			if n := avgN[cm][d]; n > 0 {
-				sec.Avg[d] = avgSum[cm][d] / float64(n)
-			}
-		}
-		v.Sections = append(v.Sections, *sec)
-	}
-	for _, d := range v.Defenses {
-		row := compareRow{Defense: d, Runs: cmpN[d], AvgNorm: map[string]float64{}}
-		if cmpN[d] > 0 {
-			row.AvgCPI = cmpCPI[d] / float64(cmpN[d])
-		}
-		for _, cm := range cmOrder {
-			if n := avgN[cm][d]; n > 0 {
-				row.AvgNorm[cm] = avgSum[cm][d] / float64(n)
-			}
-		}
-		v.Compare = append(v.Compare, row)
-	}
-	return v
+	avg := runner.Average(b.Groups(), runner.Time, func(g *runner.Group) bool { return g.Consistency == "TSO" })
+	return HistoryPoint{File: file, Name: b.Name, Runs: len(b.Runs), Defenses: avg.Defenses, Avg: avg.Value}
 }
 
 // seriesSlot maps a defense to its fixed categorical palette slot (1-based).

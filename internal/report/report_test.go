@@ -89,11 +89,14 @@ func writeHistoryFixture(t *testing.T) string {
 	dir := t.TempDir()
 	for i, name := range []string{"BENCH_a.json", "BENCH_b.json"} {
 		b := &runner.Bench{Schema: runner.BenchSchema, Name: name, Warmup: 10, Measure: 100}
+		// Normalized time comes from CPI within each group; the RC group
+		// normalizes too, and the TSO-only trend must leave it out.
 		for _, w := range []string{"mcf", "sjeng"} {
 			b.Runs = append(b.Runs,
-				runner.BenchRun{Workload: w, Defense: "Base", Consistency: "TSO", NormalizedTime: 1},
-				runner.BenchRun{Workload: w, Defense: "IS-Fu", Consistency: "TSO", NormalizedTime: 1.1 + 0.1*float64(i)},
-				runner.BenchRun{Workload: w, Defense: "IS-Fu", Consistency: "RC", NormalizedTime: 9})
+				runner.BenchRun{Workload: w, Defense: "Base", Consistency: "TSO", CPI: 2},
+				runner.BenchRun{Workload: w, Defense: "IS-Fu", Consistency: "TSO", CPI: 2 * (1.1 + 0.1*float64(i))},
+				runner.BenchRun{Workload: w, Defense: "Base", Consistency: "RC", CPI: 1},
+				runner.BenchRun{Workload: w, Defense: "IS-Fu", Consistency: "RC", CPI: 9})
 		}
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {

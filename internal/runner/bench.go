@@ -11,12 +11,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 
 	"invisispec/internal/artifact"
-	"invisispec/internal/config"
 	"invisispec/internal/stats"
 )
 
@@ -35,9 +33,10 @@ type BenchRun struct {
 	Instructions uint64  `json:"instructions"`
 	Cycles       uint64  `json:"cycles"`
 	CPI          float64 `json:"cpi"`
-	// NormalizedTime is this run's CPI over the Base run's CPI within the
-	// same (workload, consistency, fault-seed) group — the Figure 4/7 bar.
-	// Zero when the group has no successful Base run.
+	// NormalizedTime is this run's Time in its group (Groups): its CPI
+	// over the Base run's CPI within the same (workload, consistency,
+	// fault-seed) group, the Figure 4/7 bar. Zero when the group has no
+	// successful Base run.
 	NormalizedTime float64 `json:"normalized_time,omitempty"`
 
 	TrafficTotal uint64            `json:"traffic_total"`
@@ -55,13 +54,9 @@ type BenchRun struct {
 }
 
 // BenchHost is the nondeterministic side of the artifact: where and how fast
-// the sweep ran. benchdiff ignores it.
+// the sweep ran, then each run's wall time. benchdiff ignores it.
 type BenchHost struct {
-	WallMS   float64   `json:"wall_ms"`
-	Jobs     int       `json:"jobs"`
-	CPUs     int       `json:"cpus"`
-	GoOS     string    `json:"goos"`
-	GoVer    string    `json:"go"`
+	artifact.Host
 	PerRunMS []float64 `json:"run_ms"` // indexed like Runs
 	// KernelWallMS records the sweep's wall time per simulation kernel when
 	// benchtable -comparekernels re-runs the matrix under both (keys "fast"
@@ -86,23 +81,10 @@ type Bench struct {
 	Host     *BenchHost              `json:"host,omitempty"`
 }
 
-// benchKey groups runs that normalize against the same Base measurement.
-type benchKey struct {
-	workload string
-	cm       config.Consistency
-	seed     int64
-}
-
 // NewBench assembles the deterministic part of an artifact from aggregated
-// results. Normalized time is computed per (workload, consistency, seed)
-// group against that group's Base run.
+// results, with each run's normalized time taken within its group
+// (Groups).
 func NewBench(name string, warmup, measure uint64, results []JobResult) *Bench {
-	baseCPI := make(map[benchKey]float64)
-	for _, r := range results {
-		if r.Err == nil && r.Job.Defense == config.Base {
-			baseCPI[benchKey{r.Job.Workload, r.Job.Consistency, r.Job.FaultSeed}] = r.Result.CPI()
-		}
-	}
 	b := &Bench{Schema: BenchSchema, Name: name, Warmup: warmup, Measure: measure,
 		Runs: make([]BenchRun, 0, len(results))}
 	names := stats.TrafficClassNames()
@@ -123,9 +105,6 @@ func NewBench(name string, warmup, measure uint64, results []JobResult) *Bench {
 		br.Instructions = res.Instructions
 		br.Cycles = res.Cycles
 		br.CPI = res.CPI()
-		if base := baseCPI[benchKey{r.Job.Workload, r.Job.Consistency, r.Job.FaultSeed}]; base > 0 {
-			br.NormalizedTime = br.CPI / base
-		}
 		br.TrafficTotal = res.TotalTraffic()
 		br.Traffic = make(map[string]uint64, len(names))
 		for c, n := range names {
@@ -139,19 +118,19 @@ func NewBench(name string, warmup, measure uint64, results []JobResult) *Bench {
 		br.DRAMReads = res.DRAMReads
 		b.Runs = append(b.Runs, br)
 	}
+	groups := b.Groups()
+	for i := range groups {
+		for _, r := range groups[i].Runs {
+			r.NormalizedTime, _ = groups[i].Value(r, Time)
+		}
+	}
 	return b
 }
 
 // WithHost attaches the host block for a sweep that took wall time with the
 // given worker count. Returns b for chaining.
 func (b *Bench) WithHost(wall time.Duration, jobs int, results []JobResult) *Bench {
-	h := &BenchHost{
-		WallMS: float64(wall.Nanoseconds()) / 1e6,
-		Jobs:   jobs,
-		CPUs:   runtime.NumCPU(),
-		GoOS:   runtime.GOOS,
-		GoVer:  runtime.Version(),
-	}
+	h := &BenchHost{Host: *artifact.NewHost(wall, jobs)}
 	for _, r := range results {
 		h.PerRunMS = append(h.PerRunMS, float64(r.HostNS)/1e6)
 	}

@@ -71,16 +71,6 @@ func (v *DiffVerdict) Failed() []DiffCheck {
 	return out
 }
 
-// diffGroupKey is one normalization group of the candidate artifact.
-type diffGroupKey struct {
-	workload, cm string
-	seed         int64
-}
-
-func (k diffGroupKey) String() string {
-	return fmt.Sprintf("%s/%s/seed%d", k.workload, k.cm, k.seed)
-}
-
 // CompareBench runs both check families — shape fidelity inside the
 // candidate, CPI regression of the candidate against the baseline — and
 // returns every check's outcome. tol is the maximum allowed relative CPI
@@ -107,76 +97,62 @@ func CompareBench(base, cand *Bench, tol, eps float64) *DiffVerdict {
 }
 
 // shapeChecks verifies the paper's qualitative ordering inside the candidate
-// artifact: within every complete defense group the insecure Base must be
-// fastest, and on each consistency model's average InvisiSpec must beat the
-// corresponding fence scheme.
+// artifact: within every complete group (Groups) the insecure Base must be
+// fastest, and on each consistency model's average over its complete
+// groups InvisiSpec must beat the corresponding fence scheme.
 func shapeChecks(cand *Bench, eps float64) []DiffCheck {
-	groups := make(map[diffGroupKey]map[string]BenchRun)
-	for _, r := range cand.Runs {
-		if r.Error != "" {
-			continue // reported by the regression pass
+	groups := cand.Groups()
+	// A partial matrix (e.g. a table6 artifact) has nothing to order, and
+	// a failed run is reported by the regression pass.
+	complete := func(g *Group) bool {
+		for _, d := range config.AllDefenses() {
+			if r := g.Run(d.String()); r == nil || r.Error != "" {
+				return false
+			}
 		}
-		k := diffGroupKey{r.Workload, r.Consistency, r.FaultSeed}
-		if groups[k] == nil {
-			groups[k] = make(map[string]BenchRun, 5)
-		}
-		groups[k][r.Defense] = r
+		return true
 	}
-	keys := make([]diffGroupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	// Checks and averages run in group-key order, so the verdict does not
+	// depend on the artifact's run order.
+	key := func(g *Group) string { return fmt.Sprintf("%s/%s/seed%d", g.Workload, g.Consistency, g.FaultSeed) }
+	sort.Slice(groups, func(i, j int) bool { return key(&groups[i]) < key(&groups[j]) })
 
 	var checks []DiffCheck
-	// Per consistency model: sum of normalized times per defense and the
-	// number of complete groups, for the figures' average rows.
-	avgSum := make(map[string]map[config.Defense]float64)
-	avgN := make(map[string]int)
-	for _, k := range keys {
-		g := groups[k]
-		if len(g) < len(config.AllDefenses()) {
-			continue // partial matrix (e.g. table6 artifacts): nothing to order
+	for i := range groups {
+		g := &groups[i]
+		if !complete(g) {
+			continue
 		}
-		base := g[config.Base.String()]
-		if avgSum[k.cm] == nil {
-			avgSum[k.cm] = make(map[config.Defense]float64, 5)
-		}
-		avgN[k.cm]++
-		c := DiffCheck{Kind: CheckShapeBase, Key: k.String(), Pass: true, BaseCPI: base.CPI}
+		c := DiffCheck{Kind: CheckShapeBase, Key: key(g), Pass: true, BaseCPI: g.Base.CPI}
 		for _, d := range config.AllDefenses() {
-			r := g[d.String()]
-			if base.CPI > 0 {
-				avgSum[k.cm][d] += r.CPI / base.CPI
-			}
-			if d != config.Base && base.CPI > r.CPI*(1+eps) {
+			if r := g.Run(d.String()); d != config.Base && g.Base.CPI > r.CPI*(1+eps) {
 				c.Pass = false
 				c.CandCPI = r.CPI
 				c.Detail = fmt.Sprintf("shape inverted: insecure Base (CPI %.4f) slower than %s (CPI %.4f)",
-					base.CPI, d, r.CPI)
+					g.Base.CPI, d, r.CPI)
 				break
 			}
 		}
 		checks = append(checks, c)
 	}
 	for _, cm := range []string{config.TSO.String(), config.RC.String()} {
-		n := avgN[cm]
-		if n == 0 {
+		avg := Average(groups, Time, func(g *Group) bool { return g.Consistency == cm && complete(g) })
+		if avg.Groups == 0 {
 			continue
 		}
-		avg := func(d config.Defense) float64 { return avgSum[cm][d] / float64(n) }
 		pair := func(is, fence config.Defense, why string) DiffCheck {
+			i, f := avg.Value[is.String()], avg.Value[fence.String()]
 			c := DiffCheck{
 				Kind:    CheckShapeAverage,
 				Key:     fmt.Sprintf("%s average: %s vs %s", cm, is, fence),
 				Pass:    true,
-				BaseCPI: avg(fence),
-				CandCPI: avg(is),
+				BaseCPI: f,
+				CandCPI: i,
 			}
-			if avg(is) > avg(fence)*(1+eps) {
+			if i > f*(1+eps) {
 				c.Pass = false
 				c.Detail = fmt.Sprintf("shape inverted over %d workloads: %s (%.3fx) slower than %s (%.3fx) — %s",
-					n, is, avg(is), fence, avg(fence), why)
+					avg.Groups, is, i, fence, f, why)
 			}
 			return c
 		}

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -129,5 +130,27 @@ func TestCompareBenchMissingRun(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing-run check absent: %+v", v.Failed())
+	}
+}
+
+// TestShapeAverageCountsInvertedGroups: a complete group whose Base is
+// slower than IS-Sp (a per-group inversion the paper's own bars show)
+// still adds every defense to the IS-vs-fence averages.
+func TestShapeAverageCountsInvertedGroups(t *testing.T) {
+	cand := diffBench("cand", 1.0, 3.0, 2.0)
+	for _, r := range diffBench("cand", 5.0, 6.0, 4.0).Runs {
+		r.Workload = "inverted"
+		cand.Runs = append(cand.Runs, r)
+	}
+	v := CompareBench(cand, cand, 0.10, 0.02)
+	avg := checksByKind(v, CheckShapeAverage)
+	if len(avg) != 2 {
+		t.Fatalf("average checks = %+v", avg)
+	}
+	// Both groups count: IS (2/1 + 4/5)/2, fence (3/1 + 6/5)/2.
+	for _, c := range avg {
+		if math.Abs(c.CandCPI-1.4) > 1e-12 || math.Abs(c.BaseCPI-2.1) > 1e-12 {
+			t.Errorf("%s: IS %v vs fence %v, want 1.4 vs 2.1", c.Key, c.CandCPI, c.BaseCPI)
+		}
 	}
 }
