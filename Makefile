@@ -14,7 +14,7 @@ LEAK_FLAGS = -corpus smoke -trials 3 -jobs $(JOBS)
 SEARCH_FLAGS = -search -search-budget 3 -seed 1 -trials 2 -jobs $(JOBS)
 SMOKE_CACHE = $(BIN)/smoke-cache
 
-.PHONY: all build tools test vet lint loc race check ci benchtest bench smoke benchdiff baseline baselinecheck leakscan leaksearch kernelcheck conform chaos serve
+.PHONY: all build tools test vet lint loc race check ci benchtest benchsmoke bench smoke benchdiff baseline baselinecheck leakscan leaksearch kernelcheck conform chaos serve
 
 all: build
 
@@ -64,11 +64,11 @@ race:
 check: build vet race
 
 # Every gate CI runs on a push, each once: CI runs these targets in
-# separate jobs (check and benchtest, lint, smoke, leakscan and
+# separate jobs (check, benchtest and benchsmoke, lint, smoke, leakscan and
 # leaksearch, conform). One race-instrumented suite pass (inside check)
 # covers kernelcheck and chaos; the CLI gates reuse the binaries `tools`
 # built, and the gates with a committed baseline cmp against it.
-ci: check lint benchtest smoke leakscan leaksearch conform
+ci: check lint benchtest benchsmoke smoke leakscan leaksearch conform
 
 # The host-performance benchmark is a module of its own (bench/go.mod), so
 # `go test ./...` never builds it. Its traced run rebuilds machines the way
@@ -76,6 +76,19 @@ ci: check lint benchtest smoke leakscan leaksearch conform
 # tests noticing; this vets and tests it (about 3 s).
 benchtest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# One short pass of every host-benchmark workload (about 5 s), so the
+# benchmark's own oracles run on each push: the row digests in
+# bench/expected.json, the stepped-vs-fast trials and the leak verdicts.
+# hostbench exits 0 even when a check fails, so this fails unless each of
+# the three result lines reads "correct":true.
+benchsmoke:
+	@mkdir -p $(BIN)
+	bash bench/run.sh --workload all --seed 1 --seconds 1 > $(BIN)/benchsmoke.txt
+	@n=$$(grep -c '"correct":true' $(BIN)/benchsmoke.txt); \
+	if [ "$$n" != 3 ]; then \
+		cat $(BIN)/benchsmoke.txt; echo "benchsmoke: $$n of 3 workloads read \"correct\":true"; exit 1; \
+	fi; echo "benchsmoke: all 3 workloads read \"correct\":true"
 
 # Resilience gate: the seeded chaos self-tests run bench, leakage, and
 # conformance campaigns over a memo store (the -cache seam), cancel them

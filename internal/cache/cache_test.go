@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -181,18 +184,118 @@ func (m *quickLRU) touch(ln uint64) {
 	}
 }
 
+// fullArray is the array as it was before a set held only the ways it had
+// filled: every set holds all its ways, ranked by way index until first
+// used; an install fills the first invalid way, or else replaces the LRU
+// way. Its sets are allocated on first use, which changes nothing.
+type fullArray struct {
+	ways  int
+	sets  [][]Line
+	valid int // valid lines
+}
+
+func (r *fullArray) set(ln uint64) []Line {
+	s := int(ln) & (len(r.sets) - 1)
+	if r.sets[s] == nil {
+		r.sets[s] = make([]Line, r.ways)
+		for w := range r.sets[s] {
+			r.sets[s][w].lru = uint8(w)
+		}
+	}
+	return r.sets[s]
+}
+
+func (r *fullArray) way(ln uint64) int {
+	return slices.IndexFunc(r.set(ln), func(l Line) bool { return l.Valid && l.LineNum == ln })
+}
+
+func (r *fullArray) promote(set []Line, w int) {
+	for i := range set {
+		if set[i].lru < set[w].lru {
+			set[i].lru++
+		}
+	}
+	set[w].lru = 0
+}
+
+func (r *fullArray) insert(ln uint64) (evicted Line, had bool) {
+	set, w := r.set(ln), r.way(ln)
+	if w < 0 {
+		if w = slices.IndexFunc(set, func(l Line) bool { return !l.Valid }); w >= 0 {
+			r.valid++
+		} else {
+			w = slices.IndexFunc(set, func(l Line) bool { return int(l.lru) == r.ways-1 })
+			evicted, had = set[w], true
+		}
+		set[w] = Line{LineNum: ln, Valid: true, Owner: -1, lru: set[w].lru}
+	}
+	r.promote(set, w)
+	return evicted, had
+}
+
+func (r *fullArray) touch(ln uint64) {
+	if w := r.way(ln); w >= 0 {
+		r.promote(r.set(ln), w)
+	}
+}
+
+func (r *fullArray) invalidate(ln uint64) {
+	set, w := r.set(ln), r.way(ln)
+	if w < 0 {
+		return
+	}
+	for i := range set {
+		if set[i].lru > set[w].lru {
+			set[i].lru--
+		}
+	}
+	set[w] = Line{lru: uint8(r.ways - 1)}
+	r.valid--
+}
+
+// mismatch walks a's lines with ForEach and describes the first that is
+// not r's line in the same set and way, rank included, that ForEach visits
+// out of (set, way) order, or that is not the *Line held for it; or else
+// reports whether a and r hold different numbers of lines.
+func (r *fullArray) mismatch(a *Array, held map[uint64]*Line) string {
+	n, last, msg := 0, -1, ""
+	a.ForEach(func(l *Line) {
+		s := a.setOf(l.LineNum)
+		w := find(a.set(s), l.LineNum)
+		switch {
+		case msg != "":
+		case s*r.ways+w <= last || r.sets[s] == nil || r.sets[s][w] != *l:
+			msg = fmt.Sprintf("set %d way %d holds %+v, in the fully allocated array %+v", s, w, *l, r.set(l.LineNum)[w])
+		case held[l.LineNum] != l:
+			msg = fmt.Sprintf("line %d moved though no Insert grew its set", l.LineNum)
+		}
+		n, last = n+1, s*r.ways+w
+	})
+	if msg == "" && n != r.valid {
+		msg = fmt.Sprintf("ForEach visits %d lines, the fully allocated array holds %d", n, r.valid)
+	}
+	return msg
+}
+
 // TestArrayMatchesReferenceLRU drives the machine's array geometries with
-// random inserts, touches and invalidations and compares every set it
-// touches with the reference model. A *Line the array handed out must stay
-// what Lookup returns while the line is resident, across the slabs later
-// installs claim, and a set never installed into must read empty.
+// random inserts, touches and invalidations. After every op, the touched
+// set's LRU order must match the reference model's, each resident line
+// must sit in the way the fully allocated array puts it, in the same
+// ForEach order, an install must evict the line that array evicts, and a
+// *Line must stay what Lookup returns until an Insert grows its set. A set
+// holds the fewest ways, a power of two or the associativity, that hold
+// the most lines it has held, and the array's store at most 8 times the
+// lines its sets have held, plus its first slab: power-of-two growth hands
+// out fewer than 4 lines per line held, and a new slab is no larger than
+// the lines handed out before it, the first aside. A set never installed
+// into must read empty.
 func TestArrayMatchesReferenceLRU(t *testing.T) {
 	for _, g := range []struct {
 		name       string
 		sets, ways int
-		minClaimed int // sets the run must claim: 257 spans three slabs
+		minSlabs   int // slabs the run must fill
 	}{
-		{"llc-bank", 2048, 16, 2*minSlabSets + 1},
+		{"llc-bank", 2048, 16, 3},
 		{"l1d", 128, 8, 1},
 		{"tlb", 1, 64, 1},
 		{"tiny", 4, 4, 1},
@@ -200,54 +303,72 @@ func TestArrayMatchesReferenceLRU(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			a := NewArray(g.sets, g.ways)
 			ref := newQuickLRU(g.sets, g.ways)
+			full := &fullArray{ways: g.ways, sets: make([][]Line, g.sets)}
 			held := map[uint64]*Line{}
+			filled := make([]int, g.sets) // the most lines each set has held
+			sumFilled := 0
 			seen := make([]bool, g.sets)
 			// Each op picks a kind (six in eight insert), a tag from more
 			// than a set holds, and a set: half the ops go to eight hot
 			// sets, so sets fill and evict, the rest anywhere.
 			f := func(ops []uint32) bool {
-				var touched []int
 				for _, x := range ops {
 					s := int(x>>8) & (g.sets - 1)
 					if x>>31 == 0 {
 						s &= 7 & (g.sets - 1)
 					}
 					ln := uint64(s) + uint64(g.sets)*uint64((x>>3)%uint32(g.ways+g.ways/2+1))
-					touched, seen[s] = append(touched, s), true
+					seen[s] = true
 					switch x % 8 {
 					case 6:
 						a.Touch(ln)
 						ref.touch(ln)
+						full.touch(ln)
 					case 7:
 						if got, want := a.Invalidate(ln), ref.remove(ln); got != want {
 							t.Errorf("Invalidate(%d) = %v, want %v", ln, got, want)
 							return false
 						}
+						full.invalidate(ln)
 					default:
-						resident := ref.has(ln)
+						ways := len(a.set(s))
 						line, ev, had := a.Insert(ln)
-						wantEv, wantHad := ref.insert(ln)
-						if had != wantHad || had && ev.LineNum != wantEv {
-							t.Errorf("Insert(%d) evicted %d (%v), want %d (%v)", ln, ev.LineNum, had, wantEv, wantHad)
+						refEv, refHad := ref.insert(ln)
+						wantEv, wantHad := full.insert(ln)
+						if had != wantHad || ev != wantEv || had != refHad || had && ev.LineNum != refEv {
+							t.Errorf("Insert(%d) evicted %+v (%v), want %+v (%v)", ln, ev, had, wantEv, wantHad)
 							return false
 						}
-						if resident && line != held[ln] {
-							t.Errorf("Insert(%d) of a resident line moved it", ln)
-							return false
+						if set := a.set(s); len(set) != ways {
+							for w := range set[:ways] { // the set grew: its lines moved
+								held[set[w].LineNum] = &set[w]
+							}
 						}
 						held[ln] = line
+						if n := len(ref.order[s]); n > filled[s] {
+							sumFilled += n - filled[s]
+							filled[s] = n
+						}
+						if got, want := len(a.set(s)), min(1<<bits.Len(uint(filled[s]-1)), g.ways); got != want {
+							t.Errorf("set %d holds %d ways after holding %d lines, want %d", s, got, filled[s], want)
+							return false
+						}
 					}
-				}
-				for _, s := range touched {
 					if !slices.Equal(a.LRUOrder(s), ref.order[s]) {
 						t.Errorf("set %d: LRUOrder = %v, want %v", s, a.LRUOrder(s), ref.order[s])
 						return false
 					}
-					for _, ln := range ref.order[s] {
-						if a.Lookup(ln) != held[ln] {
-							t.Errorf("Lookup(%d) is not the *Line Insert returned", ln)
-							return false
-						}
+					if msg := full.mismatch(a, held); msg != "" {
+						t.Errorf("after op %#x on line %d: %s", x, ln, msg)
+						return false
+					}
+					lines := 0
+					for _, slab := range a.store.slabs {
+						lines += len(slab)
+					}
+					if lines > 0 && lines > 8*sumFilled+len(a.store.slabs[0]) {
+						t.Errorf("store holds %d lines, more than 8 x %d held plus a first slab of %d", lines, sumFilled, len(a.store.slabs[0]))
+						return false
 					}
 				}
 				return true
@@ -256,8 +377,8 @@ func TestArrayMatchesReferenceLRU(t *testing.T) {
 			if err := quick.Check(f, cfg); err != nil {
 				t.Fatal(err)
 			}
-			if a.claimed < g.minClaimed {
-				t.Fatalf("run claimed %d sets, want at least %d", a.claimed, g.minClaimed)
+			if len(a.store.slabs) < g.minSlabs {
+				t.Fatalf("run filled %d slabs, want at least %d", len(a.store.slabs), g.minSlabs)
 			}
 			want := 0
 			for s := 0; s < g.sets; s++ {
@@ -277,15 +398,35 @@ func TestArrayMatchesReferenceLRU(t *testing.T) {
 }
 
 func TestNewArrayPanics(t *testing.T) {
-	for _, tc := range []struct{ sets, ways int }{{3, 2}, {0, 2}, {4, 0}, {2 * maxSets, 2}} {
+	for _, tc := range []struct {
+		sets, ways int
+		want       string // what the panic must name
+	}{{3, 2, "power of two"}, {0, 2, "power of two"}, {4, 0, "[1, 256]"}, {1, MaxWays + 1, "[1, 256]"}} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				if r := recover(); r == nil {
 					t.Errorf("NewArray(%d,%d) did not panic", tc.sets, tc.ways)
+				} else if !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Errorf("NewArray(%d,%d) panicked %q, which does not name %q", tc.sets, tc.ways, r, tc.want)
 				}
 			}()
 			NewArray(tc.sets, tc.ways)
 		}()
+	}
+}
+
+// TestMaxWaysSetEvictsLRU fills a set of the most ways an array may have,
+// whose LRU rank is the largest a byte holds, and evicts its LRU line.
+func TestMaxWaysSetEvictsLRU(t *testing.T) {
+	a := NewArray(1, MaxWays)
+	for ln := uint64(0); ln < MaxWays; ln++ {
+		if _, _, had := a.Insert(ln); had {
+			t.Fatalf("Insert(%d) evicted from a set with free ways", ln)
+		}
+	}
+	a.Touch(0)
+	if _, ev, had := a.Insert(MaxWays); !had || ev.LineNum != 1 {
+		t.Fatalf("evicted %+v (had=%v), want line 1", ev, had)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"invisispec/internal/bpred"
+	"invisispec/internal/cache"
 	"invisispec/internal/defense"
 	"invisispec/internal/isa"
 )
@@ -316,6 +317,9 @@ func (m Machine) Validate() error {
 		name string
 		p    CacheParams
 	}{{"L1I", m.L1I}, {"L1D", m.L1D}, {"L2", m.L2}} {
+		if c.p.Ways < 1 || c.p.Ways > cache.MaxWays {
+			return fmt.Errorf("config: %s has %d ways, must be in [1, %d]", c.name, c.p.Ways, cache.MaxWays)
+		}
 		sets := c.p.Sets()
 		if sets <= 0 || sets&(sets-1) != 0 {
 			return fmt.Errorf("config: %s has %d sets, must be a positive power of two", c.name, sets)
@@ -323,6 +327,9 @@ func (m Machine) Validate() error {
 		if c.p.MSHRs <= 0 || c.p.Ports <= 0 {
 			return fmt.Errorf("config: %s needs positive MSHRs and ports", c.name)
 		}
+	}
+	if m.TLBEntries < 1 || m.TLBEntries > cache.MaxWays {
+		return fmt.Errorf("config: TLBEntries = %d, must be in [1, %d]", m.TLBEntries, cache.MaxWays)
 	}
 	return nil
 }

@@ -25,6 +25,11 @@ func TestValidateRejections(t *testing.T) {
 		{"lq over rob", func(m *Machine) { m.LQEntries = 500 }, "cannot exceed ROB"},
 		{"bad sets", func(m *Machine) { m.L1D.SizeBytes = 3000 }, "sets"},
 		{"no mshrs", func(m *Machine) { m.L1D.MSHRs = 0 }, "MSHRs"},
+		{"zero ways", func(m *Machine) { m.L1D.Ways = 0 }, "L1D has 0 ways, must be in [1, 256]"},
+		{"too many ways", func(m *Machine) { m.L2.Ways, m.L2.SizeBytes = 512, 512*64 }, "L2 has 512 ways"},
+		{"negative ways", func(m *Machine) { m.L1I.Ways = -4 }, "L1I has -4 ways"},
+		{"zero tlb", func(m *Machine) { m.TLBEntries = 0 }, "TLBEntries = 0, must be in [1, 256]"},
+		{"tlb over rank", func(m *Machine) { m.TLBEntries = 257 }, "TLBEntries = 257"},
 	}
 	for _, c := range cases {
 		m := Default(1)

@@ -73,10 +73,10 @@ func (h *Hierarchy) releaseTxn(i int32) {
 	h.freeTxn = i
 }
 
-func newBank(id int, cfg config.Machine) *bank {
+func newBank(id int, lines *cache.Store, cfg config.Machine) *bank {
 	return &bank{
 		id:   id,
-		arr:  cache.NewArray(cfg.L2.Sets(), cfg.L2.Ways),
+		arr:  lines.NewArray(cfg.L2.Sets(), cfg.L2.Ways),
 		held: make(map[uint64]hold),
 	}
 }
@@ -254,7 +254,8 @@ func (h *Hierarchy) bankProcess(b *bank, i int32) {
 		}
 	}
 
-	// Commit the directory update.
+	// Commit the directory update. llcInstall may have grown the line's
+	// set, which moves its lines, so look the line up again.
 	line = b.arr.Lookup(tx.lineNum)
 	if line == nil {
 		panic("memsys: demand transaction completed without an LLC line")

@@ -78,10 +78,10 @@ type waiter struct {
 	lqIdx int32
 }
 
-func newL1(core int, p config.CacheParams, instr bool) *l1 {
+func newL1(core int, lines *cache.Store, p config.CacheParams, instr bool) *l1 {
 	return &l1{
 		core:    core,
-		arr:     cache.NewArray(p.Sets(), p.Ways),
+		arr:     lines.NewArray(p.Sets(), p.Ways),
 		mshrs:   make([]mshr, 0, p.MSHRs),
 		latency: uint64(p.LatencyRT),
 		ports:   p.Ports,
@@ -130,10 +130,11 @@ func (h *Hierarchy) buildComponents() {
 	cfg := h.cfg
 	h.noc = noc.New(cfg.MeshW, cfg.MeshH, cfg.HopLatency, cfg.LinkBytes, h.st)
 	h.dram = dram.New(cfg.DRAMLatency, cfg.DRAMBandwidth)
+	lines := new(cache.Store) // every L1 and LLC bank carves its ways here
 	for i := 0; i < cfg.Cores; i++ {
-		h.l1d = append(h.l1d, newL1(i, cfg.L1D, false))
-		h.l1i = append(h.l1i, newL1(i, cfg.L1I, true))
-		h.bank = append(h.bank, newBank(i, cfg))
+		h.l1d = append(h.l1d, newL1(i, lines, cfg.L1D, false))
+		h.l1i = append(h.l1i, newL1(i, lines, cfg.L1I, true))
+		h.bank = append(h.bank, newBank(i, lines, cfg))
 		h.sb = append(h.sb, newLLCSB(cfg.LQEntries))
 	}
 }

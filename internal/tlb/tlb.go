@@ -23,12 +23,9 @@ type TLB struct {
 }
 
 // New builds a TLB with the given number of entries and page-walk latency in
-// cycles. Entries must be a power of two is NOT required (fully associative,
-// one set), but must be positive.
+// cycles. Entries need not be a power of two (fully associative, one set),
+// but must be in [1, cache.MaxWays]: cache.NewArray panics otherwise.
 func New(entries, walkLatency int) *TLB {
-	if entries <= 0 {
-		panic("tlb: entries must be positive")
-	}
 	return &TLB{arr: cache.NewArray(1, entries), walkLatency: walkLatency}
 }
 
